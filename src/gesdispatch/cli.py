@@ -130,7 +130,7 @@ def _dispatch(scn: ScenarioBundle, cfg: RunConfig) -> DispatchStrategy:
     if cfg.reformulation == "R1" or cfg.a3:
         return robust_solve_r1(scn)
     return iterative_solve_r2(
-        scn, delta=cfg.delta, max_iter=cfg.effective_max_iter(), seed=cfg.seed,
+        scn, delta=cfg.delta, max_iter=cfg.effective_max_iter(),
         on_max_iter="return" if cfg.a2 else "raise",
     )
 

@@ -148,27 +148,36 @@ def contraction_distribution(rd: float, side: str, spec: DduSpec) -> Distributio
     return DistributionSpec.beta(mf * k, (1.0 - mf) * k, 0.0, BETA_CAP)
 
 
-def contraction_quantile_vec(m: np.ndarray, spec: DduSpec, u: np.ndarray) -> np.ndarray:
+def contraction_quantile_vec(
+    m: np.ndarray, spec: DduSpec, u: np.ndarray, *, z: np.ndarray | None = None
+) -> np.ndarray:
     """Vectorized inverse CDF of H over elementwise means `m` at uniforms `u`.
 
     Equivalent to quantile(contraction_distribution(...), u) evaluated
     entry-by-entry, but without constructing per-entry spec objects.
+
+    `z` is a fast path for a caller that applies one set of uniforms to many
+    means (the Monte-Carlo evaluator): it must be ndtri(u), computed once by
+    that caller, and only the lognormal family reads it.  Other callers pass
+    `u` alone.
     """
     from scipy import special, stats as sstats
 
     m = np.asarray(m, dtype=float)
     u = np.asarray(u, dtype=float)
+    assert z is None or np.shape(z) == u.shape, "z must be ndtri(u)"
     out = np.broadcast_to(m, np.broadcast_shapes(m.shape, u.shape)).copy()
-    live = m > MEAN_FLOOR
+    live = out > MEAN_FLOOR
     if not np.any(live):
         return out
     s = spec.sigma_h
-    mm = np.broadcast_to(m, out.shape)[live]
-    uu = np.broadcast_to(u, out.shape)[live]
+    mm = out[live]
     if spec.h_family == "lognormal":
+        zz = np.broadcast_to(special.ndtri(u) if z is None else z, out.shape)[live]
         s2 = np.log1p((s / mm) ** 2)
-        out[live] = np.exp(np.log(mm) - s2 / 2.0 + np.sqrt(s2) * special.ndtri(uu))
+        out[live] = np.exp(np.log(mm) - s2 / 2.0 + np.sqrt(s2) * zz)
     else:
+        uu = np.broadcast_to(u, out.shape)[live]
         mf = np.clip(mm / BETA_CAP, 1e-9, 1.0 - 1e-6)
         vf = np.minimum((s / BETA_CAP) ** 2, 0.99 * mf * (1.0 - mf))
         k = mf * (1.0 - mf) / vf - 1.0

@@ -133,6 +133,11 @@ def sample(spec: DistributionSpec, n: int, seed) -> np.ndarray:
     return quantile(spec, u)
 
 
+def sample_columns(specs: list[DistributionSpec], n: int, seeds) -> np.ndarray:
+    """(n, len(specs)) draws whose column t is sample(specs[t], n, seeds[t])."""
+    return np.column_stack([sample(spec, n, seed) for spec, seed in zip(specs, seeds)])
+
+
 def quantile(spec: DistributionSpec, level) -> np.ndarray | float:
     """Inverse CDF, vectorized over `level`; the common-random-number hook."""
     fam, p = spec.family, spec.params
@@ -150,7 +155,7 @@ def quantile(spec: DistributionSpec, level) -> np.ndarray | float:
     elif fam == "lognormal":
         out = np.exp(p["mu"] + p["sigma"] * special.ndtri(level))
     elif fam == "beta":
-        out = p["low"] + (p["high"] - p["low"]) * special.btdtri(p["alpha"], p["beta"], level)
+        out = p["low"] + (p["high"] - p["low"]) * special.betaincinv(p["alpha"], p["beta"], level)
     elif fam == "student_t":
         out = p["loc"] + p["scale"] * stats.t.ppf(level, p["nu"])
     elif fam == "bernoulli":

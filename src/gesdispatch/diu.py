@@ -29,6 +29,9 @@ BOUND_KINDS = ("p_c_max", "p_d_max", "soc_lo", "soc_hi", "alpha")
 #: percent grid at which normalized empirical quantiles are tabulated
 LEVELS = np.arange(1, 100) / 100.0
 
+#: tolerance below a tabulated level within which a request still uses it
+LEVEL_SLACK = 1e-9
+
 
 @dataclass
 class BoundStats:
@@ -42,11 +45,20 @@ class BoundStats:
     table: np.ndarray | None = None  # normalized quantiles, shape (len(LEVELS), T)
 
     def inv_cdf(self, level: float) -> np.ndarray:
-        """Normalized quantile per step at `level`, from the tabulated grid."""
+        """Normalized quantile per step at `level`, from the tabulated grid.
+
+        Rounds up to the smallest tabulated level at or above `level`, so a
+        tail factor is never less conservative than the one requested; the
+        1e-9 slack keeps on-grid levels such as 1 - 0.05 on their own row.
+        """
         if self.table is None:
             return np.zeros_like(self.mu)
-        idx = int(np.argmin(np.abs(LEVELS - level)))
-        return self.table[idx]
+        if level > LEVELS[-1] + LEVEL_SLACK:
+            raise InvalidSpec(
+                f"quantile level {level} is above the largest tabulated level "
+                f"{LEVELS[-1]}; the smallest supported gamma is {1.0 - LEVELS[-1]:.2f}"
+            )
+        return self.table[int(np.searchsorted(LEVELS, level - LEVEL_SLACK))]
 
     @classmethod
     def deterministic(cls, values: np.ndarray, seed: int = 0) -> "BoundStats":
@@ -108,20 +120,21 @@ def tcl_baseline_bound_samples(dev, base: np.ndarray, dt: float, horizon: int) -
 
     Matches map_device_to_ges row-by-row: the thermal coefficients and SoC
     coordinates do not depend on the baseline, so only the power ratings vary.
+    The power ratings are (n, horizon); every other bound is the same in all
+    draws and is returned as one (horizon,) row.
     """
     params = map_device_to_ges(dev, dt, horizon)
-    n = base.shape[0]
     p_c_max = np.clip(dev.p_max - base, 0.0, None)
     p_d_max = np.clip(base - dev.p_min, 0.0, None)
-    tile = lambda v: np.broadcast_to(np.asarray(v, dtype=float), (n, horizon))  # noqa: E731
+    row = lambda v: np.asarray(v, dtype=float)  # noqa: E731
     return {
         "p_c_max": p_c_max,
         "p_d_max": p_d_max,
-        "soc_lo": tile(params.soc_lo),
-        "soc_hi": tile(params.soc_hi),
-        "alpha": tile(params.alpha),
-        "avg": tile(params.soc_baseline_avg),
-        "deadband": tile(params.deadband),
+        "soc_lo": row(params.soc_lo),
+        "soc_hi": row(params.soc_hi),
+        "alpha": row(params.alpha),
+        "avg": row(params.soc_baseline_avg),
+        "deadband": row(params.deadband),
         "pc_ref": p_c_max.mean(axis=1),
         "pd_ref": p_d_max.mean(axis=1),
     }
@@ -163,19 +176,13 @@ def propagate_diu(
         name: dist.sample(spec, n, children[k])
         for k, (name, spec) in enumerate(sorted(unit_dists.items()))
     }
+    base = None
     if baseline_dist is not None:
-        base = np.column_stack(
-            [
-                dist.sample(baseline_dist[t], n, children[len(unit_dists) + t])
-                for t in range(horizon)
-            ]
-        )
-    else:
-        base = None
+        base = dist.sample_columns(baseline_dist, n, children[len(unit_dists):])
 
     if base is not None and baseline_only_fast_path(dev, unit_dists):
         fast = tcl_baseline_bound_samples(dev, base, dt, horizon)
-        cols = {kind: np.asarray(fast[kind], dtype=float) for kind in BOUND_KINDS}
+        cols = {kind: np.broadcast_to(fast[kind], (n, horizon)) for kind in BOUND_KINDS}
     else:
         cols = {kind: np.empty((n, horizon)) for kind in BOUND_KINDS}
         for j in range(n):
@@ -199,13 +206,8 @@ def series_stats(
     seed: int = 0,
 ) -> BoundStats:
     """Empirical statistics of an exogenous per-step series (load, renewables)."""
-    horizon = len(dists_per_t)
-    ss = np.random.SeedSequence([seed])
-    children = ss.spawn(horizon)
-    samples = np.column_stack(
-        [dist.sample(dists_per_t[t], n, children[t]) for t in range(horizon)]
-    )
-    return _column_stats(samples, gamma, n, seed)
+    children = np.random.SeedSequence([seed]).spawn(len(dists_per_t))
+    return _column_stats(dist.sample_columns(dists_per_t, n, children), gamma, n, seed)
 
 
 def analytic_series_stats(dists_per_t: list[DistributionSpec], level: float) -> BoundStats:

@@ -406,7 +406,6 @@ def iterative_solve_r2(
     scn: ScenarioBundle,
     delta: float = 1e-3,
     max_iter: int = 25,
-    seed: int = 0,
     on_max_iter: str = "raise",
 ) -> DispatchStrategy:
     """M3 fixed-point solve: alternate LP solves with tail-factor re-estimation.
@@ -507,14 +506,3 @@ def aggregate_scenario(scn: ScenarioBundle) -> ScenarioBundle:
         unit_dists={}, baseline_dist=None, stats=None,
     )
     return _replace(scn, units=[unit])
-
-
-def solve(scn: ScenarioBundle, reformulation: str = "R1", **kw) -> DispatchStrategy:
-    """Dispatch by the scenario's model_mode."""
-    if scn.model_mode == "M1":
-        return solve_deterministic_m1(scn)
-    if scn.model_mode == "M2":
-        return solve_cco_diu(scn)
-    if reformulation == "R1":
-        return robust_solve_r1(scn)
-    return iterative_solve_r2(scn, **kw)

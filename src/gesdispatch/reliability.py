@@ -6,31 +6,45 @@ device mapping, a price-driven expansion draw, and a discomfort-driven
 contraction draw — and the day-ahead schedule is scored against them:
 violation probability, signed energy not served, and real-time penalty cost.
 
-All draws come from substreams keyed by (master seed, unit, quantity), so two
-strategies evaluated with the same seed face identical random worlds.
+Two kinds of draws enter a realization:
+
+- per-unit: identification and baseline noise, from a substream keyed by
+  (master seed, unit id);
+- fleet-common: the expansion and contraction shock uniforms, one per
+  (draw, step) and side, keyed by the master seed alone.  The willingness
+  shocks behind them are modeled as common to the whole fleet in each draw
+  (a shared behavioral or weather cause); per-unit independent shocks would
+  make the any-violation draw event saturate with fleet size regardless of
+  the per-row confidence.
+
+Two strategies evaluated with the same seed therefore face identical random
+worlds.  Where a draw's realized lower bound lies above its upper bound, the
+pair collapses to its midpoint; redrawing the shocks of the crossed unit
+alone would give it unit-specific shocks, against the model above.
+
+Every evaluator runs the same realization kernel (`realize_unit`) and the
+same scoring: `evaluate_reliability(s)` is `evaluate_many({name: s})[name]`,
+and `compute_lorp_erns`/`penalty_cost` score a realized batch the same way.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import special
 
 from . import distributions as dist
 from .ddu import contraction_quantile_vec
-from .distributions import DistributionSpec
 from .errors import DimensionMismatch
 from .diu import baseline_only_fast_path, tcl_baseline_bound_samples
 from .ges import map_device_to_ges
-from .optimizer import DispatchStrategy, balance_requirements
+from .optimizer import DispatchStrategy
 from .scenario import ScenarioBundle, UnitSpec
 
 #: numeric slack before a bound crossing counts as a violation
 VIOLATION_TOL = 1e-9
-
-#: attempts to redraw a crossed (upper, lower) pair before midpoint clipping
-MAX_RESAMPLE = 100
 
 #: real-time price multipliers on the ToU price
 UNDER_RESPONSE_MULT = 1.3
@@ -72,23 +86,17 @@ class ReliabilityReport:
 
 
 # ---------------------------------------------------------------------------
-# Per-unit realization
+# Realization
 
 
-def _unit_streams(uid: str, seed: int) -> dict[str, np.random.Generator]:
+def _unit_rng(uid: str, seed: int) -> np.random.Generator:
+    """The unit's parameter/baseline-noise stream (spawn child 0)."""
     ss = np.random.SeedSequence([int(seed), zlib.crc32(uid.encode())])
-    names = ("diu", "resample")
-    return dict(zip(names, (np.random.default_rng(c) for c in ss.spawn(len(names)))))
+    return np.random.default_rng(ss.spawn(1)[0])
 
 
 def _system_uniforms(seed: int, m: int, horizon: int) -> dict[str, np.ndarray]:
-    """Fleet-wide expansion/contraction shock uniforms, one per (draw, step).
-
-    The willingness shocks behind bound expansion and contraction are modeled
-    as common to the whole fleet in each draw (a shared behavioral/weather
-    driver); per-unit independent shocks would make the any-violation draw
-    event saturate with fleet size regardless of the per-row confidence.
-    """
+    """Fleet-common expansion/contraction shock uniforms, one per (draw, step)."""
     ss = np.random.SeedSequence([int(seed), zlib.crc32(b"system")])
     names = ("g_upper", "g_lower", "h_upper", "h_lower")
     return {
@@ -97,35 +105,67 @@ def _system_uniforms(seed: int, m: int, horizon: int) -> dict[str, np.ndarray]:
     }
 
 
+class _Worlds:
+    """The fleet-common state of one evaluation, computed once and shared by
+    every unit and strategy: the shock uniforms, the standard normal scores
+    of the contraction uniforms, the expansion factor g per distinct price
+    input, and the per-unit noise realization of the unit last realized."""
+
+    def __init__(self, seed: int, m: int, horizon: int):
+        self.seed = int(seed)
+        self.m = m
+        sysu = _system_uniforms(seed, m, horizon)
+        self.u_g = {"upper": sysu["g_upper"], "lower": sysu["g_lower"]}
+        self.u_h = {"upper": sysu["h_upper"], "lower": sysu["h_lower"]}
+        # ndtri(u_h): the `z` fast path of contraction_quantile_vec
+        self.z_h = {side: special.ndtri(u) for side, u in self.u_h.items()}
+        self._g: dict[tuple, np.ndarray] = {}
+        self._diu: tuple[UnitSpec | None, dict | None] = (None, None)
+
+    def g(self, side: str, price: np.ndarray, c_bar: float, sigma_g: float) -> np.ndarray:
+        """Expansion factor per (draw, step); depends only on its arguments."""
+        key = (side, price.tobytes(), float(c_bar), float(sigma_g))
+        g = self._g.get(key)
+        if g is None:
+            g = self._g[key] = _truncnorm_ppf(price[None, :] / c_bar, sigma_g, self.u_g[side])
+        return g
+
+    def diu(self, u: UnitSpec, scn: ScenarioBundle) -> dict:
+        """Per-draw parameter/baseline-noise realization of unit `u`."""
+        last, real = self._diu
+        if last is not u:
+            real = _realized_diu(u, self.m, _unit_rng(u.unit_id, self.seed), scn)
+            self._diu = (u, real)
+        return real
+
+
 def _realized_diu(u: UnitSpec, m: int, rng: np.random.Generator, scn: ScenarioBundle):
     """Per-draw storage parameters under identification/baseline noise.
 
-    Returns matrices (m, T) for ratings, identified SoC bounds, comfort
-    anchors, and rating references; collapses to nominal rows when the unit
-    has no exogenous uncertainty.
+    Returns (m, T) matrices for the ratings, (m,) rating references, and the
+    identified SoC bounds and comfort anchors, which are (m, T) where they
+    vary by draw and a (T,) row where they do not.
     """
     horizon = scn.horizon
     p = u.params
     if not u.unit_dists and u.baseline_dist is None:
-        one = lambda v: np.broadcast_to(np.asarray(v, dtype=float), (m, horizon))  # noqa: E731
+        row = lambda v: np.asarray(v, dtype=float)  # noqa: E731
         return {
-            "p_c_max": one(p.p_c_max),
-            "p_d_max": one(p.p_d_max),
-            "soc_lo": one(p.soc_lo),
-            "soc_hi": one(p.soc_hi),
-            "avg": one(p.soc_baseline_avg),
-            "deadband": one(p.deadband),
+            "p_c_max": np.broadcast_to(row(p.p_c_max), (m, horizon)),
+            "p_d_max": np.broadcast_to(row(p.p_d_max), (m, horizon)),
+            "soc_lo": row(p.soc_lo),
+            "soc_hi": row(p.soc_hi),
+            "avg": row(p.soc_baseline_avg),
+            "deadband": row(p.deadband),
             "pc_ref": np.full(m, float(np.mean(p.p_c_max))),
             "pd_ref": np.full(m, float(np.mean(p.p_d_max))),
         }
     names = sorted(u.unit_dists)
-    draws = {name: dist.sample(u.unit_dists[name], m, rng.spawn(1)[0]) for name in names}
+    children = rng.spawn(len(names) + (horizon if u.baseline_dist is not None else 0))
+    draws = {name: dist.sample(u.unit_dists[name], m, c) for name, c in zip(names, children)}
+    base = None
     if u.baseline_dist is not None:
-        base = np.column_stack(
-            [dist.sample(u.baseline_dist[t], m, rng.spawn(1)[0]) for t in range(horizon)]
-        )
-    else:
-        base = None
+        base = dist.sample_columns(u.baseline_dist, m, children[len(names):])
     if base is not None and baseline_only_fast_path(u.dev, u.unit_dists):
         return tcl_baseline_bound_samples(u.dev, base, scn.dt, horizon)
     out = {k: np.empty((m, horizon)) for k in ("p_c_max", "p_d_max", "soc_lo", "soc_hi", "avg", "deadband")}
@@ -170,14 +210,12 @@ def _rd_matrix(strategy: DispatchStrategy, u: UnitSpec, real) -> np.ndarray:
 
 
 def _truncnorm_ppf(mu, sigma, u):
-    from scipy import special
-
     fa = special.ndtr((0.0 - mu) / sigma)
     fb = special.ndtr((1.0 - mu) / sigma)
     return np.clip(mu + sigma * special.ndtri(fa + u * (fb - fa)), 0.0, 1.0)
 
 
-def _side_bound(u: UnitSpec, real, rd, side, u_g, u_h):
+def _side_bound(u: UnitSpec, real, rd, side: str, worlds: _Worlds) -> np.ndarray:
     """Realized bound for one side: expansion draw then contraction draw."""
     spec = u.ddu
     p = u.params
@@ -191,57 +229,32 @@ def _side_bound(u: UnitSpec, real, rd, side, u_g, u_h):
         phys = p.soc_phys_lo
         comfort = np.maximum(real["avg"] - real["deadband"] / 2.0, diu)
         price = np.asarray(u.price_d, dtype=float)
-    g = _truncnorm_ppf(price[None, :] / spec.c_bar, spec.sigma_g, u_g)
+    g = worlds.g(side, price, spec.c_bar, spec.sigma_g)
     anchor = diu + (phys - diu) * g
-    h = contraction_quantile_vec(spec.beta_side(side) * rd, spec, u_h)
+    h = contraction_quantile_vec(
+        spec.beta_side(side) * rd, spec, worlds.u_h[side], z=worlds.z_h[side]
+    )
     return anchor + (comfort - anchor) * h
 
 
 def realize_unit(
-    u: UnitSpec, strategy: DispatchStrategy, scn: ScenarioBundle, m: int, seed: int
+    u: UnitSpec, strategy: DispatchStrategy, scn: ScenarioBundle, m: int, worlds: _Worlds
 ) -> UnitRealization:
-    """Full per-draw realization of one unit's practical bounds."""
-    streams = _unit_streams(u.unit_id, seed)
-    sysu = _system_uniforms(seed, m, scn.horizon)
-    real = _realized_diu(u, m, streams["diu"], scn)
+    """Per-draw practical bounds of one unit over the `m` draws of `worlds`:
+    the realization kernel of every evaluator.  A crossed (upper, lower)
+    pair collapses to its midpoint."""
+    if m != worlds.m:
+        raise DimensionMismatch(f"unit {u.unit_id}: {m} draws vs {worlds.m} in the shared worlds")
+    real = worlds.diu(u, scn)
     rd = _rd_matrix(strategy, u, real)
-    upper = _side_bound(u, real, rd, "upper", sysu["g_upper"], sysu["h_upper"])
-    lower = _side_bound(u, real, rd, "lower", sysu["g_lower"], sysu["h_lower"])
-
-    crossings = 0
+    upper = _side_bound(u, real, rd, "upper", worlds)
+    lower = _side_bound(u, real, rd, "lower", worlds)
     crossed = lower > upper
-    if np.any(crossed):
-        crossings = int(np.count_nonzero(crossed))
-        rng = streams["resample"]
-        spec = u.ddu
-        for _ in range(MAX_RESAMPLE):
-            idx = np.nonzero(crossed)
-            if idx[0].size == 0:
-                break
-            for side, mat in (("upper", upper), ("lower", lower)):
-                p = u.params
-                if side == "upper":
-                    diu = np.minimum(real["soc_hi"], p.soc_phys_hi)[idx]
-                    phys = p.soc_phys_hi
-                    comfort = np.minimum(real["avg"] + real["deadband"] / 2.0, np.minimum(real["soc_hi"], p.soc_phys_hi))[idx]
-                    price = np.asarray(u.price_c, dtype=float)[idx[1]]
-                else:
-                    diu = np.maximum(real["soc_lo"], p.soc_phys_lo)[idx]
-                    phys = p.soc_phys_lo
-                    comfort = np.maximum(real["avg"] - real["deadband"] / 2.0, np.maximum(real["soc_lo"], p.soc_phys_lo))[idx]
-                    price = np.asarray(u.price_d, dtype=float)[idx[1]]
-                g = _truncnorm_ppf(price / spec.c_bar, spec.sigma_g, rng.random(idx[0].size))
-                anchor = diu + (phys - diu) * g
-                h = contraction_quantile_vec(
-                    spec.beta_side(side) * rd[idx], spec, rng.random(idx[0].size)
-                )
-                mat[idx] = anchor + (comfort - anchor) * h
-            crossed = lower > upper
-        still = np.nonzero(crossed)
-        if still[0].size:
-            mid = 0.5 * (upper[still] + lower[still])
-            upper[still] = mid
-            lower[still] = mid
+    crossings = int(np.count_nonzero(crossed))
+    if crossings:
+        mid = 0.5 * (upper[crossed] + lower[crossed])
+        upper[crossed] = mid
+        lower[crossed] = mid
     return UnitRealization(
         upper=upper,
         lower=lower,
@@ -254,9 +267,16 @@ def realize_unit(
 def realize_practical_bounds(
     strategy: DispatchStrategy, scn: ScenarioBundle, draws: int, seed: int
 ) -> RealizationBatch:
-    """Realize practical bounds for every unit (held in memory; see
-    evaluate_reliability for the streaming variant)."""
-    units = {u.unit_id: realize_unit(u, strategy, scn, draws, seed) for u in scn.units}
+    """Realize every unit's practical bounds and keep them in memory.
+
+    The expansion and contraction shocks are fleet-common (one set for all
+    units), the parameter and baseline noise is per unit, and a crossed
+    (upper, lower) pair collapses to its midpoint: the kernel that
+    `evaluate_many` runs, so `compute_lorp_erns` of the batch equals
+    `evaluate_reliability` at the same draws and seed.
+    """
+    worlds = _Worlds(seed, draws, scn.horizon)
+    units = {u.unit_id: realize_unit(u, strategy, scn, draws, worlds) for u in scn.units}
     return RealizationBatch(units=units, draws=draws, seed=seed)
 
 
@@ -264,105 +284,74 @@ def realize_practical_bounds(
 # Metrics
 
 
-def _unit_violations(strategy: DispatchStrategy, uid: str, real: UnitRealization):
-    sched = strategy.schedules[uid]
-    soc = sched.soc[1:][None, :]
-    over = np.maximum(soc - real.upper, 0.0)
-    under = np.maximum(real.lower - soc, 0.0)
-    violated = (over > VIOLATION_TOL) | (under > VIOLATION_TOL)
-    return over, under, violated
+class _Score:
+    """Running LORP, signed ERNS, violation frequencies and real-time cost of
+    one strategy, fed one unit's realization at a time."""
+
+    def __init__(self, strategy: DispatchStrategy, scn: ScenarioBundle, draws: int, seed: int):
+        self.strategy = strategy
+        self.scn = scn
+        self.draws = draws
+        self.seed = seed
+        self.any_violation = np.zeros(draws, dtype=bool)
+        self.erns = np.zeros(scn.horizon)
+        self.freq: dict[str, np.ndarray] = {}
+        self.cost_rt = 0.0
+        self.crossings = 0
+
+    def add(self, u: UnitSpec, real: UnitRealization) -> None:
+        uid = u.unit_id
+        if real.upper.shape != (self.draws, self.scn.horizon):
+            raise DimensionMismatch(
+                f"unit {uid}: batch shape {real.upper.shape} vs ({self.draws}, {self.scn.horizon})"
+            )
+        soc = self.strategy.schedules[uid].soc[1:][None, :]
+        over = np.maximum(soc - real.upper, 0.0)
+        under = np.maximum(real.lower - soc, 0.0)
+        violated = (over > VIOLATION_TOL) | (under > VIOLATION_TOL)
+        self.any_violation |= violated.any(axis=1)
+        self.erns += (over - under).mean(axis=0) * u.params.S
+        self.freq[uid] = violated.mean(axis=0)
+        self.crossings += real.crossings
+        # undelivered response is bought back at a markup, excess response
+        # loses part of its day-ahead revenue
+        e_over = over.mean(axis=0) * u.params.S
+        e_under = under.mean(axis=0) * u.params.S
+        self.cost_rt += float(
+            np.dot(self.scn.tou_price, UNDER_RESPONSE_MULT * e_under + OVER_RESPONSE_MULT * e_over)
+        )
+
+    def report(self) -> ReliabilityReport:
+        cost_da = self.strategy.objective_value
+        return ReliabilityReport(
+            lorp=float(self.any_violation.mean()),
+            erns=self.erns,
+            erns_total_signed=float(self.erns.sum()),
+            erns_total_abs=float(np.abs(self.erns).sum()),
+            cost_da=cost_da,
+            cost_rt=self.cost_rt,
+            cost_tc=cost_da + self.cost_rt,
+            violation_freq=self.freq,
+            crossings=self.crossings,
+            gamma=self.scn.gamma,
+            draws=self.draws,
+            seed=self.seed,
+        )
 
 
 def compute_lorp_erns(
     strategy: DispatchStrategy, batch: RealizationBatch, scn: ScenarioBundle
 ) -> ReliabilityReport:
-    """LORP, signed ERNS, and violation frequencies from a realized batch."""
-    horizon = scn.horizon
-    any_violation = np.zeros(batch.draws, dtype=bool)
-    erns = np.zeros(horizon)
-    freq = {}
-    crossings = 0
+    """Full reliability report of a realized batch."""
+    score = _Score(strategy, scn, batch.draws, batch.seed)
     for u in scn.units:
-        uid = u.unit_id
-        real = batch.units[uid]
-        if real.upper.shape != (batch.draws, horizon):
-            raise DimensionMismatch(
-                f"unit {uid}: batch shape {real.upper.shape} vs ({batch.draws}, {horizon})"
-            )
-        over, under, violated = _unit_violations(strategy, uid, real)
-        any_violation |= violated.any(axis=1)
-        erns += (over - under).mean(axis=0) * u.params.S
-        freq[uid] = violated.mean(axis=0)
-        crossings += real.crossings
-    return ReliabilityReport(
-        lorp=float(any_violation.mean()),
-        erns=erns,
-        erns_total_signed=float(erns.sum()),
-        erns_total_abs=float(np.abs(erns).sum()),
-        cost_da=strategy.objective_value,
-        cost_rt=0.0,
-        cost_tc=strategy.objective_value,
-        violation_freq=freq,
-        crossings=crossings,
-        gamma=scn.gamma,
-        draws=batch.draws,
-        seed=batch.seed,
-    )
+        score.add(u, batch.units[u.unit_id])
+    return score.report()
 
 
 def penalty_cost(strategy: DispatchStrategy, batch: RealizationBatch, scn: ScenarioBundle) -> float:
-    """Expected real-time cost: undelivered response is bought back at a
-    markup, excess response loses part of its day-ahead revenue."""
-    total = 0.0
-    for u in scn.units:
-        real = batch.units[u.unit_id]
-        if real.upper.shape[1] != scn.horizon:
-            raise DimensionMismatch(f"unit {u.unit_id}: horizon mismatch")
-        over, under, _ = _unit_violations(strategy, u.unit_id, real)
-        e_over = over.mean(axis=0) * u.params.S
-        e_under = under.mean(axis=0) * u.params.S
-        total += float(
-            np.dot(scn.tou_price, UNDER_RESPONSE_MULT * e_under + OVER_RESPONSE_MULT * e_over)
-        )
-    return total
-
-
-def evaluate_reliability(
-    strategy: DispatchStrategy, scn: ScenarioBundle, draws: int, seed: int
-) -> ReliabilityReport:
-    """Streaming evaluation: one unit realized at a time, then discarded."""
-    horizon = scn.horizon
-    any_violation = np.zeros(draws, dtype=bool)
-    erns = np.zeros(horizon)
-    freq = {}
-    cost_rt = 0.0
-    crossings = 0
-    for u in scn.units:
-        real = realize_unit(u, strategy, scn, draws, seed)
-        over, under, violated = _unit_violations(strategy, u.unit_id, real)
-        any_violation |= violated.any(axis=1)
-        erns += (over - under).mean(axis=0) * u.params.S
-        freq[u.unit_id] = violated.mean(axis=0)
-        crossings += real.crossings
-        e_over = over.mean(axis=0) * u.params.S
-        e_under = under.mean(axis=0) * u.params.S
-        cost_rt += float(
-            np.dot(scn.tou_price, UNDER_RESPONSE_MULT * e_under + OVER_RESPONSE_MULT * e_over)
-        )
-    return ReliabilityReport(
-        lorp=float(any_violation.mean()),
-        erns=erns,
-        erns_total_signed=float(erns.sum()),
-        erns_total_abs=float(np.abs(erns).sum()),
-        cost_da=strategy.objective_value,
-        cost_rt=cost_rt,
-        cost_tc=strategy.objective_value + cost_rt,
-        violation_freq=freq,
-        crossings=crossings,
-        gamma=scn.gamma,
-        draws=draws,
-        seed=seed,
-    )
+    """Expected real-time cost of a realized batch."""
+    return compute_lorp_erns(strategy, batch, scn).cost_rt
 
 
 def evaluate_many(
@@ -370,71 +359,28 @@ def evaluate_many(
 ) -> dict[str, ReliabilityReport]:
     """Evaluate several strategies against the same random worlds.
 
-    The device-noise realization per unit is sampled once and reused, so this
-    is both faster than repeated evaluate_reliability calls and guarantees
-    common random numbers across strategies.
+    The expansion and contraction shocks are fleet-common: drawn once per
+    call and shared by every unit and strategy.  Parameter and baseline
+    noise is per unit: drawn once per unit and shared by the strategies.
+    Each strategy is realized through `realize_unit`, where a crossed
+    (upper, lower) pair collapses to its midpoint, and scored one unit at a
+    time, so memory stays at one unit's draws.  A report depends only on
+    (strategy, scenario, draws, seed); `evaluate_reliability(s)` is this
+    function with `s` alone.
     """
-    horizon = scn.horizon
-    acc = {
-        name: {
-            "any": np.zeros(draws, dtype=bool),
-            "erns": np.zeros(horizon),
-            "freq": {},
-            "cost_rt": 0.0,
-            "crossings": 0,
-        }
-        for name in strategies
-    }
-    sysu = _system_uniforms(seed, draws, horizon)
+    worlds = _Worlds(seed, draws, scn.horizon)
+    scores = {name: _Score(s, scn, draws, seed) for name, s in strategies.items()}
     for u in scn.units:
-        streams = _unit_streams(u.unit_id, seed)
-        real = _realized_diu(u, draws, streams["diu"], scn)
         for name, strategy in strategies.items():
-            rd = _rd_matrix(strategy, u, real)
-            upper = _side_bound(u, real, rd, "upper", sysu["g_upper"], sysu["h_upper"])
-            lower = _side_bound(u, real, rd, "lower", sysu["g_lower"], sysu["h_lower"])
-            crossed = lower > upper
-            n_cross = int(np.count_nonzero(crossed))
-            if n_cross:
-                still = np.nonzero(crossed)
-                mid = 0.5 * (upper[still] + lower[still])
-                upper[still] = mid
-                lower[still] = mid
-            real_u = UnitRealization(
-                upper=upper,
-                lower=lower,
-                p_c_max=real["p_c_max"],
-                p_d_max=real["p_d_max"],
-                crossings=n_cross,
-            )
-            over, under, violated = _unit_violations(strategy, u.unit_id, real_u)
-            a = acc[name]
-            a["any"] |= violated.any(axis=1)
-            a["erns"] += (over - under).mean(axis=0) * u.params.S
-            a["freq"][u.unit_id] = violated.mean(axis=0)
-            a["crossings"] += n_cross
-            e_over = over.mean(axis=0) * u.params.S
-            e_under = under.mean(axis=0) * u.params.S
-            a["cost_rt"] += float(
-                np.dot(scn.tou_price, UNDER_RESPONSE_MULT * e_under + OVER_RESPONSE_MULT * e_over)
-            )
-    return {
-        name: ReliabilityReport(
-            lorp=float(a["any"].mean()),
-            erns=a["erns"],
-            erns_total_signed=float(a["erns"].sum()),
-            erns_total_abs=float(np.abs(a["erns"]).sum()),
-            cost_da=strategies[name].objective_value,
-            cost_rt=a["cost_rt"],
-            cost_tc=strategies[name].objective_value + a["cost_rt"],
-            violation_freq=a["freq"],
-            crossings=a["crossings"],
-            gamma=scn.gamma,
-            draws=draws,
-            seed=seed,
-        )
-        for name, a in acc.items()
-    }
+            scores[name].add(u, realize_unit(u, strategy, scn, draws, worlds))
+    return {name: score.report() for name, score in scores.items()}
+
+
+def evaluate_reliability(
+    strategy: DispatchStrategy, scn: ScenarioBundle, draws: int, seed: int
+) -> ReliabilityReport:
+    """Evaluate one strategy: `evaluate_many` with this strategy alone."""
+    return evaluate_many({"strategy": strategy}, scn, draws, seed)["strategy"]
 
 
 def average_contraction(strategy: DispatchStrategy, scn: ScenarioBundle) -> float:
@@ -467,8 +413,7 @@ def expost_row_frequencies(
     """
     out: dict[str, np.ndarray] = {}
     for u in scn.units:
-        streams = _unit_streams(u.unit_id, seed)
-        real = _realized_diu(u, draws, streams["diu"], scn)
+        real = _realized_diu(u, draws, _unit_rng(u.unit_id, seed), scn)
         sched = strategy.schedules[u.unit_id]
         soc = sched.soc[1:][None, :]
         out[f"pc:{u.unit_id}"] = (sched.p_c[None, :] > real["p_c_max"] + VIOLATION_TOL).mean(axis=0)
@@ -476,10 +421,12 @@ def expost_row_frequencies(
         out[f"soc_hi:{u.unit_id}"] = (soc > real["soc_hi"] + VIOLATION_TOL).mean(axis=0)
         out[f"soc_lo:{u.unit_id}"] = (soc < real["soc_lo"] - VIOLATION_TOL).mean(axis=0)
 
-    rng_l = np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(b"load")]))
-    rng_r = np.random.default_rng(np.random.SeedSequence([seed, zlib.crc32(b"res")]))
-    load = np.column_stack([dist.sample(d, draws, rng_l.spawn(1)[0]) for d in scn.load_dist])
-    res = np.column_stack([dist.sample(d, draws, rng_r.spawn(1)[0]) for d in scn.res_dist])
+    def exogenous(dists, tag: bytes) -> np.ndarray:
+        children = np.random.SeedSequence([seed, zlib.crc32(tag)]).spawn(len(dists))
+        return dist.sample_columns(dists, draws, children)
+
+    load = exogenous(scn.load_dist, b"load")
+    res = exogenous(scn.res_dist, b"res")
     net_supply = strategy.grid_import[None, :] + res
     for u in scn.units:
         s = strategy.schedules[u.unit_id]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats as sstats
+from scipy import special, stats as sstats
 
 from gesdispatch.ddu import (
     DduSpec,
@@ -157,6 +157,11 @@ def test_contraction_quantile_vec_matches_scalar():
         else:
             h = contraction_distribution(m[k] / spec.beta_up, "upper", spec)
             assert out[k] == pytest.approx(float(quantile(h, u[k])), rel=1e-9)
+    # precomputed standard normal scores give the same result
+    assert np.array_equal(contraction_quantile_vec(m, spec, u, z=special.ndtri(u)), out)
+    # one row of means broadcasts against a matrix of uniforms
+    grid = contraction_quantile_vec(m, spec, np.tile(u, (3, 1)))
+    assert grid.shape == (3, m.size) and np.array_equal(grid[1], out)
 
 
 def test_standardized_quantile_closed_form():

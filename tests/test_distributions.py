@@ -62,6 +62,12 @@ def test_sampling_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_beta_quantile_matches_scipy():
+    levels = np.array([0.1, 0.5, 0.9])
+    got = quantile(DistributionSpec.beta(2.0, 3.0, 0.0, 2.0), levels)
+    assert np.allclose(got, 2.0 * stats.beta.ppf(levels, 2.0, 3.0), rtol=1e-12)
+
+
 def test_normal_quantile():
     spec = DistributionSpec.normal(2.0, 3.0)
     assert quantile(spec, 0.95) == pytest.approx(2.0 + 3.0 * 1.6448536269514722, abs=1e-9)

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from scipy import stats as sstats
 
-from gesdispatch.distributions import DistributionSpec
+from gesdispatch.distributions import DistributionSpec, empirical_inverse_cdf, sample_columns
 from gesdispatch.diu import (
+    LEVELS,
     BoundStats,
     analytic_series_stats,
     propagate_diu,
     series_stats,
 )
+from gesdispatch.errors import InvalidSpec
 from gesdispatch.ges import DeviceDescription
 
 T = 24
@@ -98,6 +100,28 @@ def test_inv_cdf_monotone_in_level():
         cur = emp.inv_cdf(level)
         assert np.all(cur >= prev - 1e-12)
         prev = cur
+
+
+def test_inv_cdf_rounds_up_to_the_next_tabulated_level():
+    dists = [DistributionSpec.lognormal(0.0, 0.4)] * 3
+    n = 20_000
+    emp = series_stats(dists, gamma=0.025, n=n, seed=4)
+    f = emp.inv_cdf(1.0 - 0.025)
+    assert (LEVELS[97], LEVELS[44]) == (0.98, 0.45)
+    assert np.array_equal(f, emp.table[97])
+    # the same samples series_stats drew
+    samples = sample_columns(dists, n, np.random.SeedSequence([4]).spawn(len(dists)))
+    for t in range(len(dists)):
+        z = (samples[:, t] - emp.mu[t]) / emp.sigma[t]
+        assert f[t] >= empirical_inverse_cdf(z, 0.975)
+    # on-grid requests keep their own level
+    assert np.array_equal(emp.inv_cdf(1.0 - 0.55), emp.table[44])
+
+
+def test_inv_cdf_beyond_the_table_raises():
+    emp = series_stats([DistributionSpec.lognormal(0.0, 0.4)] * 3, gamma=0.05, n=2_000, seed=4)
+    with pytest.raises(InvalidSpec, match="0.01"):
+        emp.inv_cdf(1.0 - 0.005)
 
 
 def test_deterministic_stats_helper():

@@ -186,12 +186,49 @@ def test_evaluation_deterministic(smoke3, smoke3_m2):
     assert a.cost_rt == b.cost_rt
 
 
+def assert_same_report(a, b):
+    assert (a.lorp, a.cost_rt, a.crossings) == (b.lorp, b.cost_rt, b.crossings)
+    assert np.array_equal(a.erns, b.erns)
+    assert a.violation_freq.keys() == b.violation_freq.keys()
+    for uid, freq in a.violation_freq.items():
+        assert np.array_equal(freq, b.violation_freq[uid])
+
+
 def test_evaluate_many_matches_single(smoke3, smoke3_m2):
     many = evaluate_many({"m2": smoke3_m2}, smoke3, draws=300, seed=11)["m2"]
     one = evaluate_reliability(smoke3_m2, smoke3, draws=300, seed=11)
-    assert many.lorp == one.lorp
-    assert np.allclose(many.erns, one.erns)
-    assert many.cost_rt == pytest.approx(one.cost_rt, rel=1e-12)
+    assert_same_report(many, one)
+
+
+def test_crossed_bounds_collapse_alike_in_every_evaluator():
+    # strong discomfort aversion under an active schedule pushes the lower
+    # bound above the upper one in many draws
+    scn = ddu_scenario(beta_up=10.0, beta_lo=20.0)
+    strat = strategy_with(scn, p_d=np.full(T, 3.0))
+    one = evaluate_reliability(strat, scn, draws=400, seed=2)
+    assert one.crossings > 0
+    assert_same_report(one, evaluate_many({"s": strat}, scn, draws=400, seed=2)["s"])
+    batch = realize_practical_bounds(strat, scn, draws=400, seed=2)
+    assert np.all(batch.units["bes"].lower <= batch.units["bes"].upper)
+    assert_same_report(one, compute_lorp_erns(strat, batch, scn))
+    assert penalty_cost(strat, batch, scn) == one.cost_rt
+
+
+def test_units_with_different_prices_realize_as_if_alone():
+    # the expansion factor is shared between units only when their price
+    # inputs are equal
+    spec = DduSpec(q_g_level=0.05)
+    units = [make_unit(bes_device(uid="cheap"), T, ddu=spec, price_c=0.1, price_d=0.2),
+             make_unit(bes_device(uid="dear"), T, ddu=spec, price_c=1.2, price_d=1.4)]
+    scn = make_scenario(units, T, load=15.0)
+    strat = strategy_with(scn, p_d=np.full(T, 3.0))
+    both = realize_practical_bounds(strat, scn, draws=200, seed=4).units
+    assert not np.array_equal(both["cheap"].upper, both["dear"].upper)
+    assert not np.array_equal(both["cheap"].lower, both["dear"].lower)
+    for u in units:
+        alone = realize_practical_bounds(strat, replace(scn, units=[u]), draws=200, seed=4)
+        assert np.array_equal(both[u.unit_id].upper, alone.units[u.unit_id].upper)
+        assert np.array_equal(both[u.unit_id].lower, alone.units[u.unit_id].lower)
 
 
 def test_lorp_weakly_increases_with_gamma(smoke3):
