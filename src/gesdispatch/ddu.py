@@ -111,17 +111,17 @@ def response_discomfort_series(sched: UnitSchedule, params: GesParams, spec: Ddu
 # Expansion anchor and contraction distribution
 
 
-def expansion_anchor(diu_bound: float, phys_bound: float, price: float, spec: DduSpec) -> float:
+def expansion_anchor(diu_bound, phys_bound, price, spec: DduSpec):
     """Price-expanded bound between the identified and physical values.
 
     The expansion fraction is the q_g_level-quantile of a normal with mean
     price / c_bar, truncated to [0, 1] so the anchor never leaves the
-    physical range.
+    physical range.  Elementwise over arrays of bounds and prices.
     """
-    mu_g = price / spec.c_bar
-    g = DistributionSpec.truncated_normal(mu_g, spec.sigma_g, 0.0, 1.0)
-    q_g = float(dist.quantile(g, spec.q_g_level))
-    return diu_bound + (phys_bound - diu_bound) * q_g
+    q_g = dist.truncnorm_quantile(np.asarray(price, dtype=float) / spec.c_bar, spec.sigma_g,
+                                  0.0, 1.0, spec.q_g_level)
+    anchor = diu_bound + (phys_bound - diu_bound) * q_g
+    return anchor if np.ndim(anchor) else float(anchor)
 
 
 def contraction_distribution(rd: float, side: str, spec: DduSpec) -> DistributionSpec:

@@ -147,11 +147,7 @@ def quantile(spec: DistributionSpec, level) -> np.ndarray | float:
     elif fam == "normal":
         out = p["mu"] + p["sigma"] * special.ndtri(level)
     elif fam == "truncated_normal":
-        mu, sg, a, b = p["mu"], p["sigma"], p["a"], p["b"]
-        al, be = (a - mu) / sg, (b - mu) / sg
-        fa, fb = special.ndtr(al), special.ndtr(be)
-        out = mu + sg * special.ndtri(fa + level * (fb - fa))
-        out = np.clip(out, a, b)
+        out = truncnorm_quantile(p["mu"], p["sigma"], p["a"], p["b"], level)
     elif fam == "lognormal":
         out = np.exp(p["mu"] + p["sigma"] * special.ndtri(level))
     elif fam == "beta":
@@ -165,6 +161,13 @@ def quantile(spec: DistributionSpec, level) -> np.ndarray | float:
     else:  # pragma: no cover
         raise InvalidSpec(fam)
     return out if out.ndim else float(out)
+
+
+def truncnorm_quantile(mu, sigma, a, b, level):
+    """Inverse CDF of a normal(mu, sigma) truncated to [a, b], elementwise over
+    broadcast `mu` and `level`."""
+    fa, fb = special.ndtr((a - mu) / sigma), special.ndtr((b - mu) / sigma)
+    return np.clip(mu + sigma * special.ndtri(fa + level * (fb - fa)), a, b)
 
 
 # ---------------------------------------------------------------------------

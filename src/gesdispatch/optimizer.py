@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import distributions as dist
 from .cantelli import cantelli_bound
 from .ddu import comfort_bounds, expansion_anchor, response_discomfort_series, standardized_h_quantile
+from .distributions import DistributionSpec
 from .diu import UnitBoundStats, analytic_series_stats
 from .errors import (
     InfeasibleBounds,
@@ -30,7 +32,7 @@ from .errors import (
     NumericalFailure,
 )
 from .ges import UnitSchedule, aggregate_fleet  # noqa: F401  (fleet merge re-exported here)
-from .lp import INFEASIBLE, LpProblem, LpSolution, OPTIMAL, solve_lp
+from .lp import LpProblem, LpSolution, OPTIMAL, solve_lp
 from .scenario import ScenarioBundle, UnitSpec
 
 
@@ -59,31 +61,14 @@ class DispatchStrategy:
 
 
 # ---------------------------------------------------------------------------
-# Variable naming
+# LP layout
+#
+# Columns: the grid block ("g", GRID), then per unit ("pc", "pd", "soc") with
+# "soc" at step t the state of charge at the end of step t; M3 adds per unit
+# ("rd"[, "d"]).  Rows carry the family names of the constraints below.
 
-
-def _pc(uid, t):
-    return f"pc:{uid}:{t}"
-
-
-def _pd(uid, t):
-    return f"pd:{uid}:{t}"
-
-
-def _soc(uid, t):
-    return f"soc:{uid}:{t}"
-
-
-def _rd(uid, t):
-    return f"rd:{uid}:{t}"
-
-
-def _dv(uid, t):
-    return f"d:{uid}:{t}"
-
-
-def _g(t):
-    return f"g:{t}"
+#: unit label of the fleet-level columns and rows (grid import, balance)
+GRID = ""
 
 
 def _unit_stats(u: UnitSpec) -> UnitBoundStats:
@@ -92,16 +77,6 @@ def _unit_stats(u: UnitSpec) -> UnitBoundStats:
 
 # ---------------------------------------------------------------------------
 # Objective
-
-
-def build_objective(scn: ScenarioBundle, prob: LpProblem) -> None:
-    """Incentive payments to units plus grid energy purchase."""
-    dt = scn.dt
-    for t in range(scn.horizon):
-        prob.set_objective_coeff(_g(t), scn.tou_price[t] * dt)
-        for u in scn.units:
-            prob.set_objective_coeff(_pc(u.unit_id, t), float(u.price_c[t]) * dt)
-            prob.set_objective_coeff(_pd(u.unit_id, t), float(u.price_d[t]) * dt)
 
 
 def evaluate_objective(scn: ScenarioBundle, strategy: DispatchStrategy) -> float:
@@ -118,62 +93,57 @@ def evaluate_objective(scn: ScenarioBundle, strategy: DispatchStrategy) -> float
 # Shared LP skeleton
 
 
-def _build_skeleton(scn: ScenarioBundle) -> LpProblem:
-    """Variables, dynamics, ramps, sustainability, balance, grid cap, window."""
+def _build_skeleton(scn: ScenarioBundle, soc_bounds: dict | None = None) -> LpProblem:
+    """Variables, dynamics, ramps, sustainability, balance, grid cap, window.
+
+    The objective is incentive payments to units plus grid energy purchase.
+    SoC columns take `soc_bounds[uid]` = (lo, hi), else the physical range.
+    """
     prob = LpProblem()
     horizon = scn.horizon
+    dt = scn.dt
     window = scn.window_mask()
-    for t in range(horizon):
-        prob.add_var(_g(t), 0.0, scn.grid_cap)
+    level = 1.0 - scn.gamma
+    grid = prob.add_columns(GRID, {"g": (0.0, scn.grid_cap)}, horizon)["g"]
+    prob.add_objective(grid, scn.tou_price * dt)
     for u in scn.units:
         uid = u.unit_id
         p = u.params
         stats = _unit_stats(u)
-        level = 1.0 - scn.gamma
-        f_pc = stats.p_c_max.inv_cdf(level)
-        f_pd = stats.p_d_max.inv_cdf(level)
-        for t in range(horizon):
-            pc_ub = max(0.0, stats.p_c_max.mu[t] - f_pc[t] * stats.p_c_max.sigma[t])
-            pd_ub = max(0.0, stats.p_d_max.mu[t] - f_pd[t] * stats.p_d_max.sigma[t])
-            prob.add_var(_pc(uid, t), 0.0, pc_ub)
-            prob.add_var(_pd(uid, t), 0.0, pd_ub)
-            prob.add_var(_soc(uid, t + 1), p.soc_phys_lo, p.soc_phys_hi)
-            if not window[t]:
-                prob.fix_var(_pc(uid, t), 0.0)
-                prob.fix_var(_pd(uid, t), 0.0)
-        a_c = p.eta_c * p.dt / p.S
-        a_d = p.dt / (p.eta_d * p.S)
+        pc_ub = np.maximum(0.0, stats.p_c_max.mu - stats.p_c_max.inv_cdf(level) * stats.p_c_max.sigma)
+        pd_ub = np.maximum(0.0, stats.p_d_max.mu - stats.p_d_max.inv_cdf(level) * stats.p_d_max.sigma)
+        cols = prob.add_columns(uid, {
+            "pc": (0.0, np.where(window, pc_ub, 0.0)),
+            "pd": (0.0, np.where(window, pd_ub, 0.0)),
+            "soc": (soc_bounds or {}).get(uid, (p.soc_phys_lo, p.soc_phys_hi)),
+        }, horizon)
+        pc, pd, soc = cols["pc"], cols["pd"], cols["soc"]
+        prob.add_objective([pc, pd], [u.price_c * dt, u.price_d * dt])
+
+        # soc[t] = keep * soc[t-1] + a_c * pc[t] - a_d * pd[t] + alpha[t]
         keep = 1.0 - p.eps
-        alpha_mu = stats.alpha.mu
-        for t in range(horizon):
-            row = {_soc(uid, t + 1): 1.0, _pc(uid, t): -a_c, _pd(uid, t): a_d}
-            rhs = float(alpha_mu[t])
-            if t == 0:
-                rhs += keep * p.soc_init
-            else:
-                row[_soc(uid, t)] = -keep
-            prob.add_eq(row, rhs, f"dyn:{uid}:{t}")
-            if math.isfinite(p.soc_ramp_up) or math.isfinite(p.soc_ramp_dn):
-                diff = {_soc(uid, t + 1): 1.0}
-                base = 0.0
-                if t == 0:
-                    base = p.soc_init
-                else:
-                    diff[_soc(uid, t)] = -1.0
-                if math.isfinite(p.soc_ramp_up):
-                    prob.add_leq(dict(diff), p.soc_ramp_up + base, f"rampup:{uid}:{t}")
-                if math.isfinite(p.soc_ramp_dn):
-                    prob.add_geq(dict(diff), -p.soc_ramp_dn + base, f"rampdn:{uid}:{t}")
-        prob.add_eq({_soc(uid, horizon): 1.0}, p.soc_init, f"sustain:{uid}")
+        initial = np.zeros(horizon)
+        initial[0] = p.soc_init
+        dyn = prob.add_rows(uid, {"dyn": "=="}, horizon)
+        dyn.add("dyn", soc, 1.0).add("dyn", pc, -(p.eta_c * p.dt / p.S))
+        dyn.add("dyn", pd, p.dt / (p.eta_d * p.S)).add("dyn", soc[:-1], -keep, at=slice(1, None))
+        dyn.set_rhs("dyn", stats.alpha.mu + keep * initial)
+        ramps = {f: (sense, limit) for f, sense, limit in (
+            ("rampup", "<=", p.soc_ramp_up), ("rampdn", ">=", -p.soc_ramp_dn)) if math.isfinite(limit)}
+        if ramps:
+            block = prob.add_rows(uid, {f: sense for f, (sense, _) in ramps.items()}, horizon)
+            for family, (_, limit) in ramps.items():
+                block.add(family, soc, 1.0).add(family, soc[:-1], -1.0, at=slice(1, None))
+                block.set_rhs(family, limit + initial)
+        prob.add_rows(uid, {"sustain": "=="}).add("sustain", soc[-1:], 1.0).set_rhs("sustain", p.soc_init)
 
     load_q, res_q = balance_requirements(scn)
-    for t in range(horizon):
-        row = {_g(t): 1.0}
-        for u in scn.units:
-            row[_pd(u.unit_id, t)] = 1.0
-            row[_pc(u.unit_id, t)] = -1.0
-        prob.add_geq(row, float(load_q[t] - res_q[t]), f"balance:{t}")
-    build_objective(scn, prob)
+    balance = prob.add_rows(GRID, {"balance": ">="}, horizon)
+    balance.add("balance", grid, 1.0)
+    if scn.units:
+        balance.add("balance", np.stack([prob.columns("pd", u.unit_id) for u in scn.units]), 1.0)
+        balance.add("balance", np.stack([prob.columns("pc", u.unit_id) for u in scn.units]), -1.0)
+    balance.set_rhs("balance", load_q - res_q)
     return prob
 
 
@@ -187,31 +157,30 @@ def balance_requirements(scn: ScenarioBundle) -> tuple[np.ndarray, np.ndarray]:
     return load_q, res_q
 
 
+def _crossed(uid: str, lo: np.ndarray, hi: np.ndarray) -> list[tuple[str, int, float, float]]:
+    """The (uid, t, lo, hi) entries of an empty tightened interval."""
+    return [(uid, int(t), float(lo[t]), float(hi[t])) for t in np.flatnonzero(lo > hi + 1e-12)]
+
+
 # ---------------------------------------------------------------------------
 # M2: exogenous-uncertainty chance constraints
 
 
 def build_cco_diu(scn: ScenarioBundle) -> LpProblem:
     """Chance-constrained LP with tail-tightened exogenous bounds."""
-    prob = _build_skeleton(scn)
     level = 1.0 - scn.gamma
+    soc_bounds = {}
     bad: list[tuple[str, int, float, float]] = []
     for u in scn.units:
-        uid = u.unit_id
         p = u.params
         stats = _unit_stats(u)
-        f_lo = stats.soc_lo.inv_cdf(level)
-        f_hi = stats.soc_hi.inv_cdf(level)
-        for t in range(scn.horizon):
-            lo = max(p.soc_phys_lo, stats.soc_lo.mu[t] + f_lo[t] * stats.soc_lo.sigma[t])
-            hi = min(p.soc_phys_hi, stats.soc_hi.mu[t] - f_hi[t] * stats.soc_hi.sigma[t])
-            if lo > hi + 1e-12:
-                bad.append((uid, t, lo, hi))
-                continue
-            prob.set_bounds(_soc(uid, t + 1), lo, hi)
+        lo = np.maximum(p.soc_phys_lo, stats.soc_lo.mu + stats.soc_lo.inv_cdf(level) * stats.soc_lo.sigma)
+        hi = np.minimum(p.soc_phys_hi, stats.soc_hi.mu - stats.soc_hi.inv_cdf(level) * stats.soc_hi.sigma)
+        bad.extend(_crossed(u.unit_id, lo, hi))
+        soc_bounds[u.unit_id] = (lo, hi)
     if bad:
         raise InfeasibleBounds(bad)
-    return prob
+    return _build_skeleton(scn, soc_bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -234,87 +203,87 @@ def ddu_row_data(u: UnitSpec, horizon: int) -> DduRowData:
     p = u.params
     stats = _unit_stats(u)
     c_lo, c_hi = comfort_bounds(p)
-    q_up = np.empty(horizon)
-    q_lo = np.empty(horizon)
-    slope_up = np.empty(horizon)
-    slope_lo = np.empty(horizon)
-    sig_up = np.empty(horizon)
-    sig_lo = np.empty(horizon)
-    for t in range(horizon):
-        diu_hi = min(float(stats.soc_hi.mu[t]), p.soc_phys_hi)
-        diu_lo = max(float(stats.soc_lo.mu[t]), p.soc_phys_lo)
-        cu = min(float(c_hi[t]), diu_hi)
-        cl = max(float(c_lo[t]), diu_lo)
-        q_up[t] = expansion_anchor(diu_hi, p.soc_phys_hi, float(u.price_c[t]), u.ddu)
-        q_lo[t] = expansion_anchor(diu_lo, p.soc_phys_lo, float(u.price_d[t]), u.ddu)
-        gap_up = cu - q_up[t]
-        gap_lo = cl - q_lo[t]
-        slope_up[t] = gap_up * u.ddu.beta_up
-        slope_lo[t] = gap_lo * u.ddu.beta_lo
-        sig_up[t] = abs(gap_up) * u.ddu.sigma_h
-        sig_lo[t] = abs(gap_lo) * u.ddu.sigma_h
-        if slope_up[t] > 1e-12 or slope_lo[t] < -1e-12:
-            raise NonTighteningCoefficient(
-                f"unit {u.unit_id} t={t}: discomfort would widen a SoC bound "
-                f"(upper slope {slope_up[t]}, lower slope {slope_lo[t]})"
-            )
-    return DduRowData(q_up, q_lo, slope_up, slope_lo, sig_up, sig_lo)
+    diu_hi = np.minimum(stats.soc_hi.mu[:horizon], p.soc_phys_hi)
+    diu_lo = np.maximum(stats.soc_lo.mu[:horizon], p.soc_phys_lo)
+    q_up = expansion_anchor(diu_hi, p.soc_phys_hi, u.price_c[:horizon], u.ddu)
+    q_lo = expansion_anchor(diu_lo, p.soc_phys_lo, u.price_d[:horizon], u.ddu)
+    gap_up = np.minimum(c_hi[:horizon], diu_hi) - q_up
+    gap_lo = np.maximum(c_lo[:horizon], diu_lo) - q_lo
+    slope_up = gap_up * u.ddu.beta_up
+    slope_lo = gap_lo * u.ddu.beta_lo
+    widening = np.flatnonzero((slope_up > 1e-12) | (slope_lo < -1e-12))
+    if widening.size:
+        t = int(widening[0])
+        raise NonTighteningCoefficient(
+            f"unit {u.unit_id} t={t}: discomfort would widen a SoC bound "
+            f"(upper slope {slope_up[t]}, lower slope {slope_lo[t]})"
+        )
+    return DduRowData(q_up, q_lo, slope_up, slope_lo,
+                      np.abs(gap_up) * u.ddu.sigma_h, np.abs(gap_lo) * u.ddu.sigma_h)
 
 
-def build_cco_ddu(scn: ScenarioBundle, f_inv: dict[str, dict[str, np.ndarray]]) -> LpProblem:
+def build_cco_ddu(
+    scn: ScenarioBundle,
+    f_inv: dict[str, dict[str, np.ndarray]],
+    update: LpProblem | None = None,
+) -> LpProblem:
     """Extend the exogenous program with discomfort-coupled SoC bound rows.
 
     `f_inv[uid][side]` holds the per-step tail factor of the contraction
-    distribution for that unit and bound side.
+    distribution for that unit and bound side.  It enters only the
+    right-hand sides ``q_up - f_inv*sigma_up`` of the `socup` rows and
+    ``q_lo + f_inv*sigma_lo`` of the `soclo` rows.  So with `update`, an LP
+    this function built for the same scenario, only those right-hand sides
+    are rewritten, in place, and `update` is returned.  A crossed pair raises
+    `InfeasibleBounds` either way, and leaves `update` untouched.
     """
-    prob = _build_skeleton(scn)
     horizon = scn.horizon
+    prob = _build_skeleton(scn) if update is None else update
+    sides = []
     bad: list[tuple[str, int, float, float]] = []
     for u in scn.units:
-        uid = u.unit_id
-        spec = u.ddu
         rows = ddu_row_data(u, horizon)
-        f_up = np.asarray(f_inv[uid]["upper"], dtype=float)
-        f_lo = np.asarray(f_inv[uid]["lower"], dtype=float)
-        lam = 1.0 if spec.discomfort_variant == "F1" else spec.lam
-        pc_ref = float(np.mean(u.params.p_c_max))
-        pd_ref = float(np.mean(u.params.p_d_max))
-        for t in range(horizon):
-            prob.add_var(_rd(uid, t), 0.0, math.inf)
-            if spec.discomfort_variant != "F1":
-                prob.add_var(_dv(uid, t), 0.0, math.inf)
-        avg = u.params.soc_baseline_avg
-        half_db = u.params.deadband / 2.0
-        for t in range(horizon):
-            # discomfort epigraph: rd >= lam * cumulative intensity + (1-lam) * d
-            row = {_rd(uid, t): 1.0}
-            if spec.discomfort_variant != "F1":
-                row[_dv(uid, t)] = -(1.0 - lam)
-            for tau in range(t + 1):
-                if pc_ref > 0:
-                    row[_pc(uid, tau)] = row.get(_pc(uid, tau), 0.0) - lam / (horizon * pc_ref)
-                if pd_ref > 0:
-                    row[_pd(uid, tau)] = row.get(_pd(uid, tau), 0.0) - lam / (horizon * pd_ref)
-            prob.add_geq(row, 0.0, f"rd:{uid}:{t}")
-            if spec.discomfort_variant == "F2":
-                prob.add_geq({_dv(uid, t): 1.0, _soc(uid, t + 1): -1.0},
-                             -float(avg[t]) - float(half_db[t]), f"dev+:{uid}:{t}")
-                prob.add_geq({_dv(uid, t): 1.0, _soc(uid, t + 1): 1.0},
-                             float(avg[t]) - float(half_db[t]), f"dev-:{uid}:{t}")
-            elif spec.discomfort_variant == "F3":
-                prob.add_geq({_dv(uid, t): 1.0, _soc(uid, t + 1): 1.0},
-                             float(avg[t]), f"dev:{uid}:{t}")
-            hi = rows.q_up[t] - f_up[t] * rows.sigma_up[t]
-            lo = rows.q_lo[t] + f_lo[t] * rows.sigma_lo[t]
-            if lo > hi + 1e-12:
-                bad.append((uid, t, lo, hi))
-                continue
-            prob.add_leq({_soc(uid, t + 1): 1.0, _rd(uid, t): -rows.slope_up[t]},
-                         hi, f"socup:{uid}:{t}")
-            prob.add_geq({_soc(uid, t + 1): 1.0, _rd(uid, t): -rows.slope_lo[t]},
-                         lo, f"soclo:{uid}:{t}")
+        hi = rows.q_up - np.asarray(f_inv[u.unit_id]["upper"], dtype=float) * rows.sigma_up
+        lo = rows.q_lo + np.asarray(f_inv[u.unit_id]["lower"], dtype=float) * rows.sigma_lo
+        bad.extend(_crossed(u.unit_id, lo, hi))
+        sides.append((rows, hi, lo))
     if bad:
         raise InfeasibleBounds(bad)
+    if update is not None:
+        for u, (_, hi, lo) in zip(scn.units, sides):
+            update.set_rhs("socup", u.unit_id, hi)
+            update.set_rhs("soclo", u.unit_id, lo)
+        return update
+
+    steps, taus = np.tril_indices(horizon)
+    for u, (rows, hi, lo) in zip(scn.units, sides):
+        uid = u.unit_id
+        spec = u.ddu
+        variant = spec.discomfort_variant
+        lam = 1.0 if variant == "F1" else spec.lam
+        pc_ref = float(np.mean(u.params.p_c_max))
+        pd_ref = float(np.mean(u.params.p_d_max))
+        # SoC deviation rows d + soc_coeff * soc >= rhs (F2 outside the deadband, F3 below avg)
+        avg, half_db = u.params.soc_baseline_avg, u.params.deadband / 2.0
+        dev = {"F1": [], "F3": [("dev", 1.0, avg)],
+               "F2": [("dev+", -1.0, -avg - half_db), ("dev-", 1.0, avg - half_db)]}[variant]
+        cols = prob.add_columns(uid, {"rd": (0.0, math.inf), **({"d": (0.0, math.inf)} if dev else {})}, horizon)
+        rd = cols["rd"]
+        pc, pd, soc = (prob.columns(kind, uid) for kind in ("pc", "pd", "soc"))
+        block = prob.add_rows(uid, {"rd": ">=", **{f: ">=" for f, _, _ in dev},
+                                    "socup": "<=", "soclo": ">="}, horizon)
+        # discomfort epigraph: rd >= lam * cumulative intensity + (1-lam) * d
+        block.add("rd", rd, 1.0).set_rhs("rd", 0.0)
+        if dev:
+            block.add("rd", cols["d"], -(1.0 - lam))
+        if pc_ref > 0:
+            block.add("rd", pc[taus], -lam / (horizon * pc_ref), at=steps)
+        if pd_ref > 0:
+            block.add("rd", pd[taus], -lam / (horizon * pd_ref), at=steps)
+        for family, soc_coeff, rhs in dev:
+            block.add(family, cols["d"], 1.0).add(family, soc, soc_coeff).set_rhs(family, rhs)
+        block.add("socup", soc, 1.0).add("socup", rd, -rows.slope_up).set_rhs("socup", hi)
+        block.add("soclo", soc, 1.0).add("soclo", rd, -rows.slope_lo).set_rhs("soclo", lo)
     return prob
 
 
@@ -322,31 +291,23 @@ def build_cco_ddu(scn: ScenarioBundle, f_inv: dict[str, dict[str, np.ndarray]]) 
 # Solution extraction
 
 
-def _extract(scn: ScenarioBundle, sol: LpSolution, meta: SolveMetadata) -> DispatchStrategy:
-    horizon = scn.horizon
-    schedules = {}
-    rd = {}
+def extract_strategy(scn: ScenarioBundle, prob: LpProblem, sol: LpSolution,
+                     meta: SolveMetadata) -> DispatchStrategy:
+    """Per-unit schedules and grid import of a solved `prob` built for `scn`."""
+    x = sol.x
+    schedules, rd = {}, {}
     for u in scn.units:
         uid = u.unit_id
-        p_c = np.array([sol[_pc(uid, t)] for t in range(horizon)])
-        p_d = np.array([sol[_pd(uid, t)] for t in range(horizon)])
-        soc = np.empty(horizon + 1)
-        soc[0] = u.params.soc_init
-        soc[1:] = [sol[_soc(uid, t + 1)] for t in range(horizon)]
-        sched = UnitSchedule(p_c=p_c, p_d=p_d, soc=soc)
+        soc = np.concatenate(([u.params.soc_init], x[prob.columns("soc", uid)]))
+        sched = UnitSchedule(p_c=x[prob.columns("pc", uid)], p_d=x[prob.columns("pd", uid)], soc=soc)
         schedules[uid] = sched
         rd[uid] = response_discomfort_series(sched, u.params, u.ddu)
-    grid = np.array([sol[_g(t)] for t in range(horizon)])
-    return DispatchStrategy(
-        schedules=schedules,
-        grid_import=grid,
-        rd=rd,
-        objective_value=sol.objective,
-        metadata=meta,
-    )
+    return DispatchStrategy(schedules=schedules, grid_import=x[prob.columns("g", GRID)], rd=rd,
+                            objective_value=sol.objective, metadata=meta)
 
 
-def _solve_or_raise(prob: LpProblem, context: str) -> LpSolution:
+def solve_or_raise(prob: LpProblem, context: str) -> LpSolution:
+    """Solve `prob`; anything but an optimal verdict is a NumericalFailure."""
     sol = solve_lp(prob)
     if sol.status != OPTIMAL:
         raise NumericalFailure(f"{context}: LP returned {sol.status}")
@@ -360,9 +321,10 @@ def _solve_or_raise(prob: LpProblem, context: str) -> LpSolution:
 def solve_cco_diu(scn: ScenarioBundle) -> DispatchStrategy:
     """M2 solve: chance constraints on exogenous uncertainty only."""
     start = time.perf_counter()
-    sol = _solve_or_raise(build_cco_diu(scn), "M2")
+    prob = build_cco_diu(scn)
+    sol = solve_or_raise(prob, "M2")
     meta = SolveMetadata(mode="M2", gamma=scn.gamma, wall_time=time.perf_counter() - start)
-    return _extract(scn, sol, meta)
+    return extract_strategy(scn, prob, sol, meta)
 
 
 def robust_f_inv(scn: ScenarioBundle) -> dict[str, dict[str, np.ndarray]]:
@@ -374,12 +336,11 @@ def robust_f_inv(scn: ScenarioBundle) -> dict[str, dict[str, np.ndarray]]:
 def robust_solve_r1(scn: ScenarioBundle) -> DispatchStrategy:
     """M3 one-shot solve with worst-case shape-class tail factors."""
     start = time.perf_counter()
-    sol = _solve_or_raise(build_cco_ddu(scn, robust_f_inv(scn)), "M3-R1")
-    meta = SolveMetadata(
-        mode="M3", reformulation="R1", iterations=0, gamma=scn.gamma,
-        wall_time=time.perf_counter() - start,
-    )
-    return _extract(scn, sol, meta)
+    prob = build_cco_ddu(scn, robust_f_inv(scn))
+    sol = solve_or_raise(prob, "M3-R1")
+    meta = SolveMetadata(mode="M3", reformulation="R1", iterations=0, gamma=scn.gamma,
+                         wall_time=time.perf_counter() - start)
+    return extract_strategy(scn, prob, sol, meta)
 
 
 def _update_f_inv(scn: ScenarioBundle, strategy: DispatchStrategy) -> dict[str, dict[str, np.ndarray]]:
@@ -413,6 +374,8 @@ def iterative_solve_r2(
     Starts from the worst-case factors, then replaces them with the exact
     standardized quantile of the contraction distribution evaluated at the
     last solution's discomfort trajectory, until the factors stop moving.
+    The LP is assembled once; each iteration rewrites only the SoC-row
+    right-hand sides that the factors enter.
     """
     if not delta > 0:
         raise NumericalFailure(f"delta must be > 0, got {delta}")
@@ -420,9 +383,10 @@ def iterative_solve_r2(
         raise NumericalFailure(f"max_iter must be >= 1, got {max_iter}")
     start = time.perf_counter()
     f = robust_f_inv(scn)
-    sol = _solve_or_raise(build_cco_ddu(scn, f), "M3-R2 init")
+    prob = build_cco_ddu(scn, f)
+    sol = solve_or_raise(prob, "M3-R2 init")
     meta = SolveMetadata(mode="M3", reformulation="R2", gamma=scn.gamma)
-    strategy = _extract(scn, sol, meta)
+    strategy = extract_strategy(scn, prob, sol, meta)
     meta.trace.append((strategy.objective_value, math.nan))
     converged = False
     while True:
@@ -434,8 +398,8 @@ def iterative_solve_r2(
             break
         if meta.iterations >= max_iter:
             break
-        sol = _solve_or_raise(build_cco_ddu(scn, f), "M3-R2")
-        strategy = _extract(scn, sol, meta)
+        sol = solve_or_raise(build_cco_ddu(scn, f, update=prob), "M3-R2")
+        strategy = extract_strategy(scn, prob, sol, meta)
         meta.iterations += 1
         meta.trace.append((strategy.objective_value, step))
     meta.converged = converged
@@ -456,10 +420,6 @@ def deterministic_scenario(scn: ScenarioBundle) -> ScenarioBundle:
     to the physical interval, and the exogenous series replaced by their
     per-step means; no uncertainty margin of any kind remains.
     """
-    from dataclasses import replace
-    from .distributions import DistributionSpec
-    from . import distributions as dist
-
     units = []
     for u in scn.units:
         p = u.params
@@ -483,9 +443,10 @@ def solve_deterministic_m1(scn: ScenarioBundle) -> DispatchStrategy:
     """M1 solve: no margins, constant parameters, physical SoC bounds."""
     start = time.perf_counter()
     det = deterministic_scenario(scn)
-    sol = _solve_or_raise(build_cco_diu(det), "M1")
+    prob = build_cco_diu(det)
+    sol = solve_or_raise(prob, "M1")
     meta = SolveMetadata(mode="M1", gamma=scn.gamma, wall_time=time.perf_counter() - start)
-    return _extract(det, sol, meta)
+    return extract_strategy(det, prob, sol, meta)
 
 
 def aggregate_scenario(scn: ScenarioBundle) -> ScenarioBundle:
@@ -494,15 +455,13 @@ def aggregate_scenario(scn: ScenarioBundle) -> ScenarioBundle:
     Intensive parameters are capacity-weighted; bound statistics are dropped
     (the virtual unit is treated as identified exactly).
     """
-    from dataclasses import replace as _replace
-
     merged = aggregate_fleet([u.params for u in scn.units])
     caps = np.array([u.params.S for u in scn.units])
     w = caps / caps.sum()
     price_c = np.tensordot(w, np.stack([u.price_c for u in scn.units]), axes=1)
     price_d = np.tensordot(w, np.stack([u.price_d for u in scn.units]), axes=1)
-    unit = _replace(
+    unit = replace(
         scn.units[0], params=merged, price_c=price_c, price_d=price_d,
         unit_dists={}, baseline_dist=None, stats=None,
     )
-    return _replace(scn, units=[unit])
+    return replace(scn, units=[unit])

@@ -127,7 +127,7 @@ class _Worlds:
         key = (side, price.tobytes(), float(c_bar), float(sigma_g))
         g = self._g.get(key)
         if g is None:
-            g = self._g[key] = _truncnorm_ppf(price[None, :] / c_bar, sigma_g, self.u_g[side])
+            g = self._g[key] = dist.truncnorm_quantile(price[None, :] / c_bar, sigma_g, 0.0, 1.0, self.u_g[side])
         return g
 
     def diu(self, u: UnitSpec, scn: ScenarioBundle) -> dict:
@@ -207,12 +207,6 @@ def _rd_matrix(strategy: DispatchStrategy, u: UnitSpec, real) -> np.ndarray:
     else:
         dev = np.maximum(real["avg"] - soc, 0.0)
     return lam * cum + (1.0 - lam) * dev
-
-
-def _truncnorm_ppf(mu, sigma, u):
-    fa = special.ndtr((0.0 - mu) / sigma)
-    fb = special.ndtr((1.0 - mu) / sigma)
-    return np.clip(mu + sigma * special.ndtri(fa + u * (fb - fa)), 0.0, 1.0)
 
 
 def _side_bound(u: UnitSpec, real, rd, side: str, worlds: _Worlds) -> np.ndarray:

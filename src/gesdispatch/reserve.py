@@ -18,12 +18,10 @@ from .errors import InvalidProbability, MissingOnProb, ValidationError
 from .optimizer import (
     DispatchStrategy,
     SolveMetadata,
-    _extract,
-    _pc,
-    _pd,
-    _solve_or_raise,
     build_cco_ddu,
+    extract_strategy,
     robust_f_inv,
+    solve_or_raise,
 )
 from .scenario import ReserveSpec, ScenarioBundle
 
@@ -87,50 +85,35 @@ def solve_with_reserve(scn: ScenarioBundle, spec: ReserveSpec) -> DispatchStrate
     prob = build_cco_ddu(scn, robust_f_inv(scn))
     horizon = scn.horizon
     dt = scn.dt
-    shares = {}
-    prices = {}
+    shares, prices = {}, {}
+    ramps = {f: (sense, limit) for f, sense, limit in (
+        ("rsru", "<=", spec.ramp_up), ("rsrd", ">=", -spec.ramp_dn)) if math.isfinite(limit)}
     for u in scn.units:
         uid = u.unit_id
-        w = np.array([_coverage_share(float(p), scn.gamma) for p in u.params.on_prob])
-        c_rs = np.array([_unit_reserve_price(float(p), scn, spec) for p in u.params.on_prob])
-        shares[uid] = w
-        prices[uid] = c_rs
-        for t in range(horizon):
-            rs = f"rs:{uid}:{t}"
-            rp = f"rs+:{uid}:{t}"
-            rn = f"rs-:{uid}:{t}"
-            prob.add_var(rs, max(spec.p_lo, -1e12), min(spec.p_hi, 1e12))
-            prob.add_var(rp, 0.0, math.inf)
-            prob.add_var(rn, 0.0, math.inf)
-            # reserve covers the w-share of the unit's net response
-            prob.add_eq(
-                {rs: 1.0, _pd(uid, t): -w[t], _pc(uid, t): w[t]}, 0.0, f"rslink:{uid}:{t}"
-            )
-            prob.add_eq({rs: 1.0, rp: -1.0, rn: 1.0}, 0.0, f"rssplit:{uid}:{t}")
-            # the reserve premium is an additional insurance cost on top of
-            # the unit incentives, priced per backed kWh
-            prob.set_objective_coeff(rp, float(c_rs[t]) * dt)
-            prob.set_objective_coeff(rn, float(c_rs[t]) * dt)
-        if math.isfinite(spec.ramp_up) or math.isfinite(spec.ramp_dn):
-            for t in range(1, horizon):
-                d = {f"rs:{uid}:{t}": 1.0, f"rs:{uid}:{t - 1}": -1.0}
-                if math.isfinite(spec.ramp_up):
-                    prob.add_leq(dict(d), spec.ramp_up, f"rsru:{uid}:{t}")
-                if math.isfinite(spec.ramp_dn):
-                    prob.add_geq(dict(d), -spec.ramp_dn, f"rsrd:{uid}:{t}")
+        w = shares[uid] = np.array([_coverage_share(float(p), scn.gamma) for p in u.params.on_prob])
+        c_rs = prices[uid] = np.array([_unit_reserve_price(float(p), scn, spec) for p in u.params.on_prob])
+        cols = prob.add_columns(uid, {"rs": (max(spec.p_lo, -1e12), min(spec.p_hi, 1e12)),
+                                      "rs+": (0.0, math.inf), "rs-": (0.0, math.inf)}, horizon)
+        rs = cols["rs"]
+        link = prob.add_rows(uid, {"rslink": "==", "rssplit": "=="}, horizon)
+        # rslink: reserve covers the w-share of the unit's net response; rssplit: rs = rs+ - rs-
+        link.add("rslink", rs, 1.0).add("rslink", prob.columns("pd", uid), -w)
+        link.add("rslink", prob.columns("pc", uid), w)
+        link.add("rssplit", rs, 1.0).add("rssplit", cols["rs+"], -1.0).add("rssplit", cols["rs-"], 1.0)
+        # the reserve premium is an additional insurance cost on top of
+        # the unit incentives, priced per backed kWh
+        prob.add_objective([cols["rs+"], cols["rs-"]], c_rs * dt)
+        if ramps:  # step t of these rows bounds rs[t + 1] - rs[t]
+            block = prob.add_rows(uid, {f: sense for f, (sense, _) in ramps.items()}, horizon - 1)
+            for family, (_, limit) in ramps.items():
+                block.add(family, rs[1:], 1.0).add(family, rs[:-1], -1.0).set_rhs(family, limit)
 
-    sol = _solve_or_raise(prob, f"reserve-{spec.mode}")
-    meta = SolveMetadata(
-        mode="M3", reformulation="R1", gamma=scn.gamma, wall_time=time.perf_counter() - start
-    )
-    strategy = _extract(scn, sol, meta)
-    strategy.reserve_schedule = {
-        u.unit_id: np.array([sol[f"rs:{u.unit_id}:{t}"] for t in range(horizon)])
-        for u in scn.units
-    }
-    reserve_energy = 0.0
-    ges_energy = 0.0
-    reserve_cost = 0.0
+    sol = solve_or_raise(prob, f"reserve-{spec.mode}")
+    meta = SolveMetadata(mode="M3", reformulation="R1", gamma=scn.gamma,
+                         wall_time=time.perf_counter() - start)
+    strategy = extract_strategy(scn, prob, sol, meta)
+    strategy.reserve_schedule = {u.unit_id: sol.x[prob.columns("rs", u.unit_id)] for u in scn.units}
+    reserve_energy = ges_energy = reserve_cost = 0.0
     for u in scn.units:
         uid = u.unit_id
         s = strategy.schedules[uid]
@@ -144,5 +127,4 @@ def solve_with_reserve(scn: ScenarioBundle, spec: ReserveSpec) -> DispatchStrate
         "ges_energy_kwh": ges_energy,
         "reserve_cost": reserve_cost,
     }
-    strategy.objective_value = sol.objective
     return strategy

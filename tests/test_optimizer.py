@@ -10,7 +10,7 @@ from gesdispatch.cantelli import ShapeClass, parse_shape
 from gesdispatch.ddu import DduSpec
 from gesdispatch.diu import LEVELS, BoundStats, UnitBoundStats
 from gesdispatch.distributions import DistributionSpec
-from gesdispatch.errors import MaxIterationsExceeded
+from gesdispatch.errors import InfeasibleBounds, MaxIterationsExceeded
 from gesdispatch.ges import UnitSchedule, check_feasibility
 from gesdispatch.optimizer import (
     DispatchStrategy,
@@ -104,9 +104,9 @@ def test_soc_row_tightening_value():
     u.stats = stats_with_soc_hi(u, 0.9, 0.05)
     scn = make_scenario([u], T, gamma=0.05)
     prob = build_cco_diu(scn)
-    idx = prob._index["soc:bes:5"]
-    assert prob._ub[idx] == pytest.approx(0.9 - 1.6448536269514722 * 0.05, abs=1e-6)
-    assert prob._ub[idx] == pytest.approx(0.8178, abs=1e-3)
+    soc_ub = prob.arrays().bounds[prob.columns("soc", "bes")[4], 1]  # SoC at time 5
+    assert soc_ub == pytest.approx(0.9 - 1.6448536269514722 * 0.05, abs=1e-6)
+    assert soc_ub == pytest.approx(0.8178, abs=1e-3)
 
 
 def test_soc_row_no_tightening_at_half():
@@ -114,24 +114,24 @@ def test_soc_row_no_tightening_at_half():
     u.stats = stats_with_soc_hi(u, 0.9, 0.05)
     scn = make_scenario([u], T, gamma=0.5)
     prob = build_cco_diu(scn)
-    idx = prob._index["soc:bes:5"]
     # the normalized median of a symmetric distribution is 0: row equals mean
-    assert prob._ub[idx] == pytest.approx(0.9, abs=1e-3)
+    assert prob.arrays().bounds[prob.columns("soc", "bes")[4], 1] == pytest.approx(0.9, abs=1e-3)
 
 
 def test_sigma_zero_equals_mean_value_program():
     dev = bes_device(soc_lo=0.0, soc_hi=1.0, eps=0.0, deadband=0.2)
     u = make_unit(dev, T)
     scn = make_scenario([u], T, tou=0.9, load=12.0)
-    a = build_cco_diu(scn)
-    b = build_cco_diu(deterministic_scenario(scn))
-    assert a._index == b._index
-    assert a._obj == b._obj
-    assert a._lb == pytest.approx(b._lb)
-    assert a._ub == pytest.approx(b._ub)
-    for (ra, rb) in zip(a._eq_rows + a._ub_rows, b._eq_rows + b._ub_rows):
-        assert ra[0] == rb[0]
-        assert ra[1] == pytest.approx(rb[1], abs=1e-12)
+    a = build_cco_diu(scn).arrays()
+    b = build_cco_diu(deterministic_scenario(scn)).arrays()
+    assert np.array_equal(a.c, b.c)
+    np.testing.assert_allclose(a.bounds, b.bounds)
+    for ma, mb in ((a.A_ub, b.A_ub), (a.A_eq, b.A_eq)):
+        assert ma.shape == mb.shape
+        assert np.array_equal(ma.indptr, mb.indptr) and np.array_equal(ma.indices, mb.indices)
+        assert np.array_equal(ma.data, mb.data)
+    np.testing.assert_allclose(a.b_ub, b.b_ub, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(a.b_eq, b.b_eq, rtol=0, atol=1e-12)
 
 
 # --- decision-dependent rows -----------------------------------------------
@@ -174,17 +174,16 @@ def test_null_window_row_limits():
     f = robust_f_inv(scn)
     prob = build_cco_ddu(scn, f)
     rows = ddu_row_data(u, T)
-    bound = cantelli = f[u.unit_id]["upper"][0]
-    for coeffs, rhs, label in prob._ub_rows:
-        if label == "socup:bes:7":
-            assert rhs == pytest.approx(rows.q_up[7] - bound * rows.sigma_up[7], abs=1e-12)
-            break
-    else:
-        pytest.fail("upper SoC row not found")
+    bound = f[u.unit_id]["upper"][0]
+    matrix, i = prob.row("socup", "bes", 7)
+    assert matrix == "ub"
+    rhs = prob.arrays().b_ub[i]
+    assert rhs == pytest.approx(rows.q_up[7] - bound * rows.sigma_up[7], abs=1e-12)
     sol = solve_lp(prob)
     assert sol.status == "optimal"
     # with a null dispatch window, the unit cannot move at all
-    assert all(sol[f"pc:bes:{t}"] == 0.0 and sol[f"pd:bes:{t}"] == 0.0 for t in range(T))
+    assert np.all(sol.x[prob.columns("pc", "bes")] == 0.0)
+    assert np.all(sol.x[prob.columns("pd", "bes")] == 0.0)
 
 
 def test_m3_discharges_less_than_m2(smoke3):
@@ -201,6 +200,44 @@ def test_shape_information_ordering(smoke3):
     na = robust_solve_r1(replace(smoke3, shape_class=ShapeClass("no_assumption")))
     nm = robust_solve_r1(replace(smoke3, shape_class=ShapeClass("normal")))
     assert na.objective_value >= nm.objective_value - 1e-6
+
+
+def _scaled_f_inv(f, scale):
+    return {uid: {side: scale * arr for side, arr in sides.items()} for uid, sides in f.items()}
+
+
+def _bits(arrays):
+    """Every array the solver receives, as bytes (so -0.0 != 0.0)."""
+    out = [arrays.c, arrays.b_ub, arrays.b_eq, arrays.bounds]
+    for mat in (arrays.A_ub, arrays.A_eq):
+        out += [mat.data, mat.indices, mat.indptr]
+    return [(a.dtype, a.shape, a.tobytes()) for a in out]
+
+
+def test_r2_rhs_update_equals_fresh_build(smoke3):
+    f = robust_f_inv(smoke3)
+    f_next = _scaled_f_inv(f, 0.37)
+    f_next[smoke3.units[0].unit_id]["lower"][5] = 0.0
+    prob = build_cco_ddu(smoke3, f)
+    solve_lp(prob)  # assembled: the update must write into the solver's arrays
+    assert build_cco_ddu(smoke3, f_next, update=prob) is prob
+    assert _bits(prob.arrays()) == _bits(build_cco_ddu(smoke3, f_next).arrays())
+
+
+def test_r2_rhs_update_raises_the_build_crossings(smoke3):
+    f = robust_f_inv(smoke3)
+    crossing = _scaled_f_inv(f, 1.0)
+    uid = smoke3.units[1].unit_id
+    crossing[uid]["upper"][3] = crossing[uid]["lower"][3] = 1e6
+    with pytest.raises(InfeasibleBounds) as fresh:
+        build_cco_ddu(smoke3, crossing)
+    prob = build_cco_ddu(smoke3, f)
+    before = _bits(prob.arrays())
+    with pytest.raises(InfeasibleBounds) as update:
+        build_cco_ddu(smoke3, crossing, update=prob)
+    assert [e[:2] for e in fresh.value.entries] == [(uid, 3)]
+    assert update.value.entries == fresh.value.entries
+    assert _bits(prob.arrays()) == before  # a refused update writes nothing
 
 
 def test_zero_bound_equals_mean_value_ddu(smoke3):
