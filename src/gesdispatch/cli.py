@@ -31,6 +31,7 @@ from .ges import UnitSchedule
 from .optimizer import (
     DispatchStrategy,
     SolveMetadata,
+    aggregate_scenario,
     iterative_solve_r2,
     robust_solve_r1,
     solve_cco_diu,
@@ -84,15 +85,34 @@ class RunConfig:
 
 
 def _parse_window(text: str, horizon: int) -> np.ndarray:
+    """Step mask of `--window`: steps `t` and inclusive ranges `a-b`, comma-separated."""
     mask = np.zeros(horizon, dtype=bool)
-    for part in text.split(","):
-        part = part.strip()
-        if "-" in part:
-            a, b = part.split("-", 1)
-            mask[int(a): int(b) + 1] = True
-        elif part:
-            mask[int(part)] = True
+    issues = []
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        a, _, b = part.partition("-")
+        try:
+            lo, hi = int(a), int(b or a)
+        except ValueError:
+            issues.append(f"--window: {part!r} is not a step or a step range a-b")
+            continue
+        if not 0 <= lo <= hi < horizon:
+            issues.append(f"--window: {part!r} is not an ascending range of steps 0-{horizon - 1}")
+            continue
+        mask[lo: hi + 1] = True
+    if issues:
+        raise ValidationError(issues)
     return mask
+
+
+def _override(scn: ScenarioBundle, flags: str, **kw) -> ScenarioBundle:
+    """`scn` with the command-line overrides `kw`, validated like a scenario
+    file; `flags` names the options they came from."""
+    scn = replace(scn, **kw)
+    try:
+        scn.validate()
+    except ValidationError as exc:
+        raise ValidationError([f"{issue} (set by {flags})" for issue in exc.issues]) from None
+    return scn
 
 
 def _apply_config(scn: ScenarioBundle, cfg: RunConfig) -> ScenarioBundle:
@@ -106,7 +126,9 @@ def _apply_config(scn: ScenarioBundle, cfg: RunConfig) -> ScenarioBundle:
         kw["shape_class"] = parse_shape(cfg.shape, cfg.shape_nu)
     if cfg.window:
         kw["dispatch_window"] = _parse_window(cfg.window, scn.horizon)
-    scn = replace(scn, **kw)
+    # only the risk levels can leave the scenario invalid
+    given = {"--gamma": cfg.gamma, "--gamma-balance": cfg.gamma_balance}
+    scn = _override(scn, " ".join(f"{k} {v}" for k, v in given.items() if v is not None), **kw)
     if cfg.discomfort_variant:
         scn = replace(scn, units=[
             replace(u, ddu=replace(u.ddu, discomfort_variant=cfg.discomfort_variant))
@@ -117,8 +139,6 @@ def _apply_config(scn: ScenarioBundle, cfg: RunConfig) -> ScenarioBundle:
 
 def _dispatch(scn: ScenarioBundle, cfg: RunConfig) -> DispatchStrategy:
     if cfg.a1:
-        from .optimizer import aggregate_scenario
-
         scn = aggregate_scenario(scn)
     if cfg.reserve != "none":
         spec = scn.reserve or ReserveSpec()
@@ -282,7 +302,7 @@ def cmd_solve(args) -> int:
 def cmd_evaluate(args) -> int:
     scn = load_scenario(args.scenario)
     if args.gamma is not None:
-        scn = replace(scn, gamma=args.gamma, gamma_balance=args.gamma)
+        scn = _override(scn, f"--gamma {args.gamma}", gamma=args.gamma, gamma_balance=args.gamma)
     strategy = read_strategy(Path(args.strategy), scn)
     report = evaluate_reliability(strategy, scn, args.draws, args.seed)
     out = Path(args.out)
@@ -343,7 +363,7 @@ def cmd_reserve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for gamma in gammas:
-        scn = replace(base, gamma=gamma, gamma_balance=gamma)
+        scn = _override(base, f"--gammas {gamma}", gamma=gamma, gamma_balance=gamma)
         for mode in modes:
             spec = replace(scn.reserve or ReserveSpec(), mode=mode)
             strategy = solve_with_reserve(scn, spec)

@@ -75,7 +75,7 @@ class DduSpec:
 # Response discomfort
 
 
-def _rating_refs(params: GesParams) -> tuple[float, float]:
+def rating_refs(params: GesParams) -> tuple[float, float]:
     """Time-averaged power ratings used to normalize response intensity."""
     return float(np.mean(params.p_c_max)), float(np.mean(params.p_d_max))
 
@@ -87,23 +87,31 @@ def response_discomfort(sched: UnitSchedule, params: GesParams, spec: DduSpec, t
 
 def response_discomfort_series(sched: UnitSchedule, params: GesParams, spec: DduSpec) -> np.ndarray:
     """Vector of discomfort values over the whole horizon."""
-    horizon = params.horizon
-    pc_ref, pd_ref = _rating_refs(params)
-    intensity = np.zeros(horizon)
-    if pc_ref > 0:
-        intensity += sched.p_c / pc_ref
-    if pd_ref > 0:
-        intensity += sched.p_d / pd_ref
-    cum = np.cumsum(intensity) / horizon
+    pc_ref, pd_ref = rating_refs(params)
+    return discomfort(sched, pc_ref, pd_ref, params.soc_baseline_avg, params.deadband, spec)
+
+
+def discomfort(sched: UnitSchedule, pc_ref, pd_ref, avg, deadband, spec: DduSpec) -> np.ndarray:
+    """Discomfort of `sched` over the horizon (the last axis).
+
+    Broadcasts over leading axes: the Monte-Carlo evaluator passes per-draw
+    rating references of shape (m, 1) and per-draw comfort anchors `avg`,
+    `deadband` of shape (m, T) and gets one row per draw.  A reference at or
+    below zero drops its intensity term.
+    """
+    horizon = sched.p_c.shape[0]
+    pc_ref = np.where(np.asarray(pc_ref) > 0, pc_ref, np.inf)
+    pd_ref = np.where(np.asarray(pd_ref) > 0, pd_ref, np.inf)
+    cum = np.cumsum(sched.p_c / pc_ref + sched.p_d / pd_ref, axis=-1) / horizon
 
     lam = 1.0 if spec.discomfort_variant == "F1" else spec.lam
     soc = sched.soc[1:]
     if spec.discomfort_variant == "F1":
-        dev = np.zeros(horizon)
+        dev = 0.0
     elif spec.discomfort_variant == "F2":
-        dev = np.maximum(np.abs(soc - params.soc_baseline_avg) - params.deadband / 2.0, 0.0)
+        dev = np.maximum(np.abs(soc - avg) - deadband / 2.0, 0.0)
     else:  # F3: one-sided shortfall below the baseline average
-        dev = np.maximum(params.soc_baseline_avg - soc, 0.0)
+        dev = np.maximum(avg - soc, 0.0)
     return lam * cum + (1.0 - lam) * dev
 
 

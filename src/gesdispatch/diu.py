@@ -1,22 +1,26 @@
 """Decision-independent uncertainty propagated into storage-bound statistics.
 
 Device identification errors and baseline-power noise are pushed through the
-device-to-storage mapping by Monte-Carlo sampling.  The output per bound is
-the empirical mean, standard deviation, and normalized tail quantile that the
-chance-constraint rows consume.
+device-to-storage mapping by Monte-Carlo sampling.  `sample_bounds` is the one
+sampler of that model: load-time propagation reduces its draws to per-bound
+statistics (mean, standard deviation, and a table of normalized quantiles
+that the chance-constraint rows read at their level), and the ex-post
+evaluator realizes the same draws again.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import distributions as dist
+from .ddu import rating_refs
 from .distributions import DistributionSpec
 from .errors import InvalidSpec
-from .ges import DeviceDescription, GesParams, map_device_to_ges
+from .ges import TCL_KINDS, DeviceDescription, GesParams, map_device_to_ges
 
 #: below this spread a bound is treated as deterministic
 SIGMA_FLOOR = 1e-9
@@ -39,7 +43,6 @@ class BoundStats:
 
     mu: np.ndarray
     sigma: np.ndarray
-    f_inv: np.ndarray  # normalized empirical quantile of (X - mu)/sigma at 1 - gamma
     sample_count: int
     seed: int
     table: np.ndarray | None = None  # normalized quantiles, shape (len(LEVELS), T)
@@ -63,8 +66,7 @@ class BoundStats:
     @classmethod
     def deterministic(cls, values: np.ndarray, seed: int = 0) -> "BoundStats":
         values = np.asarray(values, dtype=float)
-        z = np.zeros_like(values)
-        return cls(mu=values.copy(), sigma=z, f_inv=z.copy(), sample_count=0, seed=seed)
+        return cls(mu=values.copy(), sigma=np.zeros_like(values), sample_count=0, seed=seed)
 
 
 @dataclass
@@ -95,23 +97,19 @@ class UnitBoundStats:
         )
 
 
-def _column_stats(samples: np.ndarray, gamma: float, sample_count: int, seed: int) -> BoundStats:
-    """Empirical mean/sd/normalized tail quantile for each column of `samples`."""
+def _column_stats(samples: np.ndarray, seed: int) -> BoundStats:
+    """Empirical mean/sd and normalized quantile table for each column of `samples`."""
     n, horizon = samples.shape
     mu = samples.mean(axis=0)
     sigma = samples.std(axis=0)
-    f_inv = np.zeros_like(mu)
     table = np.zeros((LEVELS.size, horizon))
     ranks = np.minimum(np.ceil(LEVELS * n).astype(int), n) - 1
-    gamma_rank = min(int(np.ceil((1.0 - gamma) * n)), n) - 1
     for t in range(horizon):
         if sigma[t] >= SIGMA_FLOOR:
-            z = np.sort((samples[:, t] - mu[t]) / sigma[t])
-            table[:, t] = z[ranks]
-            f_inv[t] = z[gamma_rank]
+            table[:, t] = np.sort((samples[:, t] - mu[t]) / sigma[t])[ranks]
         else:
             sigma[t] = 0.0
-    return BoundStats(mu=mu, sigma=sigma, f_inv=f_inv, sample_count=sample_count, seed=seed, table=table)
+    return BoundStats(mu=mu, sigma=sigma, sample_count=n, seed=seed, table=table)
 
 
 def tcl_baseline_bound_samples(dev, base: np.ndarray, dt: float, horizon: int) -> dict[str, np.ndarray]:
@@ -140,9 +138,59 @@ def tcl_baseline_bound_samples(dev, base: np.ndarray, dt: float, horizon: int) -
     }
 
 
-def baseline_only_fast_path(dev, unit_dists) -> bool:
-    """True when the vectorized thermal-unit sampling path applies."""
-    return dev.kind.startswith("TCL") and not unit_dists
+#: sampled per-step keys and the GesParams attribute each one reads
+_SAMPLED = {"p_c_max": "p_c_max", "p_d_max": "p_d_max", "soc_lo": "soc_lo", "soc_hi": "soc_hi",
+            "alpha": "alpha", "avg": "soc_baseline_avg", "deadband": "deadband"}
+
+
+def sample_bounds(
+    dev: DeviceDescription,
+    unit_dists: dict[str, DistributionSpec],
+    baseline_dist: list[DistributionSpec] | None,
+    dt: float,
+    horizon: int,
+    n: int,
+    ss: np.random.SeedSequence,
+) -> dict[str, np.ndarray]:
+    """`n` draws of a unit's storage parameters under identification and
+    baseline noise: the one sampler of the DIU model.
+
+    `ss` spawns one stream per entry of `unit_dists` (in name order), then
+    one per step of `baseline_dist`.  Returns the bounds `p_c_max`, `p_d_max`,
+    `soc_lo`, `soc_hi`, `alpha`, the comfort anchors `avg` (baseline SoC
+    average) and `deadband`, and the rating references `pc_ref`, `pd_ref`
+    (n,).  The ratings are (n, horizon); every other per-step key is
+    (n, horizon) where it varies by draw and one (horizon,) row where it
+    does not.
+    """
+    if not unit_dists and baseline_dist is None:
+        params = map_device_to_ges(dev, dt, horizon)
+        out = {key: getattr(params, attr) for key, attr in _SAMPLED.items()}
+        for key in ("p_c_max", "p_d_max"):
+            out[key] = np.broadcast_to(out[key], (n, horizon))
+        pc_ref, pd_ref = rating_refs(params)
+        return {**out, "pc_ref": np.full(n, pc_ref), "pd_ref": np.full(n, pd_ref)}
+
+    names = sorted(unit_dists)
+    children = ss.spawn(len(names) + (horizon if baseline_dist is not None else 0))
+    draws = {name: dist.sample(unit_dists[name], n, c) for name, c in zip(names, children)}
+    base = None
+    if baseline_dist is not None:
+        base = dist.sample_columns(baseline_dist, n, children[len(names):])
+        if not unit_dists and dev.kind in TCL_KINDS:
+            return tcl_baseline_bound_samples(dev, base, dt, horizon)
+
+    out = {key: np.empty((n, horizon)) for key in _SAMPLED}
+    out["pc_ref"], out["pd_ref"] = np.empty(n), np.empty(n)
+    for j in range(n):
+        kw = {name: float(vals[j]) for name, vals in draws.items()}
+        if base is not None:
+            kw["baseline_power"] = base[j]
+        params = map_device_to_ges(replace(dev, **kw), dt, horizon)
+        for key, attr in _SAMPLED.items():
+            out[key][j] = getattr(params, attr)
+        out["pc_ref"][j], out["pd_ref"][j] = rating_refs(params)
+    return out
 
 
 def propagate_diu(
@@ -153,13 +201,13 @@ def propagate_diu(
     horizon: int,
     n: int = DEFAULT_SAMPLES,
     seed: int = 0,
-    gamma: float = 0.05,
 ) -> UnitBoundStats:
     """Monte-Carlo statistics of the storage bounds under parameter noise.
 
     `unit_dists` maps DeviceDescription field names to distributions of the
     identified parameters; `baseline_dist` optionally gives one distribution
-    per step for the baseline power draw.
+    per step for the baseline power draw.  The statistics do not depend on
+    a violation level: the chance rows read quantiles from the table.
     """
     if n < 1:
         raise InvalidSpec(f"sample count must be >= 1, got {n}")
@@ -171,50 +219,32 @@ def propagate_diu(
         raise InvalidSpec("baseline_dist must have one distribution per step")
 
     ss = np.random.SeedSequence([seed, zlib.crc32(dev.unit_id.encode())])
-    children = ss.spawn(len(unit_dists) + (horizon if baseline_dist is not None else 0))
-    draws = {
-        name: dist.sample(spec, n, children[k])
-        for k, (name, spec) in enumerate(sorted(unit_dists.items()))
-    }
-    base = None
-    if baseline_dist is not None:
-        base = dist.sample_columns(baseline_dist, n, children[len(unit_dists):])
-
-    if base is not None and baseline_only_fast_path(dev, unit_dists):
-        fast = tcl_baseline_bound_samples(dev, base, dt, horizon)
-        cols = {kind: np.broadcast_to(fast[kind], (n, horizon)) for kind in BOUND_KINDS}
-    else:
-        cols = {kind: np.empty((n, horizon)) for kind in BOUND_KINDS}
-        for j in range(n):
-            kw = {name: float(vals[j]) for name, vals in draws.items()}
-            if base is not None:
-                kw["baseline_power"] = base[j]
-            params = map_device_to_ges(replace(dev, **kw), dt, horizon)
-            for kind in BOUND_KINDS:
-                cols[kind][j] = getattr(params, kind)
-
+    samples = sample_bounds(dev, unit_dists, baseline_dist, dt, horizon, n, ss)
     return UnitBoundStats(
         unit_id=dev.unit_id,
-        **{kind: _column_stats(cols[kind], gamma, n, seed) for kind in BOUND_KINDS},
+        **{kind: _column_stats(np.broadcast_to(samples[kind], (n, horizon)), seed) for kind in BOUND_KINDS},
     )
 
 
-def series_stats(
-    dists_per_t: list[DistributionSpec],
-    gamma: float,
-    n: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-) -> BoundStats:
+def series_stats(dists_per_t: list[DistributionSpec], n: int = DEFAULT_SAMPLES, seed: int = 0) -> BoundStats:
     """Empirical statistics of an exogenous per-step series (load, renewables)."""
     children = np.random.SeedSequence([seed]).spawn(len(dists_per_t))
-    return _column_stats(dist.sample_columns(dists_per_t, n, children), gamma, n, seed)
+    return _column_stats(dist.sample_columns(dists_per_t, n, children), seed)
 
 
-def analytic_series_stats(dists_per_t: list[DistributionSpec], level: float) -> BoundStats:
+class SeriesQuantile(NamedTuple):
+    """Closed-form per-step mean, sd and normalized quantile at one level."""
+
+    mu: np.ndarray
+    sigma: np.ndarray
+    f_inv: np.ndarray  # quantile of (X - mu)/sigma at the requested level
+
+
+def analytic_series_stats(dists_per_t: list[DistributionSpec], level: float) -> SeriesQuantile:
     """Closed-form mean/sd/normalized quantile per step (no sampling)."""
     mu = np.array([dist.mean(s) for s in dists_per_t])
     sigma = np.array([dist.std(s) for s in dists_per_t])
     f_inv = np.array([dist.normalized_quantile(s, level) for s in dists_per_t])
     sigma = np.where(sigma < SIGMA_FLOOR, 0.0, sigma)
     f_inv = np.where(sigma == 0.0, 0.0, f_inv)
-    return BoundStats(mu=mu, sigma=sigma, f_inv=f_inv, sample_count=0, seed=0)
+    return SeriesQuantile(mu=mu, sigma=sigma, f_inv=f_inv)

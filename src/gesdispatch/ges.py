@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -202,36 +202,15 @@ def map_device_to_ges(dev: DeviceDescription, dt: float, horizon: int) -> GesPar
         else:
             soc_b = 0.5 * (soc_lo + soc_hi)
         alpha = eps * soc_b
-        params = GesParams(
-            unit_id=dev.unit_id,
-            S=s_cap,
-            eta_c=1.0,
-            eta_d=1.0,
-            eps=eps,
-            dt=dt,
-            p_c_max=p_c_max,
-            p_d_max=p_d_max,
-            soc_lo=np.maximum(soc_lo, dev.soc_phys_lo),
-            soc_hi=np.minimum(soc_hi, dev.soc_phys_hi),
-            alpha=alpha,
-            soc_init=dev.soc_init if dev.soc_init is not None else float(soc_b[0]),
-            soc_baseline=soc_b,
-            soc_baseline_avg=np.full(horizon, float(np.mean(soc_b))),
-            deadband=deadband,
-            on_prob=on_prob,
-            soc_phys_lo=dev.soc_phys_lo,
-            soc_phys_hi=dev.soc_phys_hi,
-            soc_ramp_up=dev.soc_ramp_up,
-            soc_ramp_dn=dev.soc_ramp_dn,
-        )
+        eta_c = eta_d = 1.0
     else:
-        p_c = _series(dev.p_c_rating if dev.p_c_rating is not None else 0.0, horizon, "p_c_rating")
-        p_d = _series(dev.p_d_rating if dev.p_d_rating is not None else 0.0, horizon, "p_d_rating")
+        p_c_max = _series(dev.p_c_rating if dev.p_c_rating is not None else 0.0, horizon, "p_c_rating")
+        p_d_max = _series(dev.p_d_rating if dev.p_d_rating is not None else 0.0, horizon, "p_d_rating")
         if dev.kind == "EV":
             base_c = _series(dev.ev_base_p_c if dev.ev_base_p_c is not None else 0.0, horizon, "ev_base_p_c")
             base_d = _series(dev.ev_base_p_d if dev.ev_base_p_d is not None else 0.0, horizon, "ev_base_p_d")
-            p_c = np.clip(p_c - base_c, 0.0, None)
-            p_d = np.clip(p_d - base_d, 0.0, None)
+            p_c_max = np.clip(p_c_max - base_c, 0.0, None)
+            p_d_max = np.clip(p_d_max - base_d, 0.0, None)
             alpha = _series(dev.ev_dsoc if dev.ev_dsoc is not None else 0.0, horizon, "ev_dsoc")
         else:
             alpha = np.zeros(horizon)
@@ -242,28 +221,29 @@ def map_device_to_ges(dev: DeviceDescription, dt: float, horizon: int) -> GesPar
             if dev.soc_baseline is not None
             else 0.5 * (soc_lo + soc_hi)
         )
-        params = GesParams(
-            unit_id=dev.unit_id,
-            S=dev.s_capacity,
-            eta_c=dev.eta_c,
-            eta_d=dev.eta_d,
-            eps=dev.eps,
-            dt=dt,
-            p_c_max=p_c,
-            p_d_max=p_d,
-            soc_lo=np.maximum(soc_lo, dev.soc_phys_lo),
-            soc_hi=np.minimum(soc_hi, dev.soc_phys_hi),
-            alpha=alpha,
-            soc_init=dev.soc_init if dev.soc_init is not None else float(soc_b[0]),
-            soc_baseline=soc_b,
-            soc_baseline_avg=np.full(horizon, float(np.mean(soc_b))),
-            deadband=deadband,
-            on_prob=on_prob,
-            soc_phys_lo=dev.soc_phys_lo,
-            soc_phys_hi=dev.soc_phys_hi,
-            soc_ramp_up=dev.soc_ramp_up,
-            soc_ramp_dn=dev.soc_ramp_dn,
-        )
+        s_cap, eta_c, eta_d, eps = dev.s_capacity, dev.eta_c, dev.eta_d, dev.eps
+    params = GesParams(
+        unit_id=dev.unit_id,
+        S=s_cap,
+        eta_c=eta_c,
+        eta_d=eta_d,
+        eps=eps,
+        dt=dt,
+        p_c_max=p_c_max,
+        p_d_max=p_d_max,
+        soc_lo=np.maximum(soc_lo, dev.soc_phys_lo),
+        soc_hi=np.minimum(soc_hi, dev.soc_phys_hi),
+        alpha=alpha,
+        soc_init=dev.soc_init if dev.soc_init is not None else float(soc_b[0]),
+        soc_baseline=soc_b,
+        soc_baseline_avg=np.full(horizon, float(np.mean(soc_b))),
+        deadband=deadband,
+        on_prob=on_prob,
+        soc_phys_lo=dev.soc_phys_lo,
+        soc_phys_hi=dev.soc_phys_hi,
+        soc_ramp_up=dev.soc_ramp_up,
+        soc_ramp_dn=dev.soc_ramp_dn,
+    )
     params.validate()
     return params
 

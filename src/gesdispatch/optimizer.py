@@ -22,7 +22,8 @@ import numpy as np
 
 from . import distributions as dist
 from .cantelli import cantelli_bound
-from .ddu import comfort_bounds, expansion_anchor, response_discomfort_series, standardized_h_quantile
+from .ddu import (comfort_bounds, expansion_anchor, rating_refs, response_discomfort_series,
+                  standardized_h_quantile)
 from .distributions import DistributionSpec
 from .diu import UnitBoundStats, analytic_series_stats
 from .errors import (
@@ -261,8 +262,7 @@ def build_cco_ddu(
         spec = u.ddu
         variant = spec.discomfort_variant
         lam = 1.0 if variant == "F1" else spec.lam
-        pc_ref = float(np.mean(u.params.p_c_max))
-        pd_ref = float(np.mean(u.params.p_d_max))
+        pc_ref, pd_ref = rating_refs(u.params)
         # SoC deviation rows d + soc_coeff * soc >= rhs (F2 outside the deadband, F3 below avg)
         avg, half_db = u.params.soc_baseline_avg, u.params.deadband / 2.0
         dev = {"F1": [], "F3": [("dev", 1.0, avg)],

@@ -30,16 +30,17 @@ and `compute_lorp_erns`/`penalty_cost` score a realized batch the same way.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
 from . import distributions as dist
-from .ddu import contraction_quantile_vec
+from .ddu import contraction_quantile_vec, discomfort
 from .errors import DimensionMismatch
-from .diu import baseline_only_fast_path, tcl_baseline_bound_samples
-from .ges import map_device_to_ges
+from .diu import sample_bounds
+from .diu import tcl_baseline_bound_samples  # noqa: F401  (a wrap target of bench/tracing.py)
+from .ges import map_device_to_ges  # noqa: F401  (a wrap target of bench/tracing.py)
 from .optimizer import DispatchStrategy
 from .scenario import ScenarioBundle, UnitSpec
 
@@ -89,10 +90,11 @@ class ReliabilityReport:
 # Realization
 
 
-def _unit_rng(uid: str, seed: int) -> np.random.Generator:
-    """The unit's parameter/baseline-noise stream (spawn child 0)."""
-    ss = np.random.SeedSequence([int(seed), zlib.crc32(uid.encode())])
-    return np.random.default_rng(ss.spawn(1)[0])
+def _unit_noise(u: UnitSpec, scn: ScenarioBundle, m: int, seed: int) -> dict[str, np.ndarray]:
+    """Per-draw parameter/baseline-noise realization of unit `u`, from spawn
+    child 0 of the stream keyed by (master seed, unit id)."""
+    ss = np.random.SeedSequence([int(seed), zlib.crc32(u.unit_id.encode())]).spawn(1)[0]
+    return sample_bounds(u.dev, u.unit_dists, u.baseline_dist, scn.dt, scn.horizon, m, ss)
 
 
 def _system_uniforms(seed: int, m: int, horizon: int) -> dict[str, np.ndarray]:
@@ -134,79 +136,9 @@ class _Worlds:
         """Per-draw parameter/baseline-noise realization of unit `u`."""
         last, real = self._diu
         if last is not u:
-            real = _realized_diu(u, self.m, _unit_rng(u.unit_id, self.seed), scn)
+            real = _unit_noise(u, scn, self.m, self.seed)
             self._diu = (u, real)
         return real
-
-
-def _realized_diu(u: UnitSpec, m: int, rng: np.random.Generator, scn: ScenarioBundle):
-    """Per-draw storage parameters under identification/baseline noise.
-
-    Returns (m, T) matrices for the ratings, (m,) rating references, and the
-    identified SoC bounds and comfort anchors, which are (m, T) where they
-    vary by draw and a (T,) row where they do not.
-    """
-    horizon = scn.horizon
-    p = u.params
-    if not u.unit_dists and u.baseline_dist is None:
-        row = lambda v: np.asarray(v, dtype=float)  # noqa: E731
-        return {
-            "p_c_max": np.broadcast_to(row(p.p_c_max), (m, horizon)),
-            "p_d_max": np.broadcast_to(row(p.p_d_max), (m, horizon)),
-            "soc_lo": row(p.soc_lo),
-            "soc_hi": row(p.soc_hi),
-            "avg": row(p.soc_baseline_avg),
-            "deadband": row(p.deadband),
-            "pc_ref": np.full(m, float(np.mean(p.p_c_max))),
-            "pd_ref": np.full(m, float(np.mean(p.p_d_max))),
-        }
-    names = sorted(u.unit_dists)
-    children = rng.spawn(len(names) + (horizon if u.baseline_dist is not None else 0))
-    draws = {name: dist.sample(u.unit_dists[name], m, c) for name, c in zip(names, children)}
-    base = None
-    if u.baseline_dist is not None:
-        base = dist.sample_columns(u.baseline_dist, m, children[len(names):])
-    if base is not None and baseline_only_fast_path(u.dev, u.unit_dists):
-        return tcl_baseline_bound_samples(u.dev, base, scn.dt, horizon)
-    out = {k: np.empty((m, horizon)) for k in ("p_c_max", "p_d_max", "soc_lo", "soc_hi", "avg", "deadband")}
-    pc_ref = np.empty(m)
-    pd_ref = np.empty(m)
-    for j in range(m):
-        kw = {name: float(draws[name][j]) for name in names}
-        if base is not None:
-            kw["baseline_power"] = base[j]
-        params = map_device_to_ges(replace(u.dev, **kw), scn.dt, horizon)
-        out["p_c_max"][j] = params.p_c_max
-        out["p_d_max"][j] = params.p_d_max
-        out["soc_lo"][j] = params.soc_lo
-        out["soc_hi"][j] = params.soc_hi
-        out["avg"][j] = params.soc_baseline_avg
-        out["deadband"][j] = params.deadband
-        pc_ref[j] = np.mean(params.p_c_max)
-        pd_ref[j] = np.mean(params.p_d_max)
-    out["pc_ref"] = pc_ref
-    out["pd_ref"] = pd_ref
-    return out
-
-
-def _rd_matrix(strategy: DispatchStrategy, u: UnitSpec, real) -> np.ndarray:
-    """Discomfort per draw and step, using each draw's realized references."""
-    sched = strategy.schedules[u.unit_id]
-    spec = u.ddu
-    horizon = sched.p_c.shape[0]
-    pc_ref = np.where(real["pc_ref"] > 0, real["pc_ref"], np.inf)[:, None]
-    pd_ref = np.where(real["pd_ref"] > 0, real["pd_ref"], np.inf)[:, None]
-    intensity = sched.p_c[None, :] / pc_ref + sched.p_d[None, :] / pd_ref
-    cum = np.cumsum(intensity, axis=1) / horizon
-    lam = 1.0 if spec.discomfort_variant == "F1" else spec.lam
-    soc = sched.soc[1:][None, :]
-    if spec.discomfort_variant == "F1":
-        dev = 0.0
-    elif spec.discomfort_variant == "F2":
-        dev = np.maximum(np.abs(soc - real["avg"]) - real["deadband"] / 2.0, 0.0)
-    else:
-        dev = np.maximum(real["avg"] - soc, 0.0)
-    return lam * cum + (1.0 - lam) * dev
 
 
 def _side_bound(u: UnitSpec, real, rd, side: str, worlds: _Worlds) -> np.ndarray:
@@ -240,7 +172,9 @@ def realize_unit(
     if m != worlds.m:
         raise DimensionMismatch(f"unit {u.unit_id}: {m} draws vs {worlds.m} in the shared worlds")
     real = worlds.diu(u, scn)
-    rd = _rd_matrix(strategy, u, real)
+    # discomfort per draw and step, from each draw's realized references
+    rd = discomfort(strategy.schedules[u.unit_id], real["pc_ref"][:, None], real["pd_ref"][:, None],
+                    real["avg"], real["deadband"], u.ddu)
     upper = _side_bound(u, real, rd, "upper", worlds)
     lower = _side_bound(u, real, rd, "lower", worlds)
     crossed = lower > upper
@@ -407,7 +341,7 @@ def expost_row_frequencies(
     """
     out: dict[str, np.ndarray] = {}
     for u in scn.units:
-        real = _realized_diu(u, draws, _unit_rng(u.unit_id, seed), scn)
+        real = _unit_noise(u, scn, draws, seed)
         sched = strategy.schedules[u.unit_id]
         soc = sched.soc[1:][None, :]
         out[f"pc:{u.unit_id}"] = (sched.p_c[None, :] > real["p_c_max"] + VIOLATION_TOL).mean(axis=0)

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from . import distributions as dist
 from .cantelli import parse_shape
 from .ddu import DduSpec
 from .diu import propagate_diu
@@ -222,9 +223,7 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
             ddu = DduSpec()
         stats = None
         if compute_stats and (unit_dists or baseline_dist is not None):
-            stats = propagate_diu(
-                unit_dists, dev, baseline_dist, dt, horizon,
-                n=n_samples, seed=diu_seed, gamma=gamma)
+            stats = propagate_diu(unit_dists, dev, baseline_dist, dt, horizon, n=n_samples, seed=diu_seed)
         units.append(UnitSpec(
             dev=dev, params=params, ddu=ddu,
             price_c=np.full(horizon, price_c), price_d=np.full(horizon, price_d),
@@ -310,12 +309,11 @@ def serialize(bundle: ScenarioBundle, path, diu_samples: int = 10_000, diu_seed:
         w = csv.writer(fh)
         w.writerow(["t", "tou_price", "load_family", "load_mean", "load_sigma",
                     "res_family", "res_mean", "res_sigma"])
-        from . import distributions as dist
         for t in range(bundle.horizon):
             ld, rd_ = bundle.load_dist[t], bundle.res_dist[t]
             w.writerow([t, fmt(bundle.tou_price[t]),
-                        _family_out(ld), fmt(dist.mean(ld)), fmt(dist.std(ld)),
-                        _family_out(rd_), fmt(dist.mean(rd_)), fmt(dist.std(rd_))])
+                        ld.family, fmt(dist.mean(ld)), fmt(dist.std(ld)),
+                        rd_.family, fmt(dist.mean(rd_)), fmt(dist.std(rd_))])
 
     unit_rows = []
     series_rows = []
@@ -348,9 +346,8 @@ def serialize(bundle: ScenarioBundle, path, diu_samples: int = 10_000, diu_seed:
         if u.baseline_dist is not None:
             first = u.baseline_dist[0]
             if first.family == "lognormal":
-                import math as _m
-                mean0 = _m.exp(first.params["mu"] + first.params["sigma"] ** 2 / 2)
-                sd0 = mean0 * _m.sqrt(_m.expm1(first.params["sigma"] ** 2))
+                mean0 = math.exp(first.params["mu"] + first.params["sigma"] ** 2 / 2)
+                sd0 = mean0 * math.sqrt(math.expm1(first.params["sigma"] ** 2))
                 row["baseline_sigma"] = fmt(sd0 / mean0)
         unit_rows.append(row)
 
@@ -376,8 +373,3 @@ def serialize(bundle: ScenarioBundle, path, diu_samples: int = 10_000, diu_seed:
             w = csv.writer(fh)
             w.writerow(["unit_id", "field", "t", "value"])
             w.writerows(series_rows)
-
-
-def _family_out(spec: DistributionSpec) -> str:
-    return {"point": "point", "normal": "normal", "lognormal": "lognormal",
-            "truncated_normal": "truncated_normal"}.get(spec.family, spec.family)

@@ -3,6 +3,7 @@
 import csv
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -127,3 +128,38 @@ def test_window_flag(tmp_path, capsys):
             t = int(row["t"])
             if not 19 <= t <= 22:
                 assert float(row["p_c"]) == 0.0 and float(row["p_d"]) == 0.0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["solve", "--window", "30"], "--window"),
+    (["solve", "--window", "20-40"], "--window"),
+    (["solve", "--window", "a-b"], "--window"),
+    (["solve", "--gamma", "1.5"], "--gamma"),
+    (["solve", "--gamma-balance", "0"], "--gamma-balance"),
+])
+def test_bad_solve_overrides_exit_2(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x"
+    code = main(argv[:1] + ["--scenario", SMOKE] + argv[1:] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert flag in err
+    assert not (out / "strategy_units.csv").exists()
+
+
+def test_bad_evaluate_gamma_exits_2(tmp_path, capsys):
+    strat = tmp_path / "s"
+    assert main(["solve", "--scenario", SMOKE, "--mode", "M2", "--out", str(strat)]) == 0
+    rep = tmp_path / "r"
+    code = main(["evaluate", "--scenario", SMOKE, "--strategy", str(strat), "--draws", "50",
+                 "--gamma", "1.5", "--out", str(rep)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--gamma" in err
+    assert not (rep / "report.yaml").exists()
+
+
+def test_window_ranges_and_steps_combine():
+    from gesdispatch.cli import _parse_window
+
+    mask = _parse_window(" 1-2, 5 ,23,", 24)
+    assert list(np.flatnonzero(mask)) == [1, 2, 5, 23]

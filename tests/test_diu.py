@@ -1,21 +1,25 @@
 """Monte-Carlo propagation of identification noise into bound statistics."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats as sstats
 
+from gesdispatch.ddu import rating_refs
 from gesdispatch.distributions import DistributionSpec, empirical_inverse_cdf, sample_columns
 from gesdispatch.diu import (
     LEVELS,
     BoundStats,
     analytic_series_stats,
     propagate_diu,
+    sample_bounds,
     series_stats,
+    tcl_baseline_bound_samples,
 )
 from gesdispatch.errors import InvalidSpec
-from gesdispatch.ges import DeviceDescription
+from gesdispatch.ges import DeviceDescription, map_device_to_ges
 
 T = 24
 
@@ -78,11 +82,11 @@ def test_ten_percent_identification_band():
 
 def test_series_stats_against_analytic():
     dists = [DistributionSpec.normal(10.0 + t, 1.0 + 0.05 * t) for t in range(6)]
-    emp = series_stats(dists, gamma=0.05, n=50_000, seed=3)
+    emp = series_stats(dists, n=50_000, seed=3)
     ana = analytic_series_stats(dists, 0.95)
     assert np.allclose(emp.mu, ana.mu, atol=0.05)
     assert np.allclose(emp.sigma, ana.sigma, atol=0.05)
-    assert np.allclose(emp.f_inv, ana.f_inv, atol=0.05)
+    assert np.allclose(emp.inv_cdf(0.95), ana.f_inv, atol=0.05)
 
 
 def test_analytic_stats_degenerate():
@@ -94,7 +98,7 @@ def test_analytic_stats_degenerate():
 
 def test_inv_cdf_monotone_in_level():
     dists = [DistributionSpec.lognormal(0.0, 0.4)] * 3
-    emp = series_stats(dists, gamma=0.05, n=20_000, seed=4)
+    emp = series_stats(dists, n=20_000, seed=4)
     prev = emp.inv_cdf(0.05)
     for level in (0.25, 0.5, 0.75, 0.95):
         cur = emp.inv_cdf(level)
@@ -105,7 +109,7 @@ def test_inv_cdf_monotone_in_level():
 def test_inv_cdf_rounds_up_to_the_next_tabulated_level():
     dists = [DistributionSpec.lognormal(0.0, 0.4)] * 3
     n = 20_000
-    emp = series_stats(dists, gamma=0.025, n=n, seed=4)
+    emp = series_stats(dists, n=n, seed=4)
     f = emp.inv_cdf(1.0 - 0.025)
     assert (LEVELS[97], LEVELS[44]) == (0.98, 0.45)
     assert np.array_equal(f, emp.table[97])
@@ -119,7 +123,7 @@ def test_inv_cdf_rounds_up_to_the_next_tabulated_level():
 
 
 def test_inv_cdf_beyond_the_table_raises():
-    emp = series_stats([DistributionSpec.lognormal(0.0, 0.4)] * 3, gamma=0.05, n=2_000, seed=4)
+    emp = series_stats([DistributionSpec.lognormal(0.0, 0.4)] * 3, n=2_000, seed=4)
     with pytest.raises(InvalidSpec, match="0.01"):
         emp.inv_cdf(1.0 - 0.005)
 
@@ -141,3 +145,42 @@ def test_propagation_reproducible():
     b = propagate_diu(**kw)
     assert np.array_equal(a.p_c_max.mu, b.p_c_max.mu)
     assert np.array_equal(a.p_c_max.table, b.p_c_max.table)
+
+
+def test_tcl_fast_path_equals_the_per_draw_mapping():
+    dev = tcl_device(t_in_baseline=None, deadband=np.linspace(0.1, 0.3, T))
+    base = sample_columns([DistributionSpec.lognormal(math.log(4.0), 0.3)] * T, 40,
+                          np.random.SeedSequence([5]).spawn(T))
+    base[0, :3] = [0.0, 10.0, 12.0]  # ratings clipped at zero on both sides
+    fast = tcl_baseline_bound_samples(dev, base, 0.5, T)
+    for j in range(base.shape[0]):
+        params = map_device_to_ges(replace(dev, baseline_power=base[j]), 0.5, T)
+        pc_ref, pd_ref = rating_refs(params)
+        want = {"p_c_max": params.p_c_max, "p_d_max": params.p_d_max, "soc_lo": params.soc_lo,
+                "soc_hi": params.soc_hi, "alpha": params.alpha, "avg": params.soc_baseline_avg,
+                "deadband": params.deadband, "pc_ref": pc_ref, "pd_ref": pd_ref}
+        assert fast.keys() == want.keys()
+        for key, value in want.items():
+            got = fast[key] if fast[key].shape == (T,) else fast[key][j]  # a row is shared by all draws
+            assert np.array_equal(got, value), (key, j)
+
+
+def test_sampler_branches_share_keys_and_shapes():
+    bes = DeviceDescription(kind="BES", unit_id="b", s_capacity=50.0, p_c_rating=10.0, p_d_rating=10.0)
+    ident = {"s_capacity": DistributionSpec.truncated_normal(50.0, 2.5, 45.0, 55.0)}
+    baseline = [DistributionSpec.lognormal(math.log(4.0), 0.2)] * T
+    n = 30
+    branches = {
+        "no noise": sample_bounds(bes, {}, None, 1.0, T, n, np.random.SeedSequence(1)),
+        "fast path": sample_bounds(tcl_device(), {}, baseline, 1.0, T, n, np.random.SeedSequence(1)),
+        "per draw": sample_bounds(bes, ident, None, 1.0, T, n, np.random.SeedSequence(1)),
+    }
+    keys = {"p_c_max", "p_d_max", "soc_lo", "soc_hi", "alpha", "avg", "deadband", "pc_ref", "pd_ref"}
+    for name, out in branches.items():
+        assert set(out) == keys, name
+        assert out["p_c_max"].shape == out["p_d_max"].shape == (n, T), name
+        assert out["pc_ref"].shape == out["pd_ref"].shape == (n,), name
+        assert all(out[k].shape in ((n, T), (T,)) for k in keys - {"pc_ref", "pd_ref"}), name
+    nominal = map_device_to_ges(bes, 1.0, T)
+    assert np.array_equal(branches["no noise"]["p_c_max"][-1], nominal.p_c_max)
+    assert np.all(branches["no noise"]["pc_ref"] == rating_refs(nominal)[0])

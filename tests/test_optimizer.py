@@ -88,7 +88,7 @@ def normal_table(mu, sigma, horizon):
     z = sstats.norm.ppf(LEVELS)
     return BoundStats(
         mu=np.full(horizon, mu), sigma=np.full(horizon, sigma),
-        f_inv=np.full(horizon, sstats.norm.ppf(0.95)), sample_count=10**6, seed=0,
+        sample_count=10**6, seed=0,
         table=np.tile(z[:, None], (1, horizon)),
     )
 
