@@ -209,6 +209,10 @@ def read_strategy(path: Path, scn: ScenarioBundle) -> DispatchStrategy:
     with open(path / "strategy_units.csv", newline="") as fh:
         for row in csv.DictReader(fh):
             per_unit.setdefault(row["unit_id"], {})[int(row["t"])] = row
+    missing = [u.unit_id for u in scn.units if u.unit_id not in per_unit]
+    if missing:
+        raise ValidationError([f"{path / 'strategy_units.csv'}: no schedule for scenario unit(s) "
+                               + ", ".join(missing)])
     schedules = {}
     rd = {}
     for u in scn.units:

@@ -98,15 +98,23 @@ class UnitBoundStats:
 
 
 def _column_stats(samples: np.ndarray, seed: int) -> BoundStats:
-    """Empirical mean/sd and normalized quantile table for each column of `samples`."""
+    """Empirical mean/sd and normalized quantile table for each column of `samples`.
+
+    A row broadcast over the draws (stride 0 on axis 0) that lies within
+    SIGMA_FLOOR/2 of its mean everywhere has a zero sd and table: `std` of
+    n equal values is their distance to the same mean, up to rounding.
+    """
     n, horizon = samples.shape
     mu = samples.mean(axis=0)
-    sigma = samples.std(axis=0)
     table = np.zeros((LEVELS.size, horizon))
+    if samples.strides[0] == 0 and np.all(np.abs(samples[0] - mu) < SIGMA_FLOOR / 2):
+        return BoundStats(mu=mu, sigma=np.zeros(horizon), sample_count=n, seed=seed, table=table)
+    sigma = samples.std(axis=0)
     ranks = np.minimum(np.ceil(LEVELS * n).astype(int), n) - 1
     for t in range(horizon):
         if sigma[t] >= SIGMA_FLOOR:
-            table[:, t] = np.sort((samples[:, t] - mu[t]) / sigma[t])[ranks]
+            # normalizing is monotone, so sorting first picks the same ranks
+            table[:, t] = (np.sort(samples[:, t])[ranks] - mu[t]) / sigma[t]
         else:
             sigma[t] = 0.0
     return BoundStats(mu=mu, sigma=sigma, sample_count=n, seed=seed, table=table)

@@ -37,7 +37,7 @@ from scipy import special
 
 from . import distributions as dist
 from .ddu import contraction_quantile_vec, discomfort
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidSpec
 from .diu import sample_bounds
 from .diu import tcl_baseline_bound_samples  # noqa: F401  (a wrap target of bench/tracing.py)
 from .ges import map_device_to_ges  # noqa: F401  (a wrap target of bench/tracing.py)
@@ -92,7 +92,12 @@ class ReliabilityReport:
 
 def _unit_noise(u: UnitSpec, scn: ScenarioBundle, m: int, seed: int) -> dict[str, np.ndarray]:
     """Per-draw parameter/baseline-noise realization of unit `u`, from spawn
-    child 0 of the stream keyed by (master seed, unit id)."""
+    child 0 of the stream keyed by (master seed, unit id).  Refuses a unit
+    whose device is not its own, such as the virtual unit of
+    `aggregate_scenario`, which keeps its first member's device."""
+    if u.dev.unit_id != u.unit_id:
+        raise InvalidSpec(f"unit {u.unit_id!r} carries the device of unit {u.dev.unit_id!r}, "
+                          "so its noise cannot be realized (aggregated fleets cannot be evaluated)")
     ss = np.random.SeedSequence([int(seed), zlib.crc32(u.unit_id.encode())]).spawn(1)[0]
     return sample_bounds(u.dev, u.unit_dists, u.baseline_dist, scn.dt, scn.horizon, m, ss)
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ import yaml
 from . import distributions as dist
 from .cantelli import parse_shape
 from .ddu import DduSpec
-from .diu import propagate_diu
+from .diu import UnitBoundStats, propagate_diu
 from .distributions import DistributionSpec
 from .errors import ParseError, ValidationError
 from .ges import DeviceDescription, map_device_to_ges
@@ -91,6 +93,33 @@ def _dist_from_row(family: str, mean: float, sigma: float, where: str, issues):
         return DistributionSpec.truncated_normal(mean, sigma, mean - 3 * sigma, mean + 3 * sigma)
     issues.append(f"{where}: unknown distribution family {family!r}")
     return DistributionSpec.point(mean)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _propagate_all(units: list[UnitSpec], dt: float, horizon: int, n: int, seed: int) -> None:
+    """Fill `stats` of every unit with identification or baseline noise.
+
+    The units run on a thread pool sized to the usable CPUs: each unit draws
+    only from its own seed sequence and the heavy numpy calls release the
+    GIL, so the statistics do not depend on the pool.  Results are read in
+    unit order, so the first failing unit in file order raises.
+    """
+    noisy = [u for u in units if u.unit_dists or u.baseline_dist is not None]
+    if not noisy:
+        return
+
+    def propagate(u: UnitSpec) -> UnitBoundStats:
+        return propagate_diu(u.unit_dists, u.dev, u.baseline_dist, dt, horizon, n=n, seed=seed)
+
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(noisy))) as pool:
+        for u, stats in zip(noisy, pool.map(propagate, noisy)):
+            u.stats = stats
 
 
 def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
@@ -221,13 +250,13 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
         if ddu is None:
             issues.append(f"ddu.csv: no row for unit {uid}")
             ddu = DduSpec()
-        stats = None
-        if compute_stats and (unit_dists or baseline_dist is not None):
-            stats = propagate_diu(unit_dists, dev, baseline_dist, dt, horizon, n=n_samples, seed=diu_seed)
         units.append(UnitSpec(
             dev=dev, params=params, ddu=ddu,
             price_c=np.full(horizon, price_c), price_d=np.full(horizon, price_d),
-            unit_dists=unit_dists, baseline_dist=baseline_dist, stats=stats))
+            unit_dists=unit_dists, baseline_dist=baseline_dist))
+
+    if compute_stats:
+        _propagate_all(units, dt, horizon, n_samples, diu_seed)
 
     window = None
     if cfg.get("dispatch_window") is not None:

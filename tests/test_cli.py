@@ -158,6 +158,22 @@ def test_bad_evaluate_gamma_exits_2(tmp_path, capsys):
     assert not (rep / "report.yaml").exists()
 
 
+@pytest.mark.parametrize("solve_argv, eval_scenario, missing", [
+    (["--scenario", SMOKE, "--a1", "--mode", "M2"], SMOKE, "bes1"),
+    (["--scenario", SMOKE, "--mode", "M2"], TCL100, "tcl000"),
+], ids=["a1-strategy", "other-fleet"])
+def test_evaluate_of_a_mismatched_strategy_exits_2(tmp_path, capsys, solve_argv, eval_scenario, missing):
+    strat = tmp_path / "s"
+    assert main(["solve", *solve_argv, "--out", str(strat)]) == 0
+    rep = tmp_path / "r"
+    code = main(["evaluate", "--scenario", eval_scenario, "--strategy", str(strat),
+                 "--draws", "50", "--out", str(rep)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert missing in err and "strategy_units.csv" in err
+    assert not (rep / "report.yaml").exists()
+
+
 def test_window_ranges_and_steps_combine():
     from gesdispatch.cli import _parse_window
 

@@ -11,7 +11,9 @@ from gesdispatch.ddu import rating_refs
 from gesdispatch.distributions import DistributionSpec, empirical_inverse_cdf, sample_columns
 from gesdispatch.diu import (
     LEVELS,
+    SIGMA_FLOOR,
     BoundStats,
+    _column_stats,
     analytic_series_stats,
     propagate_diu,
     sample_bounds,
@@ -184,3 +186,35 @@ def test_sampler_branches_share_keys_and_shapes():
     nominal = map_device_to_ges(bes, 1.0, T)
     assert np.array_equal(branches["no noise"]["p_c_max"][-1], nominal.p_c_max)
     assert np.all(branches["no noise"]["pc_ref"] == rating_refs(nominal)[0])
+
+
+def reference_column_stats(samples):
+    """Every column sorted after normalizing all of its draws."""
+    n, horizon = samples.shape
+    mu = samples.mean(axis=0)
+    sigma = samples.std(axis=0)
+    table = np.zeros((LEVELS.size, horizon))
+    ranks = np.minimum(np.ceil(LEVELS * n).astype(int), n) - 1
+    for t in range(horizon):
+        if sigma[t] >= SIGMA_FLOOR:
+            table[:, t] = np.sort((samples[:, t] - mu[t]) / sigma[t])[ranks]
+        else:
+            sigma[t] = 0.0
+    return mu, sigma, table
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0, 1e3, 1e6, 1e9, -1e12])
+@pytest.mark.parametrize("n", [1, 7, 4000])
+def test_column_stats_equal_the_reference_bit_for_bit(scale, n):
+    rng = np.random.default_rng(n)
+    row = scale * (1.0 + rng.random(T))
+    draws = row * (1.0 + 0.01 * rng.standard_normal((n, T)))
+    # a draw-invariant row broadcast over the draws, as propagate_diu passes it,
+    # and a sampled matrix
+    for samples in (np.broadcast_to(row, (n, T)), draws):
+        got = _column_stats(samples, seed=3)
+        for a, b in zip((got.mu, got.sigma, got.table), reference_column_stats(samples)):
+            assert a.tobytes() == b.tobytes()
+    if abs(scale) >= 1e6 and n == 4000:
+        # the broadcast mean is off by more than the floor: the full computation ran
+        assert np.any(_column_stats(np.broadcast_to(row, (n, T)), seed=3).sigma > 0)

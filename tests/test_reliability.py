@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from gesdispatch.ddu import DduSpec
-from gesdispatch.errors import DimensionMismatch
+from gesdispatch.errors import DimensionMismatch, InvalidSpec
 from gesdispatch.ges import UnitSchedule
-from gesdispatch.optimizer import DispatchStrategy, SolveMetadata, solve_cco_diu
+from gesdispatch.optimizer import DispatchStrategy, SolveMetadata, aggregate_scenario, solve_cco_diu
 from gesdispatch.reliability import (
     RealizationBatch,
     UnitRealization,
@@ -16,6 +16,7 @@ from gesdispatch.reliability import (
     compute_lorp_erns,
     evaluate_many,
     evaluate_reliability,
+    expost_row_frequencies,
     penalty_cost,
     realize_practical_bounds,
 )
@@ -229,6 +230,16 @@ def test_units_with_different_prices_realize_as_if_alone():
         alone = realize_practical_bounds(strat, replace(scn, units=[u]), draws=200, seed=4)
         assert np.array_equal(both[u.unit_id].upper, alone.units[u.unit_id].upper)
         assert np.array_equal(both[u.unit_id].lower, alone.units[u.unit_id].lower)
+
+
+def test_aggregated_fleet_is_not_evaluated(smoke3):
+    # the virtual unit keeps its first member's device beside the merged storage view
+    agg = aggregate_scenario(smoke3)
+    strategy = solve_cco_diu(agg)
+    with pytest.raises(InvalidSpec, match="aggregate"):
+        evaluate_reliability(strategy, agg, draws=50, seed=1)
+    with pytest.raises(InvalidSpec, match="aggregate"):
+        expost_row_frequencies(strategy, agg, draws=50, seed=1)
 
 
 def test_lorp_weakly_increases_with_gamma(smoke3):

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from gesdispatch.errors import ParseError, ValidationError
+from gesdispatch import diu
+from gesdispatch.errors import InvalidSpec, ParseError, ValidationError
 from gesdispatch.scenario_io import load_scenario, serialize
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -23,6 +25,33 @@ def test_smoke_fleet_composition(smoke3):
     kinds = sorted(u.dev.kind for u in smoke3.units)
     assert kinds == ["BES", "EV", "TCL_IVA"]
     assert smoke3.gamma == 0.05
+
+
+@pytest.mark.parametrize("name, fixture", [("smoke3", "smoke3"), ("synthetic_100tcl", "tcl100")])
+def test_statistics_equal_a_serial_propagation_loop(name, fixture, request):
+    scn = request.getfixturevalue(fixture)
+    cfg = yaml.safe_load((FIXTURES / name / "scenario.yaml").read_text())["diu"]
+    for u in load_scenario(FIXTURES / name, compute_stats=False).units:
+        got = scn.units[[v.unit_id for v in scn.units].index(u.unit_id)].stats
+        if not u.unit_dists and u.baseline_dist is None:
+            assert got is None
+            continue
+        want = diu.propagate_diu(u.unit_dists, u.dev, u.baseline_dist, scn.dt, scn.horizon,
+                                 n=cfg["samples"], seed=cfg["seed"])
+        for kind in diu.BOUND_KINDS:
+            a, b = got.get(kind), want.get(kind)
+            for field in ("mu", "sigma", "table"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), (u.unit_id, kind, field)
+
+
+def test_failing_propagation_raises_its_error(tmp_path):
+    dst = tmp_path / "no_samples"
+    shutil.copytree(FIXTURES / "smoke3", dst)
+    cfg = yaml.safe_load((dst / "scenario.yaml").read_text())
+    cfg["diu"]["samples"] = 0
+    (dst / "scenario.yaml").write_text(yaml.safe_dump(cfg))
+    with pytest.raises(InvalidSpec, match="sample count must be >= 1, got 0"):
+        load_scenario(dst)
 
 
 def test_price_ordering_violation(tmp_path):
