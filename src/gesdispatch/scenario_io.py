@@ -30,7 +30,7 @@ import yaml
 from . import distributions as dist
 from .cantelli import parse_shape
 from .ddu import DduSpec
-from .diu import UnitBoundStats, propagate_diu
+from .diu import propagate_diu
 from .distributions import DistributionSpec
 from .errors import ParseError, ValidationError
 from .ges import DeviceDescription, map_device_to_ges
@@ -95,29 +95,25 @@ def _dist_from_row(family: str, mean: float, sigma: float, where: str, issues):
     return DistributionSpec.point(mean)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _propagate_all(units: list[UnitSpec], dt: float, horizon: int, n: int, seed: int) -> None:
     """Fill `stats` of every unit with identification or baseline noise.
 
-    The units run on a thread pool sized to the usable CPUs: each unit draws
-    only from its own seed sequence and the heavy numpy calls release the
-    GIL, so the statistics do not depend on the pool.  Results are read in
-    unit order, so the first failing unit in file order raises.
+    The units run on a thread pool sized to the CPUs this process may use
+    (its affinity mask where the OS has one), at most one thread per unit.
+    Each unit draws only from its own seed sequence and the heavy numpy
+    calls release the GIL, so the statistics do not depend on the pool.
+    Results are read in unit order, so the first failing unit in file order
+    raises.
     """
     noisy = [u for u in units if u.unit_dists or u.baseline_dist is not None]
     if not noisy:
         return
 
-    def propagate(u: UnitSpec) -> UnitBoundStats:
+    def propagate(u: UnitSpec):
         return propagate_diu(u.unit_dists, u.dev, u.baseline_dist, dt, horizon, n=n, seed=seed)
 
-    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), len(noisy))) as pool:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(cpus, len(noisy))) as pool:
         for u, stats in zip(noisy, pool.map(propagate, noisy)):
             u.stats = stats
 
