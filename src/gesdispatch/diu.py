@@ -110,13 +110,11 @@ def _column_stats(samples: np.ndarray, seed: int) -> BoundStats:
     if samples.strides[0] == 0 and np.all(np.abs(samples[0] - mu) < SIGMA_FLOOR / 2):
         return BoundStats(mu=mu, sigma=np.zeros(horizon), sample_count=n, seed=seed, table=table)
     sigma = samples.std(axis=0)
+    live = sigma >= SIGMA_FLOOR
+    sigma[~live] = 0.0
     ranks = np.minimum(np.ceil(LEVELS * n).astype(int), n) - 1
-    for t in range(horizon):
-        if sigma[t] >= SIGMA_FLOOR:
-            # normalizing is monotone, so sorting first picks the same ranks
-            table[:, t] = (np.sort(samples[:, t])[ranks] - mu[t]) / sigma[t]
-        else:
-            sigma[t] = 0.0
+    # normalizing is monotone, so sorting first picks the same ranks
+    table[:, live] = (np.sort(samples[:, live], axis=0)[ranks] - mu[live]) / sigma[live]
     return BoundStats(mu=mu, sigma=sigma, sample_count=n, seed=seed, table=table)
 
 
