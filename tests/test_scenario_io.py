@@ -31,8 +31,9 @@ def test_smoke_fleet_composition(smoke3):
 def test_statistics_equal_a_serial_propagation_loop(name, fixture, request):
     scn = request.getfixturevalue(fixture)
     cfg = yaml.safe_load((FIXTURES / name / "scenario.yaml").read_text())["diu"]
-    for u in load_scenario(FIXTURES / name, compute_stats=False).units:
-        got = scn.units[[v.unit_id for v in scn.units].index(u.unit_id)].stats
+    for pooled, u in zip(scn.units, load_scenario(FIXTURES / name, compute_stats=False).units, strict=True):
+        assert pooled.unit_id == u.unit_id
+        got = pooled.stats
         if not u.unit_dists and u.baseline_dist is None:
             assert got is None
             continue
