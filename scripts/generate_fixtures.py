@@ -88,7 +88,6 @@ def write_config(root: Path, **extra):
         "horizon": HORIZON,
         "dt": 1.0,
         "gamma": 0.05,
-        "model_mode": "M3",
         "shape_class": "unimodal",
     }
     cfg.update(extra)

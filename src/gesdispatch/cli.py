@@ -26,7 +26,7 @@ import yaml
 
 from . import __version__
 from .cantelli import ShapeClass, cantelli_bound, parse_shape
-from .errors import GesDispatchError, InfeasibleBounds, ValidationError
+from .errors import GesDispatchError, InfeasibleBounds, ValidationError, first_few
 from .ges import UnitSchedule
 from .optimizer import (
     DispatchStrategy,
@@ -43,45 +43,33 @@ from .scenario import ReserveSpec, ScenarioBundle
 from .scenario_io import fmt, load_scenario
 
 
+MODEL_MODES = ("M1", "M2", "M3")
+RESERVE_MODES = ("S1", "S2")
+
+
 @dataclass
 class RunConfig:
-    """Validated run options; mirrors the solve-family CLI flags."""
+    """Run options of one solve; mirrors the solve-family CLI flags."""
 
     model_mode: str = "M3"
     reformulation: str = "R1"
-    shape: str = "unimodal"
+    shape: str | None = None  # None keeps the scenario's shape class
     shape_nu: float | None = None
     gamma: float | None = None
     gamma_balance: float | None = None
     delta: float = 1e-3
     max_iter: int = 25
-    mcs_n: int = 10_000
     seed: int = 0
     window: str | None = None
     discomfort_variant: str | None = None
     a1: bool = False
     a2: bool = False
-    a3: bool = False
     reserve: str = "none"
     out: str = "out"
 
     def validate(self) -> None:
-        issues = []
-        if self.model_mode not in ("M1", "M2", "M3"):
-            issues.append(f"unknown model mode {self.model_mode!r}")
-        if self.reformulation not in ("R1", "R2"):
-            issues.append(f"unknown reformulation {self.reformulation!r}")
         if self.reformulation == "R2" and self.model_mode != "M3":
-            issues.append("R2 requires model mode M3")
-        if self.a3 and self.reformulation == "R2":
-            issues.append("A3 (robust fallback) forces R1; drop --reform R2")
-        if self.reserve not in ("none", "S1", "S2"):
-            issues.append(f"unknown reserve mode {self.reserve!r}")
-        if issues:
-            raise ValidationError(issues)
-
-    def effective_max_iter(self) -> int:
-        return 2 if self.a2 else self.max_iter
+            raise ValidationError(["R2 requires model mode M3"])
 
 
 def _parse_window(text: str, horizon: int) -> np.ndarray:
@@ -116,7 +104,7 @@ def _override(scn: ScenarioBundle, flags: str, **kw) -> ScenarioBundle:
 
 
 def _apply_config(scn: ScenarioBundle, cfg: RunConfig) -> ScenarioBundle:
-    kw = {"model_mode": cfg.model_mode}
+    kw = {}
     if cfg.gamma is not None:
         kw["gamma"] = cfg.gamma
         kw["gamma_balance"] = cfg.gamma_balance if cfg.gamma_balance is not None else cfg.gamma
@@ -147,10 +135,10 @@ def _dispatch(scn: ScenarioBundle, cfg: RunConfig) -> DispatchStrategy:
         return solve_deterministic_m1(scn)
     if cfg.model_mode == "M2":
         return solve_cco_diu(scn)
-    if cfg.reformulation == "R1" or cfg.a3:
+    if cfg.reformulation == "R1":
         return robust_solve_r1(scn)
     return iterative_solve_r2(
-        scn, delta=cfg.delta, max_iter=cfg.effective_max_iter(),
+        scn, delta=cfg.delta, max_iter=2 if cfg.a2 else cfg.max_iter,
         on_max_iter="return" if cfg.a2 else "raise",
     )
 
@@ -212,7 +200,7 @@ def read_strategy(path: Path, scn: ScenarioBundle) -> DispatchStrategy:
     missing = [u.unit_id for u in scn.units if u.unit_id not in per_unit]
     if missing:
         raise ValidationError([f"{path / 'strategy_units.csv'}: no schedule for scenario unit(s) "
-                               + ", ".join(missing)])
+                               + first_few(missing)])
     schedules = {}
     rd = {}
     for u in scn.units:
@@ -276,7 +264,7 @@ def _cfg_from_args(args) -> RunConfig:
         shape_nu=args.nu, gamma=args.gamma, gamma_balance=args.gamma_balance,
         delta=args.delta, max_iter=args.max_iter, seed=args.seed,
         window=args.window, discomfort_variant=args.variant,
-        a1=args.a1, a2=args.a2, a3=args.a3, reserve=args.reserve,
+        a1=args.a1, a2=args.a2, reserve=args.reserve,
         out=args.out,
     )
     cfg.validate()
@@ -334,54 +322,55 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    base = load_scenario(args.scenario)
+def _solve_grid(args, choices, config, name: str, columns: list[str], values) -> int:
+    """Solve `config(gamma, mode)` for every `--gammas` x `--modes` pair and
+    write one CSV row per solve: gamma, mode, the day-ahead cost, then the
+    `columns` that `values(scn, strategy)` returns."""
     gammas = [float(g) for g in args.gammas.split(",")]
     modes = args.modes.split(",")
+    unknown = [m for m in modes if m not in choices]
+    if unknown:
+        raise ValidationError([f"--modes: unknown mode {m!r} (choose from {', '.join(choices)})"
+                               for m in unknown])
+    base = load_scenario(args.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for gamma in gammas:
         for mode in modes:
-            cfg = RunConfig(model_mode=mode, reformulation=args.reform, shape=args.shape,
-                            gamma=gamma, seed=args.seed)
-            cfg.validate()
+            cfg = config(gamma, mode)
             scn = _apply_config(base, cfg)
             strategy = _dispatch(scn, cfg)
-            report = evaluate_reliability(strategy, scn, args.draws, args.seed)
-            rows.append([fmt(gamma), mode, fmt(strategy.objective_value),
-                         fmt(report.lorp), fmt(report.cost_rt), fmt(report.cost_tc)])
-    with open(out / "sweep.csv", "w", newline="") as fh:
+            rows.append([fmt(gamma), mode, fmt(strategy.objective_value)]
+                        + [fmt(v) for v in values(scn, strategy)])
+    with open(out / name, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["gamma", "mode", "cost_da", "lorp", "cost_rt", "cost_tc"])
+        w.writerow(["gamma", "mode", "cost_da", *columns])
         w.writerows(rows)
-    print(f"{len(rows)} rows -> {out / 'sweep.csv'}")
+    print(f"{len(rows)} rows -> {out / name}")
     return 0
+
+
+def cmd_sweep(args) -> int:
+    def config(gamma, mode):
+        # R2 reformulates M3 only; the M1 and M2 rows solve as under R1
+        return RunConfig(model_mode=mode, reformulation=args.reform if mode == "M3" else "R1",
+                         shape=args.shape, gamma=gamma, seed=args.seed)
+
+    def values(scn, strategy):
+        report = evaluate_reliability(strategy, scn, args.draws, args.seed)
+        return report.lorp, report.cost_rt, report.cost_tc
+
+    return _solve_grid(args, MODEL_MODES, config, "sweep.csv", ["lorp", "cost_rt", "cost_tc"], values)
 
 
 def cmd_reserve(args) -> int:
-    base = load_scenario(args.scenario)
-    gammas = [float(g) for g in args.gammas.split(",")]
-    modes = args.modes.split(",")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for gamma in gammas:
-        scn = _override(base, f"--gammas {gamma}", gamma=gamma, gamma_balance=gamma)
-        for mode in modes:
-            spec = replace(scn.reserve or ReserveSpec(), mode=mode)
-            strategy = solve_with_reserve(scn, spec)
-            d = strategy.reserve_diag
-            rows.append([fmt(gamma), mode, fmt(strategy.objective_value),
-                         fmt(d["ges_energy_kwh"]), fmt(d["reserve_energy_kwh"]),
-                         fmt(d["reserve_cost"])])
-    with open(out / "reserve.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["gamma", "mode", "cost_da", "ges_energy_kwh",
-                    "reserve_energy_kwh", "reserve_cost"])
-        w.writerows(rows)
-    print(f"{len(rows)} rows -> {out / 'reserve.csv'}")
-    return 0
+    def values(scn, strategy):
+        d = strategy.reserve_diag
+        return d["ges_energy_kwh"], d["reserve_energy_kwh"], d["reserve_cost"]
+
+    return _solve_grid(args, RESERVE_MODES, lambda gamma, mode: RunConfig(reserve=mode, gamma=gamma),
+                       "reserve.csv", ["ges_energy_kwh", "reserve_energy_kwh", "reserve_cost"], values)
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def solve_flags(p):
         p.add_argument("--scenario", required=True)
-        p.add_argument("--mode", default="M3", choices=["M1", "M2", "M3"])
+        p.add_argument("--mode", default="M3", choices=MODEL_MODES)
         p.add_argument("--reform", default="R1", choices=["R1", "R2"])
-        p.add_argument("--shape", default="unimodal")
+        p.add_argument("--shape", default=None, help="overrides the scenario's shape_class")
         p.add_argument("--nu", type=float, default=None)
         p.add_argument("--gamma", type=float, default=None)
         p.add_argument("--gamma-balance", dest="gamma_balance", type=float, default=None)
@@ -408,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--variant", default=None, choices=["F1", "F2", "F3"])
         p.add_argument("--a1", action="store_true", help="aggregate the fleet before solving")
         p.add_argument("--a2", action="store_true", help="cap the fixed-point loop at 2 iterations")
-        p.add_argument("--a3", action="store_true", help="fall back to the one-shot robust solve")
-        p.add_argument("--reserve", default="none", choices=["none", "S1", "S2"])
+        p.add_argument("--reserve", default="none", choices=["none", *RESERVE_MODES])
         p.add_argument("--out", default=default_out)
 
     p = sub.add_parser("solve", help="solve the day-ahead dispatch")
@@ -435,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--gammas", default="0.05")
     p.add_argument("--modes", default="M1,M2,M3")
-    p.add_argument("--reform", default="R1", choices=["R1", "R2"])
-    p.add_argument("--shape", default="unimodal")
+    p.add_argument("--reform", default="R1", choices=["R1", "R2"], help="reformulation of the M3 rows")
+    p.add_argument("--shape", default=None, help="overrides the scenario's shape_class")
     p.add_argument("--draws", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=default_out)

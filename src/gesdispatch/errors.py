@@ -1,6 +1,13 @@
 """Exception hierarchy shared across the package."""
 
 
+def first_few(items, limit: int = 5) -> str:
+    """The first `limit` of `items`, comma-separated, then "(+N more)" for the rest."""
+    items = list(items)
+    more = "" if len(items) <= limit else f" (+{len(items) - limit} more)"
+    return ", ".join(str(i) for i in items[:limit]) + more
+
+
 class GesDispatchError(Exception):
     """Base class for all package errors."""
 
@@ -45,11 +52,8 @@ class InfeasibleBounds(GesDispatchError):
 
     def __init__(self, entries):
         self.entries = list(entries)
-        detail = ", ".join(
-            f"unit={u} t={t} [{lo:.4g}, {hi:.4g}]" for u, t, lo, hi in self.entries[:5]
-        )
-        more = "" if len(self.entries) <= 5 else f" (+{len(self.entries) - 5} more)"
-        super().__init__(f"empty tightened interval(s): {detail}{more}")
+        super().__init__("empty tightened interval(s): " + first_few(
+            f"unit={u} t={t} [{lo:.4g}, {hi:.4g}]" for u, t, lo, hi in self.entries))
 
 
 class NonTighteningCoefficient(GesDispatchError):
@@ -86,8 +90,9 @@ class ParseError(GesDispatchError):
 
 
 class ValidationError(GesDispatchError):
-    """Scenario validation failed; ``issues`` lists every violation found."""
+    """Invalid input (scenario, command-line option or saved strategy);
+    ``issues`` lists every violation found."""
 
     def __init__(self, issues):
         self.issues = list(issues)
-        super().__init__("scenario validation failed:\n" + "\n".join(f"  - {s}" for s in self.issues))
+        super().__init__("invalid input:\n" + "\n".join(f"  - {s}" for s in self.issues))

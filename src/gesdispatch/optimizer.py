@@ -436,7 +436,7 @@ def deterministic_scenario(scn: ScenarioBundle) -> ScenarioBundle:
         units.append(replace(u, params=params, stats=None))
     load_pt = [DistributionSpec.point(dist.mean(d)) for d in scn.load_dist]
     res_pt = [DistributionSpec.point(dist.mean(d)) for d in scn.res_dist]
-    return replace(scn, units=units, load_dist=load_pt, res_dist=res_pt, model_mode="M1")
+    return replace(scn, units=units, load_dist=load_pt, res_dist=res_pt)
 
 
 def solve_deterministic_m1(scn: ScenarioBundle) -> DispatchStrategy:

@@ -21,9 +21,6 @@ from .distributions import DistributionSpec
 from .errors import ValidationError
 from .ges import DeviceDescription, GesParams
 
-MODEL_MODES = ("M1", "M2", "M3")
-
-
 @dataclass
 class ReserveSpec:
     """Reserve-market configuration for the availability-backed dispatch."""
@@ -84,7 +81,6 @@ class ScenarioBundle:
     gamma: float = 0.05
     gamma_balance: float | None = None
     dispatch_window: np.ndarray | None = None  # boolean mask over steps; None = all
-    model_mode: str = "M3"
     shape_class: ShapeClass = UNIMODAL
     reserve: ReserveSpec | None = None
 
@@ -112,8 +108,6 @@ class ScenarioBundle:
         for name, g in (("gamma", self.gamma), ("gamma_balance", self.gamma_balance)):
             if not 0.0 < g < 1.0:
                 issues.append(f"{name} must lie in (0, 1), got {g}")
-        if self.model_mode not in MODEL_MODES:
-            issues.append(f"model_mode must be one of {MODEL_MODES}, got {self.model_mode!r}")
         if self.tou_price.shape != (self.horizon,):
             issues.append(f"tou_price must have length {self.horizon}")
         elif np.any(self.tou_price <= 0):

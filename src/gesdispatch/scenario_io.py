@@ -287,7 +287,6 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
         gamma=gamma,
         gamma_balance=(float(cfg["gamma_balance"]) if cfg.get("gamma_balance") is not None else None),
         dispatch_window=window,
-        model_mode=str(cfg.get("model_mode", "M3")),
         shape_class=shape,
         reserve=reserve,
     )
@@ -314,7 +313,6 @@ def serialize(bundle: ScenarioBundle, path, diu_samples: int = 10_000, diu_seed:
         "gamma": float(bundle.gamma),
         "gamma_balance": float(bundle.gamma_balance),
         "grid_cap": float(bundle.grid_cap),
-        "model_mode": bundle.model_mode,
         "shape_class": bundle.shape_class.kind,
         "diu": {"samples": diu_samples, "seed": diu_seed},
     }

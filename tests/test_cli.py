@@ -179,3 +179,72 @@ def test_window_ranges_and_steps_combine():
 
     mask = _parse_window(" 1-2, 5 ,23,", 24)
     assert list(np.flatnonzero(mask)) == [1, 2, 5, 23]
+
+
+def test_scenario_shape_class_holds_without_shape_flag(tmp_path, capsys):
+    import shutil
+
+    from gesdispatch.optimizer import robust_solve_r1
+    from gesdispatch.scenario_io import load_scenario
+
+    scn_dir = tmp_path / "smoke3_na"
+    shutil.copytree(FIXTURES / "smoke3", scn_dir)
+    cfg = yaml.safe_load((scn_dir / "scenario.yaml").read_text())
+    cfg["shape_class"] = "no_assumption"
+    (scn_dir / "scenario.yaml").write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "s"
+    assert main(["solve", "--scenario", str(scn_dir), "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = yaml.safe_load((out / "summary.yaml").read_text())
+    assert float(summary["objective"]) == robust_solve_r1(load_scenario(scn_dir)).objective_value
+
+
+def test_sweep_applies_r2_to_the_m3_rows(tmp_path, capsys):
+    rows = {}
+    for reform in ("R1", "R2"):
+        out = tmp_path / reform
+        assert main(["sweep", "--scenario", SMOKE, "--reform", reform, "--draws", "200",
+                     "--out", str(out)]) == 0
+        rows[reform] = (out / "sweep.csv").read_text().splitlines()
+    capsys.readouterr()
+    assert [r.split(",")[1] for r in rows["R2"][1:]] == ["M1", "M2", "M3"]
+    assert rows["R2"][:3] == rows["R1"][:3]  # header, M1 and M2 rows byte-equal
+    assert rows["R2"][3] != rows["R1"][3]
+
+
+def test_sweep_and_reserve_rows_equal_the_solve_command(tmp_path, capsys):
+    sweep, reserve = tmp_path / "sweep", tmp_path / "reserve"
+    assert main(["sweep", "--scenario", SMOKE, "--gammas", "0.1", "--modes", "M2",
+                 "--draws", "200", "--out", str(sweep)]) == 0
+    assert main(["reserve", "--scenario", SMOKE, "--gammas", "0.1", "--modes", "S1",
+                 "--out", str(reserve)]) == 0
+    for argv, table in ((["--mode", "M2"], sweep / "sweep.csv"),
+                        (["--reserve", "S1"], reserve / "reserve.csv")):
+        out = tmp_path / argv[1]
+        assert main(["solve", "--scenario", SMOKE, "--gamma", "0.1", *argv, "--out", str(out)]) == 0
+        summary = yaml.safe_load((out / "summary.yaml").read_text())
+        (row,) = csv.DictReader(table.read_text().splitlines())
+        assert row["cost_da"] == summary["objective"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, modes", [("sweep", "M2,M4"), ("reserve", "S1,none")])
+def test_unknown_grid_mode_exits_2(tmp_path, capsys, command, modes):
+    out = tmp_path / "x"
+    code = main([command, "--scenario", SMOKE, "--modes", modes, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--modes" in err and modes.split(",")[1] in err and "scenario" not in err
+    assert not out.exists()
+
+
+def test_mismatched_strategy_message_caps_the_unit_list(tmp_path, capsys):
+    strat = tmp_path / "s"
+    assert main(["solve", "--scenario", SMOKE, "--mode", "M2", "--out", str(strat)]) == 0
+    code = main(["evaluate", "--scenario", TCL100, "--strategy", str(strat),
+                 "--draws", "50", "--out", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("invalid input:")
+    assert "tcl000, tcl001, tcl002, tcl003, tcl004 (+95 more)" in err
+    assert "tcl005" not in err
