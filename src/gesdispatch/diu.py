@@ -33,7 +33,7 @@ BOUND_KINDS = ("p_c_max", "p_d_max", "soc_lo", "soc_hi", "alpha")
 #: percent grid at which normalized empirical quantiles are tabulated
 LEVELS = np.arange(1, 100) / 100.0
 
-#: tolerance below a tabulated level within which a request still uses it
+#: tolerance beyond a tabulated level within which a request still uses it
 LEVEL_SLACK = 1e-9
 
 
@@ -50,17 +50,20 @@ class BoundStats:
     def inv_cdf(self, level: float) -> np.ndarray:
         """Normalized quantile per step at `level`, from the tabulated grid.
 
-        Rounds up to the smallest tabulated level at or above `level`, so a
-        tail factor is never less conservative than the one requested; the
-        1e-9 slack keeps on-grid levels such as 1 - 0.05 on their own row.
+        Rounds toward the tail the level serves: down for a level below 0.5,
+        up for one above, so a tail factor is never less conservative than
+        the one requested on either side; the 1e-9 slack keeps on-grid levels
+        such as 0.05 and 1 - 0.05 on their own row.
         """
         if self.table is None:
             return np.zeros_like(self.mu)
-        if level > LEVELS[-1] + LEVEL_SLACK:
+        if not LEVELS[0] - LEVEL_SLACK <= level <= LEVELS[-1] + LEVEL_SLACK:
             raise InvalidSpec(
-                f"quantile level {level} is above the largest tabulated level "
-                f"{LEVELS[-1]}; the smallest supported gamma is {1.0 - LEVELS[-1]:.2f}"
+                f"quantile level {level} is outside the tabulated levels "
+                f"[{LEVELS[0]}, {LEVELS[-1]}]; the smallest supported gamma is {LEVELS[0]:.2f}"
             )
+        if level < 0.5:
+            return self.table[int(np.searchsorted(LEVELS, level + LEVEL_SLACK, side="right")) - 1]
         return self.table[int(np.searchsorted(LEVELS, level - LEVEL_SLACK))]
 
     @classmethod

@@ -104,15 +104,14 @@ def _build_skeleton(scn: ScenarioBundle, soc_bounds: dict | None = None) -> LpPr
     horizon = scn.horizon
     dt = scn.dt
     window = scn.window_mask()
-    level = 1.0 - scn.gamma
     grid = prob.add_columns(GRID, {"g": (0.0, scn.grid_cap)}, horizon)["g"]
     prob.add_objective(grid, scn.tou_price * dt)
     for u in scn.units:
         uid = u.unit_id
         p = u.params
         stats = _unit_stats(u)
-        pc_ub = np.maximum(0.0, stats.p_c_max.mu - stats.p_c_max.inv_cdf(level) * stats.p_c_max.sigma)
-        pd_ub = np.maximum(0.0, stats.p_d_max.mu - stats.p_d_max.inv_cdf(level) * stats.p_d_max.sigma)
+        pc_ub = np.maximum(0.0, stats.p_c_max.mu + stats.p_c_max.inv_cdf(scn.gamma) * stats.p_c_max.sigma)
+        pd_ub = np.maximum(0.0, stats.p_d_max.mu + stats.p_d_max.inv_cdf(scn.gamma) * stats.p_d_max.sigma)
         cols = prob.add_columns(uid, {
             "pc": (0.0, np.where(window, pc_ub, 0.0)),
             "pd": (0.0, np.where(window, pd_ub, 0.0)),
@@ -149,13 +148,12 @@ def _build_skeleton(scn: ScenarioBundle, soc_bounds: dict | None = None) -> LpPr
 
 
 def balance_requirements(scn: ScenarioBundle) -> tuple[np.ndarray, np.ndarray]:
-    """Tail-adjusted load requirement and renewable credit per step."""
-    level = 1.0 - scn.gamma_balance
-    load = analytic_series_stats(scn.load_dist, level)
-    res = analytic_series_stats(scn.res_dist, level)
-    load_q = load.mu + load.f_inv * load.sigma
-    res_q = res.mu - res.f_inv * res.sigma
-    return load_q, res_q
+    """Tail-adjusted load requirement and renewable credit per step: the
+    (1 - gamma_balance)-quantile of load and the gamma_balance-quantile of
+    renewables."""
+    load = analytic_series_stats(scn.load_dist, 1.0 - scn.gamma_balance)
+    res = analytic_series_stats(scn.res_dist, scn.gamma_balance)
+    return load.mu + load.f_inv * load.sigma, res.mu + res.f_inv * res.sigma
 
 
 def _crossed(uid: str, lo: np.ndarray, hi: np.ndarray) -> list[tuple[str, int, float, float]]:
@@ -176,7 +174,7 @@ def build_cco_diu(scn: ScenarioBundle) -> LpProblem:
         p = u.params
         stats = _unit_stats(u)
         lo = np.maximum(p.soc_phys_lo, stats.soc_lo.mu + stats.soc_lo.inv_cdf(level) * stats.soc_lo.sigma)
-        hi = np.minimum(p.soc_phys_hi, stats.soc_hi.mu - stats.soc_hi.inv_cdf(level) * stats.soc_hi.sigma)
+        hi = np.minimum(p.soc_phys_hi, stats.soc_hi.mu + stats.soc_hi.inv_cdf(scn.gamma) * stats.soc_hi.sigma)
         bad.extend(_crossed(u.unit_id, lo, hi))
         soc_bounds[u.unit_id] = (lo, hi)
     if bad:

@@ -50,13 +50,7 @@ from gesdispatch.reliability import (
 from gesdispatch.reserve import required_reliability, reserve_price, solve_with_reserve
 from gesdispatch.scenario import ReserveSpec
 
-from util import bes_device, make_scenario, make_unit
-
-PROPAGATION_SAMPLES = 4000  # diu.samples in both bundled fixtures
-
-
-def stat_threshold(gamma, draws):
-    return gamma + 3.0 * math.sqrt(gamma * (1.0 - gamma) * (1.0 / draws + 1.0 / PROPAGATION_SAMPLES))
+from util import bes_device, make_scenario, make_unit, stat_threshold
 
 
 def report(criterion, ok, detail):

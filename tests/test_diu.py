@@ -124,10 +124,29 @@ def test_inv_cdf_rounds_up_to_the_next_tabulated_level():
     assert np.array_equal(emp.inv_cdf(1.0 - 0.55), emp.table[44])
 
 
+def test_inv_cdf_rounds_down_in_the_lower_tail():
+    dists = [DistributionSpec.lognormal(0.0, 0.4)] * 3
+    n = 20_000
+    emp = series_stats(dists, n=n, seed=4)
+    f = emp.inv_cdf(0.025)
+    assert LEVELS[1] == 0.02
+    assert np.array_equal(f, emp.table[1])
+    samples = sample_columns(dists, n, np.random.SeedSequence([4]).spawn(len(dists)))
+    for t in range(len(dists)):
+        z = (samples[:, t] - emp.mu[t]) / emp.sigma[t]
+        assert f[t] <= empirical_inverse_cdf(z, 0.025)
+    # on-grid requests keep their own level on both sides of the median
+    assert np.array_equal(emp.inv_cdf(0.05), emp.table[4])
+    assert np.array_equal(emp.inv_cdf(0.45), emp.table[44])
+    assert np.array_equal(emp.inv_cdf(0.01), emp.table[0])
+
+
 def test_inv_cdf_beyond_the_table_raises():
     emp = series_stats([DistributionSpec.lognormal(0.0, 0.4)] * 3, n=2_000, seed=4)
     with pytest.raises(InvalidSpec, match="0.01"):
         emp.inv_cdf(1.0 - 0.005)
+    with pytest.raises(InvalidSpec, match="0.01"):
+        emp.inv_cdf(0.005)
 
 
 def test_deterministic_stats_helper():

@@ -2,12 +2,24 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from gesdispatch.ddu import DduSpec
 from gesdispatch.distributions import DistributionSpec
 from gesdispatch.ges import DeviceDescription, map_device_to_ges
 from gesdispatch.scenario import ScenarioBundle, UnitSpec
+
+
+PROPAGATION_SAMPLES = 4000  # diu.samples in both bundled fixtures
+
+
+def stat_threshold(gamma, draws):
+    """Largest violation share consistent with a row that holds at `gamma`:
+    gamma plus three standard errors of the evaluation sample and of the
+    bound statistics (PROPAGATION_SAMPLES draws)."""
+    return gamma + 3.0 * math.sqrt(gamma * (1.0 - gamma) * (1.0 / draws + 1.0 / PROPAGATION_SAMPLES))
 
 
 def bes_device(uid="bes", S=50.0, rating=10.0, soc_lo=0.1, soc_hi=0.9,
