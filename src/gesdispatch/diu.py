@@ -66,6 +66,10 @@ class BoundStats:
             return self.table[int(np.searchsorted(LEVELS, level + LEVEL_SLACK, side="right")) - 1]
         return self.table[int(np.searchsorted(LEVELS, level - LEVEL_SLACK))]
 
+    def quantile(self, level: float) -> np.ndarray:
+        """Per-step `level`-quantile of the bound, ``mu + inv_cdf(level) * sigma``."""
+        return self.mu + self.inv_cdf(level) * self.sigma
+
     @classmethod
     def deterministic(cls, values: np.ndarray, seed: int = 0) -> "BoundStats":
         values = np.asarray(values, dtype=float)

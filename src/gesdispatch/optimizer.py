@@ -110,8 +110,9 @@ def _build_skeleton(scn: ScenarioBundle, soc_bounds: dict | None = None) -> LpPr
         uid = u.unit_id
         p = u.params
         stats = _unit_stats(u)
-        pc_ub = np.maximum(0.0, stats.p_c_max.mu + stats.p_c_max.inv_cdf(scn.gamma) * stats.p_c_max.sigma)
-        pd_ub = np.maximum(0.0, stats.p_d_max.mu + stats.p_d_max.inv_cdf(scn.gamma) * stats.p_d_max.sigma)
+        # each bound holds with probability 1 - gamma: an upper limit at its gamma-quantile
+        pc_ub = np.maximum(0.0, stats.p_c_max.quantile(scn.gamma))
+        pd_ub = np.maximum(0.0, stats.p_d_max.quantile(scn.gamma))
         cols = prob.add_columns(uid, {
             "pc": (0.0, np.where(window, pc_ub, 0.0)),
             "pd": (0.0, np.where(window, pd_ub, 0.0)),
@@ -167,14 +168,13 @@ def _crossed(uid: str, lo: np.ndarray, hi: np.ndarray) -> list[tuple[str, int, f
 
 def build_cco_diu(scn: ScenarioBundle) -> LpProblem:
     """Chance-constrained LP with tail-tightened exogenous bounds."""
-    level = 1.0 - scn.gamma
     soc_bounds = {}
     bad: list[tuple[str, int, float, float]] = []
     for u in scn.units:
         p = u.params
         stats = _unit_stats(u)
-        lo = np.maximum(p.soc_phys_lo, stats.soc_lo.mu + stats.soc_lo.inv_cdf(level) * stats.soc_lo.sigma)
-        hi = np.minimum(p.soc_phys_hi, stats.soc_hi.mu + stats.soc_hi.inv_cdf(scn.gamma) * stats.soc_hi.sigma)
+        lo = np.maximum(p.soc_phys_lo, stats.soc_lo.quantile(1.0 - scn.gamma))
+        hi = np.minimum(p.soc_phys_hi, stats.soc_hi.quantile(scn.gamma))
         bad.extend(_crossed(u.unit_id, lo, hi))
         soc_bounds[u.unit_id] = (lo, hi)
     if bad:

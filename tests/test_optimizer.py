@@ -6,11 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gesdispatch import distributions as dist
 from gesdispatch.cantelli import ShapeClass, parse_shape
 from gesdispatch.ddu import DduSpec
 from gesdispatch.diu import LEVELS, BoundStats, UnitBoundStats, propagate_diu
 from gesdispatch.distributions import DistributionSpec
-from gesdispatch import distributions as dist
 from gesdispatch.errors import InfeasibleBounds, MaxIterationsExceeded
 from gesdispatch.ges import DeviceDescription, UnitSchedule, check_feasibility
 from gesdispatch.optimizer import (
