@@ -39,12 +39,11 @@ from .optimizer import (
 )
 from .reliability import evaluate_reliability
 from .reserve import solve_with_reserve
-from .scenario import ReserveSpec, ScenarioBundle
+from .scenario import RESERVE_MODES, ReserveSpec, ScenarioBundle
 from .scenario_io import fmt, load_scenario
 
 
 MODEL_MODES = ("M1", "M2", "M3")
-RESERVE_MODES = ("S1", "S2")
 
 
 @dataclass

@@ -21,6 +21,9 @@ from .distributions import DistributionSpec
 from .errors import ValidationError
 from .ges import DeviceDescription, GesParams
 
+RESERVE_MODES = ("S1", "S2")
+
+
 @dataclass
 class ReserveSpec:
     """Reserve-market configuration for the availability-backed dispatch."""
@@ -36,7 +39,7 @@ class ReserveSpec:
 
     def validate(self) -> list[str]:
         issues = []
-        if self.mode not in ("S1", "S2"):
+        if self.mode not in RESERVE_MODES:
             issues.append(f"reserve mode must be S1 or S2, got {self.mode!r}")
         if not self.p_lo <= self.p_hi:
             issues.append("reserve power bounds must satisfy p_lo <= p_hi")
