@@ -8,8 +8,9 @@ Subcommands:
 * ``sweep``    — compare model modes / gammas on one scenario;
 * ``reserve``  — reserve-backed dispatch over a gamma sweep.
 
-Every run writes a ``manifest.yaml`` (configuration echo and seeds, no
-timestamps) sufficient to reproduce its outputs byte-for-byte.
+``solve``, ``sweep`` and ``reserve`` write a ``manifest.yaml`` (configuration
+echo and seeds, no timestamps) sufficient to reproduce their outputs
+byte-for-byte; ``evaluate`` and ``bounds`` write none.
 """
 
 from __future__ import annotations
@@ -146,10 +147,10 @@ def _dispatch(scn: ScenarioBundle, cfg: RunConfig) -> DispatchStrategy:
 # Artifacts
 
 
-def write_manifest(out: Path, cfg: RunConfig, scenario_path: str) -> None:
-    cfg_echo = asdict(cfg)
-    cfg_echo.pop("out", None)  # numeric artifacts must not depend on the output path
-    doc = {"version": __version__, "scenario": str(scenario_path), "config": cfg_echo}
+def write_manifest(out: Path, config: dict, scenario_path: str) -> None:
+    """Echo the version, scenario and `config`, which holds no output path:
+    numeric artifacts must not depend on where they are written."""
+    doc = {"version": __version__, "scenario": str(scenario_path), "config": config}
     (out / "manifest.yaml").write_text(yaml.safe_dump(doc, sort_keys=True))
 
 
@@ -285,7 +286,7 @@ def cmd_solve(args) -> int:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
     write_strategy(out, strategy)
-    write_manifest(out, cfg, args.scenario)
+    write_manifest(out, {k: v for k, v in asdict(cfg).items() if k != "out"}, args.scenario)
     print(f"objective {strategy.objective_value:.6f} -> {out}")
     return 0
 
@@ -321,10 +322,11 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _solve_grid(args, choices, config, name: str, columns: list[str], values) -> int:
+def _solve_grid(args, choices, config, name: str, columns: list[str], values, echo: dict) -> int:
     """Solve `config(gamma, mode)` for every `--gammas` x `--modes` pair and
     write one CSV row per solve: gamma, mode, the day-ahead cost, then the
-    `columns` that `values(scn, strategy)` returns."""
+    `columns` that `values(scn, strategy)` returns.  The manifest echoes the
+    grid and the other options in `echo`."""
     gammas = [float(g) for g in args.gammas.split(",")]
     modes = args.modes.split(",")
     unknown = [m for m in modes if m not in choices]
@@ -346,6 +348,7 @@ def _solve_grid(args, choices, config, name: str, columns: list[str], values) ->
         w = csv.writer(fh)
         w.writerow(["gamma", "mode", "cost_da", *columns])
         w.writerows(rows)
+    write_manifest(out, {"gammas": gammas, "modes": modes, **echo}, args.scenario)
     print(f"{len(rows)} rows -> {out / name}")
     return 0
 
@@ -360,7 +363,8 @@ def cmd_sweep(args) -> int:
         report = evaluate_reliability(strategy, scn, args.draws, args.seed)
         return report.lorp, report.cost_rt, report.cost_tc
 
-    return _solve_grid(args, MODEL_MODES, config, "sweep.csv", ["lorp", "cost_rt", "cost_tc"], values)
+    return _solve_grid(args, MODEL_MODES, config, "sweep.csv", ["lorp", "cost_rt", "cost_tc"], values,
+                       {"reform": args.reform, "shape": args.shape, "draws": args.draws, "seed": args.seed})
 
 
 def cmd_reserve(args) -> int:
@@ -369,7 +373,7 @@ def cmd_reserve(args) -> int:
         return d["ges_energy_kwh"], d["reserve_energy_kwh"], d["reserve_cost"]
 
     return _solve_grid(args, RESERVE_MODES, lambda gamma, mode: RunConfig(reserve=mode, gamma=gamma),
-                       "reserve.csv", ["ges_energy_kwh", "reserve_energy_kwh", "reserve_cost"], values)
+                       "reserve.csv", ["ges_energy_kwh", "reserve_energy_kwh", "reserve_cost"], values, {})
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,16 @@ Coefficients arrive as numpy COO pieces, one row family at a time; columns
 and rows are labelled ``(kind or family, unit, step)``.  The first solve
 assembles the matrices and freezes the structure; after that only
 right-hand sides change, in place, so solves that differ only there (the R2
-fixed point) never re-assemble.  The backend is scipy's HiGHS: an optimal
-solution, or an explicit infeasible/unbounded verdict, deterministic for
-identical input.
+fixed point) never re-assemble.
+
+The backend is one persistent HiGHS model per problem, driven through the
+bindings that ship with scipy.  The first solve passes the whole LP; a later
+solve passes only the row bounds whose right-hand side changed, and HiGHS
+starts from the previous basis.  A solve gives an optimal solution, or an
+explicit infeasible/unbounded verdict, deterministic for identical input.  A
+cold solve returns what ``scipy.optimize.linprog(method="highs")`` returns for
+the same arrays; a warm re-solve after a right-hand-side change can differ
+from a cold solve of the same LP in the last ulp of ``x``.
 """
 
 from __future__ import annotations
@@ -20,14 +27,23 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
+from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, HighsOptions, HighsStatus, MatrixFormat, _Highs
+from scipy.sparse import csr_matrix, vstack
 
 from .errors import InvalidSpec, NumericalFailure
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+#: HiGHS primal and dual feasibility tolerance
+_TOL = 1e-9
+#: the options scipy's linprog(method="highs") passes: presolve, dual simplex, no output
+_OPTIONS = {"presolve": "on", "simplex_strategy": 1, "primal_feasibility_tolerance": _TOL,
+            "dual_feasibility_tolerance": _TOL, "output_flag": False}
+#: HiGHS model status -> (scipy linprog status code, verdict); any other status is a NumericalFailure
+_VERDICTS = {HighsModelStatus.kOptimal: (0, OPTIMAL), HighsModelStatus.kInfeasible: (2, INFEASIBLE),
+             HighsModelStatus.kUnbounded: (3, UNBOUNDED)}
 
 #: row family sense -> (matrix, sign of the stored row)
 _SENSES = {"<=": ("ub", 1.0), ">=": ("ub", -1.0), "==": ("eq", 1.0)}
@@ -96,6 +112,7 @@ class LpProblem:
         self._num_rows = {"ub": 0, "eq": 0}
         self._pieces: dict[str, list] = {"ub": [], "eq": []}
         self._arrays: LpArrays | None = None
+        self._model = _Model()
 
     def add_columns(self, unit: str, kinds: dict[str, tuple], steps: int = 1) -> dict[str, np.ndarray]:
         """Add `kinds` (name -> (lb, ub), scalars or per-step arrays) for `unit`;
@@ -169,9 +186,6 @@ class LpProblem:
                 b = np.concatenate([blk.rhs for blk in blocks] or [np.empty(0)])
                 for blk in blocks:  # from now on a block writes its rhs into b, and adds no rows
                     blk.rhs, blk._pieces = b[blk.start:blk.start + blk.rhs.size], None
-                if not b.size:
-                    mats += [None, None]
-                    continue
                 pieces = self._pieces[matrix] or [(np.empty(0, int), np.empty(0, int), np.empty(0))]
                 rows, cols, vals = (np.concatenate(p) for p in zip(*pieces))
                 mats += [csr_matrix((vals, (rows, cols)), shape=(b.size, n)), b]
@@ -187,31 +201,76 @@ def _lookup(table: dict, name: str, unit: str, what: str):
         raise InvalidSpec(f"unknown {what} {name}:{unit}") from None
 
 
+class _Model:
+    """The HiGHS model of one problem, and the row upper bounds it holds."""
+
+    def __init__(self) -> None:
+        self.highs = _Highs()
+        options = HighsOptions()
+        for key, value in _OPTIONS.items():
+            setattr(options, key, value)
+        self.highs.passOptions(options)
+        self.upper: np.ndarray | None = None  # None until the LP is passed
+
+
+_HighsResult = namedtuple("_HighsResult", "status verdict fun x nit message")
+
+
+def _check(status, highs: _Highs, call: str) -> None:
+    if status == HighsStatus.kError:
+        raise NumericalFailure(f"LP backend failed: HiGHS {call} returned an error "
+                               f"(model status {highs.modelStatusToString(highs.getModelStatus())})")
+
+
+# Named and called like scipy's linprog: the benchmark tracer wraps `lp.linprog` and reads these arguments.
+def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, model: _Model) -> _HighsResult:
+    """Solve min c @ x on `model`: the first call passes the whole LP, a later
+    one only the row bounds that changed, so HiGHS starts from the last basis."""
+    highs, upper = model.highs, np.concatenate((b_ub, b_eq))
+    if model.upper is None:
+        a = vstack((A_ub, A_eq), format="csc")
+        lp = HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+        lp.num_row_ = lp.a_matrix_.num_row_ = upper.size
+        lp.a_matrix_.format_ = MatrixFormat.kColwise
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
+        lp.col_cost_ = c
+        lp.col_lower_, lp.col_upper_ = bounds.T.copy()
+        lp.row_lower_ = np.concatenate((np.full(b_ub.size, -np.inf), b_eq))
+        lp.row_upper_ = upper
+        _check(highs.passModel(lp), highs, "passModel")
+    else:
+        for i in np.flatnonzero(upper != model.upper).tolist():
+            _check(highs.changeRowBounds(i, -math.inf if i < b_ub.size else upper[i], upper[i]), highs,
+                   "changeRowBounds")
+    model.upper = upper
+    _check(highs.run(), highs, "run")
+    status = highs.getModelStatus()
+    if status not in _VERDICTS:
+        raise NumericalFailure(f"LP backend failed: HiGHS model status {highs.modelStatusToString(status)}")
+    code, verdict = _VERDICTS[status]
+    info, optimal = highs.getInfo(), verdict == OPTIMAL
+    return _HighsResult(code, verdict, info.objective_function_value if optimal else math.nan,
+                       np.array(highs.getSolution().col_value) if optimal else np.empty(0),
+                       info.simplex_iteration_count, highs.modelStatusToString(status))
+
+
 @dataclass
 class LpSolution:
     status: str  # optimal / infeasible / unbounded
     objective: float
     x: np.ndarray  # column values; empty unless optimal
     nit: int  # HiGHS iterations
-    message: str  # HiGHS status message
+    message: str  # HiGHS model status
     rows: int
     cols: int
     nnz: int
 
 
-def solve_lp(problem: LpProblem, tol: float = 1e-9) -> LpSolution:
-    """Solve to optimality; deterministic for identical problems."""
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Solve to optimality; deterministic for an identical sequence of solves."""
     a = problem.arrays()
     res = linprog(a.c, A_ub=a.A_ub, b_ub=a.b_ub, A_eq=a.A_eq, b_eq=a.b_eq, bounds=a.bounds,
-                  method="highs",
-                  options={"primal_feasibility_tolerance": tol, "dual_feasibility_tolerance": tol})
-    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(res.status)
-    if status is None:
-        raise NumericalFailure(f"LP backend failed: status={res.status}, message={res.message}")
-    mats = [m for m in (a.A_ub, a.A_eq) if m is not None]
-    optimal = status == OPTIMAL
-    return LpSolution(
-        status, float(res.fun) if optimal else math.nan, res.x if optimal else np.empty(0),
-        int(res.nit), str(res.message),
-        sum(m.shape[0] for m in mats), a.c.size, sum(m.nnz for m in mats),
-    )
+                  model=problem._model)
+    return LpSolution(res.verdict, res.fun, res.x, res.nit, res.message,
+                      a.A_ub.shape[0] + a.A_eq.shape[0], a.c.size, a.A_ub.nnz + a.A_eq.nnz)

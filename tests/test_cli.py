@@ -228,6 +228,22 @@ def test_sweep_and_reserve_rows_equal_the_solve_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_sweep_and_reserve_write_a_manifest(tmp_path, capsys):
+    argv = ["sweep", "--scenario", SMOKE, "--gammas", "0.05,0.1", "--modes", "M1,M2",
+            "--draws", "50", "--seed", "4"]
+    a, b, rs = tmp_path / "a", tmp_path / "b", tmp_path / "rs"
+    assert main(argv + ["--out", str(a)]) == 0
+    assert main(argv + ["--out", str(b)]) == 0
+    assert main(["reserve", "--scenario", SMOKE, "--gammas", "0.05", "--modes", "S1", "--out", str(rs)]) == 0
+    capsys.readouterr()
+    assert (a / "manifest.yaml").read_bytes() == (b / "manifest.yaml").read_bytes()
+    manifest = yaml.safe_load((a / "manifest.yaml").read_text())
+    assert manifest["scenario"] == SMOKE
+    assert manifest["config"] == {"gammas": [0.05, 0.1], "modes": ["M1", "M2"], "reform": "R1",
+                                  "shape": None, "draws": 50, "seed": 4}
+    assert yaml.safe_load((rs / "manifest.yaml").read_text())["config"] == {"gammas": [0.05], "modes": ["S1"]}
+
+
 @pytest.mark.parametrize("command, modes", [("sweep", "M2,M4"), ("reserve", "S1,none")])
 def test_unknown_grid_mode_exits_2(tmp_path, capsys, command, modes):
     out = tmp_path / "x"

@@ -1,8 +1,13 @@
 """Thin LP layer: column and row blocks over the HiGHS backend."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize._highspy._core import _Highs
 
+from gesdispatch import lp
 from gesdispatch.errors import InvalidSpec
 from gesdispatch.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
 
@@ -39,6 +44,16 @@ def test_infeasible_verdict():
     sol = solve_lp(p)
     assert sol.status == INFEASIBLE
     assert np.isnan(sol.objective) and sol.x.size == 0
+
+
+def test_primal_and_dual_infeasible_reads_infeasible():
+    p = LpProblem()
+    v = scalar_columns(p, x=(-np.inf, np.inf), y=(-np.inf, np.inf))
+    p.add_objective([v["x"], v["y"]], -1.0)
+    rows = p.add_rows("", {"xy": ">=", "yx": ">="})
+    rows.add("xy", [v["x"], v["y"]], [1.0, -1.0]).set_rhs("xy", 1.0)
+    rows.add("yx", [v["x"], v["y"]], [-1.0, 1.0]).set_rhs("yx", 1.0)
+    assert solve_lp(p).status == INFEASIBLE
 
 
 def test_unbounded_verdict():
@@ -119,6 +134,30 @@ def test_rhs_rewrite_after_assembly_is_in_place():
         p.add_columns("v", {"y": (0.0, 1.0)})
     with pytest.raises(InvalidSpec):
         p.add_rows("u", {"more": "<="})
+
+
+def test_rhs_rewrite_resolves_warm_on_both_matrices():
+    p = LpProblem()
+    x = p.add_columns("u", {"x": (0.0, 10.0)}, steps=4)["x"]
+    p.add_objective(x, [1.0, 2.0, 3.0, 4.0])
+    p.add_rows("u", {"total": ">="}).add("total", x, 1.0).set_rhs("total", 15.0)
+    p.add_rows("u", {"pin": "=="}).add("pin", x[1:2], 1.0).set_rhs("pin", 2.0)
+    assert solve_lp(p).objective == pytest.approx(10.0 + 4.0 + 3.0 * 3.0)
+    assert solve_lp(p).nit == 0  # nothing changed: the last basis is optimal
+    p.set_rhs("pin", "u", 6.0)
+    p.set_rhs("total", "u", 20.0)
+    warm = solve_lp(p)
+    assert warm.x[x[1]] == pytest.approx(6.0) and warm.objective == pytest.approx(10.0 + 12.0 + 3.0 * 4.0)
+    p.set_rhs("pin", "u", 20.0)  # beyond the column bound
+    assert solve_lp(p).status == INFEASIBLE
+    p.set_rhs("pin", "u", 2.0)
+    assert solve_lp(p).objective == pytest.approx(10.0 + 4.0 + 3.0 * 8.0)
+
+
+def test_highs_bindings_have_every_method_lp_calls():
+    called = set(re.findall(r"highs\.(\w+)\(", Path(lp.__file__).read_text()))
+    assert {"passModel", "changeRowBounds", "run"} <= called
+    assert sorted(m for m in called if not hasattr(_Highs, m)) == []
 
 
 def test_duplicate_variable_is_rejected():

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from gesdispatch import distributions as dist
 from gesdispatch.cantelli import ShapeClass, parse_shape
@@ -278,6 +279,31 @@ def test_r2_rhs_update_equals_fresh_build(smoke3):
     solve_lp(prob)  # assembled: the update must write into the solver's arrays
     assert build_cco_ddu(smoke3, f_next, update=prob) is prob
     assert _bits(prob.arrays()) == _bits(build_cco_ddu(smoke3, f_next).arrays())
+
+
+@pytest.mark.parametrize("build", [build_cco_diu, lambda scn: build_cco_ddu(scn, robust_f_inv(scn))],
+                         ids=["M2", "R1"])
+def test_cold_solve_equals_linprog(smoke3, build):
+    prob = build(smoke3)
+    a = prob.arrays()
+    ref = linprog(a.c, A_ub=a.A_ub, b_ub=a.b_ub, A_eq=a.A_eq, b_eq=a.b_eq, bounds=a.bounds, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9})
+    sol = solve_lp(prob)
+    assert (ref.status, sol.status) == (0, "optimal")
+    assert sol.x.tobytes() == ref.x.tobytes() and sol.objective == ref.fun
+    assert sol.nit == ref.nit > 0
+
+
+def test_r2_rhs_update_resolves_warm(smoke3):
+    f = robust_f_inv(smoke3)
+    prob = build_cco_ddu(smoke3, f)
+    solve_lp(prob)
+    f_next = _scaled_f_inv(f, 0.37)
+    warm = solve_lp(build_cco_ddu(smoke3, f_next, update=prob))
+    cold = solve_lp(build_cco_ddu(smoke3, f_next))
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+    assert warm.nit < cold.nit
+    assert solve_lp(prob).nit == 0
 
 
 def test_r2_rhs_update_raises_the_build_crossings(smoke3):
