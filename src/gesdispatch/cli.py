@@ -291,7 +291,19 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _check_sampling(args) -> None:
+    """Reject a Monte-Carlo `--draws` or `--seed` before any work is done."""
+    issues = []
+    if args.draws < 1:
+        issues.append(f"--draws: {args.draws} draws; at least 1 is needed")
+    if args.seed < 0:
+        issues.append(f"--seed: {args.seed} is negative")
+    if issues:
+        raise ValidationError(issues)
+
+
 def cmd_evaluate(args) -> int:
+    _check_sampling(args)
     scn = load_scenario(args.scenario)
     if args.gamma is not None:
         scn = _override(scn, f"--gamma {args.gamma}", gamma=args.gamma, gamma_balance=args.gamma)
@@ -354,6 +366,8 @@ def _solve_grid(args, choices, config, name: str, columns: list[str], values, ec
 
 
 def cmd_sweep(args) -> int:
+    _check_sampling(args)
+
     def config(gamma, mode):
         # R2 reformulates M3 only; the M1 and M2 rows solve as under R1
         return RunConfig(model_mode=mode, reformulation=args.reform if mode == "M3" else "R1",

@@ -15,10 +15,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special, stats
 
 from . import distributions as dist
 from .distributions import DistributionSpec
-from .errors import InvalidSpec, NonTighteningCoefficient, OrderingViolation
+from .errors import DimensionMismatch, InvalidSpec, NonTighteningCoefficient, OrderingViolation
 from .ges import GesParams, UnitSchedule
 
 H_FAMILIES = ("lognormal", "beta")
@@ -169,11 +170,10 @@ def contraction_quantile_vec(
     that caller, and only the lognormal family reads it.  Other callers pass
     `u` alone.
     """
-    from scipy import special, stats as sstats
-
     m = np.asarray(m, dtype=float)
     u = np.asarray(u, dtype=float)
-    assert z is None or np.shape(z) == u.shape, "z must be ndtri(u)"
+    if z is not None and np.shape(z) != u.shape:
+        raise DimensionMismatch(f"z must be ndtri(u): shape {np.shape(z)} against uniforms {u.shape}")
     out = np.broadcast_to(m, np.broadcast_shapes(m.shape, u.shape)).copy()
     live = out > MEAN_FLOOR
     if not np.any(live):
@@ -189,7 +189,7 @@ def contraction_quantile_vec(
         mf = np.clip(mm / BETA_CAP, 1e-9, 1.0 - 1e-6)
         vf = np.minimum((s / BETA_CAP) ** 2, 0.99 * mf * (1.0 - mf))
         k = mf * (1.0 - mf) / vf - 1.0
-        out[live] = BETA_CAP * sstats.beta.ppf(uu, mf * k, (1.0 - mf) * k)
+        out[live] = BETA_CAP * stats.beta.ppf(uu, mf * k, (1.0 - mf) * k)
     return out
 
 

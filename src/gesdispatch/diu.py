@@ -5,13 +5,16 @@ device-to-storage mapping by Monte-Carlo sampling.  `sample_bounds` is the one
 sampler of that model: load-time propagation reduces its draws to per-bound
 statistics (mean, standard deviation, and a table of normalized quantiles
 that the chance-constraint rows read at their level), and the ex-post
-evaluator realizes the same draws again.
+evaluator realizes the same draws again.  A draw-invariant row has no spread,
+and its table is one read-only array of zeros shared by every such row of
+the same horizon.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -104,18 +107,31 @@ class UnitBoundStats:
         )
 
 
+@lru_cache(maxsize=None)
+def _zero_table(horizon: int) -> np.ndarray:
+    """The read-only all-zero quantile table shared by the draw-invariant rows.
+
+    Two threads that miss the cache at once each build one; both are equal.
+    """
+    table = np.zeros((LEVELS.size, horizon))
+    table.flags.writeable = False
+    return table
+
+
 def _column_stats(samples: np.ndarray, seed: int) -> BoundStats:
     """Empirical mean/sd and normalized quantile table for each column of `samples`.
 
     A row broadcast over the draws (stride 0 on axis 0) that lies within
-    SIGMA_FLOOR/2 of its mean everywhere has a zero sd and table: `std` of
-    n equal values is their distance to the same mean, up to rounding.
+    SIGMA_FLOOR/2 of its mean everywhere has a zero sd and the shared
+    read-only zero table: `std` of n equal values is their distance to the
+    same mean, up to rounding.  Any other input gets a table of its own.
     """
     n, horizon = samples.shape
     mu = samples.mean(axis=0)
-    table = np.zeros((LEVELS.size, horizon))
     if samples.strides[0] == 0 and np.all(np.abs(samples[0] - mu) < SIGMA_FLOOR / 2):
-        return BoundStats(mu=mu, sigma=np.zeros(horizon), sample_count=n, seed=seed, table=table)
+        return BoundStats(mu=mu, sigma=np.zeros(horizon), sample_count=n, seed=seed,
+                          table=_zero_table(horizon))
+    table = np.zeros((LEVELS.size, horizon))
     sigma = samples.std(axis=0)
     live = sigma >= SIGMA_FLOOR
     sigma[~live] = 0.0

@@ -11,7 +11,9 @@ right-hand sides change, in place, so solves that differ only there (the R2
 fixed point) never re-assemble.
 
 The backend is one persistent HiGHS model per problem, driven through the
-bindings that ship with scipy.  The first solve passes the whole LP; a later
+bindings that ship with scipy.  The first solve passes the whole LP; from
+then on the HiGHS model holds the only solver-side copy of it, since the
+stacked matrix built for the hand-off is freed before HiGHS runs.  A later
 solve passes only the row bounds whose right-hand side changed, and HiGHS
 starts from the previous basis.  A solve gives an optimal solution, or an
 explicit infeasible/unbounded verdict, deterministic for identical input.  A
@@ -222,23 +224,29 @@ def _check(status, highs: _Highs, call: str) -> None:
                                f"(model status {highs.modelStatusToString(highs.getModelStatus())})")
 
 
+def _pass(highs: _Highs, c, A_ub, A_eq, b_eq, bounds, upper) -> None:
+    """Pass the whole LP to `highs`, which copies it: the stacked matrix and
+    the HighsLp built here die on return, before `run()`."""
+    a = vstack((A_ub, A_eq), format="csc")
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = upper.size
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
+    lp.col_cost_ = c
+    lp.col_lower_, lp.col_upper_ = bounds.T.copy()
+    lp.row_lower_ = np.concatenate((np.full(A_ub.shape[0], -np.inf), b_eq))
+    lp.row_upper_ = upper
+    _check(highs.passModel(lp), highs, "passModel")
+
+
 # Named and called like scipy's linprog: the benchmark tracer wraps `lp.linprog` and reads these arguments.
 def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds, model: _Model) -> _HighsResult:
     """Solve min c @ x on `model`: the first call passes the whole LP, a later
     one only the row bounds that changed, so HiGHS starts from the last basis."""
     highs, upper = model.highs, np.concatenate((b_ub, b_eq))
     if model.upper is None:
-        a = vstack((A_ub, A_eq), format="csc")
-        lp = HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = c.size
-        lp.num_row_ = lp.a_matrix_.num_row_ = upper.size
-        lp.a_matrix_.format_ = MatrixFormat.kColwise
-        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
-        lp.col_cost_ = c
-        lp.col_lower_, lp.col_upper_ = bounds.T.copy()
-        lp.row_lower_ = np.concatenate((np.full(b_ub.size, -np.inf), b_eq))
-        lp.row_upper_ = upper
-        _check(highs.passModel(lp), highs, "passModel")
+        _pass(highs, c, A_ub, A_eq, b_eq, bounds, upper)
     else:
         for i in np.flatnonzero(upper != model.upper).tolist():
             _check(highs.changeRowBounds(i, -math.inf if i < b_ub.size else upper[i], upper[i]), highs,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+from gesdispatch import cli
 from gesdispatch.cantelli import ShapeClass, cantelli_bound
 from gesdispatch.cli import main
 
@@ -156,6 +157,31 @@ def test_bad_evaluate_gamma_exits_2(tmp_path, capsys):
     assert code == 2
     assert "--gamma" in err
     assert not (rep / "report.yaml").exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("evaluate", "--draws", "0"),
+    ("evaluate", "--draws", "-5"),
+    ("evaluate", "--seed", "-1"),
+    ("sweep", "--draws", "0"),
+    ("sweep", "--seed", "-1"),
+])
+def test_bad_draws_or_seed_exits_2_before_loading(tmp_path, capsys, monkeypatch, command, flag, value):
+    strat = tmp_path / "s"
+    if command == "evaluate":
+        assert main(["solve", "--scenario", SMOKE, "--mode", "M2", "--out", str(strat)]) == 0
+
+    def no_load(path):
+        raise AssertionError("the scenario was loaded")
+
+    monkeypatch.setattr(cli, "load_scenario", no_load)
+    out = tmp_path / "r"
+    extra = ["--strategy", str(strat)] if command == "evaluate" else ["--modes", "M1"]
+    code = main([command, "--scenario", SMOKE, *extra, flag, value, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{flag}: {value}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("solve_argv, eval_scenario, missing", [

@@ -19,7 +19,7 @@ from gesdispatch.ddu import (
     standardized_h_quantile,
 )
 from gesdispatch.distributions import DistributionSpec, mean, quantile, sample, std
-from gesdispatch.errors import InvalidSpec, NonTighteningCoefficient, OrderingViolation
+from gesdispatch.errors import DimensionMismatch, InvalidSpec, NonTighteningCoefficient, OrderingViolation
 from gesdispatch.ges import GesParams, UnitSchedule
 
 T = 10
@@ -162,6 +162,9 @@ def test_contraction_quantile_vec_matches_scalar():
     # one row of means broadcasts against a matrix of uniforms
     grid = contraction_quantile_vec(m, spec, np.tile(u, (3, 1)))
     assert grid.shape == (3, m.size) and np.array_equal(grid[1], out)
+    # scores of one row of uniforms would broadcast silently against the matrix
+    with pytest.raises(DimensionMismatch, match="ndtri"):
+        contraction_quantile_vec(m, spec, np.tile(u, (3, 1)), z=special.ndtri(u))
 
 
 def test_standardized_quantile_closed_form():

@@ -1,6 +1,8 @@
 """Monte-Carlo propagation of identification noise into bound statistics."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +16,7 @@ from gesdispatch.diu import (
     SIGMA_FLOOR,
     BoundStats,
     _column_stats,
+    _zero_table,
     analytic_series_stats,
     propagate_diu,
     sample_bounds,
@@ -237,3 +240,31 @@ def test_column_stats_equal_the_reference_bit_for_bit(scale, n):
     if abs(scale) >= 1e6 and n == 4000:
         # the broadcast mean is off by more than the floor: the full computation ran
         assert np.any(_column_stats(np.broadcast_to(row, (n, T)), seed=3).sigma > 0)
+
+
+def test_draw_invariant_rows_share_one_read_only_zero_table(tcl100):
+    tables = [u.stats.get(kind).table for u in tcl100.units for kind in ("soc_lo", "soc_hi", "alpha")]
+    shared = tables[0]
+    assert all(t is shared for t in tables)
+    assert shared.shape == (LEVELS.size, tcl100.horizon) and not shared.any()
+    assert not shared.flags.writeable
+    with pytest.raises(ValueError):
+        shared[0, 0] = 1.0
+    # a shared table is still a table: a level beyond the tabulated ones raises
+    with pytest.raises(InvalidSpec, match="0.01"):
+        tcl100.units[0].stats.soc_hi.inv_cdf(0.005)
+
+
+def test_concurrent_first_calls_get_equal_read_only_zero_tables():
+    row = np.broadcast_to(np.linspace(0.1, 0.9, 7), (50, 7))
+    interval = sys.getswitchinterval()
+    _zero_table.cache_clear()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(_column_stats, row, 0) for _ in range(64)]
+            tables = [f.result(timeout=30).table for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for table in tables:
+        assert table.shape == (LEVELS.size, 7) and not table.any() and not table.flags.writeable
