@@ -59,7 +59,6 @@ class RunConfig:
     gamma_balance: float | None = None
     delta: float = 1e-3
     max_iter: int = 25
-    seed: int = 0
     window: str | None = None
     discomfort_variant: str | None = None
     a1: bool = False
@@ -262,7 +261,7 @@ def _cfg_from_args(args) -> RunConfig:
     cfg = RunConfig(
         model_mode=args.mode, reformulation=args.reform, shape=args.shape,
         shape_nu=args.nu, gamma=args.gamma, gamma_balance=args.gamma_balance,
-        delta=args.delta, max_iter=args.max_iter, seed=args.seed,
+        delta=args.delta, max_iter=args.max_iter,
         window=args.window, discomfort_variant=args.variant,
         a1=args.a1, a2=args.a2, reserve=args.reserve,
         out=args.out,
@@ -371,7 +370,7 @@ def cmd_sweep(args) -> int:
     def config(gamma, mode):
         # R2 reformulates M3 only; the M1 and M2 rows solve as under R1
         return RunConfig(model_mode=mode, reformulation=args.reform if mode == "M3" else "R1",
-                         shape=args.shape, gamma=gamma, seed=args.seed)
+                         shape=args.shape, gamma=gamma)
 
     def values(scn, strategy):
         report = evaluate_reliability(strategy, scn, args.draws, args.seed)
@@ -409,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma-balance", dest="gamma_balance", type=float, default=None)
         p.add_argument("--delta", type=float, default=1e-3)
         p.add_argument("--max-iter", dest="max_iter", type=int, default=25)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--window", default=None, help="dispatch steps, e.g. 19-22 or 3,4,5")
         p.add_argument("--variant", default=None, choices=["F1", "F2", "F3"])
         p.add_argument("--a1", action="store_true", help="aggregate the fleet before solving")

@@ -126,16 +126,37 @@ def _require_finite(x):
 
 def sample(spec: DistributionSpec, n: int, seed) -> np.ndarray:
     """n i.i.d. draws; bit-identical for identical (spec, n, seed)."""
+    return quantile(spec, _uniforms(n, seed))
+
+
+def _uniforms(n: int, seed) -> np.ndarray:
     if n < 1:
         raise InvalidSpec(f"sample count must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    return quantile(spec, u)
+    return np.random.default_rng(seed).random(n)
 
 
-def sample_columns(specs: list[DistributionSpec], n: int, seeds) -> np.ndarray:
-    """(n, len(specs)) draws whose column t is sample(specs[t], n, seeds[t])."""
-    return np.column_stack([sample(spec, n, seed) for spec, seed in zip(specs, seeds)])
+def sample_columns(specs: list[DistributionSpec], n: int, seeds, out: np.ndarray | None = None) -> np.ndarray:
+    """(n, len(specs)) draws whose column t is sample(specs[t], n, seeds[t]),
+    written into `out` when it is given (and returned).
+
+    The uniforms go in column by column, then the quantile transform runs in
+    place.  When every spec is lognormal (the baseline noise) that transform
+    is one call per ufunc over all columns: per element it is the arithmetic
+    of `quantile`, with far fewer short calls that each release the GIL.
+    """
+    if out is None:
+        out = np.empty((n, len(specs)))
+    for t, seed in enumerate(seeds):
+        out[:, t] = _uniforms(n, seed)
+    if all(spec.family == "lognormal" for spec in specs):
+        special.ndtri(out, out=out)
+        out *= [spec.params["sigma"] for spec in specs]
+        out += [spec.params["mu"] for spec in specs]
+        np.exp(out, out=out)
+    else:
+        for t, spec in enumerate(specs):
+            out[:, t] = quantile(spec, out[:, t])
+    return out
 
 
 def quantile(spec: DistributionSpec, level) -> np.ndarray | float:

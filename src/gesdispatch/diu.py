@@ -8,6 +8,18 @@ that the chance-constraint rows read at their level), and the ex-post
 evaluator realizes the same draws again.  A draw-invariant row has no spread,
 and its table is one read-only array of zeros shared by every such row of
 the same horizon.
+
+Load-time propagation can run in a *workspace*: three (n, horizon) buffers
+(`new_workspace`) that one unit at a time borrows.  The baseline draws go
+into the first, the charge rating into the second, the discharge rating
+overwrites the baseline draws, and the third holds the deviations and the
+sorted copy of `_column_stats`.  Nothing the statistics return points into
+it, so the next unit may overwrite it.  A unit propagated without one
+allocates and frees about five (n, horizon) temporaries; on a worker thread
+glibc hands that memory back to the OS between units, so every unit faults
+its pages in afresh.  The workspaces are allocated by the thread that
+starts the workers (`scenario_io._propagate_all`): buffers allocated inside
+a worker would stay in that worker's malloc arena after the pool ends.
 """
 
 from __future__ import annotations
@@ -118,41 +130,56 @@ def _zero_table(horizon: int) -> np.ndarray:
     return table
 
 
-def _column_stats(samples: np.ndarray, seed: int) -> BoundStats:
+def _column_stats(samples: np.ndarray, seed: int, scratch: np.ndarray | None = None) -> BoundStats:
     """Empirical mean/sd and normalized quantile table for each column of `samples`.
 
     A row broadcast over the draws (stride 0 on axis 0) that lies within
     SIGMA_FLOOR/2 of its mean everywhere has a zero sd and the shared
     read-only zero table: `std` of n equal values is their distance to the
     same mean, up to rounding.  Any other input gets a table of its own.
+
+    `samples` is only read.  The squared deviations and the sorted copy go
+    into `scratch`, a C-contiguous array of the same shape that the caller
+    lends (one is allocated when it is None).  In that layout
+    ``sqrt(sum((x - mu)**2, axis=0) / n)`` is bit-identical to
+    ``samples.std(axis=0)``.
     """
     n, horizon = samples.shape
     mu = samples.mean(axis=0)
     if samples.strides[0] == 0 and np.all(np.abs(samples[0] - mu) < SIGMA_FLOOR / 2):
         return BoundStats(mu=mu, sigma=np.zeros(horizon), sample_count=n, seed=seed,
                           table=_zero_table(horizon))
-    table = np.zeros((LEVELS.size, horizon))
-    sigma = samples.std(axis=0)
+    work = np.subtract(samples, mu, out=scratch)
+    np.multiply(work, work, out=work)
+    sigma = np.sqrt(work.sum(axis=0) / n)
     live = sigma >= SIGMA_FLOOR
     sigma[~live] = 0.0
+    table = np.zeros((LEVELS.size, horizon))
     ranks = np.minimum(np.ceil(LEVELS * n).astype(int), n) - 1
     # normalizing is monotone, so sorting first picks the same ranks
-    table[:, live] = (np.sort(samples[:, live], axis=0)[ranks] - mu[live]) / sigma[live]
+    np.copyto(work, samples)
+    work.sort(axis=0)
+    table[:, live] = (work[ranks][:, live] - mu[live]) / sigma[live]
     return BoundStats(mu=mu, sigma=sigma, sample_count=n, seed=seed, table=table)
 
 
-def tcl_baseline_bound_samples(dev, base: np.ndarray, dt: float, horizon: int) -> dict[str, np.ndarray]:
+def tcl_baseline_bound_samples(dev, base: np.ndarray, dt: float, horizon: int,
+                               p_c_max: np.ndarray | None = None,
+                               p_d_max: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Vectorized bound realizations for a thermal unit whose only uncertain
     input is its baseline power draw `base` of shape (n, horizon).
 
     Matches map_device_to_ges row-by-row: the thermal coefficients and SoC
     coordinates do not depend on the baseline, so only the power ratings vary.
-    The power ratings are (n, horizon); every other bound is the same in all
-    draws and is returned as one (horizon,) row.
+    The power ratings are (n, horizon), written into `p_c_max` and `p_d_max`
+    when those buffers are given (`p_d_max` may be `base` itself); every
+    other bound is the same in all draws and is returned as one (horizon,) row.
     """
     params = map_device_to_ges(dev, dt, horizon)
-    p_c_max = np.clip(dev.p_max - base, 0.0, None)
-    p_d_max = np.clip(base - dev.p_min, 0.0, None)
+    p_c_max = np.subtract(dev.p_max, base, out=p_c_max)
+    np.clip(p_c_max, 0.0, None, out=p_c_max)
+    p_d_max = np.subtract(base, dev.p_min, out=p_d_max)
+    np.clip(p_d_max, 0.0, None, out=p_d_max)
     row = lambda v: np.asarray(v, dtype=float)  # noqa: E731
     return {
         "p_c_max": p_c_max,
@@ -180,6 +207,7 @@ def sample_bounds(
     horizon: int,
     n: int,
     ss: np.random.SeedSequence,
+    workspace: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """`n` draws of a unit's storage parameters under identification and
     baseline noise: the one sampler of the DIU model.
@@ -190,7 +218,8 @@ def sample_bounds(
     average) and `deadband`, and the rating references `pc_ref`, `pd_ref`
     (n,).  The ratings are (n, horizon); every other per-step key is
     (n, horizon) where it varies by draw and one (horizon,) row where it
-    does not.
+    does not.  With a `workspace` the baseline draws and the ratings of the
+    thermal fast path are written into its first two buffers.
     """
     if not unit_dists and baseline_dist is None:
         params = map_device_to_ges(dev, dt, horizon)
@@ -205,9 +234,11 @@ def sample_bounds(
     draws = {name: dist.sample(unit_dists[name], n, c) for name, c in zip(names, children)}
     base = None
     if baseline_dist is not None:
-        base = dist.sample_columns(baseline_dist, n, children[len(names):])
+        buffers = (None, None) if workspace is None else workspace[:2]
+        base = dist.sample_columns(baseline_dist, n, children[len(names):], out=buffers[0])
         if not unit_dists and dev.kind in TCL_KINDS:
-            return tcl_baseline_bound_samples(dev, base, dt, horizon)
+            # nothing reads the baseline draws after the discharge rating
+            return tcl_baseline_bound_samples(dev, base, dt, horizon, p_c_max=buffers[1], p_d_max=base)
 
     out = {key: np.empty((n, horizon)) for key in _SAMPLED}
     out["pc_ref"], out["pd_ref"] = np.empty(n), np.empty(n)
@@ -230,6 +261,7 @@ def propagate_diu(
     horizon: int,
     n: int = DEFAULT_SAMPLES,
     seed: int = 0,
+    workspace: np.ndarray | None = None,
 ) -> UnitBoundStats:
     """Monte-Carlo statistics of the storage bounds under parameter noise.
 
@@ -237,6 +269,8 @@ def propagate_diu(
     identified parameters; `baseline_dist` optionally gives one distribution
     per step for the baseline power draw.  The statistics do not depend on
     a violation level: the chance rows read quantiles from the table.
+    `workspace`, from `new_workspace(n, horizon)`, is scratch that the call
+    overwrites; the statistics are bit-identical with or without it.
     """
     if n < 1:
         raise InvalidSpec(f"sample count must be >= 1, got {n}")
@@ -248,11 +282,20 @@ def propagate_diu(
         raise InvalidSpec("baseline_dist must have one distribution per step")
 
     ss = np.random.SeedSequence([seed, zlib.crc32(dev.unit_id.encode())])
-    samples = sample_bounds(dev, unit_dists, baseline_dist, dt, horizon, n, ss)
+    samples = sample_bounds(dev, unit_dists, baseline_dist, dt, horizon, n, ss, workspace)
+    scratch = None if workspace is None else workspace[2]
     return UnitBoundStats(
         unit_id=dev.unit_id,
-        **{kind: _column_stats(np.broadcast_to(samples[kind], (n, horizon)), seed) for kind in BOUND_KINDS},
+        **{kind: _column_stats(np.broadcast_to(samples[kind], (n, horizon)), seed, scratch)
+           for kind in BOUND_KINDS},
     )
+
+
+def new_workspace(n: int, horizon: int) -> np.ndarray:
+    """Scratch for `propagate_diu` of `n` draws: three (n, horizon) buffers."""
+    if n < 1:
+        raise InvalidSpec(f"sample count must be >= 1, got {n}")
+    return np.empty((3, n, horizon))
 
 
 def series_stats(dists_per_t: list[DistributionSpec], n: int = DEFAULT_SAMPLES, seed: int = 0) -> BoundStats:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -30,7 +31,7 @@ import yaml
 from . import distributions as dist
 from .cantelli import parse_shape
 from .ddu import DduSpec
-from .diu import propagate_diu
+from .diu import new_workspace, propagate_diu
 from .distributions import DistributionSpec
 from .errors import ParseError, ValidationError
 from .ges import DeviceDescription, map_device_to_ges
@@ -104,16 +105,33 @@ def _propagate_all(units: list[UnitSpec], dt: float, horizon: int, n: int, seed:
     calls release the GIL, so the statistics do not depend on the pool.
     Results are read in unit order, so the first failing unit in file order
     raises.
+
+    This thread allocates one DIU workspace per worker before the pool
+    starts and hands them out through a queue: a unit takes one, propagates
+    in it and puts it back, so no two units share one at a time and the
+    workers reuse warm pages instead of allocating and freeing their
+    temporaries unit by unit.  Allocated here, the buffers go back to the
+    OS when the pool ends; allocated by a worker, they would stay in that
+    worker's malloc arena.
     """
     noisy = [u for u in units if u.unit_dists or u.baseline_dist is not None]
     if not noisy:
         return
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, len(noisy))
+    workspaces = queue.SimpleQueue()
+    for _ in range(workers):
+        workspaces.put(new_workspace(n, horizon))
 
     def propagate(u: UnitSpec):
-        return propagate_diu(u.unit_dists, u.dev, u.baseline_dist, dt, horizon, n=n, seed=seed)
+        workspace = workspaces.get()
+        try:
+            return propagate_diu(u.unit_dists, u.dev, u.baseline_dist, dt, horizon, n=n, seed=seed,
+                                 workspace=workspace)
+        finally:
+            workspaces.put(workspace)
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=min(cpus, len(noisy))) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for u, stats in zip(noisy, pool.map(propagate, noisy)):
             u.stats = stats
 

@@ -436,7 +436,7 @@ def test_ac10_cli_determinism(tmp_path, capsys):
     for name in ("a", "b"):
         out = tmp_path / name
         assert main(["solve", "--scenario", smoke, "--mode", "M3", "--reform", "R2",
-                     "--seed", "3", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         trees.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     capsys.readouterr()
     ok = trees[0] == trees[1]

@@ -69,7 +69,7 @@ def test_solve_then_evaluate_end_to_end(tmp_path, capsys):
 def test_solve_byte_determinism(tmp_path, capsys):
     a = tmp_path / "a"
     b = tmp_path / "b"
-    argv = ["solve", "--scenario", SMOKE, "--mode", "M2", "--seed", "3"]
+    argv = ["solve", "--scenario", SMOKE, "--mode", "M2"]
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
@@ -77,6 +77,16 @@ def test_solve_byte_determinism(tmp_path, capsys):
     assert ta.keys() == tb.keys()
     for name in ta:
         assert ta[name] == tb[name], name
+
+
+def test_solve_has_no_seed_flag(tmp_path, capsys):
+    # solve draws nothing: the DIU seed lives in scenario.yaml
+    out = tmp_path / "s"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--scenario", SMOKE, "--seed", "3", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_evaluate_byte_determinism(tmp_path, capsys):

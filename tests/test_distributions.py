@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 from gesdispatch.distributions import (
+    FAMILIES,
     DistributionSpec,
     empirical_inverse_cdf,
     lognormal_inverse_cdf_closed_form,
@@ -15,6 +16,7 @@ from gesdispatch.distributions import (
     normalized_quantile,
     quantile,
     sample,
+    sample_columns,
     std,
 )
 from gesdispatch.errors import EmptySample, InvalidSpec
@@ -60,6 +62,36 @@ def test_sampling_deterministic():
     a = sample(spec, 1000, seed=42)
     b = sample(spec, 1000, seed=42)
     assert np.array_equal(a, b)
+
+
+ONE_PER_FAMILY = {
+    "point": DistributionSpec.point(2.5),
+    "normal": DistributionSpec.normal(1.0, 0.3),
+    "truncated_normal": DistributionSpec.truncated_normal(1.0, 0.3, 0.5, 1.6),
+    "lognormal": DistributionSpec.lognormal(0.2, 0.4),
+    "beta": DistributionSpec.beta(2.0, 5.0, 1.0, 3.0),
+    "student_t": DistributionSpec.student_t(4.0, 1.0, 0.5),
+    "bernoulli": DistributionSpec.bernoulli(0.3),
+    "uniform": DistributionSpec.uniform(-1.0, 2.0),
+}
+
+
+LOGNORMAL_STEPS = [DistributionSpec.lognormal(0.1 * t, 0.2 + 0.05 * t) for t in range(5)]
+
+
+@pytest.mark.parametrize("specs", [[spec] * 5 for spec in ONE_PER_FAMILY.values()]
+                         + [list(ONE_PER_FAMILY.values()), LOGNORMAL_STEPS],
+                         ids=[*ONE_PER_FAMILY, "mixed", "lognormal per step"])
+def test_sample_columns_into_a_buffer_equal_the_stacked_samples(specs):
+    assert set(ONE_PER_FAMILY) == set(FAMILIES)
+    n = 257
+    seeds = np.random.SeedSequence(12).spawn(len(specs))
+    want = np.column_stack([sample(spec, n, seed) for spec, seed in zip(specs, seeds)])
+    out = np.full((n, len(specs)), np.nan)
+    assert sample_columns(specs, n, seeds, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    fresh = sample_columns(specs, n, seeds)
+    assert fresh.flags.c_contiguous and fresh.tobytes() == want.tobytes()
 
 
 def test_beta_quantile_matches_scipy():

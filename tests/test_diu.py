@@ -18,6 +18,7 @@ from gesdispatch.diu import (
     _column_stats,
     _zero_table,
     analytic_series_stats,
+    new_workspace,
     propagate_diu,
     sample_bounds,
     series_stats,
@@ -177,6 +178,13 @@ def test_tcl_fast_path_equals_the_per_draw_mapping():
                           np.random.SeedSequence([5]).spawn(T))
     base[0, :3] = [0.0, 10.0, 12.0]  # ratings clipped at zero on both sides
     fast = tcl_baseline_bound_samples(dev, base, 0.5, T)
+    # written into buffers, the discharge rating overwriting the draws (p_min > 0 moves them)
+    raised = replace(dev, p_min=1.0)
+    scratch = base.copy()
+    inplace = tcl_baseline_bound_samples(raised, scratch, 0.5, T, p_c_max=np.empty_like(base), p_d_max=scratch)
+    assert inplace["p_d_max"] is scratch
+    for key, value in tcl_baseline_bound_samples(raised, base, 0.5, T).items():
+        assert inplace[key].tobytes() == value.tobytes(), key
     for j in range(base.shape[0]):
         params = map_device_to_ges(replace(dev, baseline_power=base[j]), 0.5, T)
         pc_ref, pd_ref = rating_refs(params)
@@ -208,6 +216,37 @@ def test_sampler_branches_share_keys_and_shapes():
     nominal = map_device_to_ges(bes, 1.0, T)
     assert np.array_equal(branches["no noise"]["p_c_max"][-1], nominal.p_c_max)
     assert np.all(branches["no noise"]["pc_ref"] == rating_refs(nominal)[0])
+
+
+def stats_bytes(stats):
+    return [getattr(stats.get(kind), f).tobytes()
+            for kind in ("p_c_max", "p_d_max", "soc_lo", "soc_hi", "alpha") for f in ("mu", "sigma", "table")]
+
+
+def test_units_propagated_in_turn_through_one_workspace_equal_fresh_propagations():
+    baseline = [DistributionSpec.lognormal(math.log(3.0 + 0.2 * t), 0.3) for t in range(T)]
+    ident = {"p_max": DistributionSpec.truncated_normal(10.0, 0.5, 8.5, 11.5)}
+    bes = DeviceDescription(kind="BES", unit_id="bes", s_capacity=50.0, p_c_rating=10.0, p_d_rating=10.0)
+    units = [  # the thermal fast path, the per-draw mapping with and without baseline noise
+        ({}, tcl_device(unit_id="fast"), baseline),
+        ({}, tcl_device(unit_id="clipped", p_max=4.0, p_min=3.0), baseline),
+        (ident, tcl_device(unit_id="ident"), None),
+        (ident, tcl_device(unit_id="both"), baseline),
+        ({"s_capacity": DistributionSpec.truncated_normal(50.0, 2.5, 45.0, 55.0)}, bes, None),
+    ]
+    n = 300
+    workspace = new_workspace(n, T)
+    propagated = []
+    for unit_dists, dev, baseline_dist in units:
+        kw = dict(unit_dists=unit_dists, dev=dev, baseline_dist=baseline_dist, dt=1.0, horizon=T,
+                  n=n, seed=4)
+        got = propagate_diu(**kw, workspace=workspace)
+        assert stats_bytes(got) == stats_bytes(propagate_diu(**kw)), dev.unit_id
+        propagated.append((got, stats_bytes(got)))
+    # nothing returned points into the workspace
+    workspace[...] = np.nan
+    for got, digest in propagated:
+        assert stats_bytes(got) == digest
 
 
 def reference_column_stats(samples):

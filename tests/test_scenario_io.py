@@ -55,6 +55,16 @@ def test_failing_propagation_raises_its_error(tmp_path):
         load_scenario(dst)
 
 
+def test_negative_sample_count_raises_invalid_spec(tmp_path):
+    dst = tmp_path / "negative_samples"
+    shutil.copytree(FIXTURES / "smoke3", dst)
+    cfg = yaml.safe_load((dst / "scenario.yaml").read_text())
+    cfg["diu"]["samples"] = -3
+    (dst / "scenario.yaml").write_text(yaml.safe_dump(cfg))
+    with pytest.raises(InvalidSpec, match="sample count must be >= 1, got -3"):
+        load_scenario(dst)
+
+
 def test_price_ordering_violation(tmp_path):
     src = FIXTURES / "smoke3"
     dst = tmp_path / "broken"
