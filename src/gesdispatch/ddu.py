@@ -92,18 +92,24 @@ def response_discomfort_series(sched: UnitSchedule, params: GesParams, spec: Ddu
     return discomfort(sched, pc_ref, pd_ref, params.soc_baseline_avg, params.deadband, spec)
 
 
-def discomfort(sched: UnitSchedule, pc_ref, pd_ref, avg, deadband, spec: DduSpec) -> np.ndarray:
+def discomfort(sched: UnitSchedule, pc_ref, pd_ref, avg, deadband, spec: DduSpec,
+               out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """Discomfort of `sched` over the horizon (the last axis).
 
     Broadcasts over leading axes: the Monte-Carlo evaluator passes per-draw
     rating references of shape (m, 1) and per-draw comfort anchors `avg`,
     `deadband` of shape (m, T) and gets one row per draw.  A reference at or
-    below zero drops its intensity term.
+    below zero drops its intensity term.  The result is written into `out`
+    when it is given, and the cumulated intensities into `scratch`; both
+    have the result's shape.
     """
     horizon = sched.p_c.shape[0]
     pc_ref = np.where(np.asarray(pc_ref) > 0, pc_ref, np.inf)
     pd_ref = np.where(np.asarray(pd_ref) > 0, pd_ref, np.inf)
-    cum = np.cumsum(sched.p_c / pc_ref + sched.p_d / pd_ref, axis=-1) / horizon
+    intensity = np.divide(sched.p_c, pc_ref, out=scratch)
+    intensity += np.divide(sched.p_d, pd_ref, out=out)  # `out` is free until the cumsum
+    cum = np.cumsum(intensity, axis=-1, out=out)
+    cum /= horizon
 
     lam = 1.0 if spec.discomfort_variant == "F1" else spec.lam
     soc = sched.soc[1:]
@@ -113,7 +119,9 @@ def discomfort(sched: UnitSchedule, pc_ref, pd_ref, avg, deadband, spec: DduSpec
         dev = np.maximum(np.abs(soc - avg) - deadband / 2.0, 0.0)
     else:  # F3: one-sided shortfall below the baseline average
         dev = np.maximum(avg - soc, 0.0)
-    return lam * cum + (1.0 - lam) * dev
+    cum *= lam
+    cum += (1.0 - lam) * dev
+    return cum
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +166,8 @@ def contraction_distribution(rd: float, side: str, spec: DduSpec) -> Distributio
 
 
 def contraction_quantile_vec(
-    m: np.ndarray, spec: DduSpec, u: np.ndarray, *, z: np.ndarray | None = None
+    m: np.ndarray, spec: DduSpec, u: np.ndarray | None = None, *, z: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Vectorized inverse CDF of H over elementwise means `m` at uniforms `u`.
 
@@ -167,23 +176,40 @@ def contraction_quantile_vec(
 
     `z` is a fast path for a caller that applies one set of uniforms to many
     means (the Monte-Carlo evaluator): it must be ndtri(u), computed once by
-    that caller, and only the lognormal family reads it.  Other callers pass
-    `u` alone.
+    that caller.  Only the lognormal family reads it, and that family then
+    needs no `u`; the beta family always reads `u`.  The result is written
+    into `out` when it is given, which may be `m` itself.  Only the live
+    entries (mean above MEAN_FLOOR) are gathered and transformed.
     """
     m = np.asarray(m, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if z is not None and np.shape(z) != u.shape:
-        raise DimensionMismatch(f"z must be ndtri(u): shape {np.shape(z)} against uniforms {u.shape}")
-    out = np.broadcast_to(m, np.broadcast_shapes(m.shape, u.shape)).copy()
+    if u is not None:
+        u = np.asarray(u, dtype=float)
+        if z is not None and np.shape(z) != u.shape:
+            raise DimensionMismatch(f"z must be ndtri(u): shape {np.shape(z)} against uniforms {u.shape}")
+    elif z is None or spec.h_family != "lognormal":
+        raise InvalidSpec(f"the {spec.h_family} contraction quantile needs the uniforms u")
+    shape = np.broadcast_shapes(m.shape, np.shape(z) if u is None else u.shape)
+    if out is None:
+        out = np.broadcast_to(m, shape).copy()
+    elif out is not m:
+        np.copyto(out, np.broadcast_to(m, shape))
     live = out > MEAN_FLOOR
     if not np.any(live):
         return out
     s = spec.sigma_h
     mm = out[live]
     if spec.h_family == "lognormal":
-        zz = np.broadcast_to(special.ndtri(u) if z is None else z, out.shape)[live]
-        s2 = np.log1p((s / mm) ** 2)
-        out[live] = np.exp(np.log(mm) - s2 / 2.0 + np.sqrt(s2) * zz)
+        # exp(log(mm) - s2 / 2 + sqrt(s2) * z), evaluated in place on the
+        # gathered entries, so at most three of them are alive at once
+        s2 = np.divide(s, mm)
+        np.square(s2, out=s2)
+        np.log1p(s2, out=s2)
+        np.log(mm, out=mm)
+        mm -= s2 / 2.0
+        np.sqrt(s2, out=s2)
+        s2 *= np.broadcast_to(special.ndtri(u) if z is None else z, out.shape)[live]
+        mm += s2
+        out[live] = np.exp(mm, out=mm)
     else:
         uu = np.broadcast_to(u, out.shape)[live]
         mf = np.clip(mm / BETA_CAP, 1e-9, 1.0 - 1e-6)

@@ -18,13 +18,14 @@ it, so the next unit may overwrite it.  A unit propagated without one
 allocates and frees about five (n, horizon) temporaries; on a worker thread
 glibc hands that memory back to the OS between units, so every unit faults
 its pages in afresh.  The workspaces are allocated by the thread that
-starts the workers (`scenario_io._propagate_all`): buffers allocated inside
-a worker would stay in that worker's malloc arena after the pool ends.
+starts the workers (`pool.map_in_workspaces`): buffers allocated inside a
+worker would stay in that worker's malloc arena after the pool ends.
 """
 
 from __future__ import annotations
 
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -32,7 +33,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import distributions as dist
-from .ddu import rating_refs
 from .distributions import DistributionSpec
 from .errors import InvalidSpec
 from .ges import TCL_KINDS, DeviceDescription, GesParams, map_device_to_ges
@@ -189,8 +189,6 @@ def tcl_baseline_bound_samples(dev, base: np.ndarray, dt: float, horizon: int,
         "alpha": row(params.alpha),
         "avg": row(params.soc_baseline_avg),
         "deadband": row(params.deadband),
-        "pc_ref": p_c_max.mean(axis=1),
-        "pd_ref": p_d_max.mean(axis=1),
     }
 
 
@@ -207,17 +205,16 @@ def sample_bounds(
     horizon: int,
     n: int,
     ss: np.random.SeedSequence,
-    workspace: np.ndarray | None = None,
+    workspace: Sequence[np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """`n` draws of a unit's storage parameters under identification and
     baseline noise: the one sampler of the DIU model.
 
     `ss` spawns one stream per entry of `unit_dists` (in name order), then
     one per step of `baseline_dist`.  Returns the bounds `p_c_max`, `p_d_max`,
-    `soc_lo`, `soc_hi`, `alpha`, the comfort anchors `avg` (baseline SoC
-    average) and `deadband`, and the rating references `pc_ref`, `pd_ref`
-    (n,).  The ratings are (n, horizon); every other per-step key is
-    (n, horizon) where it varies by draw and one (horizon,) row where it
+    `soc_lo`, `soc_hi`, `alpha` and the comfort anchors `avg` (baseline SoC
+    average) and `deadband`.  The ratings are (n, horizon); every other key
+    is (n, horizon) where it varies by draw and one (horizon,) row where it
     does not.  With a `workspace` the baseline draws and the ratings of the
     thermal fast path are written into its first two buffers.
     """
@@ -226,8 +223,7 @@ def sample_bounds(
         out = {key: getattr(params, attr) for key, attr in _SAMPLED.items()}
         for key in ("p_c_max", "p_d_max"):
             out[key] = np.broadcast_to(out[key], (n, horizon))
-        pc_ref, pd_ref = rating_refs(params)
-        return {**out, "pc_ref": np.full(n, pc_ref), "pd_ref": np.full(n, pd_ref)}
+        return out
 
     names = sorted(unit_dists)
     children = ss.spawn(len(names) + (horizon if baseline_dist is not None else 0))
@@ -241,7 +237,6 @@ def sample_bounds(
             return tcl_baseline_bound_samples(dev, base, dt, horizon, p_c_max=buffers[1], p_d_max=base)
 
     out = {key: np.empty((n, horizon)) for key in _SAMPLED}
-    out["pc_ref"], out["pd_ref"] = np.empty(n), np.empty(n)
     for j in range(n):
         kw = {name: float(vals[j]) for name, vals in draws.items()}
         if base is not None:
@@ -249,7 +244,6 @@ def sample_bounds(
         params = map_device_to_ges(replace(dev, **kw), dt, horizon)
         for key, attr in _SAMPLED.items():
             out[key][j] = getattr(params, attr)
-        out["pc_ref"][j], out["pd_ref"][j] = rating_refs(params)
     return out
 
 

@@ -30,6 +30,7 @@ and `compute_lorp_erns`/`penalty_cost` score a realized batch the same way.
 from __future__ import annotations
 
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ from .diu import sample_bounds
 from .diu import tcl_baseline_bound_samples  # noqa: F401  (a wrap target of bench/tracing.py)
 from .ges import map_device_to_ges  # noqa: F401  (a wrap target of bench/tracing.py)
 from .optimizer import DispatchStrategy
+from .pool import map_in_workspaces
 from .scenario import ScenarioBundle, UnitSpec
 
 #: numeric slack before a bound crossing counts as a violation
@@ -90,16 +92,22 @@ class ReliabilityReport:
 # Realization
 
 
-def _unit_noise(u: UnitSpec, scn: ScenarioBundle, m: int, seed: int) -> dict[str, np.ndarray]:
+def _unit_noise(u: UnitSpec, scn: ScenarioBundle, m: int, seed: int,
+                workspace: Sequence[np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """Per-draw parameter/baseline-noise realization of unit `u`, from spawn
-    child 0 of the stream keyed by (master seed, unit id).  Refuses a unit
-    whose device is not its own, such as the virtual unit of
+    child 0 of the stream keyed by (master seed, unit id), with the per-draw
+    rating references `pc_ref`, `pd_ref` (m,) of the discomfort's intensity
+    term.  With a `workspace` the sampler writes into its first two buffers.
+    Refuses a unit whose device is not its own, such as the virtual unit of
     `aggregate_scenario`, which keeps its first member's device."""
     if u.dev.unit_id != u.unit_id:
         raise InvalidSpec(f"unit {u.unit_id!r} carries the device of unit {u.dev.unit_id!r}, "
                           "so its noise cannot be realized (aggregated fleets cannot be evaluated)")
     ss = np.random.SeedSequence([int(seed), zlib.crc32(u.unit_id.encode())]).spawn(1)[0]
-    return sample_bounds(u.dev, u.unit_dists, u.baseline_dist, scn.dt, scn.horizon, m, ss)
+    noise = sample_bounds(u.dev, u.unit_dists, u.baseline_dist, scn.dt, scn.horizon, m, ss, workspace)
+    noise["pc_ref"] = noise["p_c_max"].mean(axis=1)
+    noise["pd_ref"] = noise["p_d_max"].mean(axis=1)
+    return noise
 
 
 def _system_uniforms(seed: int, m: int, horizon: int) -> dict[str, np.ndarray]:
@@ -112,76 +120,104 @@ def _system_uniforms(seed: int, m: int, horizon: int) -> dict[str, np.ndarray]:
     }
 
 
+def _price(u: UnitSpec, side: str) -> np.ndarray:
+    return np.asarray(u.price_c if side == "upper" else u.price_d, dtype=float)
+
+
 class _Worlds:
     """The fleet-common state of one evaluation, computed once and shared by
-    every unit and strategy: the shock uniforms, the standard normal scores
-    of the contraction uniforms, the expansion factor g per distinct price
-    input, and the per-unit noise realization of the unit last realized."""
+    every unit and strategy: the contraction shocks in the form each
+    contraction family reads (the uniforms for beta, their standard normal
+    scores for lognormal), and the expansion factor g of every distinct
+    price input of the scenario's units.  Nothing here changes after
+    construction, so the evaluator's worker threads only read it."""
 
-    def __init__(self, seed: int, m: int, horizon: int):
-        self.seed = int(seed)
+    def __init__(self, seed: int, m: int, scn: ScenarioBundle):
         self.m = m
-        sysu = _system_uniforms(seed, m, horizon)
-        self.u_g = {"upper": sysu["g_upper"], "lower": sysu["g_lower"]}
-        self.u_h = {"upper": sysu["h_upper"], "lower": sysu["h_lower"]}
-        # ndtri(u_h): the `z` fast path of contraction_quantile_vec
-        self.z_h = {side: special.ndtri(u) for side, u in self.u_h.items()}
+        self.horizon = scn.horizon
+        sysu = _system_uniforms(seed, m, scn.horizon)
+        families = {u.ddu.h_family for u in scn.units}
+        # keyword arguments of contraction_quantile_vec per (family, side)
+        self.h_shocks: dict[tuple[str, str], dict[str, np.ndarray]] = {}
+        for side in ("upper", "lower"):
+            u_h = sysu[f"h_{side}"]
+            if "beta" in families:
+                self.h_shocks["beta", side] = {"u": u_h}
+            if "lognormal" in families:
+                self.h_shocks["lognormal", side] = {"z": special.ndtri(u_h)}
         self._g: dict[tuple, np.ndarray] = {}
-        self._diu: tuple[UnitSpec | None, dict | None] = (None, None)
+        for u in scn.units:
+            for side in ("upper", "lower"):
+                key = self._key(u, side)
+                if key not in self._g:
+                    price = _price(u, side)
+                    self._g[key] = dist.truncnorm_quantile(price[None, :] / u.ddu.c_bar, u.ddu.sigma_g,
+                                                           0.0, 1.0, sysu[f"g_{side}"])
 
-    def g(self, side: str, price: np.ndarray, c_bar: float, sigma_g: float) -> np.ndarray:
-        """Expansion factor per (draw, step); depends only on its arguments."""
-        key = (side, price.tobytes(), float(c_bar), float(sigma_g))
-        g = self._g.get(key)
-        if g is None:
-            g = self._g[key] = dist.truncnorm_quantile(price[None, :] / c_bar, sigma_g, 0.0, 1.0, self.u_g[side])
-        return g
+    @staticmethod
+    def _key(u: UnitSpec, side: str) -> tuple:
+        return side, _price(u, side).tobytes(), float(u.ddu.c_bar), float(u.ddu.sigma_g)
 
-    def diu(self, u: UnitSpec, scn: ScenarioBundle) -> dict:
-        """Per-draw parameter/baseline-noise realization of unit `u`."""
-        last, real = self._diu
-        if last is not u:
-            real = _unit_noise(u, scn, self.m, self.seed)
-            self._diu = (u, real)
-        return real
+    def g(self, u: UnitSpec, side: str) -> np.ndarray:
+        """Expansion factor of unit `u` per (draw, step); depends only on the
+        unit's price input for `side`, `c_bar` and `sigma_g`."""
+        return self._g[self._key(u, side)]
 
 
-def _side_bound(u: UnitSpec, real, rd, side: str, worlds: _Worlds) -> np.ndarray:
-    """Realized bound for one side: expansion draw then contraction draw."""
+def _side_bound(u: UnitSpec, noise, rd, side: str, worlds: _Worlds,
+                out: np.ndarray, h: np.ndarray, scratch: np.ndarray) -> None:
+    """Realized bound for one side, written into `out`: expansion draw, then
+    contraction draw.  `h` and `scratch` are overwritten; `scratch` may be
+    `rd`, which is read before it."""
     spec = u.ddu
     p = u.params
     if side == "upper":
-        diu = np.minimum(real["soc_hi"], p.soc_phys_hi)
+        diu = np.minimum(noise["soc_hi"], p.soc_phys_hi)
         phys = p.soc_phys_hi
-        comfort = np.minimum(real["avg"] + real["deadband"] / 2.0, diu)
-        price = np.asarray(u.price_c, dtype=float)
+        comfort = np.minimum(noise["avg"] + noise["deadband"] / 2.0, diu)
     else:
-        diu = np.maximum(real["soc_lo"], p.soc_phys_lo)
+        diu = np.maximum(noise["soc_lo"], p.soc_phys_lo)
         phys = p.soc_phys_lo
-        comfort = np.maximum(real["avg"] - real["deadband"] / 2.0, diu)
-        price = np.asarray(u.price_d, dtype=float)
-    g = worlds.g(side, price, spec.c_bar, spec.sigma_g)
-    anchor = diu + (phys - diu) * g
-    h = contraction_quantile_vec(
-        spec.beta_side(side) * rd, spec, worlds.u_h[side], z=worlds.z_h[side]
-    )
-    return anchor + (comfort - anchor) * h
+        comfort = np.maximum(noise["avg"] - noise["deadband"] / 2.0, diu)
+    # anchor = diu + (phys - diu) * g
+    anchor = np.multiply(phys - diu, worlds.g(u, side), out=out)
+    anchor += diu
+    np.multiply(rd, spec.beta_side(side), out=h)
+    contraction_quantile_vec(h, spec, **worlds.h_shocks[spec.h_family, side], out=h)
+    # bound = anchor + (comfort - anchor) * h
+    pull = np.subtract(comfort, anchor, out=scratch)
+    pull *= h
+    anchor += pull
+
+
+#: (draws, horizon) buffers of the realization kernel: discomfort, upper and
+#: lower bound, contraction factor
+KERNEL_BUFFERS = 4
 
 
 def realize_unit(
-    u: UnitSpec, strategy: DispatchStrategy, scn: ScenarioBundle, m: int, worlds: _Worlds
+    u: UnitSpec, strategy: DispatchStrategy, noise: dict[str, np.ndarray], m: int, worlds: _Worlds,
+    workspace: Sequence[np.ndarray] | None = None,
 ) -> UnitRealization:
-    """Per-draw practical bounds of one unit over the `m` draws of `worlds`:
-    the realization kernel of every evaluator.  A crossed (upper, lower)
-    pair collapses to its midpoint."""
+    """Per-draw practical bounds of one unit over the `m` draws of `worlds`,
+    given the unit's noise realization (`_unit_noise`): the realization
+    kernel of every evaluator.  A crossed (upper, lower) pair collapses to
+    its midpoint.
+
+    `workspace` holds KERNEL_BUFFERS (m, horizon) buffers that the kernel
+    overwrites; the returned bounds are its second and third, so the next
+    call overwrites them.  Without one the kernel allocates its own.
+    """
     if m != worlds.m:
         raise DimensionMismatch(f"unit {u.unit_id}: {m} draws vs {worlds.m} in the shared worlds")
-    real = worlds.diu(u, scn)
+    if workspace is None:
+        workspace = [np.empty((m, worlds.horizon)) for _ in range(KERNEL_BUFFERS)]
+    rd, upper, lower, h = workspace
     # discomfort per draw and step, from each draw's realized references
-    rd = discomfort(strategy.schedules[u.unit_id], real["pc_ref"][:, None], real["pd_ref"][:, None],
-                    real["avg"], real["deadband"], u.ddu)
-    upper = _side_bound(u, real, rd, "upper", worlds)
-    lower = _side_bound(u, real, rd, "lower", worlds)
+    discomfort(strategy.schedules[u.unit_id], noise["pc_ref"][:, None], noise["pd_ref"][:, None],
+               noise["avg"], noise["deadband"], u.ddu, out=rd, scratch=upper)
+    _side_bound(u, noise, rd, "upper", worlds, out=upper, h=h, scratch=lower)
+    _side_bound(u, noise, rd, "lower", worlds, out=lower, h=h, scratch=rd)
     crossed = lower > upper
     crossings = int(np.count_nonzero(crossed))
     if crossings:
@@ -191,8 +227,8 @@ def realize_unit(
     return UnitRealization(
         upper=upper,
         lower=lower,
-        p_c_max=real["p_c_max"],
-        p_d_max=real["p_d_max"],
+        p_c_max=noise["p_c_max"],
+        p_d_max=noise["p_d_max"],
         crossings=crossings,
     )
 
@@ -206,10 +242,12 @@ def realize_practical_bounds(
     units), the parameter and baseline noise is per unit, and a crossed
     (upper, lower) pair collapses to its midpoint: the kernel that
     `evaluate_many` runs, so `compute_lorp_erns` of the batch equals
-    `evaluate_reliability` at the same draws and seed.
+    `evaluate_reliability` at the same draws and seed.  Every unit's arrays
+    are its own; no workspace is lent.
     """
-    worlds = _Worlds(seed, draws, scn.horizon)
-    units = {u.unit_id: realize_unit(u, strategy, scn, draws, worlds) for u in scn.units}
+    worlds = _Worlds(seed, draws, scn)
+    units = {u.unit_id: realize_unit(u, strategy, _unit_noise(u, scn, draws, seed), draws, worlds)
+             for u in scn.units}
     return RealizationBatch(units=units, draws=draws, seed=seed)
 
 
@@ -217,9 +255,44 @@ def realize_practical_bounds(
 # Metrics
 
 
+@dataclass
+class _UnitScore:
+    """One unit's share of a strategy's metrics, before it is folded in."""
+
+    any_violation: np.ndarray  # (draws,) bool
+    erns: np.ndarray  # signed kWh per step
+    freq: np.ndarray  # violation frequency per step
+    cost_rt: float
+    crossings: int
+
+
+def _score_unit(strategy: DispatchStrategy, scn: ScenarioBundle, u: UnitSpec, real: UnitRealization,
+                over: np.ndarray | None = None, under: np.ndarray | None = None) -> _UnitScore:
+    """Score one unit's realization; the excess and shortfall go into
+    `over` and `under` when they are given, buffers of the batch's shape
+    that alias no bound of `real`."""
+    soc = strategy.schedules[u.unit_id].soc[1:][None, :]
+    over = np.maximum(np.subtract(soc, real.upper, out=over), 0.0, out=over)
+    under = np.maximum(np.subtract(real.lower, soc, out=under), 0.0, out=under)
+    violated = over > VIOLATION_TOL
+    violated |= under > VIOLATION_TOL
+    # undelivered response is bought back at a markup, excess response
+    # loses part of its day-ahead revenue
+    e_over = over.mean(axis=0) * u.params.S
+    e_under = under.mean(axis=0) * u.params.S
+    over -= under
+    return _UnitScore(
+        any_violation=violated.any(axis=1),
+        erns=over.mean(axis=0) * u.params.S,
+        freq=violated.mean(axis=0),
+        cost_rt=float(np.dot(scn.tou_price, UNDER_RESPONSE_MULT * e_under + OVER_RESPONSE_MULT * e_over)),
+        crossings=real.crossings,
+    )
+
+
 class _Score:
     """Running LORP, signed ERNS, violation frequencies and real-time cost of
-    one strategy, fed one unit's realization at a time."""
+    one strategy, fed one unit at a time in unit order."""
 
     def __init__(self, strategy: DispatchStrategy, scn: ScenarioBundle, draws: int, seed: int):
         self.strategy = strategy
@@ -233,26 +306,18 @@ class _Score:
         self.crossings = 0
 
     def add(self, u: UnitSpec, real: UnitRealization) -> None:
-        uid = u.unit_id
         if real.upper.shape != (self.draws, self.scn.horizon):
             raise DimensionMismatch(
-                f"unit {uid}: batch shape {real.upper.shape} vs ({self.draws}, {self.scn.horizon})"
+                f"unit {u.unit_id}: batch shape {real.upper.shape} vs ({self.draws}, {self.scn.horizon})"
             )
-        soc = self.strategy.schedules[uid].soc[1:][None, :]
-        over = np.maximum(soc - real.upper, 0.0)
-        under = np.maximum(real.lower - soc, 0.0)
-        violated = (over > VIOLATION_TOL) | (under > VIOLATION_TOL)
-        self.any_violation |= violated.any(axis=1)
-        self.erns += (over - under).mean(axis=0) * u.params.S
-        self.freq[uid] = violated.mean(axis=0)
-        self.crossings += real.crossings
-        # undelivered response is bought back at a markup, excess response
-        # loses part of its day-ahead revenue
-        e_over = over.mean(axis=0) * u.params.S
-        e_under = under.mean(axis=0) * u.params.S
-        self.cost_rt += float(
-            np.dot(self.scn.tou_price, UNDER_RESPONSE_MULT * e_under + OVER_RESPONSE_MULT * e_over)
-        )
+        self.fold(u, _score_unit(self.strategy, self.scn, u, real))
+
+    def fold(self, u: UnitSpec, part: _UnitScore) -> None:
+        self.any_violation |= part.any_violation
+        self.erns += part.erns
+        self.freq[u.unit_id] = part.freq
+        self.crossings += part.crossings
+        self.cost_rt += part.cost_rt
 
     def report(self) -> ReliabilityReport:
         cost_da = self.strategy.objective_value
@@ -296,16 +361,32 @@ def evaluate_many(
     call and shared by every unit and strategy.  Parameter and baseline
     noise is per unit: drawn once per unit and shared by the strategies.
     Each strategy is realized through `realize_unit`, where a crossed
-    (upper, lower) pair collapses to its midpoint, and scored one unit at a
-    time, so memory stays at one unit's draws.  A report depends only on
-    (strategy, scenario, draws, seed); `evaluate_reliability(s)` is this
-    function with `s` alone.
+    (upper, lower) pair collapses to its midpoint.
+
+    The units run through `pool.map_in_workspaces`.  A unit's task realizes
+    its noise and every strategy's bounds in one workspace of
+    `2 + KERNEL_BUFFERS` (draws, horizon) buffers, allocated by this thread,
+    and returns small per-strategy scores.  This thread folds them in unit
+    order, so a report depends only on (strategy, scenario, draws, seed),
+    not on the pool; `evaluate_reliability(s)` is this function with `s`
+    alone.
     """
-    worlds = _Worlds(seed, draws, scn.horizon)
+    worlds = _Worlds(seed, draws, scn)
     scores = {name: _Score(s, scn, draws, seed) for name, s in strategies.items()}
-    for u in scn.units:
-        for name, strategy in strategies.items():
-            scores[name].add(u, realize_unit(u, strategy, scn, draws, worlds))
+
+    def score_unit(u: UnitSpec, workspace: list[np.ndarray]) -> list[_UnitScore]:
+        noise = _unit_noise(u, scn, draws, seed, workspace)
+        kernel = workspace[2:]
+        rd, _, _, h = kernel  # free once the bounds are realized
+        return [_score_unit(s, scn, u, realize_unit(u, s, noise, draws, worlds, kernel), rd, h)
+                for s in strategies.values()]
+
+    parts = map_in_workspaces(score_unit, scn.units,
+                              lambda: [np.empty((draws, scn.horizon)) for _ in range(2 + KERNEL_BUFFERS)],
+                              draws * scn.horizon)
+    for u, unit_parts in zip(scn.units, parts):
+        for score, part in zip(scores.values(), unit_parts):
+            score.fold(u, part)
     return {name: score.report() for name, score in scores.items()}
 
 

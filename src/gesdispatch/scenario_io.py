@@ -20,9 +20,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +32,7 @@ from .diu import new_workspace, propagate_diu
 from .distributions import DistributionSpec
 from .errors import ParseError, ValidationError
 from .ges import DeviceDescription, map_device_to_ges
+from .pool import map_in_workspaces
 from .scenario import ReserveSpec, ScenarioBundle, UnitSpec
 
 _DEV_FIELDS = (
@@ -99,41 +97,20 @@ def _dist_from_row(family: str, mean: float, sigma: float, where: str, issues):
 def _propagate_all(units: list[UnitSpec], dt: float, horizon: int, n: int, seed: int) -> None:
     """Fill `stats` of every unit with identification or baseline noise.
 
-    The units run on a thread pool sized to the CPUs this process may use
-    (its affinity mask where the OS has one), at most one thread per unit.
-    Each unit draws only from its own seed sequence and the heavy numpy
-    calls release the GIL, so the statistics do not depend on the pool.
-    Results are read in unit order, so the first failing unit in file order
-    raises.
-
-    This thread allocates one DIU workspace per worker before the pool
-    starts and hands them out through a queue: a unit takes one, propagates
-    in it and puts it back, so no two units share one at a time and the
-    workers reuse warm pages instead of allocating and freeing their
-    temporaries unit by unit.  Allocated here, the buffers go back to the
-    OS when the pool ends; allocated by a worker, they would stay in that
-    worker's malloc arena.
+    The units run through `pool.map_in_workspaces`, each in a DIU workspace
+    (`diu.new_workspace`) that this thread allocates.  Each unit draws only
+    from its own seed sequence, so the statistics do not depend on the pool,
+    and the first failing unit in file order raises.
     """
     noisy = [u for u in units if u.unit_dists or u.baseline_dist is not None]
-    if not noisy:
-        return
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cpus, len(noisy))
-    workspaces = queue.SimpleQueue()
-    for _ in range(workers):
-        workspaces.put(new_workspace(n, horizon))
 
-    def propagate(u: UnitSpec):
-        workspace = workspaces.get()
-        try:
-            return propagate_diu(u.unit_dists, u.dev, u.baseline_dist, dt, horizon, n=n, seed=seed,
-                                 workspace=workspace)
-        finally:
-            workspaces.put(workspace)
+    def propagate(u: UnitSpec, workspace):
+        return propagate_diu(u.unit_dists, u.dev, u.baseline_dist, dt, horizon, n=n, seed=seed,
+                             workspace=workspace)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for u, stats in zip(noisy, pool.map(propagate, noisy)):
-            u.stats = stats
+    stats = map_in_workspaces(propagate, noisy, lambda: new_workspace(n, horizon), n * horizon)
+    for u, unit_stats in zip(noisy, stats):
+        u.stats = unit_stats
 
 
 def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:

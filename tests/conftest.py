@@ -41,3 +41,11 @@ def smoke3_m2(smoke3):
     from gesdispatch.optimizer import solve_cco_diu
 
     return solve_cco_diu(smoke3)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Size `pool.map_in_workspaces` for two CPUs whatever the host has."""
+    from gesdispatch import pool
+
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)

@@ -185,16 +185,18 @@ def test_tcl_fast_path_equals_the_per_draw_mapping():
     assert inplace["p_d_max"] is scratch
     for key, value in tcl_baseline_bound_samples(raised, base, 0.5, T).items():
         assert inplace[key].tobytes() == value.tobytes(), key
+    # the evaluator's rating references are the row means of the sampled ratings
+    refs = fast["p_c_max"].mean(axis=1), fast["p_d_max"].mean(axis=1)
     for j in range(base.shape[0]):
         params = map_device_to_ges(replace(dev, baseline_power=base[j]), 0.5, T)
-        pc_ref, pd_ref = rating_refs(params)
         want = {"p_c_max": params.p_c_max, "p_d_max": params.p_d_max, "soc_lo": params.soc_lo,
                 "soc_hi": params.soc_hi, "alpha": params.alpha, "avg": params.soc_baseline_avg,
-                "deadband": params.deadband, "pc_ref": pc_ref, "pd_ref": pd_ref}
+                "deadband": params.deadband}
         assert fast.keys() == want.keys()
         for key, value in want.items():
             got = fast[key] if fast[key].shape == (T,) else fast[key][j]  # a row is shared by all draws
             assert np.array_equal(got, value), (key, j)
+        assert (refs[0][j], refs[1][j]) == rating_refs(params), j
 
 
 def test_sampler_branches_share_keys_and_shapes():
@@ -207,15 +209,15 @@ def test_sampler_branches_share_keys_and_shapes():
         "fast path": sample_bounds(tcl_device(), {}, baseline, 1.0, T, n, np.random.SeedSequence(1)),
         "per draw": sample_bounds(bes, ident, None, 1.0, T, n, np.random.SeedSequence(1)),
     }
-    keys = {"p_c_max", "p_d_max", "soc_lo", "soc_hi", "alpha", "avg", "deadband", "pc_ref", "pd_ref"}
+    keys = {"p_c_max", "p_d_max", "soc_lo", "soc_hi", "alpha", "avg", "deadband"}
     for name, out in branches.items():
         assert set(out) == keys, name
         assert out["p_c_max"].shape == out["p_d_max"].shape == (n, T), name
-        assert out["pc_ref"].shape == out["pd_ref"].shape == (n,), name
-        assert all(out[k].shape in ((n, T), (T,)) for k in keys - {"pc_ref", "pd_ref"}), name
+        assert all(out[k].shape in ((n, T), (T,)) for k in keys), name
     nominal = map_device_to_ges(bes, 1.0, T)
     assert np.array_equal(branches["no noise"]["p_c_max"][-1], nominal.p_c_max)
-    assert np.all(branches["no noise"]["pc_ref"] == rating_refs(nominal)[0])
+    # the evaluator's rating references: row means of the (broadcast) ratings
+    assert np.all(branches["no noise"]["p_c_max"].mean(axis=1) == rating_refs(nominal)[0])
 
 
 def stats_bytes(stats):

@@ -1,15 +1,28 @@
 """Ex-post Monte-Carlo scoring: realized bounds, LORP/ERNS, penalties."""
 
+import itertools
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gesdispatch import reliability
 from gesdispatch.ddu import DduSpec
 from gesdispatch.errors import DimensionMismatch, InvalidSpec
 from gesdispatch.ges import UnitSchedule
-from gesdispatch.optimizer import DispatchStrategy, SolveMetadata, aggregate_scenario, solve_cco_diu
+from gesdispatch.optimizer import (
+    DispatchStrategy,
+    SolveMetadata,
+    aggregate_scenario,
+    solve_cco_diu,
+    solve_deterministic_m1,
+)
+from gesdispatch.pool import POOL_MIN_ELEMENTS
 from gesdispatch.reliability import (
+    OVER_RESPONSE_MULT,
+    UNDER_RESPONSE_MULT,
+    VIOLATION_TOL,
     RealizationBatch,
     UnitRealization,
     average_contraction,
@@ -19,6 +32,7 @@ from gesdispatch.reliability import (
     expost_row_frequencies,
     penalty_cost,
     realize_practical_bounds,
+    realize_unit,
 )
 
 from util import bes_device, make_scenario, make_unit
@@ -262,3 +276,101 @@ def test_average_contraction_zero_at_rest():
     assert average_contraction(strategy_with(scn), scn) == 0.0
     active = strategy_with(scn, p_d=np.full(T, 3.0))
     assert average_contraction(active, scn) > 0.0
+
+
+# --- the evaluator's unit pool ---------------------------------------------
+
+#: the fewest draws whose units run on the pool (24 steps in both fixtures)
+POOL_DRAWS = -(-POOL_MIN_ELEMENTS // 24)
+
+
+def serial_reference(strategies, scn, draws, seed):
+    """Each strategy realized unit by unit in fresh arrays, with no pool and
+    no workspace, and scored with the metric definitions."""
+    out = {}
+    for name, strategy in strategies.items():
+        batch = realize_practical_bounds(strategy, scn, draws, seed)
+        any_violation = np.zeros(draws, dtype=bool)
+        erns = np.zeros(scn.horizon)
+        freq, cost_rt, crossings = {}, 0.0, 0
+        for u in scn.units:
+            real = batch.units[u.unit_id]
+            soc = strategy.schedules[u.unit_id].soc[1:][None, :]
+            over = np.maximum(soc - real.upper, 0.0)
+            under = np.maximum(real.lower - soc, 0.0)
+            violated = (over > VIOLATION_TOL) | (under > VIOLATION_TOL)
+            any_violation |= violated.any(axis=1)
+            erns += (over - under).mean(axis=0) * u.params.S
+            freq[u.unit_id] = violated.mean(axis=0)
+            crossings += real.crossings
+            e_over = over.mean(axis=0) * u.params.S
+            e_under = under.mean(axis=0) * u.params.S
+            cost_rt += float(np.dot(scn.tou_price,
+                                    UNDER_RESPONSE_MULT * e_under + OVER_RESPONSE_MULT * e_over))
+        out[name] = (float(any_violation.mean()), erns, freq, cost_rt, crossings)
+    return out
+
+
+@pytest.mark.parametrize("fixture, draws, pooled", [("tcl100", POOL_DRAWS, True), ("smoke3", 300, False)])
+def test_pooled_evaluation_equals_a_serial_reference_bit_for_bit(request, monkeypatch, two_cpus,
+                                                                  fixture, draws, pooled):
+    scn = request.getfixturevalue(fixture)
+    if fixture == "tcl100":
+        scn = replace(scn, units=scn.units[:40])
+    assert (draws * scn.horizon >= POOL_MIN_ELEMENTS) == pooled
+    if fixture == "tcl100":
+        strategies = {k: request.getfixturevalue("tcl100_strategies")[k] for k in ("M2", "M3")}
+    else:
+        strategies = {"M1": solve_deterministic_m1(scn), "M2": request.getfixturevalue("smoke3_m2")}
+    threads = set()
+
+    def recording(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return realize_unit(*args, **kwargs)
+
+    monkeypatch.setattr(reliability, "realize_unit", recording)
+    reports = evaluate_many(strategies, scn, draws, seed=9)
+    assert (threading.get_ident() not in threads) == pooled
+    for name, (lorp, erns, freq, cost_rt, crossings) in serial_reference(strategies, scn, draws, 9).items():
+        got = reports[name]
+        assert (got.lorp, got.cost_rt, got.crossings) == (lorp, cost_rt, crossings), name
+        assert got.erns.tobytes() == erns.tobytes(), name
+        assert got.violation_freq.keys() == freq.keys()
+        assert all(got.violation_freq[uid].tobytes() == f.tobytes() for uid, f in freq.items()), name
+
+
+def test_aggregate_units_fail_alike_on_and_off_the_pool(tcl100, tcl100_strategies, two_cpus):
+    # two virtual units, each keeping its first member's device; the one
+    # earlier in file order must raise, whichever task fails first
+    units = list(tcl100.units[:6])
+    for i in (2, 4):
+        units[i] = aggregate_scenario(replace(tcl100, units=tcl100.units[i:i + 2])).units[0]
+    scn = replace(tcl100, units=units)
+    errors = []
+    for draws in (POOL_DRAWS - 1, POOL_DRAWS):
+        with pytest.raises(InvalidSpec, match="aggregated fleets cannot be evaluated") as exc:
+            evaluate_many(tcl100_strategies, scn, draws, seed=1)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1]
+    assert f"the device of unit {tcl100.units[2].unit_id!r}" in errors[0]
+
+
+def noise_free_pair():
+    units = [make_unit(bes_device(uid="cheap"), T, price_c=0.1, price_d=0.2),
+             make_unit(bes_device(uid="dear"), T, price_c=1.2, price_d=1.4)]
+    return make_scenario(units, T, load=15.0)
+
+
+@pytest.mark.parametrize("fixture", ["smoke3", "tcl100", "noise_free"])
+def test_realized_units_share_no_memory(request, fixture):
+    if fixture == "noise_free":
+        scn = noise_free_pair()
+    else:
+        scn = request.getfixturevalue(fixture)
+        scn = replace(scn, units=scn.units[:8])
+    batch = realize_practical_bounds(strategy_with(scn), scn, draws=POOL_DRAWS, seed=3)
+    arrays = [(uid, getattr(real, name)) for uid, real in batch.units.items()
+              for name in ("upper", "lower", "p_c_max", "p_d_max")]
+    shared = [(a, b) for (a, x), (b, y) in itertools.combinations(arrays, 2)
+              if a != b and np.shares_memory(x, y)]
+    assert shared == []
