@@ -8,6 +8,7 @@ which is the reproducibility contract the Monte-Carlo layers rely on.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -126,17 +127,138 @@ def _require_finite(x):
 
 def sample(spec: DistributionSpec, n: int, seed) -> np.ndarray:
     """n i.i.d. draws; bit-identical for identical (spec, n, seed)."""
-    return quantile(spec, _uniforms(n, seed))
+    _check_count(n)
+    return quantile(spec, np.random.default_rng(seed).random(n))
 
 
-def _uniforms(n: int, seed) -> np.ndarray:
+def _check_count(n: int) -> None:
     if n < 1:
         raise InvalidSpec(f"sample count must be >= 1, got {n}")
-    return np.random.default_rng(seed).random(n)
 
 
-def sample_columns(specs: list[DistributionSpec], n: int, seeds, out: np.ndarray | None = None) -> np.ndarray:
-    """(n, len(specs)) draws whose column t is sample(specs[t], n, seeds[t]),
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
+# seeding rule (pcg64_set_seed in numpy/random/src/pcg64), both fixed
+# algorithms that numpy keeps stream-compatible
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _words(x: int) -> list[int]:
+    """The uint32 words numpy's SeedSequence makes of a non-negative int."""
+    x = int(x)
+    if x < 0:
+        raise ValueError("expected non-negative integer")
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _hash_states(entropy: np.ndarray) -> np.ndarray:
+    """(rows, 4) uint64: row r is ``generate_state(4, np.uint64)`` of the
+    SeedSequence whose assembled entropy words are ``entropy[r]``.
+
+    The hash constants advance the same way for every row, so the whole
+    hash is a fixed sequence of wrapping uint32 operations on columns.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> np.uint32(16))
+
+    width = entropy.shape[1]
+    zero = np.zeros(entropy.shape[0], dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < width else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, width):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[:, i_src]))
+
+    hash_const = _INIT_B
+    words = []
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        words.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    # numpy reads the word pairs as little-endian uint64
+    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(words[::2], words[1::2])], axis=1)
+
+
+def spawn_states(entropy, counts, prefix: tuple[int, ...] = ()) -> list[np.ndarray]:
+    """Seed states of the spawned children of many SeedSequences, in one pass.
+
+    Block p is a read-only (counts[p], 4) uint64 array whose row j equals
+    ``np.random.SeedSequence(entropy[p], spawn_key=(*prefix, j)).generate_state(4, np.uint64)``:
+    with no `prefix`, the state of ``SeedSequence(entropy[p]).spawn(counts[p])[j]``;
+    with prefix ``(0,)``, that of child j of its first child.  Each
+    ``entropy[p]`` is a non-negative int or a sequence of them, as
+    SeedSequence takes it.  `uniform_streams` draws from the rows.
+    """
+    counts = np.asarray(counts, dtype=np.intp)
+    ends = np.cumsum(counts)
+    parent = np.repeat(np.arange(counts.size), counts)
+    child = np.arange(parent.size) - (ends - counts)[parent]  # j: one word, below 2**32
+    key = [w for x in prefix for w in _words(x)]
+    # a spawn key zero-pads the run entropy to the pool size; parents whose
+    # assembled entropy has one width hash together
+    runs: dict[int, list[list[int]]] = {}
+    members: dict[int, list[int]] = {}
+    for p, entropy_p in enumerate(entropy):
+        run = [w for x in ((entropy_p,) if isinstance(entropy_p, (int, np.integer)) else entropy_p)
+               for w in _words(x)]
+        run += [0] * (_POOL_SIZE - len(run)) + key
+        runs.setdefault(len(run), []).append(run)
+        members.setdefault(len(run), []).append(p)
+    states = np.empty((parent.size, 4), dtype=np.uint64)
+    for width, group in members.items():
+        rows = np.isin(parent, group)
+        words = np.repeat(np.array(runs[width], dtype=np.uint32), counts[group], axis=0)
+        states[rows] = _hash_states(np.column_stack([words, child[rows].astype(np.uint32)]))
+    states.flags.writeable = False
+    return [states[end - count:end] for end, count in zip(ends.tolist(), counts.tolist())]
+
+
+def uniform_streams(states: np.ndarray, size) -> Iterator[np.ndarray]:
+    """For each row of `states` (from `spawn_states`), in order, the
+    ``random(size)`` uniforms of ``np.random.default_rng(child)``, where
+    `child` is the SeedSequence the row was hashed from.
+
+    One PCG64 owned by this call is seeded from each row in turn by the rule
+    of numpy's `pcg64_set_seed`: ``inc = 2·i + 1`` and
+    ``state = ((inc + s)·M + inc) mod 2**128``, where (s, i) are the row's
+    two 128-bit halves, high word first.
+    """
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for s_hi, s_lo, i_hi, i_lo in states.tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        yield rng.random(size)
+
+
+def sample_columns(specs: list[DistributionSpec], n: int, states: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """(n, len(specs)) draws whose column t is ``quantile(specs[t], u)`` of
+    the `n` uniforms `u` of stream ``states[t]`` (`uniform_streams`),
     written into `out` when it is given (and returned).
 
     The uniforms go in column by column, then the quantile transform runs in
@@ -144,10 +266,11 @@ def sample_columns(specs: list[DistributionSpec], n: int, seeds, out: np.ndarray
     is one call per ufunc over all columns: per element it is the arithmetic
     of `quantile`, with far fewer short calls that each release the GIL.
     """
+    _check_count(n)
     if out is None:
         out = np.empty((n, len(specs)))
-    for t, seed in enumerate(seeds):
-        out[:, t] = _uniforms(n, seed)
+    for t, uniforms in enumerate(uniform_streams(states, n)):
+        out[:, t] = uniforms
     if all(spec.family == "lognormal" for spec in specs):
         special.ndtri(out, out=out)
         out *= [spec.params["sigma"] for spec in specs]

@@ -163,19 +163,19 @@ def _column_stats(samples: np.ndarray, seed: int, scratch: np.ndarray | None = N
     return BoundStats(mu=mu, sigma=sigma, sample_count=n, seed=seed, table=table)
 
 
-def tcl_baseline_bound_samples(dev, base: np.ndarray, dt: float, horizon: int,
+def tcl_baseline_bound_samples(dev, params: GesParams, base: np.ndarray,
                                p_c_max: np.ndarray | None = None,
                                p_d_max: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Vectorized bound realizations for a thermal unit whose only uncertain
     input is its baseline power draw `base` of shape (n, horizon).
 
     Matches map_device_to_ges row-by-row: the thermal coefficients and SoC
-    coordinates do not depend on the baseline, so only the power ratings vary.
-    The power ratings are (n, horizon), written into `p_c_max` and `p_d_max`
-    when those buffers are given (`p_d_max` may be `base` itself); every
-    other bound is the same in all draws and is returned as one (horizon,) row.
+    coordinates do not depend on the baseline, so only the power ratings vary
+    and every other bound is the row of the unit's mapping `params`
+    (``map_device_to_ges(dev, dt, horizon)``), one (horizon,) row shared by
+    all draws.  The power ratings are (n, horizon), written into `p_c_max`
+    and `p_d_max` when those buffers are given (`p_d_max` may be `base` itself).
     """
-    params = map_device_to_ges(dev, dt, horizon)
     p_c_max = np.subtract(dev.p_max, base, out=p_c_max)
     np.clip(p_c_max, 0.0, None, out=p_c_max)
     p_d_max = np.subtract(base, dev.p_min, out=p_d_max)
@@ -197,53 +197,69 @@ _SAMPLED = {"p_c_max": "p_c_max", "p_d_max": "p_d_max", "soc_lo": "soc_lo", "soc
             "alpha": "alpha", "avg": "soc_baseline_avg", "deadband": "deadband"}
 
 
+def unit_states(seed: int, units: Sequence[tuple[str, dict, list | None]], horizon: int,
+                prefix: tuple[int, ...] = ()) -> list[np.ndarray]:
+    """The seed states of the streams `sample_bounds` draws, for each
+    (unit id, `unit_dists`, `baseline_dist`) of `units`, in one pass.
+
+    A unit's streams are the SeedSequence children ``(*prefix, j)`` of
+    ``[seed, crc32(unit id)]`` (`distributions.spawn_states`): one per entry
+    of `unit_dists`, in name order, then one per step when `baseline_dist`
+    is given.  The blocks are read-only, so worker threads may share them.
+    """
+    return dist.spawn_states([(int(seed), zlib.crc32(uid.encode())) for uid, _, _ in units],
+                             [len(unit_dists) + (horizon if baseline_dist is not None else 0)
+                              for _, unit_dists, baseline_dist in units], prefix)
+
+
 def sample_bounds(
     dev: DeviceDescription,
+    params: GesParams,
     unit_dists: dict[str, DistributionSpec],
     baseline_dist: list[DistributionSpec] | None,
     dt: float,
     horizon: int,
     n: int,
-    ss: np.random.SeedSequence,
+    states: np.ndarray,
     workspace: Sequence[np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """`n` draws of a unit's storage parameters under identification and
     baseline noise: the one sampler of the DIU model.
 
-    `ss` spawns one stream per entry of `unit_dists` (in name order), then
-    one per step of `baseline_dist`.  Returns the bounds `p_c_max`, `p_d_max`,
-    `soc_lo`, `soc_hi`, `alpha` and the comfort anchors `avg` (baseline SoC
-    average) and `deadband`.  The ratings are (n, horizon); every other key
-    is (n, horizon) where it varies by draw and one (horizon,) row where it
-    does not.  With a `workspace` the baseline draws and the ratings of the
-    thermal fast path are written into its first two buffers.
+    `states` is the unit's block of `unit_states`, and `params` its mapping
+    ``map_device_to_ges(dev, dt, horizon)``, from which the noise-free and
+    the thermal fast path read their draw-invariant rows.  Returns the
+    bounds `p_c_max`, `p_d_max`, `soc_lo`, `soc_hi`, `alpha` and the comfort
+    anchors `avg` (baseline SoC average) and `deadband`.  The ratings are
+    (n, horizon); every other key is (n, horizon) where it varies by draw
+    and one (horizon,) row where it does not.  With a `workspace` the
+    baseline draws and the ratings of the thermal fast path are written
+    into its first two buffers.
     """
     if not unit_dists and baseline_dist is None:
-        params = map_device_to_ges(dev, dt, horizon)
         out = {key: getattr(params, attr) for key, attr in _SAMPLED.items()}
         for key in ("p_c_max", "p_d_max"):
             out[key] = np.broadcast_to(out[key], (n, horizon))
         return out
 
     names = sorted(unit_dists)
-    children = ss.spawn(len(names) + (horizon if baseline_dist is not None else 0))
-    draws = {name: dist.sample(unit_dists[name], n, c) for name, c in zip(names, children)}
     base = None
     if baseline_dist is not None:
         buffers = (None, None) if workspace is None else workspace[:2]
-        base = dist.sample_columns(baseline_dist, n, children[len(names):], out=buffers[0])
+        base = dist.sample_columns(baseline_dist, n, states[len(names):], out=buffers[0])
         if not unit_dists and dev.kind in TCL_KINDS:
             # nothing reads the baseline draws after the discharge rating
-            return tcl_baseline_bound_samples(dev, base, dt, horizon, p_c_max=buffers[1], p_d_max=base)
+            return tcl_baseline_bound_samples(dev, params, base, p_c_max=buffers[1], p_d_max=base)
+    draws = dist.sample_columns([unit_dists[name] for name in names], n, states[:len(names)])
 
     out = {key: np.empty((n, horizon)) for key in _SAMPLED}
     for j in range(n):
-        kw = {name: float(vals[j]) for name, vals in draws.items()}
+        kw = dict(zip(names, draws[j].tolist()))
         if base is not None:
             kw["baseline_power"] = base[j]
-        params = map_device_to_ges(replace(dev, **kw), dt, horizon)
+        draw_params = map_device_to_ges(replace(dev, **kw), dt, horizon)
         for key, attr in _SAMPLED.items():
-            out[key][j] = getattr(params, attr)
+            out[key][j] = getattr(draw_params, attr)
     return out
 
 
@@ -256,6 +272,8 @@ def propagate_diu(
     n: int = DEFAULT_SAMPLES,
     seed: int = 0,
     workspace: np.ndarray | None = None,
+    states: np.ndarray | None = None,
+    params: GesParams | None = None,
 ) -> UnitBoundStats:
     """Monte-Carlo statistics of the storage bounds under parameter noise.
 
@@ -265,6 +283,9 @@ def propagate_diu(
     a violation level: the chance rows read quantiles from the table.
     `workspace`, from `new_workspace(n, horizon)`, is scratch that the call
     overwrites; the statistics are bit-identical with or without it.
+    `states` (the unit's block of `unit_states` at `seed`) and `params`
+    (``map_device_to_ges(dev, dt, horizon)``) are computed here when a
+    caller that has them for many units does not pass them.
     """
     if n < 1:
         raise InvalidSpec(f"sample count must be >= 1, got {n}")
@@ -275,8 +296,11 @@ def propagate_diu(
     if baseline_dist is not None and len(baseline_dist) != horizon:
         raise InvalidSpec("baseline_dist must have one distribution per step")
 
-    ss = np.random.SeedSequence([seed, zlib.crc32(dev.unit_id.encode())])
-    samples = sample_bounds(dev, unit_dists, baseline_dist, dt, horizon, n, ss, workspace)
+    if states is None:
+        states = unit_states(seed, [(dev.unit_id, unit_dists, baseline_dist)], horizon)[0]
+    if params is None:
+        params = map_device_to_ges(dev, dt, horizon)
+    samples = sample_bounds(dev, params, unit_dists, baseline_dist, dt, horizon, n, states, workspace)
     scratch = None if workspace is None else workspace[2]
     return UnitBoundStats(
         unit_id=dev.unit_id,
@@ -294,8 +318,8 @@ def new_workspace(n: int, horizon: int) -> np.ndarray:
 
 def series_stats(dists_per_t: list[DistributionSpec], n: int = DEFAULT_SAMPLES, seed: int = 0) -> BoundStats:
     """Empirical statistics of an exogenous per-step series (load, renewables)."""
-    children = np.random.SeedSequence([seed]).spawn(len(dists_per_t))
-    return _column_stats(dist.sample_columns(dists_per_t, n, children), seed)
+    states = dist.spawn_states([[seed]], [len(dists_per_t)])[0]
+    return _column_stats(dist.sample_columns(dists_per_t, n, states), seed)
 
 
 class SeriesQuantile(NamedTuple):

@@ -27,12 +27,16 @@ Result = TypeVar("Result")
 
 #: tasks of fewer elements (draws × horizon) than this run on the calling
 #: thread.  Measured with the evaluator on `synthetic_100tcl` (100 units,
-#: 24 steps, the R2 strategy; 2 cores, numpy 2.4.6), median of 7 in-process
-#: calls each, calling thread against two workers: 200 draws (4,800
-#: elements) 0.168 against 0.174 s, 500 draws 0.209 against 0.214 s, 1,000
-#: draws (24,000) 0.331 against 0.336 s, 1,500 draws 0.430 against 0.339 s,
-#: 3,000 draws 0.772 against 0.474 s.  Below the tie a unit is bound by
-#: Python per-call cost, and handing the GIL between threads only adds to it.
+#: 24 steps, the R2 strategy; 2 shared cores, numpy 2.4.6), median of 7
+#: in-process calls each, calling thread against two workers, two rounds:
+#: 300 draws (7,200 elements) 0.094/0.112 against 0.107/0.090 s, 400 draws
+#: 0.106/0.141 against 0.126/0.147 s, 500 draws (12,000) 0.134/0.175 against
+#: 0.147/0.144 s, 600 draws 0.190/0.182 against 0.165/0.151 s, 1,000 draws
+#: (24,000) 0.253/0.239 against 0.167/0.177 s; 3,000 draws 0.587 against
+#: 0.384 s.  Below the tie a unit is bound by Python per-call cost, and
+#: handing the GIL between threads only adds to it.  The tie lies near
+#: 12,000 elements, below this value; no benchmark workload has tasks
+#: between the two, and lowering the value is left open.
 POOL_MIN_ELEMENTS = 24_000
 
 

@@ -39,7 +39,7 @@ from scipy import special
 from . import distributions as dist
 from .ddu import contraction_quantile_vec, discomfort
 from .errors import DimensionMismatch, InvalidSpec
-from .diu import sample_bounds
+from .diu import sample_bounds, unit_states
 from .diu import tcl_baseline_bound_samples  # noqa: F401  (a wrap target of bench/tracing.py)
 from .ges import map_device_to_ges  # noqa: F401  (a wrap target of bench/tracing.py)
 from .optimizer import DispatchStrategy
@@ -92,19 +92,25 @@ class ReliabilityReport:
 # Realization
 
 
-def _unit_noise(u: UnitSpec, scn: ScenarioBundle, m: int, seed: int,
+def _noise_states(units: Sequence[UnitSpec], seed: int, horizon: int) -> list[np.ndarray]:
+    """Seed states of each unit's noise streams, hashed in one pass: the
+    children of spawn child 0 of the stream keyed by (master seed, unit id)."""
+    return unit_states(seed, [(u.unit_id, u.unit_dists, u.baseline_dist) for u in units], horizon, prefix=(0,))
+
+
+def _unit_noise(u: UnitSpec, scn: ScenarioBundle, m: int, states: np.ndarray,
                 workspace: Sequence[np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Per-draw parameter/baseline-noise realization of unit `u`, from spawn
-    child 0 of the stream keyed by (master seed, unit id), with the per-draw
-    rating references `pc_ref`, `pd_ref` (m,) of the discomfort's intensity
-    term.  With a `workspace` the sampler writes into its first two buffers.
-    Refuses a unit whose device is not its own, such as the virtual unit of
-    `aggregate_scenario`, which keeps its first member's device."""
+    """Per-draw parameter/baseline-noise realization of unit `u` from its
+    block of `_noise_states`, with the per-draw rating references `pc_ref`,
+    `pd_ref` (m,) of the discomfort's intensity term.  With a `workspace`
+    the sampler writes into its first two buffers.  Refuses a unit whose
+    device is not its own, such as the virtual unit of `aggregate_scenario`,
+    which keeps its first member's device."""
     if u.dev.unit_id != u.unit_id:
         raise InvalidSpec(f"unit {u.unit_id!r} carries the device of unit {u.dev.unit_id!r}, "
                           "so its noise cannot be realized (aggregated fleets cannot be evaluated)")
-    ss = np.random.SeedSequence([int(seed), zlib.crc32(u.unit_id.encode())]).spawn(1)[0]
-    noise = sample_bounds(u.dev, u.unit_dists, u.baseline_dist, scn.dt, scn.horizon, m, ss, workspace)
+    noise = sample_bounds(u.dev, u.params, u.unit_dists, u.baseline_dist, scn.dt, scn.horizon, m, states,
+                          workspace)
     noise["pc_ref"] = noise["p_c_max"].mean(axis=1)
     noise["pd_ref"] = noise["p_d_max"].mean(axis=1)
     return noise
@@ -112,12 +118,9 @@ def _unit_noise(u: UnitSpec, scn: ScenarioBundle, m: int, seed: int,
 
 def _system_uniforms(seed: int, m: int, horizon: int) -> dict[str, np.ndarray]:
     """Fleet-common expansion/contraction shock uniforms, one per (draw, step)."""
-    ss = np.random.SeedSequence([int(seed), zlib.crc32(b"system")])
     names = ("g_upper", "g_lower", "h_upper", "h_lower")
-    return {
-        name: np.random.default_rng(c).random((m, horizon))
-        for name, c in zip(names, ss.spawn(len(names)))
-    }
+    states = dist.spawn_states([(int(seed), zlib.crc32(b"system"))], [len(names)])[0]
+    return dict(zip(names, dist.uniform_streams(states, (m, horizon))))
 
 
 def _price(u: UnitSpec, side: str) -> np.ndarray:
@@ -246,8 +249,8 @@ def realize_practical_bounds(
     are its own; no workspace is lent.
     """
     worlds = _Worlds(seed, draws, scn)
-    units = {u.unit_id: realize_unit(u, strategy, _unit_noise(u, scn, draws, seed), draws, worlds)
-             for u in scn.units}
+    units = {u.unit_id: realize_unit(u, strategy, _unit_noise(u, scn, draws, states), draws, worlds)
+             for u, states in zip(scn.units, _noise_states(scn.units, seed, scn.horizon))}
     return RealizationBatch(units=units, draws=draws, seed=seed)
 
 
@@ -363,8 +366,10 @@ def evaluate_many(
     Each strategy is realized through `realize_unit`, where a crossed
     (upper, lower) pair collapses to its midpoint.
 
-    The units run through `pool.map_in_workspaces`.  A unit's task realizes
-    its noise and every strategy's bounds in one workspace of
+    The seed states of every unit's noise streams are hashed in one pass
+    (`_noise_states`) before the units run through `pool.map_in_workspaces`.
+    A unit's task realizes its noise from its block of states, and every
+    strategy's bounds, in one workspace of
     `2 + KERNEL_BUFFERS` (draws, horizon) buffers, allocated by this thread,
     and returns small per-strategy scores.  This thread folds them in unit
     order, so a report depends only on (strategy, scenario, draws, seed),
@@ -374,14 +379,15 @@ def evaluate_many(
     worlds = _Worlds(seed, draws, scn)
     scores = {name: _Score(s, scn, draws, seed) for name, s in strategies.items()}
 
-    def score_unit(u: UnitSpec, workspace: list[np.ndarray]) -> list[_UnitScore]:
-        noise = _unit_noise(u, scn, draws, seed, workspace)
+    def score_unit(item: tuple[UnitSpec, np.ndarray], workspace: list[np.ndarray]) -> list[_UnitScore]:
+        u, states = item
+        noise = _unit_noise(u, scn, draws, states, workspace)
         kernel = workspace[2:]
         rd, _, _, h = kernel  # free once the bounds are realized
         return [_score_unit(s, scn, u, realize_unit(u, s, noise, draws, worlds, kernel), rd, h)
                 for s in strategies.values()]
 
-    parts = map_in_workspaces(score_unit, scn.units,
+    parts = map_in_workspaces(score_unit, zip(scn.units, _noise_states(scn.units, seed, scn.horizon)),
                               lambda: [np.empty((draws, scn.horizon)) for _ in range(2 + KERNEL_BUFFERS)],
                               draws * scn.horizon)
     for u, unit_parts in zip(scn.units, parts):
@@ -426,8 +432,8 @@ def expost_row_frequencies(
     arrays) and "balance" (per-step array).
     """
     out: dict[str, np.ndarray] = {}
-    for u in scn.units:
-        real = _unit_noise(u, scn, draws, seed)
+    for u, states in zip(scn.units, _noise_states(scn.units, seed, scn.horizon)):
+        real = _unit_noise(u, scn, draws, states)
         sched = strategy.schedules[u.unit_id]
         soc = sched.soc[1:][None, :]
         out[f"pc:{u.unit_id}"] = (sched.p_c[None, :] > real["p_c_max"] + VIOLATION_TOL).mean(axis=0)
@@ -436,8 +442,8 @@ def expost_row_frequencies(
         out[f"soc_lo:{u.unit_id}"] = (soc < real["soc_lo"] - VIOLATION_TOL).mean(axis=0)
 
     def exogenous(dists, tag: bytes) -> np.ndarray:
-        children = np.random.SeedSequence([seed, zlib.crc32(tag)]).spawn(len(dists))
-        return dist.sample_columns(dists, draws, children)
+        states = dist.spawn_states([(int(seed), zlib.crc32(tag))], [len(dists)])[0]
+        return dist.sample_columns(dists, draws, states)
 
     load = exogenous(scn.load_dist, b"load")
     res = exogenous(scn.res_dist, b"res")

@@ -28,7 +28,7 @@ import yaml
 from . import distributions as dist
 from .cantelli import parse_shape
 from .ddu import DduSpec
-from .diu import new_workspace, propagate_diu
+from .diu import new_workspace, propagate_diu, unit_states
 from .distributions import DistributionSpec
 from .errors import ParseError, ValidationError
 from .ges import DeviceDescription, map_device_to_ges
@@ -97,18 +97,22 @@ def _dist_from_row(family: str, mean: float, sigma: float, where: str, issues):
 def _propagate_all(units: list[UnitSpec], dt: float, horizon: int, n: int, seed: int) -> None:
     """Fill `stats` of every unit with identification or baseline noise.
 
-    The units run through `pool.map_in_workspaces`, each in a DIU workspace
+    The seed states of every unit's streams are hashed in one pass
+    (`diu.unit_states`); each task reads its unit's read-only block.  The
+    units run through `pool.map_in_workspaces`, each in a DIU workspace
     (`diu.new_workspace`) that this thread allocates.  Each unit draws only
-    from its own seed sequence, so the statistics do not depend on the pool,
-    and the first failing unit in file order raises.
+    from its own streams, so the statistics do not depend on the pool, and
+    the first failing unit in file order raises.
     """
     noisy = [u for u in units if u.unit_dists or u.baseline_dist is not None]
+    states = unit_states(seed, [(u.dev.unit_id, u.unit_dists, u.baseline_dist) for u in noisy], horizon)
 
-    def propagate(u: UnitSpec, workspace):
+    def propagate(item, workspace):
+        u, unit_streams = item
         return propagate_diu(u.unit_dists, u.dev, u.baseline_dist, dt, horizon, n=n, seed=seed,
-                             workspace=workspace)
+                             workspace=workspace, states=unit_streams, params=u.params)
 
-    stats = map_in_workspaces(propagate, noisy, lambda: new_workspace(n, horizon), n * horizon)
+    stats = map_in_workspaces(propagate, zip(noisy, states), lambda: new_workspace(n, horizon), n * horizon)
     for u, unit_stats in zip(noisy, stats):
         u.stats = unit_stats
 

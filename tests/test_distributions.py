@@ -1,6 +1,7 @@
 """Sampling, quantiles, and the closed-form lognormal inverse CDF."""
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from gesdispatch.distributions import (
     quantile,
     sample,
     sample_columns,
+    spawn_states,
     std,
+    uniform_streams,
 )
 from gesdispatch.errors import EmptySample, InvalidSpec
 
@@ -85,12 +88,13 @@ LOGNORMAL_STEPS = [DistributionSpec.lognormal(0.1 * t, 0.2 + 0.05 * t) for t in 
 def test_sample_columns_into_a_buffer_equal_the_stacked_samples(specs):
     assert set(ONE_PER_FAMILY) == set(FAMILIES)
     n = 257
-    seeds = np.random.SeedSequence(12).spawn(len(specs))
-    want = np.column_stack([sample(spec, n, seed) for spec, seed in zip(specs, seeds)])
+    children = np.random.SeedSequence(12).spawn(len(specs))
+    want = np.column_stack([sample(spec, n, child) for spec, child in zip(specs, children)])
+    states = spawn_states([12], [len(specs)])[0]
     out = np.full((n, len(specs)), np.nan)
-    assert sample_columns(specs, n, seeds, out=out) is out
+    assert sample_columns(specs, n, states, out=out) is out
     assert out.tobytes() == want.tobytes()
-    fresh = sample_columns(specs, n, seeds)
+    fresh = sample_columns(specs, n, states)
     assert fresh.flags.c_contiguous and fresh.tobytes() == want.tobytes()
 
 
@@ -164,3 +168,35 @@ def test_quantile_monotone_in_level(l1, l2):
     lo, hi = sorted((l1, l2))
     spec = DistributionSpec.lognormal(0.0, 0.3)
     assert quantile(spec, lo) <= quantile(spec, hi) + 1e-12
+
+
+# seeds of one, two and four words; 2**96 + 3 with a unit key makes five
+# entropy words, more than the SeedSequence pool holds
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**96 + 3]
+
+
+@pytest.mark.parametrize("prefix", [(), (0,)])
+def test_spawn_states_and_their_draws_equal_numpy(prefix):
+    uids = [f"unit{i:03d}" for i in range(8)]
+    crcs = [zlib.crc32(uid.encode()) for uid in uids]
+    assert any(crc >> 31 for crc in crcs) and not all(crc >> 31 for crc in crcs)
+    entropy = [(seed, crc) for seed in STREAM_SEEDS for crc in crcs]
+    counts = [(3 * p) % 7 for p in range(len(entropy))]  # zero children included
+    blocks = spawn_states(entropy, counts, prefix)
+    assert len(blocks) == len(entropy)
+    for key, count, block in zip(entropy, counts, blocks):
+        parent = np.random.SeedSequence(list(key))
+        children = (parent.spawn(1)[0] if prefix else parent).spawn(count)
+        want = np.array([c.generate_state(4, np.uint64) for c in children], dtype=np.uint64).reshape(count, 4)
+        assert block.dtype == np.uint64 and not block.flags.writeable
+        assert block.tobytes() == want.tobytes(), (key, prefix)
+        for uniforms, child in zip(uniform_streams(block, 33), children, strict=True):
+            assert uniforms.tobytes() == np.random.default_rng(child).random(33).tobytes()
+
+
+def test_uniform_streams_take_a_shape_and_spawn_states_refuse_negative_seeds():
+    block = spawn_states([[5, 7]], [2])[0]
+    for uniforms, child in zip(uniform_streams(block, (3, 4)), np.random.SeedSequence([5, 7]).spawn(2)):
+        assert uniforms.tobytes() == np.random.default_rng(child).random((3, 4)).tobytes()
+    with pytest.raises(ValueError, match="non-negative"):
+        spawn_states([(-1, 3)], [1])

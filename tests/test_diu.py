@@ -10,7 +10,7 @@ import pytest
 from scipy import stats as sstats
 
 from gesdispatch.ddu import rating_refs
-from gesdispatch.distributions import DistributionSpec, empirical_inverse_cdf, sample_columns
+from gesdispatch.distributions import DistributionSpec, empirical_inverse_cdf, sample_columns, spawn_states
 from gesdispatch.diu import (
     LEVELS,
     SIGMA_FLOOR,
@@ -23,6 +23,7 @@ from gesdispatch.diu import (
     sample_bounds,
     series_stats,
     tcl_baseline_bound_samples,
+    unit_states,
 )
 from gesdispatch.errors import InvalidSpec
 from gesdispatch.ges import DeviceDescription, map_device_to_ges
@@ -120,7 +121,7 @@ def test_inv_cdf_rounds_up_to_the_next_tabulated_level():
     assert (LEVELS[97], LEVELS[44]) == (0.98, 0.45)
     assert np.array_equal(f, emp.table[97])
     # the same samples series_stats drew
-    samples = sample_columns(dists, n, np.random.SeedSequence([4]).spawn(len(dists)))
+    samples = sample_columns(dists, n, spawn_states([[4]], [len(dists)])[0])
     for t in range(len(dists)):
         z = (samples[:, t] - emp.mu[t]) / emp.sigma[t]
         assert f[t] >= empirical_inverse_cdf(z, 0.975)
@@ -135,7 +136,7 @@ def test_inv_cdf_rounds_down_in_the_lower_tail():
     f = emp.inv_cdf(0.025)
     assert LEVELS[1] == 0.02
     assert np.array_equal(f, emp.table[1])
-    samples = sample_columns(dists, n, np.random.SeedSequence([4]).spawn(len(dists)))
+    samples = sample_columns(dists, n, spawn_states([[4]], [len(dists)])[0])
     for t in range(len(dists)):
         z = (samples[:, t] - emp.mu[t]) / emp.sigma[t]
         assert f[t] <= empirical_inverse_cdf(z, 0.025)
@@ -174,16 +175,17 @@ def test_propagation_reproducible():
 
 def test_tcl_fast_path_equals_the_per_draw_mapping():
     dev = tcl_device(t_in_baseline=None, deadband=np.linspace(0.1, 0.3, T))
-    base = sample_columns([DistributionSpec.lognormal(math.log(4.0), 0.3)] * T, 40,
-                          np.random.SeedSequence([5]).spawn(T))
+    base = sample_columns([DistributionSpec.lognormal(math.log(4.0), 0.3)] * T, 40, spawn_states([[5]], [T])[0])
     base[0, :3] = [0.0, 10.0, 12.0]  # ratings clipped at zero on both sides
-    fast = tcl_baseline_bound_samples(dev, base, 0.5, T)
+    fast = tcl_baseline_bound_samples(dev, map_device_to_ges(dev, 0.5, T), base)
     # written into buffers, the discharge rating overwriting the draws (p_min > 0 moves them)
     raised = replace(dev, p_min=1.0)
+    raised_params = map_device_to_ges(raised, 0.5, T)
     scratch = base.copy()
-    inplace = tcl_baseline_bound_samples(raised, scratch, 0.5, T, p_c_max=np.empty_like(base), p_d_max=scratch)
+    inplace = tcl_baseline_bound_samples(raised, raised_params, scratch, p_c_max=np.empty_like(base),
+                                         p_d_max=scratch)
     assert inplace["p_d_max"] is scratch
-    for key, value in tcl_baseline_bound_samples(raised, base, 0.5, T).items():
+    for key, value in tcl_baseline_bound_samples(raised, raised_params, base).items():
         assert inplace[key].tobytes() == value.tobytes(), key
     # the evaluator's rating references are the row means of the sampled ratings
     refs = fast["p_c_max"].mean(axis=1), fast["p_d_max"].mean(axis=1)
@@ -204,10 +206,15 @@ def test_sampler_branches_share_keys_and_shapes():
     ident = {"s_capacity": DistributionSpec.truncated_normal(50.0, 2.5, 45.0, 55.0)}
     baseline = [DistributionSpec.lognormal(math.log(4.0), 0.2)] * T
     n = 30
+
+    def sample(dev, unit_dists, baseline_dist):
+        states = unit_states(1, [(dev.unit_id, unit_dists, baseline_dist)], T)[0]
+        return sample_bounds(dev, map_device_to_ges(dev, 1.0, T), unit_dists, baseline_dist, 1.0, T, n, states)
+
     branches = {
-        "no noise": sample_bounds(bes, {}, None, 1.0, T, n, np.random.SeedSequence(1)),
-        "fast path": sample_bounds(tcl_device(), {}, baseline, 1.0, T, n, np.random.SeedSequence(1)),
-        "per draw": sample_bounds(bes, ident, None, 1.0, T, n, np.random.SeedSequence(1)),
+        "no noise": sample(bes, {}, None),
+        "fast path": sample(tcl_device(), {}, baseline),
+        "per draw": sample(bes, ident, None),
     }
     keys = {"p_c_max", "p_d_max", "soc_lo", "soc_hi", "alpha", "avg", "deadband"}
     for name, out in branches.items():

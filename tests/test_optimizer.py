@@ -32,7 +32,7 @@ from gesdispatch.optimizer import (
     solve_lp,
 )
 
-from gesdispatch.reliability import VIOLATION_TOL, _unit_noise
+from gesdispatch.reliability import VIOLATION_TOL, _noise_states, _unit_noise
 
 from util import PROPAGATION_SAMPLES, bes_device, make_scenario, make_unit, stat_threshold
 
@@ -152,8 +152,8 @@ def test_exogenous_rows_hold_at_gamma_in_fresh_draws(request, name):
     prob = build_cco_diu(scn)
     bounds = prob.arrays().bounds
     worst = {}
-    for u in scn.units:
-        real = _unit_noise(u, scn, draws, seed=2024)
+    for u, states in zip(scn.units, _noise_states(scn.units, 2024, scn.horizon)):
+        real = _unit_noise(u, scn, draws, states)
         pc, pd, soc = (bounds[prob.columns(kind, u.unit_id)] for kind in ("pc", "pd", "soc"))
         for kind, violated in (("p_c_max", pc[:, 1] > real["p_c_max"] + VIOLATION_TOL),
                                ("p_d_max", pd[:, 1] > real["p_d_max"] + VIOLATION_TOL),

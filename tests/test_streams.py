@@ -1,0 +1,194 @@
+"""Per-unit random streams: the bulk-hashed sampler against the spawn-based one.
+
+Every unit's streams are SeedSequence children whose states are hashed for
+the whole fleet in one pass and drawn from one reseeded PCG64.  The
+reference below is the sampler that built one SeedSequence child and one
+generator per stream; every statistic and noise array must equal it bit for
+bit.
+"""
+
+import math
+import zlib
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+import yaml
+
+from gesdispatch import reliability
+from gesdispatch.distributions import DistributionSpec, sample
+from gesdispatch.diu import BOUND_KINDS, _column_stats, propagate_diu
+from gesdispatch.ges import TCL_KINDS, DeviceDescription, map_device_to_ges
+from gesdispatch.optimizer import iterative_solve_r2, robust_solve_r1, solve_cco_diu
+from gesdispatch.pool import POOL_MIN_ELEMENTS
+from gesdispatch.reliability import (
+    RealizationBatch,
+    _noise_states,
+    _unit_noise,
+    _Worlds,
+    compute_lorp_erns,
+    evaluate_many,
+    realize_unit,
+)
+
+from util import bes_device, make_unit, stat_threshold
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+#: sampled keys and the GesParams attribute each one reads
+KEYS = {"p_c_max": "p_c_max", "p_d_max": "p_d_max", "soc_lo": "soc_lo", "soc_hi": "soc_hi",
+        "alpha": "alpha", "avg": "soc_baseline_avg", "deadband": "deadband"}
+
+
+def reference_sample_bounds(dev, unit_dists, baseline_dist, dt, horizon, n, ss):
+    """The sampler as it was: `ss` spawns one child per identified parameter
+    (in name order), then one per step, and each child seeds a generator."""
+    if not unit_dists and baseline_dist is None:
+        params = map_device_to_ges(dev, dt, horizon)
+        out = {key: getattr(params, attr) for key, attr in KEYS.items()}
+        for key in ("p_c_max", "p_d_max"):
+            out[key] = np.broadcast_to(out[key], (n, horizon))
+        return out
+    names = sorted(unit_dists)
+    children = ss.spawn(len(names) + (horizon if baseline_dist is not None else 0))
+    draws = {name: sample(unit_dists[name], n, c) for name, c in zip(names, children)}
+    base = None
+    if baseline_dist is not None:
+        base = np.column_stack([sample(spec, n, c) for spec, c in zip(baseline_dist, children[len(names):])])
+        if not unit_dists and dev.kind in TCL_KINDS:
+            params = map_device_to_ges(dev, dt, horizon)
+            out = {key: np.asarray(getattr(params, attr), dtype=float) for key, attr in KEYS.items()}
+            out["p_c_max"] = np.clip(dev.p_max - base, 0.0, None)
+            out["p_d_max"] = np.clip(base - dev.p_min, 0.0, None)
+            return out
+    out = {key: np.empty((n, horizon)) for key in KEYS}
+    for j in range(n):
+        kw = {name: float(vals[j]) for name, vals in draws.items()}
+        if base is not None:
+            kw["baseline_power"] = base[j]
+        params = map_device_to_ges(replace(dev, **kw), dt, horizon)
+        for key, attr in KEYS.items():
+            out[key][j] = getattr(params, attr)
+    return out
+
+
+def reference_propagate(u, dt, horizon, n, seed):
+    ss = np.random.SeedSequence([seed, zlib.crc32(u.dev.unit_id.encode())])
+    samples = reference_sample_bounds(u.dev, u.unit_dists, u.baseline_dist, dt, horizon, n, ss)
+    return {kind: _column_stats(np.broadcast_to(samples[kind], (n, horizon)), seed) for kind in BOUND_KINDS}
+
+
+def reference_unit_noise(u, scn, m, seed):
+    ss = np.random.SeedSequence([int(seed), zlib.crc32(u.unit_id.encode())]).spawn(1)[0]
+    return reference_sample_bounds(u.dev, u.unit_dists, u.baseline_dist, scn.dt, scn.horizon, m, ss)
+
+
+def reference_system_uniforms(seed, m, horizon):
+    ss = np.random.SeedSequence([int(seed), zlib.crc32(b"system")])
+    names = ("g_upper", "g_lower", "h_upper", "h_lower")
+    return {name: np.random.default_rng(c).random((m, horizon)) for name, c in zip(names, ss.spawn(len(names)))}
+
+
+def extra_units(horizon):
+    """A noise-free unit, and a thermal unit whose two identified parameters
+    are listed against name order, beside its baseline noise."""
+    tcl = DeviceDescription(
+        kind="TCL_IVA", unit_id="tcl_two", thermal_resistance=2.0, thermal_capacity=2.0,
+        conversion_efficiency=2.5, t_comfort_lo=21.0, t_comfort_hi=27.0, p_min=0.0, p_max=5.0,
+        baseline_power=2.0, deadband=0.2)
+    two = {"thermal_resistance": DistributionSpec.truncated_normal(2.0, 0.1, 1.8, 2.2),
+           "p_max": DistributionSpec.truncated_normal(5.0, 0.25, 4.5, 5.5)}
+    baseline = [DistributionSpec.lognormal(math.log(2.0), 0.1)] * horizon
+    return [make_unit(bes_device(uid="quiet"), horizon),
+            make_unit(tcl, horizon, unit_dists=two, baseline_dist=baseline)]
+
+
+def stats_equal(got, want):
+    return all(getattr(got.get(kind), f).tobytes() == getattr(want[kind], f).tobytes()
+               for kind in BOUND_KINDS for f in ("mu", "sigma", "table"))
+
+
+@pytest.mark.parametrize("name, fixture, units", [("smoke3", "smoke3", None), ("synthetic_100tcl", "tcl100", 12)])
+def test_loaded_statistics_equal_the_spawn_based_sampler(request, name, fixture, units):
+    scn = request.getfixturevalue(fixture)
+    cfg = yaml.safe_load((FIXTURES / name / "scenario.yaml").read_text())["diu"]
+    n, seed = cfg["samples"], cfg["seed"]
+    for u in scn.units[:units]:
+        assert stats_equal(u.stats, reference_propagate(u, scn.dt, scn.horizon, n, seed)), u.unit_id
+
+
+def test_identified_parameters_draw_their_streams_in_name_order():
+    horizon = 24
+    for u in extra_units(horizon)[1:]:
+        got = propagate_diu(u.unit_dists, u.dev, u.baseline_dist, 1.0, horizon, n=300, seed=2**32 + 1)
+        assert stats_equal(got, reference_propagate(u, 1.0, horizon, 300, 2**32 + 1)), u.unit_id
+
+
+@pytest.mark.parametrize("fixture", ["smoke3", "tcl100"])
+def test_unit_noise_equals_the_spawn_based_sampler(request, fixture):
+    scn = request.getfixturevalue(fixture)
+    units = scn.units[:8] + extra_units(scn.horizon) if fixture == "tcl100" else scn.units + extra_units(scn.horizon)
+    scn = replace(scn, units=units)
+    m, seed = 300, 2024
+    for u, states in zip(units, _noise_states(units, seed, scn.horizon), strict=True):
+        got = _unit_noise(u, scn, m, states)
+        want = reference_unit_noise(u, scn, m, seed)
+        assert got.keys() == set(want) | {"pc_ref", "pd_ref"}
+        for key, value in want.items():
+            assert got[key].tobytes() == np.asarray(value).tobytes(), (u.unit_id, key)
+
+
+def reference_reports(monkeypatch, strategies, scn, draws, seed):
+    with monkeypatch.context() as patch:
+        patch.setattr(reliability, "_system_uniforms", reference_system_uniforms)
+        worlds = _Worlds(seed, draws, scn)
+    noise = {}
+    for u in scn.units:
+        noise[u.unit_id] = reference_unit_noise(u, scn, draws, seed)
+        noise[u.unit_id]["pc_ref"] = noise[u.unit_id]["p_c_max"].mean(axis=1)
+        noise[u.unit_id]["pd_ref"] = noise[u.unit_id]["p_d_max"].mean(axis=1)
+    reports = {}
+    for name, s in strategies.items():
+        units = {u.unit_id: realize_unit(u, s, noise[u.unit_id], draws, worlds) for u in scn.units}
+        reports[name] = compute_lorp_erns(s, RealizationBatch(units=units, draws=draws, seed=seed), scn)
+    return reports
+
+
+@pytest.mark.parametrize("fixture, draws", [("tcl100", -(-POOL_MIN_ELEMENTS // 24)), ("smoke3", 300)])
+def test_evaluation_equals_the_spawn_based_streams(request, monkeypatch, two_cpus, fixture, draws):
+    scn = request.getfixturevalue(fixture)
+    if fixture == "tcl100":
+        scn = replace(scn, units=scn.units[:20])
+        strategies = {k: request.getfixturevalue("tcl100_strategies")[k] for k in ("M2", "M3")}
+    else:
+        strategies = {"M2": request.getfixturevalue("smoke3_m2")}
+    assert (draws * scn.horizon >= POOL_MIN_ELEMENTS) == (fixture == "tcl100")
+    reports = evaluate_many(strategies, scn, draws, seed=9)  # pooled on tcl100, calling thread on smoke3
+    for name, want in reference_reports(monkeypatch, strategies, scn, draws, 9).items():
+        got = reports[name]
+        assert (got.lorp, got.cost_rt, got.crossings) == (want.lorp, want.cost_rt, want.crossings), name
+        assert got.erns.tobytes() == want.erns.tobytes(), name
+        assert all(got.violation_freq[uid].tobytes() == f.tobytes() for uid, f in want.violation_freq.items())
+
+
+# ---------------------------------------------------------------------------
+# Every realized (unit, step) row holds at the level asked for
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.075])
+def test_every_realized_row_holds_at_gamma(smoke3, gamma):
+    # 0.075 lies off the tabulated grid: the rows read the 0.07 quantile
+    scn = replace(smoke3, gamma=gamma)
+    draws = 20_000
+    strategies = {"M3-R1": robust_solve_r1(scn), "M3-R2": iterative_solve_r2(scn)}
+    thresh = stat_threshold(gamma, draws)
+    for name, report in evaluate_many(strategies, scn, draws, seed=7).items():
+        worst = {uid: float(freq.max()) for uid, freq in report.violation_freq.items()}
+        assert {uid: v for uid, v in worst.items() if v > thresh} == {}, (name, thresh)
+
+
+def test_m2_ignores_the_decision_dependent_rows(smoke3):
+    # the check above can fail: M2 schedules against the exogenous bounds only
+    report = evaluate_many({"M2": solve_cco_diu(smoke3)}, smoke3, 2_000, seed=7)["M2"]
+    assert max(float(f.max()) for f in report.violation_freq.values()) > stat_threshold(smoke3.gamma, 2_000)
