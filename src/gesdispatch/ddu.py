@@ -76,9 +76,10 @@ class DduSpec:
 # Response discomfort
 
 
-def rating_refs(params: GesParams) -> tuple[float, float]:
-    """Time-averaged power ratings used to normalize response intensity."""
-    return float(np.mean(params.p_c_max)), float(np.mean(params.p_d_max))
+def rating_refs(params: GesParams) -> tuple:
+    """Time-averaged power ratings used to normalize response intensity; one
+    per unit when `params` holds rating series stacked over units, (units, T)."""
+    return np.mean(params.p_c_max, axis=-1), np.mean(params.p_d_max, axis=-1)
 
 
 def response_discomfort(sched: UnitSchedule, params: GesParams, spec: DduSpec, t: int) -> float:
@@ -98,12 +99,13 @@ def discomfort(sched: UnitSchedule, pc_ref, pd_ref, avg, deadband, spec: DduSpec
 
     Broadcasts over leading axes: the Monte-Carlo evaluator passes per-draw
     rating references of shape (m, 1) and per-draw comfort anchors `avg`,
-    `deadband` of shape (m, T) and gets one row per draw.  A reference at or
-    below zero drops its intensity term.  The result is written into `out`
-    when it is given, and the cumulated intensities into `scratch`; both
-    have the result's shape.
+    `deadband` of shape (m, T) and gets one row per draw; the optimizer
+    passes schedules, references and a `spec.lam` stacked over units of one
+    variant.  A reference at or below zero drops its intensity term.  The
+    result is written into `out` when it is given, and the cumulated
+    intensities into `scratch`; both have the result's shape.
     """
-    horizon = sched.p_c.shape[0]
+    horizon = sched.p_c.shape[-1]
     pc_ref = np.where(np.asarray(pc_ref) > 0, pc_ref, np.inf)
     pd_ref = np.where(np.asarray(pd_ref) > 0, pd_ref, np.inf)
     intensity = np.divide(sched.p_c, pc_ref, out=scratch)
@@ -112,7 +114,7 @@ def discomfort(sched: UnitSchedule, pc_ref, pd_ref, avg, deadband, spec: DduSpec
     cum /= horizon
 
     lam = 1.0 if spec.discomfort_variant == "F1" else spec.lam
-    soc = sched.soc[1:]
+    soc = sched.soc[..., 1:]
     if spec.discomfort_variant == "F1":
         dev = 0.0
     elif spec.discomfort_variant == "F2":
@@ -133,7 +135,8 @@ def expansion_anchor(diu_bound, phys_bound, price, spec: DduSpec):
 
     The expansion fraction is the q_g_level-quantile of a normal with mean
     price / c_bar, truncated to [0, 1] so the anchor never leaves the
-    physical range.  Elementwise over arrays of bounds and prices.
+    physical range.  Elementwise over arrays of bounds and prices, and over
+    `spec` fields stacked over units, (units, 1).
     """
     q_g = dist.truncnorm_quantile(np.asarray(price, dtype=float) / spec.c_bar, spec.sigma_g,
                                   0.0, 1.0, spec.q_g_level)
@@ -272,7 +275,8 @@ def ddu_bound_distribution(
 
 
 def comfort_bounds(params: GesParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step comfort band: baseline average plus/minus half the deadband."""
+    """Per-step comfort band: baseline average plus/minus half the deadband.
+    Elementwise, so `params` may hold fields stacked over units."""
     half = params.deadband / 2.0
     lo = params.soc_baseline_avg - half
     hi = params.soc_baseline_avg + half

@@ -12,6 +12,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy import special, stats
 
 from .errors import EmptySample, InvalidSpec
@@ -136,16 +137,13 @@ def _check_count(n: int) -> None:
         raise InvalidSpec(f"sample count must be >= 1, got {n}")
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
-# seeding rule (pcg64_set_seed in numpy/random/src/pcg64), both fixed
-# algorithms that numpy keeps stream-compatible
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), a fixed
+# algorithm that numpy keeps stream-compatible
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _MASK32 = 0xFFFFFFFF
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
 
 
 def _words(x: int) -> list[int]:
@@ -235,24 +233,25 @@ def spawn_states(entropy, counts, prefix: tuple[int, ...] = ()) -> list[np.ndarr
     return [states[end - count:end] for end, count in zip(ends.tolist(), counts.tolist())]
 
 
+class _Row(ISeedSequence):
+    """A seed sequence whose state is one row of `spawn_states`: the four
+    uint64 words that PCG64 asks for."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.row
+
+
 def uniform_streams(states: np.ndarray, size) -> Iterator[np.ndarray]:
     """For each row of `states` (from `spawn_states`), in order, the
     ``random(size)`` uniforms of ``np.random.default_rng(child)``, where
-    `child` is the SeedSequence the row was hashed from.
-
-    One PCG64 owned by this call is seeded from each row in turn by the rule
-    of numpy's `pcg64_set_seed`: ``inc = 2·i + 1`` and
-    ``state = ((inc + s)·M + inc) mod 2**128``, where (s, i) are the row's
-    two 128-bit halves, high word first.
+    `child` is the SeedSequence the row was hashed from: numpy's own PCG64
+    seeding runs on the row.
     """
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for s_hi, s_lo, i_hi, i_lo in states.tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        yield rng.random(size)
+    for row in states:
+        yield np.random.Generator(np.random.PCG64(_Row(row))).random(size)
 
 
 def sample_columns(specs: list[DistributionSpec], n: int, states: np.ndarray,

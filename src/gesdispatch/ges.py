@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -352,7 +352,3 @@ def aggregate_fleet(units: list[GesParams]) -> GesParams:
     )
     agg.validate()
     return agg
-
-
-def copy_with(params: GesParams, **kw) -> GesParams:
-    return replace(params, **kw)

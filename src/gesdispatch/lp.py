@@ -1,14 +1,15 @@
 """Thin linear-programming layer, assembled from array blocks.
 
-A column block holds one unit's variables of ``K`` kinds over a number of
-steps, interleaved by step: kind ``k`` at step ``t`` is column
-``start + t*K + k``.  Row blocks lay out row families the same way in the
-inequality (``ub``, ``>=`` rows stored negated) or equality (``eq``) matrix.
-Coefficients arrive as numpy COO pieces, one row family at a time; columns
-and rows are labelled ``(kind or family, unit, step)``.  The first solve
-assembles the matrices and freezes the structure; after that only
-right-hand sides change, in place, so solves that differ only there (the R2
-fixed point) never re-assemble.
+A column block holds the variables of ``K`` kinds of a run of ``U`` units (a
+list of ids; one id is a run without the unit axis) over ``S`` steps: kind
+``k`` of unit ``i`` at step ``t`` is column ``start + (i*S + t)*K + k``, just
+where one block per unit, added in unit order, would put it.  Row blocks lay
+out row families the same way in the inequality (``ub``, ``>=`` rows stored
+negated) or equality (``eq``) matrix; a family with fewer steps follows the
+interleaved ones within each unit.  Coefficients arrive as numpy COO pieces,
+one row family of a whole run at a time, indexed (units, steps).  The first
+solve assembles the matrices and freezes the structure; after that only
+right-hand sides change, in place, so the R2 fixed point never re-assembles.
 
 The backend is one persistent HiGHS model per problem, driven through the
 bindings that ship with scipy.  The first solve passes the whole LP; from
@@ -56,48 +57,56 @@ LpArrays = namedtuple("LpArrays", "c A_ub b_ub A_eq b_eq bounds")
 
 
 class RowBlock:
-    """Rows of one or more families over `steps` steps, in one matrix."""
+    """Rows of one or more families for a run of units, in one matrix."""
 
-    def __init__(self, prob: LpProblem, unit: str, families: dict[str, str], steps: int):
-        matrices = {_SENSES.get(s, (None,))[0] for s in families.values()}
+    def __init__(self, prob: LpProblem, units, families: dict[str, str | tuple[str, int]], steps: int):
+        spans = {f: (s, steps) if isinstance(s, str) else s for f, s in families.items()}
+        matrices = {_SENSES.get(s, (None,))[0] for s, _ in spans.values()}
         if len(matrices) != 1 or None in matrices:
-            raise InvalidSpec(f"row families of {unit!r} need one matrix, got {families}")
+            raise InvalidSpec(f"row families {families} need one matrix")
         self.matrix = matrices.pop()
         self.start = prob._num_rows[self.matrix]
-        self.width = len(families)
-        self.rhs = np.zeros(self.width * steps)
-        self._pieces, self._unit = prob._pieces[self.matrix], unit  # no back-reference: no cycle
-        self._family = {f: (k, _SENSES[s][1]) for k, (f, s) in enumerate(families.items())}
+        self.units, self._one = _claim(prob._families, families, units, "row family"), isinstance(units, str)
+        width = sum(n == steps for _, n in spans.values())
+        self._family, self.size = {}, 0  # family -> (first row within a unit, stride, steps, sign)
+        for f, (sense, n) in sorted(spans.items(), key=lambda item: item[1][1] != steps):
+            full = n == steps
+            self._family[f] = (len(self._family) if full else self.size, width if full else 1, n, _SENSES[sense][1])
+            self.size += n
+        self.rhs = np.zeros(len(self.units) * self.size)
+        self._pieces = prob._pieces[self.matrix]  # no back-reference: no cycle
 
     def rows(self, family: str) -> np.ndarray:
-        """Row indices of `family`, one per step."""
-        return np.arange(self.start + self._family[family][0], self.start + self.rhs.size, self.width)
+        """Row indices of `family`, (units, steps)."""
+        offset, stride, steps, _ = self._family[family]
+        return (self.start + offset + self.size * np.arange(len(self.units)))[:, None] + stride * np.arange(steps)
 
     def add(self, family: str, cols, vals, at=slice(None)) -> RowBlock:
-        """Add `vals` (a scalar or the shape of `cols`) at columns `cols` to the
-        rows of `family`: `cols[..., i]` goes into the row of step `at[i]`."""
+        """Add `vals` (a scalar or broadcasting to `cols`) at columns `cols` to
+        the rows of `family`: `cols[i, ..., j]` goes into unit i's row of step
+        `at[j]` (no unit axis in a block of one id)."""
         if self._pieces is None:
             raise InvalidSpec("the LP is assembled: only right-hand sides may change")
         cols = np.atleast_1d(cols)
         vals = np.asarray(vals, dtype=float)
         if not np.isfinite(vals).all():
-            raise InvalidSpec(f"non-finite coefficient in row family {family!r} of {self._unit!r}")
-        rows = self.rows(family)[at]
+            raise InvalidSpec(f"non-finite coefficient in row family {family!r} of {list(self.units)[:3]}")
+        rows = self.rows(family)[0 if self._one else slice(None), at]
         if rows.shape != cols.shape:
             rows = np.broadcast_to(rows, cols.shape)
-        vals = self._family[family][1] * vals
+        vals = self._family[family][3] * vals
         if vals.shape != cols.shape:
             vals = np.full(cols.shape, vals)
         self._pieces.append((rows.ravel(), cols.ravel(), vals.ravel()))
         return self
 
-    def set_rhs(self, family: str, values) -> RowBlock:
-        """Right-hand side of `family`, in its own sense; in place once assembled."""
+    def set_rhs(self, family: str, values, units=slice(None)) -> RowBlock:
+        """Right-hand side of `family`, in its own sense, for the units at
+        positions `units` (all by default); in place once assembled."""
         values = np.asarray(values, dtype=float)
         if not np.isfinite(values).all():
-            raise InvalidSpec(f"non-finite right-hand side in row family {family!r} of {self._unit!r}")
-        k, sign = self._family[family]
-        self.rhs[k::self.width] = sign * values
+            raise InvalidSpec(f"non-finite right-hand side in row family {family!r} of {list(self.units)[:3]}")
+        self.rhs[self.rows(family)[units] - self.start] = self._family[family][3] * values
         return self
 
 
@@ -106,36 +115,38 @@ class LpProblem:
 
     def __init__(self) -> None:
         self._bound_blocks: list[tuple[np.ndarray, np.ndarray]] = []
-        self._columns: dict[tuple[str, str], np.ndarray] = {}
+        # name -> [(unit id -> position in a block, the block's columns (units, steps) or RowBlock)]
+        self._columns: dict[str, list[tuple[dict[str, int], np.ndarray]]] = {}
         self._num_cols = 0
         self._objective: list[tuple[np.ndarray, np.ndarray]] = []
         self._row_blocks: dict[str, list[RowBlock]] = {"ub": [], "eq": []}
-        self._families: dict[tuple[str, str], RowBlock] = {}
+        self._families: dict[str, list[tuple[dict[str, int], RowBlock]]] = {}
         self._num_rows = {"ub": 0, "eq": 0}
         self._pieces: dict[str, list] = {"ub": [], "eq": []}
         self._arrays: LpArrays | None = None
         self._model = _Model()
 
-    def add_columns(self, unit: str, kinds: dict[str, tuple], steps: int = 1) -> dict[str, np.ndarray]:
-        """Add `kinds` (name -> (lb, ub), scalars or per-step arrays) for `unit`;
-        returns each kind's column indices, one per step."""
+    def add_columns(self, units, kinds: dict[str, tuple], steps: int = 1) -> dict[str, np.ndarray]:
+        """Add `kinds` (name -> (lb, ub), broadcasting to (units, steps)) for a
+        run of units; returns each kind's column indices, (units, steps)."""
         self._check_open()
-        if any((kind, unit) in self._columns for kind in kinds):
-            raise InvalidSpec(f"duplicate variable in {list(kinds)} of {unit!r}")
+        pos = _claim(self._columns, kinds, units, "variable")
         width = len(kinds)
-        lb, ub = np.empty(width * steps), np.empty(width * steps)
+        lb, ub = np.empty((len(pos), steps, width)), np.empty((len(pos), steps, width))
         for k, (lo, hi) in enumerate(kinds.values()):
-            lb[k::width], ub[k::width] = lo, hi
-        empty = np.flatnonzero(~(lb <= ub))
+            lb[..., k], ub[..., k] = lo, hi
+        empty = np.argwhere(~(lb <= ub))
         if empty.size:
-            i = empty[0]
-            raise InvalidSpec(f"variable {list(kinds)[i % width]}:{unit} step {i // width} "
-                              f"has empty bounds [{lb[i]}, {ub[i]}]")
-        start, self._num_cols = self._num_cols, self._num_cols + width * steps
-        out = {kind: np.arange(start + k, self._num_cols, width) for k, kind in enumerate(kinds)}
-        self._columns.update(((kind, unit), cols) for kind, cols in out.items())
-        self._bound_blocks.append((lb, ub))
-        return out
+            i, t, k = empty[0]
+            raise InvalidSpec(f"variable {list(kinds)[k]}:{list(pos)[i]} step {t} "
+                              f"has empty bounds [{lb[i, t, k]}, {ub[i, t, k]}]")
+        start, self._num_cols = self._num_cols, self._num_cols + lb.size
+        index = np.arange(start, self._num_cols).reshape(lb.shape)
+        out = {kind: index[..., k] for k, kind in enumerate(kinds)}
+        for kind, cols in out.items():
+            self._columns.setdefault(kind, []).append((pos, cols))
+        self._bound_blocks.append((lb.ravel(), ub.ravel()))
+        return {kind: cols[0] for kind, cols in out.items()} if isinstance(units, str) else out
 
     def add_objective(self, cols, coeffs) -> None:
         self._check_open()
@@ -144,29 +155,33 @@ class LpProblem:
             raise InvalidSpec("non-finite objective coefficient")
         self._objective.append((cols.ravel(), coeffs.ravel()))
 
-    def add_rows(self, unit: str, families: dict[str, str], steps: int = 1) -> RowBlock:
-        """Add `families` (name -> "<=", ">=" or "==") for `unit`, interleaved by
-        step as the columns are."""
+    def add_rows(self, units, families: dict[str, str | tuple[str, int]], steps: int = 1) -> RowBlock:
+        """Add `families` (name -> "<=", ">=" or "==", or (sense, fewer steps))
+        for a run of units."""
         self._check_open()
-        if any((family, unit) in self._families for family in families):
-            raise InvalidSpec(f"duplicate row family in {list(families)} of {unit!r}")
-        block = RowBlock(self, unit, families, steps)
-        self._families.update(((family, unit), block) for family in families)
+        block = RowBlock(self, units, families, steps)
+        for family in families:
+            self._families.setdefault(family, []).append((block.units, block))
         self._row_blocks[block.matrix].append(block)
         self._num_rows[block.matrix] += block.rhs.size
         return block
 
-    def set_rhs(self, family: str, unit: str, values) -> RowBlock:
-        """Right-hand side of one row family, in its own sense (in place)."""
-        return _lookup(self._families, family, unit, "row family").set_rhs(family, values)
+    def set_rhs(self, family: str, units, values) -> RowBlock:
+        """Right-hand side of one row family, in its own sense (in place), for
+        one unit id or for a list of ids from one block: (units, steps)."""
+        block, at = _find(self._families, family, units, "row family")
+        return block.set_rhs(family, values, at)
 
-    def columns(self, kind: str, unit: str) -> np.ndarray:
-        return _lookup(self._columns, kind, unit, "variable")
+    def columns(self, kind: str, units) -> np.ndarray:
+        """Column indices of `kind`: (steps,) for one unit id, (units, steps)
+        for a list of ids added in one block."""
+        cols, at = _find(self._columns, kind, units, "variable")
+        return cols[at]
 
     def row(self, family: str, unit: str, t: int = 0) -> tuple[str, int]:
         """(matrix, index) of one labelled row; matrix is "ub" or "eq"."""
-        block = _lookup(self._families, family, unit, "row family")
-        return block.matrix, int(block.rows(family)[t])
+        block, at = _find(self._families, family, unit, "row family")
+        return block.matrix, int(block.rows(family)[at, t])
 
     def _check_open(self) -> None:
         if self._arrays is not None:
@@ -196,11 +211,25 @@ class LpProblem:
         return self._arrays
 
 
-def _lookup(table: dict, name: str, unit: str, what: str):
-    try:
-        return table[name, unit]
-    except KeyError:
-        raise InvalidSpec(f"unknown {what} {name}:{unit}") from None
+def _claim(table: dict, names, units, what: str) -> dict[str, int]:
+    """Positions of `units` (one id or a list) in a new block of `names`;
+    refuses a (name, unit) pair that `table` holds already."""
+    ids = [units] if isinstance(units, str) else list(units)
+    pos = {uid: i for i, uid in enumerate(ids)}
+    if len(pos) < len(ids) or any(not held.keys().isdisjoint(pos) for name in names for held, _ in table.get(name, ())):
+        raise InvalidSpec(f"duplicate {what} in {list(names)} of {ids[:3]}")
+    return pos
+
+
+def _find(table: dict, name: str, units, what: str):
+    """The block entry of `name` that holds `units` (one id, or a list of ids
+    of one block), and their positions in it."""
+    one = isinstance(units, str)
+    for pos, entry in table.get(name, ()):
+        at = [pos.get(uid, -1) for uid in ([units] if one else units)]
+        if min(at, default=-1) >= 0:
+            return entry, at[0] if one else np.array(at)
+    raise InvalidSpec(f"unknown {what} {name}:{units if one else list(units)[:3]}")
 
 
 class _Model:

@@ -14,16 +14,18 @@ Three model levels share one LP skeleton:
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import distributions as dist
 from .cantelli import cantelli_bound
-from .ddu import (comfort_bounds, expansion_anchor, rating_refs, response_discomfort_series,
-                  standardized_h_quantile)
+from .ddu import comfort_bounds, discomfort, expansion_anchor, rating_refs, standardized_h_quantile
 from .distributions import DistributionSpec
 from .diu import UnitBoundStats, analytic_series_stats
 from .errors import (
@@ -32,7 +34,7 @@ from .errors import (
     NonTighteningCoefficient,
     NumericalFailure,
 )
-from .ges import UnitSchedule, aggregate_fleet  # noqa: F401  (fleet merge re-exported here)
+from .ges import UnitSchedule, aggregate_fleet
 from .lp import LpProblem, LpSolution, OPTIMAL, solve_lp
 from .scenario import ScenarioBundle, UnitSpec
 
@@ -66,7 +68,8 @@ class DispatchStrategy:
 #
 # Columns: the grid block ("g", GRID), then per unit ("pc", "pd", "soc") with
 # "soc" at step t the state of charge at the end of step t; M3 adds per unit
-# ("rd"[, "d"]).  Rows carry the family names of the constraints below.
+# ("rd"[, "d"]).  Rows carry the family names of the constraints below.  Each
+# family is added once per run of consecutive units sharing its row template.
 
 #: unit label of the fleet-level columns and rows (grid import, balance)
 GRID = ""
@@ -74,6 +77,26 @@ GRID = ""
 
 def _unit_stats(u: UnitSpec) -> UnitBoundStats:
     return u.stats if u.stats is not None else UnitBoundStats.deterministic(u.params)
+
+
+def _stack(values) -> np.ndarray:
+    """Per-unit values on a leading unit axis: (units, 1) scalars, (units, T) series."""
+    a = np.array(values, dtype=float)
+    return a[:, None] if a.ndim == 1 else a
+
+
+def _fields(objs, names, **fixed) -> SimpleNamespace:
+    """The named fields of `objs`, stacked, for the elementwise functions of `ddu`."""
+    return SimpleNamespace(**{n: _stack([getattr(o, n) for o in objs]) for n in names}, **fixed)
+
+
+def _runs(keys):
+    """(key, slice) of each maximal run of equal consecutive `keys`."""
+    start = 0
+    for key, group in itertools.groupby(keys):
+        stop = start + sum(1 for _ in group)
+        yield key, slice(start, stop)
+        start = stop
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +117,11 @@ def evaluate_objective(scn: ScenarioBundle, strategy: DispatchStrategy) -> float
 # Shared LP skeleton
 
 
-def _build_skeleton(scn: ScenarioBundle, soc_bounds: dict | None = None) -> LpProblem:
+def _build_skeleton(scn: ScenarioBundle, soc_bounds: tuple | None = None) -> LpProblem:
     """Variables, dynamics, ramps, sustainability, balance, grid cap, window.
 
     The objective is incentive payments to units plus grid energy purchase.
-    SoC columns take `soc_bounds[uid]` = (lo, hi), else the physical range.
+    SoC columns take `soc_bounds` = (lo, hi), (units, T), else the physical range.
     """
     prob = LpProblem()
     horizon = scn.horizon
@@ -106,44 +129,43 @@ def _build_skeleton(scn: ScenarioBundle, soc_bounds: dict | None = None) -> LpPr
     window = scn.window_mask()
     grid = prob.add_columns(GRID, {"g": (0.0, scn.grid_cap)}, horizon)["g"]
     prob.add_objective(grid, scn.tou_price * dt)
-    for u in scn.units:
-        uid = u.unit_id
-        p = u.params
-        stats = _unit_stats(u)
-        # each bound holds with probability 1 - gamma: an upper limit at its gamma-quantile
-        pc_ub = np.maximum(0.0, stats.p_c_max.quantile(scn.gamma))
-        pd_ub = np.maximum(0.0, stats.p_d_max.quantile(scn.gamma))
-        cols = prob.add_columns(uid, {
-            "pc": (0.0, np.where(window, pc_ub, 0.0)),
-            "pd": (0.0, np.where(window, pd_ub, 0.0)),
-            "soc": (soc_bounds or {}).get(uid, (p.soc_phys_lo, p.soc_phys_hi)),
-        }, horizon)
-        pc, pd, soc = cols["pc"], cols["pd"], cols["soc"]
-        prob.add_objective([pc, pd], [u.price_c * dt, u.price_d * dt])
+    uids = [u.unit_id for u in scn.units]
+    p = _fields([u.params for u in scn.units], ("S", "eta_c", "eta_d", "eps", "dt", "soc_init", "soc_phys_lo",
+                                                "soc_phys_hi", "soc_ramp_up", "soc_ramp_dn"))
+    stats = [_unit_stats(u) for u in scn.units]
+    # each bound holds with probability 1 - gamma: an upper limit at its gamma-quantile
+    pc_ub = np.maximum(0.0, _stack([s.p_c_max.quantile(scn.gamma) for s in stats]))
+    pd_ub = np.maximum(0.0, _stack([s.p_d_max.quantile(scn.gamma) for s in stats]))
+    cols = prob.add_columns(uids, {
+        "pc": (0.0, np.where(window, pc_ub, 0.0)),
+        "pd": (0.0, np.where(window, pd_ub, 0.0)),
+        "soc": soc_bounds or (p.soc_phys_lo, p.soc_phys_hi),
+    }, horizon)
+    pc, pd, soc = cols["pc"], cols["pd"], cols["soc"]
+    prob.add_objective([pc, pd], [_stack([u.price_c for u in scn.units]) * dt,
+                                  _stack([u.price_d for u in scn.units]) * dt])
 
-        # soc[t] = keep * soc[t-1] + a_c * pc[t] - a_d * pd[t] + alpha[t]
-        keep = 1.0 - p.eps
-        initial = np.zeros(horizon)
-        initial[0] = p.soc_init
-        dyn = prob.add_rows(uid, {"dyn": "=="}, horizon)
-        dyn.add("dyn", soc, 1.0).add("dyn", pc, -(p.eta_c * p.dt / p.S))
-        dyn.add("dyn", pd, p.dt / (p.eta_d * p.S)).add("dyn", soc[:-1], -keep, at=slice(1, None))
-        dyn.set_rhs("dyn", stats.alpha.mu + keep * initial)
-        ramps = {f: (sense, limit) for f, sense, limit in (
-            ("rampup", "<=", p.soc_ramp_up), ("rampdn", ">=", -p.soc_ramp_dn)) if math.isfinite(limit)}
-        if ramps:
-            block = prob.add_rows(uid, {f: sense for f, (sense, _) in ramps.items()}, horizon)
-            for family, (_, limit) in ramps.items():
-                block.add(family, soc, 1.0).add(family, soc[:-1], -1.0, at=slice(1, None))
-                block.set_rhs(family, limit + initial)
-        prob.add_rows(uid, {"sustain": "=="}).add("sustain", soc[-1:], 1.0).set_rhs("sustain", p.soc_init)
+    # soc[t] = keep * soc[t-1] + a_c * pc[t] - a_d * pd[t] + alpha[t]; soc[T-1] = soc_init
+    keep = 1.0 - p.eps
+    initial = np.zeros((len(uids), horizon))
+    initial[:, :1] = p.soc_init
+    eq = prob.add_rows(uids, {"dyn": "==", "sustain": ("==", 1)}, horizon)
+    eq.add("dyn", soc, 1.0).add("dyn", pc, -(p.eta_c * p.dt / p.S))
+    eq.add("dyn", pd, p.dt / (p.eta_d * p.S)).add("dyn", soc[:, :-1], -keep, at=slice(1, None))
+    eq.set_rhs("dyn", _stack([s.alpha.mu for s in stats]) + keep * initial)
+    eq.add("sustain", soc[:, -1:], 1.0).set_rhs("sustain", p.soc_init)
+    ramps = {"rampup": ("<=", p.soc_ramp_up), "rampdn": (">=", -p.soc_ramp_dn)}
+    for finite, run in _runs(zip(*(np.isfinite(limit[:, 0]) for _, limit in ramps.values()))):
+        families = {f: sense for (f, (sense, _)), on in zip(ramps.items(), finite) if on}
+        if families:
+            block = prob.add_rows(uids[run], families, horizon)
+            for family in families:
+                block.add(family, soc[run], 1.0).add(family, soc[run, :-1], -1.0, at=slice(1, None))
+                block.set_rhs(family, ramps[family][1][run] + initial[run])
 
     load_q, res_q = balance_requirements(scn)
     balance = prob.add_rows(GRID, {"balance": ">="}, horizon)
-    balance.add("balance", grid, 1.0)
-    if scn.units:
-        balance.add("balance", np.stack([prob.columns("pd", u.unit_id) for u in scn.units]), 1.0)
-        balance.add("balance", np.stack([prob.columns("pc", u.unit_id) for u in scn.units]), -1.0)
+    balance.add("balance", grid, 1.0).add("balance", pd, 1.0).add("balance", pc, -1.0)
     balance.set_rhs("balance", load_q - res_q)
     return prob
 
@@ -157,9 +179,11 @@ def balance_requirements(scn: ScenarioBundle) -> tuple[np.ndarray, np.ndarray]:
     return load.mu + load.f_inv * load.sigma, res.mu + res.f_inv * res.sigma
 
 
-def _crossed(uid: str, lo: np.ndarray, hi: np.ndarray) -> list[tuple[str, int, float, float]]:
-    """The (uid, t, lo, hi) entries of an empty tightened interval."""
-    return [(uid, int(t), float(lo[t]), float(hi[t])) for t in np.flatnonzero(lo > hi + 1e-12)]
+def _raise_crossed(units: list[UnitSpec], lo: np.ndarray, hi: np.ndarray) -> None:
+    """InfeasibleBounds with the (uid, t, lo, hi) entries of empty tightened intervals, if any."""
+    crossed = np.argwhere(lo > hi + 1e-12).tolist()
+    if crossed:
+        raise InfeasibleBounds([(units[i].unit_id, t, float(lo[i, t]), float(hi[i, t])) for i, t in crossed])
 
 
 # ---------------------------------------------------------------------------
@@ -168,57 +192,45 @@ def _crossed(uid: str, lo: np.ndarray, hi: np.ndarray) -> list[tuple[str, int, f
 
 def build_cco_diu(scn: ScenarioBundle) -> LpProblem:
     """Chance-constrained LP with tail-tightened exogenous bounds."""
-    soc_bounds = {}
-    bad: list[tuple[str, int, float, float]] = []
-    for u in scn.units:
-        p = u.params
-        stats = _unit_stats(u)
-        lo = np.maximum(p.soc_phys_lo, stats.soc_lo.quantile(1.0 - scn.gamma))
-        hi = np.minimum(p.soc_phys_hi, stats.soc_hi.quantile(scn.gamma))
-        bad.extend(_crossed(u.unit_id, lo, hi))
-        soc_bounds[u.unit_id] = (lo, hi)
-    if bad:
-        raise InfeasibleBounds(bad)
-    return _build_skeleton(scn, soc_bounds)
+    p = _fields([u.params for u in scn.units], ("soc_phys_lo", "soc_phys_hi"))
+    stats = [_unit_stats(u) for u in scn.units]
+    lo = np.maximum(p.soc_phys_lo, _stack([s.soc_lo.quantile(1.0 - scn.gamma) for s in stats]))
+    hi = np.minimum(p.soc_phys_hi, _stack([s.soc_hi.quantile(scn.gamma) for s in stats]))
+    _raise_crossed(scn.units, lo, hi)
+    return _build_skeleton(scn, (lo, hi))
 
 
 # ---------------------------------------------------------------------------
 # M3: decision-dependent SoC bounds
 
 
-@dataclass
-class DduRowData:
-    """Per-step affine pieces of one unit's decision-dependent SoC rows."""
-
-    q_up: np.ndarray  # price-expanded upper anchor
-    q_lo: np.ndarray
-    slope_up: np.ndarray  # d(mean bound)/d(rd); <= 0 for upper, >= 0 for lower
-    slope_lo: np.ndarray
-    sigma_up: np.ndarray  # fixed spread of the realized bound
-    sigma_lo: np.ndarray
+#: per-step affine pieces of the units' decision-dependent SoC rows, each (units, horizon): the
+#: price-expanded anchors, d(mean bound)/d(rd) (<= 0 upper, >= 0 lower), the fixed spreads of the bounds
+DduRowData = namedtuple("DduRowData", "q_up q_lo slope_up slope_lo sigma_up sigma_lo")
 
 
-def ddu_row_data(u: UnitSpec, horizon: int) -> DduRowData:
-    p = u.params
-    stats = _unit_stats(u)
+def ddu_row_data(units: list[UnitSpec], horizon: int) -> DduRowData:
+    p = _fields([u.params for u in units], ("soc_phys_lo", "soc_phys_hi", "soc_baseline_avg", "deadband"))
+    spec = _fields([u.ddu for u in units], ("sigma_g", "sigma_h", "beta_up", "beta_lo", "c_bar", "q_g_level"))
+    stats = [_unit_stats(u) for u in units]
     c_lo, c_hi = comfort_bounds(p)
-    diu_hi = np.minimum(stats.soc_hi.mu[:horizon], p.soc_phys_hi)
-    diu_lo = np.maximum(stats.soc_lo.mu[:horizon], p.soc_phys_lo)
-    q_up = expansion_anchor(diu_hi, p.soc_phys_hi, u.price_c[:horizon], u.ddu)
-    q_lo = expansion_anchor(diu_lo, p.soc_phys_lo, u.price_d[:horizon], u.ddu)
-    gap_up = np.minimum(c_hi[:horizon], diu_hi) - q_up
-    gap_lo = np.maximum(c_lo[:horizon], diu_lo) - q_lo
-    slope_up = gap_up * u.ddu.beta_up
-    slope_lo = gap_lo * u.ddu.beta_lo
-    widening = np.flatnonzero((slope_up > 1e-12) | (slope_lo < -1e-12))
+    diu_hi = np.minimum(_stack([s.soc_hi.mu[:horizon] for s in stats]), p.soc_phys_hi)
+    diu_lo = np.maximum(_stack([s.soc_lo.mu[:horizon] for s in stats]), p.soc_phys_lo)
+    q_up = expansion_anchor(diu_hi, p.soc_phys_hi, _stack([u.price_c[:horizon] for u in units]), spec)
+    q_lo = expansion_anchor(diu_lo, p.soc_phys_lo, _stack([u.price_d[:horizon] for u in units]), spec)
+    gap_up = np.minimum(c_hi[:, :horizon], diu_hi) - q_up
+    gap_lo = np.maximum(c_lo[:, :horizon], diu_lo) - q_lo
+    slope_up = gap_up * spec.beta_up
+    slope_lo = gap_lo * spec.beta_lo
+    widening = np.argwhere((slope_up > 1e-12) | (slope_lo < -1e-12))
     if widening.size:
-        t = int(widening[0])
+        i, t = widening[0]
         raise NonTighteningCoefficient(
-            f"unit {u.unit_id} t={t}: discomfort would widen a SoC bound "
-            f"(upper slope {slope_up[t]}, lower slope {slope_lo[t]})"
+            f"unit {units[i].unit_id} t={t}: discomfort would widen a SoC bound "
+            f"(upper slope {slope_up[i, t]}, lower slope {slope_lo[i, t]})"
         )
     return DduRowData(q_up, q_lo, slope_up, slope_lo,
-                      np.abs(gap_up) * u.ddu.sigma_h, np.abs(gap_lo) * u.ddu.sigma_h)
+                      np.abs(gap_up) * spec.sigma_h, np.abs(gap_lo) * spec.sigma_h)
 
 
 def build_cco_ddu(
@@ -238,50 +250,47 @@ def build_cco_ddu(
     """
     horizon = scn.horizon
     prob = _build_skeleton(scn) if update is None else update
-    sides = []
-    bad: list[tuple[str, int, float, float]] = []
-    for u in scn.units:
-        rows = ddu_row_data(u, horizon)
-        hi = rows.q_up - np.asarray(f_inv[u.unit_id]["upper"], dtype=float) * rows.sigma_up
-        lo = rows.q_lo + np.asarray(f_inv[u.unit_id]["lower"], dtype=float) * rows.sigma_lo
-        bad.extend(_crossed(u.unit_id, lo, hi))
-        sides.append((rows, hi, lo))
-    if bad:
-        raise InfeasibleBounds(bad)
+    uids = [u.unit_id for u in scn.units]
+    rows = ddu_row_data(scn.units, horizon)
+    hi = rows.q_up - _stack([f_inv[uid]["upper"] for uid in uids]) * rows.sigma_up
+    lo = rows.q_lo + _stack([f_inv[uid]["lower"] for uid in uids]) * rows.sigma_lo
+    _raise_crossed(scn.units, lo, hi)
+    p = _fields([u.params for u in scn.units], ("p_c_max", "p_d_max", "soc_baseline_avg", "deadband"))
+    pc_ref, pd_ref = (ref[:, None] for ref in rating_refs(p))
+    # a run's template: the discomfort variant, and which rating references (intensity terms) are > 0
+    runs = list(_runs(zip((u.ddu.discomfort_variant for u in scn.units), pc_ref[:, 0] > 0, pd_ref[:, 0] > 0)))
     if update is not None:
-        for u, (_, hi, lo) in zip(scn.units, sides):
-            update.set_rhs("socup", u.unit_id, hi)
-            update.set_rhs("soclo", u.unit_id, lo)
+        for _, run in runs:
+            update.set_rhs("socup", uids[run], hi[run])
+            update.set_rhs("soclo", uids[run], lo[run])
         return update
 
+    lam = _stack([u.ddu.lam for u in scn.units])
+    pc, pd, soc = (prob.columns(kind, uids) for kind in ("pc", "pd", "soc"))
     steps, taus = np.tril_indices(horizon)
-    for u, (rows, hi, lo) in zip(scn.units, sides):
-        uid = u.unit_id
-        spec = u.ddu
-        variant = spec.discomfort_variant
-        lam = 1.0 if variant == "F1" else spec.lam
-        pc_ref, pd_ref = rating_refs(u.params)
+    for (variant, has_pc, has_pd), run in runs:
+        w = 1.0 if variant == "F1" else lam[run]
         # SoC deviation rows d + soc_coeff * soc >= rhs (F2 outside the deadband, F3 below avg)
-        avg, half_db = u.params.soc_baseline_avg, u.params.deadband / 2.0
+        avg, half_db = p.soc_baseline_avg[run], p.deadband[run] / 2.0
         dev = {"F1": [], "F3": [("dev", 1.0, avg)],
                "F2": [("dev+", -1.0, -avg - half_db), ("dev-", 1.0, avg - half_db)]}[variant]
-        cols = prob.add_columns(uid, {"rd": (0.0, math.inf), **({"d": (0.0, math.inf)} if dev else {})}, horizon)
+        cols = prob.add_columns(uids[run], {"rd": (0.0, math.inf), **({"d": (0.0, math.inf)} if dev else {})},
+                                horizon)
         rd = cols["rd"]
-        pc, pd, soc = (prob.columns(kind, uid) for kind in ("pc", "pd", "soc"))
-        block = prob.add_rows(uid, {"rd": ">=", **{f: ">=" for f, _, _ in dev},
-                                    "socup": "<=", "soclo": ">="}, horizon)
+        block = prob.add_rows(uids[run], {"rd": ">=", **{f: ">=" for f, _, _ in dev},
+                                          "socup": "<=", "soclo": ">="}, horizon)
         # discomfort epigraph: rd >= lam * cumulative intensity + (1-lam) * d
         block.add("rd", rd, 1.0).set_rhs("rd", 0.0)
         if dev:
-            block.add("rd", cols["d"], -(1.0 - lam))
-        if pc_ref > 0:
-            block.add("rd", pc[taus], -lam / (horizon * pc_ref), at=steps)
-        if pd_ref > 0:
-            block.add("rd", pd[taus], -lam / (horizon * pd_ref), at=steps)
+            block.add("rd", cols["d"], -(1.0 - w))
+        if has_pc:
+            block.add("rd", pc[run][:, taus], -w / (horizon * pc_ref[run]), at=steps)
+        if has_pd:
+            block.add("rd", pd[run][:, taus], -w / (horizon * pd_ref[run]), at=steps)
         for family, soc_coeff, rhs in dev:
-            block.add(family, cols["d"], 1.0).add(family, soc, soc_coeff).set_rhs(family, rhs)
-        block.add("socup", soc, 1.0).add("socup", rd, -rows.slope_up).set_rhs("socup", hi)
-        block.add("soclo", soc, 1.0).add("soclo", rd, -rows.slope_lo).set_rhs("soclo", lo)
+            block.add(family, cols["d"], 1.0).add(family, soc[run], soc_coeff).set_rhs(family, rhs)
+        block.add("socup", soc[run], 1.0).add("socup", rd, -rows.slope_up[run]).set_rhs("socup", hi[run])
+        block.add("soclo", soc[run], 1.0).add("soclo", rd, -rows.slope_lo[run]).set_rhs("soclo", lo[run])
     return prob
 
 
@@ -293,14 +302,18 @@ def extract_strategy(scn: ScenarioBundle, prob: LpProblem, sol: LpSolution,
                      meta: SolveMetadata) -> DispatchStrategy:
     """Per-unit schedules and grid import of a solved `prob` built for `scn`."""
     x = sol.x
-    schedules, rd = {}, {}
-    for u in scn.units:
-        uid = u.unit_id
-        soc = np.concatenate(([u.params.soc_init], x[prob.columns("soc", uid)]))
-        sched = UnitSchedule(p_c=x[prob.columns("pc", uid)], p_d=x[prob.columns("pd", uid)], soc=soc)
-        schedules[uid] = sched
-        rd[uid] = response_discomfort_series(sched, u.params, u.ddu)
-    return DispatchStrategy(schedules=schedules, grid_import=x[prob.columns("g", GRID)], rd=rd,
+    uids = [u.unit_id for u in scn.units]
+    p = _fields([u.params for u in scn.units], ("soc_init", "p_c_max", "p_d_max", "soc_baseline_avg", "deadband"))
+    p_c, p_d, soc = (x[prob.columns(kind, uids)] for kind in ("pc", "pd", "soc"))
+    soc = np.hstack((p.soc_init, soc))
+    pc_ref, pd_ref = (ref[:, None] for ref in rating_refs(p))
+    rd = np.empty_like(p_c)
+    for variant, run in _runs(u.ddu.discomfort_variant for u in scn.units):
+        spec = _fields([u.ddu for u in scn.units[run]], ("lam",), discomfort_variant=variant)
+        rd[run] = discomfort(UnitSchedule(p_c[run], p_d[run], soc[run]), pc_ref[run], pd_ref[run],
+                             p.soc_baseline_avg[run], p.deadband[run], spec)
+    schedules = {uid: UnitSchedule(p_c=p_c[i], p_d=p_d[i], soc=soc[i]) for i, uid in enumerate(uids)}
+    return DispatchStrategy(schedules=schedules, grid_import=x[prob.columns("g", GRID)], rd=dict(zip(uids, rd)),
                             objective_value=sol.objective, metadata=meta)
 
 

@@ -429,7 +429,9 @@ def expost_row_frequencies(
     """Violation frequency of every reformulated exogenous row.
 
     Keys: "pc:<uid>", "pd:<uid>", "soc_lo:<uid>", "soc_hi:<uid>" (per-step
-    arrays) and "balance" (per-step array).
+    arrays) and "balance" (per-step array).  Under M3 the decision-dependent
+    rows replace the exogenous SoC rows, so there the "soc_lo:"/"soc_hi:"
+    frequencies describe no imposed row and must not be read against gamma.
     """
     out: dict[str, np.ndarray] = {}
     for u, states in zip(scn.units, _noise_states(scn.units, seed, scn.horizon)):

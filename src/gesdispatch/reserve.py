@@ -83,44 +83,40 @@ def solve_with_reserve(scn: ScenarioBundle, spec: ReserveSpec) -> DispatchStrate
             raise MissingOnProb(f"unit {u.unit_id} lacks a finite on_prob series")
 
     prob = build_cco_ddu(scn, robust_f_inv(scn))
-    horizon = scn.horizon
-    dt = scn.dt
-    shares, prices = {}, {}
+    horizon, dt = scn.horizon, scn.dt
+    uids = [u.unit_id for u in scn.units]
+    shares = np.array([[_coverage_share(float(p), scn.gamma) for p in u.params.on_prob] for u in scn.units])
+    prices = np.array([[_unit_reserve_price(float(p), scn, spec) for p in u.params.on_prob] for u in scn.units])
+    cols = prob.add_columns(uids, {"rs": (max(spec.p_lo, -1e12), min(spec.p_hi, 1e12)),
+                                   "rs+": (0.0, math.inf), "rs-": (0.0, math.inf)}, horizon)
+    rs = cols["rs"]
+    link = prob.add_rows(uids, {"rslink": "==", "rssplit": "=="}, horizon)
+    # rslink: reserve covers the w-share of the unit's net response; rssplit: rs = rs+ - rs-
+    link.add("rslink", rs, 1.0).add("rslink", prob.columns("pd", uids), -shares)
+    link.add("rslink", prob.columns("pc", uids), shares)
+    link.add("rssplit", rs, 1.0).add("rssplit", cols["rs+"], -1.0).add("rssplit", cols["rs-"], 1.0)
+    # the reserve premium is an additional insurance cost on top of
+    # the unit incentives, priced per backed kWh
+    prob.add_objective([cols["rs+"], cols["rs-"]], prices * dt)
     ramps = {f: (sense, limit) for f, sense, limit in (
         ("rsru", "<=", spec.ramp_up), ("rsrd", ">=", -spec.ramp_dn)) if math.isfinite(limit)}
-    for u in scn.units:
-        uid = u.unit_id
-        w = shares[uid] = np.array([_coverage_share(float(p), scn.gamma) for p in u.params.on_prob])
-        c_rs = prices[uid] = np.array([_unit_reserve_price(float(p), scn, spec) for p in u.params.on_prob])
-        cols = prob.add_columns(uid, {"rs": (max(spec.p_lo, -1e12), min(spec.p_hi, 1e12)),
-                                      "rs+": (0.0, math.inf), "rs-": (0.0, math.inf)}, horizon)
-        rs = cols["rs"]
-        link = prob.add_rows(uid, {"rslink": "==", "rssplit": "=="}, horizon)
-        # rslink: reserve covers the w-share of the unit's net response; rssplit: rs = rs+ - rs-
-        link.add("rslink", rs, 1.0).add("rslink", prob.columns("pd", uid), -w)
-        link.add("rslink", prob.columns("pc", uid), w)
-        link.add("rssplit", rs, 1.0).add("rssplit", cols["rs+"], -1.0).add("rssplit", cols["rs-"], 1.0)
-        # the reserve premium is an additional insurance cost on top of
-        # the unit incentives, priced per backed kWh
-        prob.add_objective([cols["rs+"], cols["rs-"]], c_rs * dt)
-        if ramps:  # step t of these rows bounds rs[t + 1] - rs[t]
-            block = prob.add_rows(uid, {f: sense for f, (sense, _) in ramps.items()}, horizon - 1)
-            for family, (_, limit) in ramps.items():
-                block.add(family, rs[1:], 1.0).add(family, rs[:-1], -1.0).set_rhs(family, limit)
+    if ramps:  # step t of these rows bounds rs[t + 1] - rs[t]
+        block = prob.add_rows(uids, {f: sense for f, (sense, _) in ramps.items()}, horizon - 1)
+        for family, (_, limit) in ramps.items():
+            block.add(family, rs[:, 1:], 1.0).add(family, rs[:, :-1], -1.0).set_rhs(family, limit)
 
     sol = solve_or_raise(prob, f"reserve-{spec.mode}")
     meta = SolveMetadata(mode="M3", reformulation="R1", gamma=scn.gamma,
                          wall_time=time.perf_counter() - start)
     strategy = extract_strategy(scn, prob, sol, meta)
-    strategy.reserve_schedule = {u.unit_id: sol.x[prob.columns("rs", u.unit_id)] for u in scn.units}
+    strategy.reserve_schedule = dict(zip(uids, sol.x[rs]))
     reserve_energy = ges_energy = reserve_cost = 0.0
-    for u in scn.units:
-        uid = u.unit_id
+    for uid, w, c_rs in zip(uids, shares, prices):
         s = strategy.schedules[uid]
         resp = s.p_c + s.p_d
-        reserve_energy += float(np.dot(shares[uid], resp)) * dt
-        ges_energy += float(np.dot(1.0 - shares[uid], resp)) * dt
-        reserve_cost += float(np.dot(prices[uid] * shares[uid], resp)) * dt
+        reserve_energy += float(np.dot(w, resp)) * dt
+        ges_energy += float(np.dot(1.0 - w, resp)) * dt
+        reserve_cost += float(np.dot(c_rs * w, resp)) * dt
     strategy.reserve_diag = {
         "mode": spec.mode,
         "reserve_energy_kwh": reserve_energy,

@@ -1,6 +1,7 @@
 """Device-to-storage mapping, SoC recursion, feasibility checks, aggregation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from gesdispatch.ges import (
     UnitSchedule,
     aggregate_fleet,
     check_feasibility,
-    copy_with,
     map_device_to_ges,
     step_soc,
     unroll_soc,
@@ -193,7 +193,7 @@ def test_aggregate_identity():
 
 def test_aggregate_two_identical():
     p = simple_params(S=10.0, eps=0.1)
-    q = aggregate_fleet([p, copy_with(p, unit_id="u2")])
+    q = aggregate_fleet([p, replace(p, unit_id="u2")])
     assert q.S == 20.0
     assert q.eps == pytest.approx(0.1)
     assert np.allclose(q.p_c_max, 2 * p.p_c_max)
@@ -202,7 +202,7 @@ def test_aggregate_two_identical():
 
 def test_aggregate_weighted_eps():
     a = simple_params(S=10.0, eps=0.1)
-    b = copy_with(simple_params(S=30.0, eps=0.3), unit_id="u2")
+    b = replace(simple_params(S=30.0, eps=0.3), unit_id="u2")
     q = aggregate_fleet([a, b])
     assert q.eps == pytest.approx((10.0 * 0.1 + 30.0 * 0.3) / 40.0, abs=1e-12)
 

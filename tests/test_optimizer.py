@@ -210,14 +210,12 @@ def test_beta_zero_reduces_to_anchor_bounds():
     assert strat.metadata.converged
     assert strat.metadata.iterations == 1
 
-    rows = ddu_row_data(scn.units[0], T)
+    rows = ddu_row_data(scn.units, T)
     assert np.all(rows.slope_up == 0.0) and np.all(rows.slope_lo == 0.0)
     u2 = make_unit(
         bes_device(soc_lo=0.1, soc_hi=0.9, deadband=0.4), T, ddu=u.ddu,
     )
-    from gesdispatch.ges import copy_with
-
-    u2.params = copy_with(u2.params, soc_lo=rows.q_lo, soc_hi=rows.q_up)
+    u2.params = replace(u2.params, soc_lo=rows.q_lo[0], soc_hi=rows.q_up[0])
     scn2 = make_scenario([u2], T, tou=[0.5] * 18 + [1.3] * 6, load=20.0)
     base = solve_cco_diu(scn2)
     assert strat.objective_value == pytest.approx(base.objective_value, abs=1e-6)
@@ -230,12 +228,12 @@ def test_null_window_row_limits():
                         shape_class=ShapeClass("unimodal"))
     f = robust_f_inv(scn)
     prob = build_cco_ddu(scn, f)
-    rows = ddu_row_data(u, T)
+    rows = ddu_row_data([u], T)
     bound = f[u.unit_id]["upper"][0]
     matrix, i = prob.row("socup", "bes", 7)
     assert matrix == "ub"
     rhs = prob.arrays().b_ub[i]
-    assert rhs == pytest.approx(rows.q_up[7] - bound * rows.sigma_up[7], abs=1e-12)
+    assert rhs == pytest.approx(rows.q_up[0, 7] - bound * rows.sigma_up[0, 7], abs=1e-12)
     sol = solve_lp(prob)
     assert sol.status == "optimal"
     # with a null dispatch window, the unit cannot move at all
@@ -423,12 +421,12 @@ def test_model_nesting_objectives(smoke3):
 def test_epigraph_exactness(smoke3):
     strat = robust_solve_r1(smoke3)
     f = robust_f_inv(smoke3)
-    for u in smoke3.units:
-        rows = ddu_row_data(u, smoke3.horizon)
+    rows = ddu_row_data(smoke3.units, smoke3.horizon)
+    for i, u in enumerate(smoke3.units):
         rd = strat.rd[u.unit_id]
         soc = strat.schedules[u.unit_id].soc[1:]
-        hi = rows.q_up - f[u.unit_id]["upper"] * rows.sigma_up + rows.slope_up * rd
-        lo = rows.q_lo + f[u.unit_id]["lower"] * rows.sigma_lo + rows.slope_lo * rd
+        hi = rows.q_up[i] - f[u.unit_id]["upper"] * rows.sigma_up[i] + rows.slope_up[i] * rd
+        lo = rows.q_lo[i] + f[u.unit_id]["lower"] * rows.sigma_lo[i] + rows.slope_lo[i] * rd
         assert np.all(soc <= hi + 1e-6)
         assert np.all(soc >= lo - 1e-6)
 

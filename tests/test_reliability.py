@@ -79,9 +79,9 @@ def test_degenerate_bounds_equal_anchors():
     real = batch.units["bes"]
     from gesdispatch.optimizer import ddu_row_data
 
-    rows = ddu_row_data(scn.units[0], T)
-    assert np.allclose(real.upper, rows.q_up[None, :], atol=1e-6)
-    assert np.allclose(real.lower, rows.q_lo[None, :], atol=1e-6)
+    rows = ddu_row_data(scn.units, T)
+    assert np.allclose(real.upper, rows.q_up, atol=1e-6)
+    assert np.allclose(real.lower, rows.q_lo, atol=1e-6)
 
 
 def test_beta_doubling_contracts_bounds():

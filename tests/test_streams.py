@@ -176,11 +176,16 @@ def test_evaluation_equals_the_spawn_based_streams(request, monkeypatch, two_cpu
 # Every realized (unit, step) row holds at the level asked for
 
 
-@pytest.mark.parametrize("gamma", [0.05, 0.075])
-def test_every_realized_row_holds_at_gamma(smoke3, gamma):
+@pytest.mark.parametrize("fixture, gamma, draws", [
+    pytest.param("smoke3", 0.05, 20_000, id="0.05"),
     # 0.075 lies off the tabulated grid: the rows read the 0.07 quantile
-    scn = replace(smoke3, gamma=gamma)
-    draws = 20_000
+    pytest.param("smoke3", 0.075, 20_000, id="0.075"),
+    pytest.param("smoke3", 0.025, 20_000, id="smoke3-0.025"),
+    pytest.param("tcl100", 0.05, 4_000, id="tcl100-0.05"),
+    pytest.param("tcl100", 0.025, 4_000, id="tcl100-0.025"),
+])
+def test_every_realized_row_holds_at_gamma(request, fixture, gamma, draws):
+    scn = replace(request.getfixturevalue(fixture), gamma=gamma)
     strategies = {"M3-R1": robust_solve_r1(scn), "M3-R2": iterative_solve_r2(scn)}
     thresh = stat_threshold(gamma, draws)
     for name, report in evaluate_many(strategies, scn, draws, seed=7).items():
