@@ -144,6 +144,15 @@ def expansion_anchor(diu_bound, phys_bound, price, spec: DduSpec):
     return anchor if np.ndim(anchor) else float(anchor)
 
 
+def _beta_fit(m, s: float):
+    """Mean `mf` and variance `vf` of the beta-family H on [0, 1] (H / BETA_CAP)
+    for means `m` and spread `s`, clipped to keep the shapes positive, and
+    the shape sum `k`; elementwise over `m`."""
+    mf = np.clip(m / BETA_CAP, 1e-9, 1.0 - 1e-6)
+    vf = np.minimum((s / BETA_CAP) ** 2, 0.99 * mf * (1.0 - mf))
+    return mf, vf, mf * (1.0 - mf) / vf - 1.0
+
+
 def contraction_distribution(rd: float, side: str, spec: DduSpec) -> DistributionSpec:
     """Distribution of the contraction factor H with mean beta_side * rd.
 
@@ -160,11 +169,7 @@ def contraction_distribution(rd: float, side: str, spec: DduSpec) -> Distributio
     if spec.h_family == "lognormal":
         s2 = math.log1p((s / m) ** 2)
         return DistributionSpec.lognormal(math.log(m) - s2 / 2.0, math.sqrt(s2))
-    # beta on [0, BETA_CAP], moments clipped to keep the shapes positive
-    mf = min(max(m / BETA_CAP, 1e-9), 1.0 - 1e-6)
-    vf = (s / BETA_CAP) ** 2
-    vf = min(vf, 0.99 * mf * (1.0 - mf))
-    k = mf * (1.0 - mf) / vf - 1.0
+    mf, _, k = (float(v) for v in _beta_fit(m, s))
     return DistributionSpec.beta(mf * k, (1.0 - mf) * k, 0.0, BETA_CAP)
 
 
@@ -215,17 +220,28 @@ def contraction_quantile_vec(
         out[live] = np.exp(mm, out=mm)
     else:
         uu = np.broadcast_to(u, out.shape)[live]
-        mf = np.clip(mm / BETA_CAP, 1e-9, 1.0 - 1e-6)
-        vf = np.minimum((s / BETA_CAP) ** 2, 0.99 * mf * (1.0 - mf))
-        k = mf * (1.0 - mf) / vf - 1.0
+        mf, _, k = _beta_fit(mm, s)
         out[live] = BETA_CAP * stats.beta.ppf(uu, mf * k, (1.0 - mf) * k)
     return out
 
 
-def standardized_h_quantile(rd: float, side: str, spec: DduSpec, level: float) -> float:
-    """Quantile of (H - mean) / sd; the fixed-point update of the tail factor."""
-    h = contraction_distribution(rd, side, spec)
-    return dist.normalized_quantile(h, level)
+def standardized_h_quantile(rd, side: str, spec: DduSpec, level: float):
+    """Quantile of (H - mean) / sd at `level`: the fixed-point update of the
+    tail factor.  Elementwise over discomforts `rd` (a scalar gives a float),
+    through the evaluator's kernel `contraction_quantile_vec`, standardized by
+    the moments H was fitted to; zero where the mean is at the floor."""
+    rd = np.asarray(rd, dtype=float)
+    if np.any(rd < -1e-12):
+        raise InvalidSpec(f"response discomfort must be >= 0, got {rd.min()}")
+    m = spec.beta_side(side) * np.maximum(rd, 0.0)
+    q = contraction_quantile_vec(m, spec, u=level)
+    if spec.h_family == "lognormal":
+        mean, sd = m, spec.sigma_h
+    else:
+        mf, vf, _ = _beta_fit(m, spec.sigma_h)
+        mean, sd = BETA_CAP * mf, BETA_CAP * np.sqrt(vf)
+    z = np.where(m > MEAN_FLOOR, (q - mean) / sd, 0.0)
+    return z if z.ndim else float(z)
 
 
 @dataclass

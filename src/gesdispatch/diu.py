@@ -58,8 +58,6 @@ class BoundStats:
 
     mu: np.ndarray
     sigma: np.ndarray
-    sample_count: int
-    seed: int
     table: np.ndarray | None = None  # normalized quantiles, shape (len(LEVELS), T)
 
     def inv_cdf(self, level: float) -> np.ndarray:
@@ -86,9 +84,9 @@ class BoundStats:
         return self.mu + self.inv_cdf(level) * self.sigma
 
     @classmethod
-    def deterministic(cls, values: np.ndarray, seed: int = 0) -> "BoundStats":
+    def deterministic(cls, values: np.ndarray) -> "BoundStats":
         values = np.asarray(values, dtype=float)
-        return cls(mu=values.copy(), sigma=np.zeros_like(values), sample_count=0, seed=seed)
+        return cls(mu=values.copy(), sigma=np.zeros_like(values))
 
 
 @dataclass
@@ -130,7 +128,7 @@ def _zero_table(horizon: int) -> np.ndarray:
     return table
 
 
-def _column_stats(samples: np.ndarray, seed: int, scratch: np.ndarray | None = None) -> BoundStats:
+def _column_stats(samples: np.ndarray, scratch: np.ndarray | None = None) -> BoundStats:
     """Empirical mean/sd and normalized quantile table for each column of `samples`.
 
     A row broadcast over the draws (stride 0 on axis 0) that lies within
@@ -147,8 +145,7 @@ def _column_stats(samples: np.ndarray, seed: int, scratch: np.ndarray | None = N
     n, horizon = samples.shape
     mu = samples.mean(axis=0)
     if samples.strides[0] == 0 and np.all(np.abs(samples[0] - mu) < SIGMA_FLOOR / 2):
-        return BoundStats(mu=mu, sigma=np.zeros(horizon), sample_count=n, seed=seed,
-                          table=_zero_table(horizon))
+        return BoundStats(mu=mu, sigma=np.zeros(horizon), table=_zero_table(horizon))
     work = np.subtract(samples, mu, out=scratch)
     np.multiply(work, work, out=work)
     sigma = np.sqrt(work.sum(axis=0) / n)
@@ -160,7 +157,7 @@ def _column_stats(samples: np.ndarray, seed: int, scratch: np.ndarray | None = N
     np.copyto(work, samples)
     work.sort(axis=0)
     table[:, live] = (work[ranks][:, live] - mu[live]) / sigma[live]
-    return BoundStats(mu=mu, sigma=sigma, sample_count=n, seed=seed, table=table)
+    return BoundStats(mu=mu, sigma=sigma, table=table)
 
 
 def tcl_baseline_bound_samples(dev, params: GesParams, base: np.ndarray,
@@ -304,7 +301,7 @@ def propagate_diu(
     scratch = None if workspace is None else workspace[2]
     return UnitBoundStats(
         unit_id=dev.unit_id,
-        **{kind: _column_stats(np.broadcast_to(samples[kind], (n, horizon)), seed, scratch)
+        **{kind: _column_stats(np.broadcast_to(samples[kind], (n, horizon)), scratch)
            for kind in BOUND_KINDS},
     )
 
@@ -319,7 +316,7 @@ def new_workspace(n: int, horizon: int) -> np.ndarray:
 def series_stats(dists_per_t: list[DistributionSpec], n: int = DEFAULT_SAMPLES, seed: int = 0) -> BoundStats:
     """Empirical statistics of an exogenous per-step series (load, renewables)."""
     states = dist.spawn_states([[seed]], [len(dists_per_t)])[0]
-    return _column_stats(dist.sample_columns(dists_per_t, n, states), seed)
+    return _column_stats(dist.sample_columns(dists_per_t, n, states))
 
 
 class SeriesQuantile(NamedTuple):

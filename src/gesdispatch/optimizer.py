@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
@@ -46,7 +45,6 @@ class SolveMetadata:
     iterations: int = 0
     converged: bool = True
     gamma: float = math.nan
-    wall_time: float = 0.0
     trace: list[tuple[float, float]] = field(default_factory=list)  # (objective, max |Δf_inv|)
 
 
@@ -235,13 +233,13 @@ def ddu_row_data(units: list[UnitSpec], horizon: int) -> DduRowData:
 
 def build_cco_ddu(
     scn: ScenarioBundle,
-    f_inv: dict[str, dict[str, np.ndarray]],
+    f_inv: dict[str, np.ndarray],
     update: LpProblem | None = None,
 ) -> LpProblem:
     """Extend the exogenous program with discomfort-coupled SoC bound rows.
 
-    `f_inv[uid][side]` holds the per-step tail factor of the contraction
-    distribution for that unit and bound side.  It enters only the
+    `f_inv[side]` holds the tail factors of the contraction distribution for
+    that bound side, (units, T) in `scn.units` order.  It enters only the
     right-hand sides ``q_up - f_inv*sigma_up`` of the `socup` rows and
     ``q_lo + f_inv*sigma_lo`` of the `soclo` rows.  So with `update`, an LP
     this function built for the same scenario, only those right-hand sides
@@ -252,8 +250,8 @@ def build_cco_ddu(
     prob = _build_skeleton(scn) if update is None else update
     uids = [u.unit_id for u in scn.units]
     rows = ddu_row_data(scn.units, horizon)
-    hi = rows.q_up - _stack([f_inv[uid]["upper"] for uid in uids]) * rows.sigma_up
-    lo = rows.q_lo + _stack([f_inv[uid]["lower"] for uid in uids]) * rows.sigma_lo
+    hi = rows.q_up - f_inv["upper"] * rows.sigma_up
+    lo = rows.q_lo + f_inv["lower"] * rows.sigma_lo
     _raise_crossed(scn.units, lo, hi)
     p = _fields([u.params for u in scn.units], ("p_c_max", "p_d_max", "soc_baseline_avg", "deadband"))
     pc_ref, pd_ref = (ref[:, None] for ref in rating_refs(p))
@@ -331,47 +329,35 @@ def solve_or_raise(prob: LpProblem, context: str) -> LpSolution:
 
 def solve_cco_diu(scn: ScenarioBundle) -> DispatchStrategy:
     """M2 solve: chance constraints on exogenous uncertainty only."""
-    start = time.perf_counter()
     prob = build_cco_diu(scn)
     sol = solve_or_raise(prob, "M2")
-    meta = SolveMetadata(mode="M2", gamma=scn.gamma, wall_time=time.perf_counter() - start)
+    meta = SolveMetadata(mode="M2", gamma=scn.gamma)
     return extract_strategy(scn, prob, sol, meta)
 
 
-def robust_f_inv(scn: ScenarioBundle) -> dict[str, dict[str, np.ndarray]]:
+def robust_f_inv(scn: ScenarioBundle) -> dict[str, np.ndarray]:
+    """The worst-case shape-class tail factor on every (unit, step) of both sides."""
     bound = cantelli_bound(scn.shape_class, scn.gamma)
-    full = np.full(scn.horizon, bound)
-    return {u.unit_id: {"upper": full.copy(), "lower": full.copy()} for u in scn.units}
+    return {side: np.full((len(scn.units), scn.horizon), bound) for side in ("upper", "lower")}
 
 
 def robust_solve_r1(scn: ScenarioBundle) -> DispatchStrategy:
     """M3 one-shot solve with worst-case shape-class tail factors."""
-    start = time.perf_counter()
     prob = build_cco_ddu(scn, robust_f_inv(scn))
     sol = solve_or_raise(prob, "M3-R1")
-    meta = SolveMetadata(mode="M3", reformulation="R1", iterations=0, gamma=scn.gamma,
-                         wall_time=time.perf_counter() - start)
+    meta = SolveMetadata(mode="M3", reformulation="R1", iterations=0, gamma=scn.gamma)
     return extract_strategy(scn, prob, sol, meta)
 
 
-def _update_f_inv(scn: ScenarioBundle, strategy: DispatchStrategy) -> dict[str, dict[str, np.ndarray]]:
-    level = 1.0 - scn.gamma
-    out = {}
-    for u in scn.units:
-        rd = strategy.rd[u.unit_id]
-        out[u.unit_id] = {
-            side: np.array([standardized_h_quantile(float(r), side, u.ddu, level) for r in rd])
-            for side in ("upper", "lower")
-        }
+def _update_f_inv(scn: ScenarioBundle, strategy: DispatchStrategy) -> dict[str, np.ndarray]:
+    """Tail factors at the strategy's discomfort: one quantile call per side
+    for each run of units whose contraction distributions share parameters."""
+    rd = np.stack([strategy.rd[u.unit_id] for u in scn.units])
+    out = {side: np.empty_like(rd) for side in ("upper", "lower")}
+    for _, run in _runs((u.ddu.h_family, u.ddu.sigma_h, u.ddu.beta_up, u.ddu.beta_lo) for u in scn.units):
+        for side, f in out.items():
+            f[run] = standardized_h_quantile(rd[run], side, scn.units[run.start].ddu, 1.0 - scn.gamma)
     return out
-
-
-def _f_inv_delta(a, b) -> float:
-    return max(
-        float(np.max(np.abs(a[uid][side] - b[uid][side])))
-        for uid in a
-        for side in ("upper", "lower")
-    )
 
 
 def iterative_solve_r2(
@@ -392,7 +378,6 @@ def iterative_solve_r2(
         raise NumericalFailure(f"delta must be > 0, got {delta}")
     if max_iter < 1:
         raise NumericalFailure(f"max_iter must be >= 1, got {max_iter}")
-    start = time.perf_counter()
     f = robust_f_inv(scn)
     prob = build_cco_ddu(scn, f)
     sol = solve_or_raise(prob, "M3-R2 init")
@@ -402,7 +387,7 @@ def iterative_solve_r2(
     converged = False
     while True:
         f_new = _update_f_inv(scn, strategy)
-        step = _f_inv_delta(f_new, f)
+        step = max(float(np.max(np.abs(f_new[side] - f[side]))) for side in f)
         f = f_new
         if step <= delta:
             converged = True
@@ -414,7 +399,6 @@ def iterative_solve_r2(
         meta.iterations += 1
         meta.trace.append((strategy.objective_value, step))
     meta.converged = converged
-    meta.wall_time = time.perf_counter() - start
     if not converged and on_max_iter == "raise":
         raise MaxIterationsExceeded(
             f"no fixed point within {max_iter} iterations (last step {meta.trace[-1][1]:.3g})",
@@ -452,11 +436,10 @@ def deterministic_scenario(scn: ScenarioBundle) -> ScenarioBundle:
 
 def solve_deterministic_m1(scn: ScenarioBundle) -> DispatchStrategy:
     """M1 solve: no margins, constant parameters, physical SoC bounds."""
-    start = time.perf_counter()
     det = deterministic_scenario(scn)
     prob = build_cco_diu(det)
     sol = solve_or_raise(prob, "M1")
-    meta = SolveMetadata(mode="M1", gamma=scn.gamma, wall_time=time.perf_counter() - start)
+    meta = SolveMetadata(mode="M1", gamma=scn.gamma)
     return extract_strategy(det, prob, sol, meta)
 
 

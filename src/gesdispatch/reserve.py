@@ -10,7 +10,6 @@ decreases as the dispatch confidence loosens.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -74,7 +73,6 @@ def solve_with_reserve(scn: ScenarioBundle, spec: ReserveSpec) -> DispatchStrate
     unit-covered share at the unit's incentive and the reserve share at the
     reserve price.
     """
-    start = time.perf_counter()
     issues = spec.validate()
     if issues:
         raise ValidationError(issues)
@@ -106,8 +104,7 @@ def solve_with_reserve(scn: ScenarioBundle, spec: ReserveSpec) -> DispatchStrate
             block.add(family, rs[:, 1:], 1.0).add(family, rs[:, :-1], -1.0).set_rhs(family, limit)
 
     sol = solve_or_raise(prob, f"reserve-{spec.mode}")
-    meta = SolveMetadata(mode="M3", reformulation="R1", gamma=scn.gamma,
-                         wall_time=time.perf_counter() - start)
+    meta = SolveMetadata(mode="M3", reformulation="R1", gamma=scn.gamma)
     strategy = extract_strategy(scn, prob, sol, meta)
     strategy.reserve_schedule = dict(zip(uids, sol.x[rs]))
     reserve_energy = ges_energy = reserve_cost = 0.0

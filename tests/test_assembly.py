@@ -9,17 +9,26 @@ is degenerate, so any other layout moves the solution.
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gesdispatch import lp, reserve
-from gesdispatch.ddu import comfort_bounds, expansion_anchor, rating_refs, response_discomfort_series
+from gesdispatch.ddu import (
+    comfort_bounds,
+    contraction_distribution,
+    expansion_anchor,
+    rating_refs,
+    response_discomfort_series,
+)
+from gesdispatch.distributions import normalized_quantile
 from gesdispatch.diu import UnitBoundStats
 from gesdispatch.lp import LpSolution
 from gesdispatch.optimizer import (
     GRID,
     SolveMetadata,
+    _update_f_inv,
     balance_requirements,
     build_cco_ddu,
     build_cco_diu,
@@ -104,10 +113,10 @@ def ref_build_cco_ddu(scn, f_inv, update=None):
     horizon = scn.horizon
     prob = ref_skeleton(scn) if update is None else update
     sides = []
-    for u in scn.units:
+    for i, u in enumerate(scn.units):
         rows = ref_ddu_row_data(u, horizon)
-        hi = rows[0] - np.asarray(f_inv[u.unit_id]["upper"], dtype=float) * rows[4]
-        lo = rows[1] + np.asarray(f_inv[u.unit_id]["lower"], dtype=float) * rows[5]
+        hi = rows[0] - f_inv["upper"][i] * rows[4]
+        lo = rows[1] + f_inv["lower"][i] * rows[5]
         sides.append((rows, hi, lo))
     if update is not None:
         for u, (_, hi, lo) in zip(scn.units, sides):
@@ -251,11 +260,26 @@ def test_r2_update_equals_the_per_unit_update(scenario):
     f = robust_f_inv(scenario)
     got, want = build_cco_ddu(scenario, f), ref_build_cco_ddu(scenario, f)
     assert_same_arrays(got, want)
-    moved = {uid: {side: 0.5 * v + 0.01 * np.arange(v.size) for side, v in sides.items()}
-             for uid, sides in f.items()}
+    moved = {side: 0.5 * v + 0.01 * np.arange(v.shape[1]) for side, v in f.items()}
     assert build_cco_ddu(scenario, moved, update=got) is got
     ref_build_cco_ddu(scenario, moved, update=want)
     assert_same_arrays(got, want)
+
+
+def test_tail_factor_update_equals_the_per_unit_update(scenario):
+    # contraction parameters that change from unit to unit split the update into runs
+    units = [replace(u, ddu=replace(u.ddu, h_family="beta" if i % 3 == 2 else "lognormal",
+                                    sigma_h=0.05 if i % 4 == 1 else 0.1, beta_up=2.0 if i % 5 == 3 else 3.0))
+             for i, u in enumerate(scenario.units)]
+    scn = replace(scenario, units=units)
+    rng = np.random.default_rng(5)
+    rd = {u.unit_id: np.where(rng.random(scn.horizon) < 0.2, 0.0, 0.3 * rng.random(scn.horizon)) for u in units}
+    got = _update_f_inv(scn, SimpleNamespace(rd=rd))
+    for side in ("upper", "lower"):
+        want = [[normalized_quantile(contraction_distribution(r, side, u.ddu), 1.0 - scn.gamma) for r in rd[u.unit_id]]
+                for u in units]
+        assert got[side].shape == (len(units), scn.horizon)
+        assert np.max(np.abs(got[side] - want)) <= 1e-12, side
 
 
 @pytest.mark.parametrize("spec", [ReserveSpec(mode="S1"), ReserveSpec(mode="S2"),
@@ -287,7 +311,8 @@ def test_assembly_work_does_not_grow_with_the_fleet(monkeypatch, tcl100):
     counts = []
     for n in (10, 100):
         adds.clear()
-        prob = build_cco_ddu(replace(tcl100, units=tcl100.units[:n]), robust_f_inv(tcl100))
+        scn = replace(tcl100, units=tcl100.units[:n])
+        prob = build_cco_ddu(scn, robust_f_inv(scn))
         counts.append((sum(len(blocks) for blocks in prob._row_blocks.values()), len(adds)))
     assert counts[0] == counts[1]
     assert counts[1][0] <= 10 and counts[1][1] <= 40

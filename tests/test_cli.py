@@ -66,6 +66,15 @@ def test_solve_then_evaluate_end_to_end(tmp_path, capsys):
     assert (rep / "violation_freq.csv").exists()
 
 
+def test_capped_fixed_point_returns_its_last_iterate(tmp_path, capsys):
+    out = tmp_path / "r2-a2"
+    assert main(["solve", "--scenario", SMOKE, "--reform", "R2", "--a2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    summary = yaml.safe_load((out / "summary.yaml").read_text())
+    assert summary["converged"] is False and summary["iterations"] == 2
+    assert len((out / "trace.csv").read_text().splitlines()) == 1 + 3  # header, the start and 2 iterations
+
+
 def test_solve_byte_determinism(tmp_path, capsys):
     a = tmp_path / "a"
     b = tmp_path / "b"

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special, stats as sstats
 
 from gesdispatch.ddu import (
+    MEAN_FLOOR,
     DduSpec,
     comfort_bounds,
     contraction_distribution,
@@ -18,7 +19,7 @@ from gesdispatch.ddu import (
     response_discomfort_series,
     standardized_h_quantile,
 )
-from gesdispatch.distributions import DistributionSpec, mean, quantile, sample, std
+from gesdispatch.distributions import DistributionSpec, mean, normalized_quantile, quantile, sample, std
 from gesdispatch.errors import DimensionMismatch, InvalidSpec, NonTighteningCoefficient, OrderingViolation
 from gesdispatch.ges import GesParams, UnitSchedule
 
@@ -174,6 +175,23 @@ def test_standardized_quantile_closed_form():
     q = quantile(h, 0.95)
     expected = (q - mean(h)) / std(h)
     assert standardized_h_quantile(rd, "upper", spec, 0.95) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("family", ["lognormal", "beta"])
+def test_standardized_quantile_is_elementwise(family):
+    spec = DduSpec(h_family=family)
+    rd = np.concatenate(([0.0, MEAN_FLOOR / 10, MEAN_FLOOR / spec.beta_lo], np.linspace(0.0, 0.9, 91)[1:]))
+    for side in ("upper", "lower"):
+        for level in (0.5, 0.95, 0.99):
+            got = standardized_h_quantile(rd, side, spec, level)
+            want = [normalized_quantile(contraction_distribution(r, side, spec), level) for r in rd]
+            assert got.shape == rd.shape
+            assert np.max(np.abs(got - want)) <= 1e-12, (side, level)
+            assert np.all(got[:3] == 0.0)
+    scalar = standardized_h_quantile(0.3, "upper", spec, 0.95)
+    assert type(scalar) is float and scalar == standardized_h_quantile(np.array([0.3]), "upper", spec, 0.95)[0]
+    with pytest.raises(InvalidSpec):
+        standardized_h_quantile(np.array([0.1, -1e-6]), "upper", spec, 0.95)
 
 
 # --- realized bound distribution -------------------------------------------

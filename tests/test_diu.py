@@ -282,12 +282,12 @@ def test_column_stats_equal_the_reference_bit_for_bit(scale, n):
     # a draw-invariant row broadcast over the draws, as propagate_diu passes it,
     # and a sampled matrix
     for samples in (np.broadcast_to(row, (n, T)), draws):
-        got = _column_stats(samples, seed=3)
+        got = _column_stats(samples)
         for a, b in zip((got.mu, got.sigma, got.table), reference_column_stats(samples)):
             assert a.tobytes() == b.tobytes()
     if abs(scale) >= 1e6 and n == 4000:
         # the broadcast mean is off by more than the floor: the full computation ran
-        assert np.any(_column_stats(np.broadcast_to(row, (n, T)), seed=3).sigma > 0)
+        assert np.any(_column_stats(np.broadcast_to(row, (n, T))).sigma > 0)
 
 
 def test_draw_invariant_rows_share_one_read_only_zero_table(tcl100):
@@ -310,7 +310,7 @@ def test_concurrent_first_calls_get_equal_read_only_zero_tables():
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(8) as pool:
-            futures = [pool.submit(_column_stats, row, 0) for _ in range(64)]
+            futures = [pool.submit(_column_stats, row) for _ in range(64)]
             tables = [f.result(timeout=30).table for f in futures]
     finally:
         sys.setswitchinterval(interval)

@@ -93,7 +93,6 @@ def normal_table(mu, sigma, horizon):
     z = sstats.norm.ppf(LEVELS)
     return BoundStats(
         mu=np.full(horizon, mu), sigma=np.full(horizon, sigma),
-        sample_count=10**6, seed=0,
         table=np.tile(z[:, None], (1, horizon)),
     )
 
@@ -229,7 +228,7 @@ def test_null_window_row_limits():
     f = robust_f_inv(scn)
     prob = build_cco_ddu(scn, f)
     rows = ddu_row_data([u], T)
-    bound = f[u.unit_id]["upper"][0]
+    bound = f["upper"][0, 0]
     matrix, i = prob.row("socup", "bes", 7)
     assert matrix == "ub"
     rhs = prob.arrays().b_ub[i]
@@ -258,7 +257,7 @@ def test_shape_information_ordering(smoke3):
 
 
 def _scaled_f_inv(f, scale):
-    return {uid: {side: scale * arr for side, arr in sides.items()} for uid, sides in f.items()}
+    return {side: scale * arr for side, arr in f.items()}
 
 
 def _bits(arrays):
@@ -272,7 +271,7 @@ def _bits(arrays):
 def test_r2_rhs_update_equals_fresh_build(smoke3):
     f = robust_f_inv(smoke3)
     f_next = _scaled_f_inv(f, 0.37)
-    f_next[smoke3.units[0].unit_id]["lower"][5] = 0.0
+    f_next["lower"][0, 5] = 0.0
     prob = build_cco_ddu(smoke3, f)
     solve_lp(prob)  # assembled: the update must write into the solver's arrays
     assert build_cco_ddu(smoke3, f_next, update=prob) is prob
@@ -308,7 +307,7 @@ def test_r2_rhs_update_raises_the_build_crossings(smoke3):
     f = robust_f_inv(smoke3)
     crossing = _scaled_f_inv(f, 1.0)
     uid = smoke3.units[1].unit_id
-    crossing[uid]["upper"][3] = crossing[uid]["lower"][3] = 1e6
+    crossing["upper"][1, 3] = crossing["lower"][1, 3] = 1e6
     with pytest.raises(InfeasibleBounds) as fresh:
         build_cco_ddu(smoke3, crossing)
     prob = build_cco_ddu(smoke3, f)
@@ -324,7 +323,7 @@ def test_zero_bound_equals_mean_value_ddu(smoke3):
     scn = replace(smoke3, gamma=0.5, gamma_balance=0.5,
                   shape_class=ShapeClass("symmetric_unimodal"))
     f = robust_f_inv(scn)
-    assert all(np.all(f[uid][side] == 0.0) for uid in f for side in ("upper", "lower"))
+    assert all(np.all(f[side] == 0.0) for side in ("upper", "lower"))
     r1 = robust_solve_r1(scn)
     sol = solve_lp(build_cco_ddu(scn, f))
     assert r1.objective_value == pytest.approx(sol.objective, abs=1e-9)
@@ -387,7 +386,7 @@ def test_max_iter_carries_best_iterate(smoke3):
 
 def test_feasible_region_nesting(smoke3):
     f = robust_f_inv(smoke3)
-    tight = {uid: {s: 1.1 * v for s, v in d.items()} for uid, d in f.items()}
+    tight = _scaled_f_inv(f, 1.1)
     a = solve_lp(build_cco_ddu(smoke3, f)).objective
     b = solve_lp(build_cco_ddu(smoke3, tight)).objective
     assert b >= a - 1e-9
@@ -425,8 +424,8 @@ def test_epigraph_exactness(smoke3):
     for i, u in enumerate(smoke3.units):
         rd = strat.rd[u.unit_id]
         soc = strat.schedules[u.unit_id].soc[1:]
-        hi = rows.q_up[i] - f[u.unit_id]["upper"] * rows.sigma_up[i] + rows.slope_up[i] * rd
-        lo = rows.q_lo[i] + f[u.unit_id]["lower"] * rows.sigma_lo[i] + rows.slope_lo[i] * rd
+        hi = rows.q_up[i] - f["upper"][i] * rows.sigma_up[i] + rows.slope_up[i] * rd
+        lo = rows.q_lo[i] + f["lower"][i] * rows.sigma_lo[i] + rows.slope_lo[i] * rd
         assert np.all(soc <= hi + 1e-6)
         assert np.all(soc >= lo - 1e-6)
 

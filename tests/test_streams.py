@@ -29,6 +29,7 @@ from gesdispatch.reliability import (
     _Worlds,
     compute_lorp_erns,
     evaluate_many,
+    expost_row_frequencies,
     realize_unit,
 )
 
@@ -76,7 +77,7 @@ def reference_sample_bounds(dev, unit_dists, baseline_dist, dt, horizon, n, ss):
 def reference_propagate(u, dt, horizon, n, seed):
     ss = np.random.SeedSequence([seed, zlib.crc32(u.dev.unit_id.encode())])
     samples = reference_sample_bounds(u.dev, u.unit_dists, u.baseline_dist, dt, horizon, n, ss)
-    return {kind: _column_stats(np.broadcast_to(samples[kind], (n, horizon)), seed) for kind in BOUND_KINDS}
+    return {kind: _column_stats(np.broadcast_to(samples[kind], (n, horizon))) for kind in BOUND_KINDS}
 
 
 def reference_unit_noise(u, scn, m, seed):
@@ -176,6 +177,10 @@ def test_evaluation_equals_the_spawn_based_streams(request, monkeypatch, two_cpu
 # Every realized (unit, step) row holds at the level asked for
 
 
+#: draws of the ex-post check of the exogenous rows
+ROW_DRAWS = 4_000
+
+
 @pytest.mark.parametrize("fixture, gamma, draws", [
     pytest.param("smoke3", 0.05, 20_000, id="0.05"),
     # 0.075 lies off the tabulated grid: the rows read the 0.07 quantile
@@ -191,6 +196,15 @@ def test_every_realized_row_holds_at_gamma(request, fixture, gamma, draws):
     for name, report in evaluate_many(strategies, scn, draws, seed=7).items():
         worst = {uid: float(freq.max()) for uid, freq in report.violation_freq.items()}
         assert {uid: v for uid, v in worst.items() if v > thresh} == {}, (name, thresh)
+    # the exogenous row families each mode imposes; under M3 the
+    # decision-dependent rows checked above supersede the exogenous SoC rows
+    imposed = {"M2": ("pc", "pd", "soc_lo", "soc_hi", "balance")}
+    for name, strategy in {"M2": solve_cco_diu(scn), **strategies}.items():
+        for row, freq in expost_row_frequencies(strategy, scn, ROW_DRAWS, seed=7).items():
+            family = row.split(":")[0]
+            if family in imposed.get(name, ("pc", "pd", "balance")):
+                level = scn.gamma_balance if family == "balance" else gamma
+                assert freq.max() <= stat_threshold(level, ROW_DRAWS), (name, row)
 
 
 def test_m2_ignores_the_decision_dependent_rows(smoke3):
