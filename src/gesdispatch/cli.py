@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -89,6 +90,25 @@ def _parse_window(text: str, horizon: int) -> np.ndarray:
     if issues:
         raise ValidationError(issues)
     return mask
+
+
+def _parse_gammas(text: str, top: bool = False) -> list[float]:
+    """The risk levels of `--gammas`, comma-separated, each in (0, 1), or in
+    (0, 1] with `top` (the worst-case table is defined at gamma = 1)."""
+    gammas, issues = [], []
+    for part in (p.strip() for p in text.split(",")):
+        try:
+            g = float(part)
+        except ValueError:
+            issues.append(f"--gammas: {part!r} is not a number" if part else f"--gammas: empty entry in {text!r}")
+            continue
+        if not (0.0 < g < 1.0 or (top and g == 1.0)):
+            issues.append(f"--gammas: {part} must lie in (0, {'1]' if top else '1)'}")
+            continue
+        gammas.append(g)
+    if issues:
+        raise ValidationError(issues)
+    return gammas
 
 
 def _override(scn: ScenarioBundle, flags: str, **kw) -> ScenarioBundle:
@@ -315,7 +335,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    gammas = [float(g) for g in args.gammas.split(",")]
+    gammas = _parse_gammas(args.gammas, top=True)
+    if not (math.isfinite(args.nu) and args.nu > 2.0):
+        raise ValidationError([f"--nu: {args.nu} must be a finite number above 2 (the student_t row)"])
     shapes = [
         ShapeClass("no_assumption"), ShapeClass("symmetric"), ShapeClass("unimodal"),
         ShapeClass("symmetric_unimodal"), ShapeClass("student_t", nu=args.nu),
@@ -338,7 +360,7 @@ def _solve_grid(args, choices, config, name: str, columns: list[str], values, ec
     write one CSV row per solve: gamma, mode, the day-ahead cost, then the
     `columns` that `values(scn, strategy)` returns.  The manifest echoes the
     grid and the other options in `echo`."""
-    gammas = [float(g) for g in args.gammas.split(",")]
+    gammas = _parse_gammas(args.gammas)
     modes = args.modes.split(",")
     unknown = [m for m in modes if m not in choices]
     if unknown:

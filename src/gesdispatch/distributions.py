@@ -8,7 +8,7 @@ which is the reproducibility contract the Monte-Carlo layers rely on.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,26 +258,40 @@ def sample_columns(specs: list[DistributionSpec], n: int, states: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """(n, len(specs)) draws whose column t is ``quantile(specs[t], u)`` of
     the `n` uniforms `u` of stream ``states[t]`` (`uniform_streams`),
-    written into `out` when it is given (and returned).
+    written into `out` when it is given (and returned): `sample_blocks` of
+    one block."""
+    if out is None:
+        out = np.empty((n, len(specs)))
+    sample_blocks([specs], n, [states], out[None])
+    return out
 
-    The uniforms go in column by column, then the quantile transform runs in
+
+def sample_blocks(specs: Sequence[list[DistributionSpec]], n: int, states: Sequence[np.ndarray],
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """(len(specs), n, T) draws: block i is `sample_columns` of ``specs[i]``
+    on the streams ``states[i]``, written into `out` when it is given (and
+    returned).  Every block has the same T.
+
+    The uniforms go in stream by stream, then the quantile transform runs in
     place.  When every spec is lognormal (the baseline noise) that transform
-    is one call per ufunc over all columns: per element it is the arithmetic
+    is one call per ufunc over all blocks: per element it is the arithmetic
     of `quantile`, with far fewer short calls that each release the GIL.
     """
     _check_count(n)
     if out is None:
-        out = np.empty((n, len(specs)))
-    for t, uniforms in enumerate(uniform_streams(states, n)):
-        out[:, t] = uniforms
-    if all(spec.family == "lognormal" for spec in specs):
+        out = np.empty((len(specs), n, len(specs[0])))
+    for block, block_states in zip(out, states):
+        for t, uniforms in enumerate(uniform_streams(block_states, n)):
+            block[:, t] = uniforms
+    if all(spec.family == "lognormal" for row in specs for spec in row):
         special.ndtri(out, out=out)
-        out *= [spec.params["sigma"] for spec in specs]
-        out += [spec.params["mu"] for spec in specs]
+        out *= np.array([[spec.params["sigma"] for spec in row] for row in specs])[:, None, :]
+        out += np.array([[spec.params["mu"] for spec in row] for row in specs])[:, None, :]
         np.exp(out, out=out)
     else:
-        for t, spec in enumerate(specs):
-            out[:, t] = quantile(spec, out[:, t])
+        for block, row in zip(out, specs):
+            for t, spec in enumerate(row):
+                block[:, t] = quantile(spec, block[:, t])
     return out
 
 

@@ -28,6 +28,7 @@ import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -172,6 +173,8 @@ def tcl_baseline_bound_samples(dev, params: GesParams, base: np.ndarray,
     (``map_device_to_ges(dev, dt, horizon)``), one (horizon,) row shared by
     all draws.  The power ratings are (n, horizon), written into `p_c_max`
     and `p_d_max` when those buffers are given (`p_d_max` may be `base` itself).
+    Elementwise, so `dev` and `params` may hold fields stacked over a run of
+    units (`_stacked`) against a (units, n, horizon) `base`.
     """
     p_c_max = np.subtract(dev.p_max, base, out=p_c_max)
     np.clip(p_c_max, 0.0, None, out=p_c_max)
@@ -192,6 +195,8 @@ def tcl_baseline_bound_samples(dev, params: GesParams, base: np.ndarray,
 #: sampled per-step keys and the GesParams attribute each one reads
 _SAMPLED = {"p_c_max": "p_c_max", "p_d_max": "p_d_max", "soc_lo": "soc_lo", "soc_hi": "soc_hi",
             "alpha": "alpha", "avg": "soc_baseline_avg", "deadband": "deadband"}
+#: the GesParams rows that the thermal fast path shares by all draws
+_ROWS = ("soc_lo", "soc_hi", "alpha", "soc_baseline_avg", "deadband")
 
 
 def unit_states(seed: int, units: Sequence[tuple[str, dict, list | None]], horizon: int,
@@ -209,54 +214,86 @@ def unit_states(seed: int, units: Sequence[tuple[str, dict, list | None]], horiz
                               for _, unit_dists, baseline_dist in units], prefix)
 
 
+def sampler_branch(dev: DeviceDescription, unit_dists: dict, baseline_dist: list | None) -> str:
+    """The branch of `sample_bounds` that realizes a unit: ``"fixed"`` (no
+    noise), ``"tcl"`` (a thermal unit with baseline noise only, the fast
+    path) or ``"map"`` (every draw mapped through `map_device_to_ges`)."""
+    if not unit_dists:
+        if baseline_dist is None:
+            return "fixed"
+        if dev.kind in TCL_KINDS:
+            return "tcl"
+    return "map"
+
+
+def _stacked(objs, names) -> SimpleNamespace:
+    """The named fields of `objs` on a leading units axis, broadcasting
+    against (units, n, horizon): (units, 1, 1) scalars, (units, 1, horizon) rows."""
+    return SimpleNamespace(**{name: np.array([getattr(o, name) for o in objs], dtype=float)
+                              .reshape(len(objs), 1, -1) for name in names})
+
+
+class RunMember(NamedTuple):
+    """What `sample_bounds` reads of one unit of a run; a `scenario.UnitSpec`
+    has the same attributes."""
+
+    dev: DeviceDescription
+    params: GesParams  # map_device_to_ges(dev, dt, horizon)
+    unit_dists: dict[str, DistributionSpec]
+    baseline_dist: list[DistributionSpec] | None
+
+
 def sample_bounds(
-    dev: DeviceDescription,
-    params: GesParams,
-    unit_dists: dict[str, DistributionSpec],
-    baseline_dist: list[DistributionSpec] | None,
+    run: Sequence[RunMember],
     dt: float,
     horizon: int,
     n: int,
-    states: np.ndarray,
+    states: Sequence[np.ndarray],
     workspace: Sequence[np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
-    """`n` draws of a unit's storage parameters under identification and
-    baseline noise: the one sampler of the DIU model.
+    """`n` draws of the storage parameters of a run of units under
+    identification and baseline noise: the one sampler of the DIU model.
 
-    `states` is the unit's block of `unit_states`, and `params` its mapping
-    ``map_device_to_ges(dev, dt, horizon)``, from which the noise-free and
-    the thermal fast path read their draw-invariant rows.  Returns the
-    bounds `p_c_max`, `p_d_max`, `soc_lo`, `soc_hi`, `alpha` and the comfort
-    anchors `avg` (baseline SoC average) and `deadband`.  The ratings are
-    (n, horizon); every other key is (n, horizon) where it varies by draw
-    and one (horizon,) row where it does not.  With a `workspace` the
-    baseline draws and the ratings of the thermal fast path are written
-    into its first two buffers.
+    Every unit of `run` takes the same `sampler_branch`, and ``states[i]``
+    is unit i's block of `unit_states`.  Returns the bounds `p_c_max`,
+    `p_d_max`, `soc_lo`, `soc_hi`, `alpha` and the comfort anchors `avg`
+    (baseline SoC average) and `deadband`, each (units, n, horizon) where it
+    varies by draw and (units, 1, horizon) where it does not; the ratings
+    are always (units, n, horizon), read-only broadcasts of the rows in a
+    noise-free run.  Per unit and draw, the values do not depend on which
+    run the unit is sampled in.  With a `workspace` of two (units, n,
+    horizon) buffers the baseline draws and the ratings of the thermal fast
+    path are written into them.
     """
-    if not unit_dists and baseline_dist is None:
-        out = {key: getattr(params, attr) for key, attr in _SAMPLED.items()}
+    k = len(run)
+    branch = sampler_branch(run[0].dev, run[0].unit_dists, run[0].baseline_dist)
+    if branch == "fixed":
+        out = vars(_stacked([m.params for m in run], _SAMPLED.values()))
+        out = {key: out[attr] for key, attr in _SAMPLED.items()}
         for key in ("p_c_max", "p_d_max"):
-            out[key] = np.broadcast_to(out[key], (n, horizon))
+            out[key] = np.broadcast_to(out[key], (k, n, horizon))
         return out
-
-    names = sorted(unit_dists)
-    base = None
-    if baseline_dist is not None:
+    if branch == "tcl":
         buffers = (None, None) if workspace is None else workspace[:2]
-        base = dist.sample_columns(baseline_dist, n, states[len(names):], out=buffers[0])
-        if not unit_dists and dev.kind in TCL_KINDS:
-            # nothing reads the baseline draws after the discharge rating
-            return tcl_baseline_bound_samples(dev, params, base, p_c_max=buffers[1], p_d_max=base)
-    draws = dist.sample_columns([unit_dists[name] for name in names], n, states[:len(names)])
+        base = dist.sample_blocks([m.baseline_dist for m in run], n, states, out=buffers[0])
+        # nothing reads the baseline draws after the discharge rating
+        return tcl_baseline_bound_samples(_stacked([m.dev for m in run], ("p_max", "p_min")),
+                                          _stacked([m.params for m in run], _ROWS),
+                                          base, p_c_max=buffers[1], p_d_max=base)
 
-    out = {key: np.empty((n, horizon)) for key in _SAMPLED}
-    for j in range(n):
-        kw = dict(zip(names, draws[j].tolist()))
-        if base is not None:
-            kw["baseline_power"] = base[j]
-        draw_params = map_device_to_ges(replace(dev, **kw), dt, horizon)
-        for key, attr in _SAMPLED.items():
-            out[key][j] = getattr(draw_params, attr)
+    out = {key: np.empty((k, n, horizon)) for key in _SAMPLED}
+    for i, member in enumerate(run):
+        names = sorted(member.unit_dists)
+        draws = dist.sample_columns([member.unit_dists[name] for name in names], n, states[i][:len(names)])
+        base = (None if member.baseline_dist is None
+                else dist.sample_columns(member.baseline_dist, n, states[i][len(names):]))
+        for j in range(n):
+            kw = dict(zip(names, draws[j].tolist()))
+            if base is not None:
+                kw["baseline_power"] = base[j]
+            draw_params = map_device_to_ges(replace(member.dev, **kw), dt, horizon)
+            for key, attr in _SAMPLED.items():
+                out[key][i, j] = getattr(draw_params, attr)
     return out
 
 
@@ -297,11 +334,12 @@ def propagate_diu(
         states = unit_states(seed, [(dev.unit_id, unit_dists, baseline_dist)], horizon)[0]
     if params is None:
         params = map_device_to_ges(dev, dt, horizon)
-    samples = sample_bounds(dev, params, unit_dists, baseline_dist, dt, horizon, n, states, workspace)
+    samples = sample_bounds([RunMember(dev, params, unit_dists, baseline_dist)], dt, horizon, n, [states],
+                            None if workspace is None else workspace[:2, None])
     scratch = None if workspace is None else workspace[2]
     return UnitBoundStats(
         unit_id=dev.unit_id,
-        **{kind: _column_stats(np.broadcast_to(samples[kind], (n, horizon)), scratch)
+        **{kind: _column_stats(np.broadcast_to(samples[kind][0], (n, horizon)), scratch)
            for kind in BOUND_KINDS},
     )
 

@@ -22,13 +22,20 @@ worlds.  Where a draw's realized lower bound lies above its upper bound, the
 pair collapses to its midpoint; redrawing the shocks of the crossed unit
 alone would give it unit-specific shocks, against the model above.
 
-Every evaluator runs the same realization kernel (`realize_unit`) and the
-same scoring: `evaluate_reliability(s)` is `evaluate_many({name: s})[name]`,
-and `compute_lorp_erns`/`penalty_cost` score a realized batch the same way.
+Every evaluator realizes the units in the same tasks (`_tasks`: runs of
+consecutive units that share a realization template, cut to about
+`pool.TASK_ELEMENTS`), through the same noise sampler (`_unit_noise`) and
+realization kernel (`realize_unit`) over (units, draws, horizon) blocks, and
+scores them the same way: `evaluate_reliability(s)` is
+`evaluate_many({name: s})[name]`, and `compute_lorp_erns`/`penalty_cost`
+score a realized batch through the same scoring, one unit per run.  Every
+step is elementwise or reduces within a unit, so no number depends on the
+task a unit falls in.
 """
 
 from __future__ import annotations
 
+import itertools
 import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -39,11 +46,12 @@ from scipy import special
 from . import distributions as dist
 from .ddu import contraction_quantile_vec, discomfort
 from .errors import DimensionMismatch, InvalidSpec
-from .diu import sample_bounds, unit_states
+from .diu import sample_bounds, sampler_branch, unit_states
 from .diu import tcl_baseline_bound_samples  # noqa: F401  (a wrap target of bench/tracing.py)
+from .ges import UnitSchedule
 from .ges import map_device_to_ges  # noqa: F401  (a wrap target of bench/tracing.py)
 from .optimizer import DispatchStrategy
-from .pool import map_in_workspaces
+from .pool import TASK_ELEMENTS, map_in_workspaces
 from .scenario import ScenarioBundle, UnitSpec
 
 #: numeric slack before a bound crossing counts as a violation
@@ -56,13 +64,20 @@ OVER_RESPONSE_MULT = 0.3
 
 @dataclass
 class UnitRealization:
-    """Per-draw realized bounds for one unit; arrays are (draws, horizon)."""
+    """Per-draw realized bounds of one unit, arrays (draws, horizon); or of a
+    run of units (`realize_unit`), arrays (units, draws, horizon) and one
+    `crossings` count per unit."""
 
     upper: np.ndarray
     lower: np.ndarray
     p_c_max: np.ndarray
     p_d_max: np.ndarray
-    crossings: int
+    crossings: int | np.ndarray
+
+    def unit(self, i: int) -> "UnitRealization":
+        """Unit `i` of a run's realization."""
+        return UnitRealization(upper=self.upper[i], lower=self.lower[i], p_c_max=self.p_c_max[i],
+                               p_d_max=self.p_d_max[i], crossings=int(self.crossings[i]))
 
 
 @dataclass
@@ -94,25 +109,49 @@ class ReliabilityReport:
 
 def _noise_states(units: Sequence[UnitSpec], seed: int, horizon: int) -> list[np.ndarray]:
     """Seed states of each unit's noise streams, hashed in one pass: the
-    children of spawn child 0 of the stream keyed by (master seed, unit id)."""
+    children of spawn child 0 of the stream keyed by (master seed, unit id).
+    Every evaluator starts here, so this refuses, first in unit order, a
+    unit whose device is not its own, such as the virtual unit of
+    `aggregate_scenario`, which keeps its first member's device."""
+    for u in units:
+        if u.dev.unit_id != u.unit_id:
+            raise InvalidSpec(f"unit {u.unit_id!r} carries the device of unit {u.dev.unit_id!r}, "
+                              "so its noise cannot be realized (aggregated fleets cannot be evaluated)")
     return unit_states(seed, [(u.unit_id, u.unit_dists, u.baseline_dist) for u in units], horizon, prefix=(0,))
 
 
-def _unit_noise(u: UnitSpec, scn: ScenarioBundle, m: int, states: np.ndarray,
+def _template(u: UnitSpec) -> tuple:
+    """What a run of units realizes alike: the sampler branch, the DDU spec
+    and both price inputs, so that the expansion factor of `_Worlds` is
+    shared by the run."""
+    return (sampler_branch(u.dev, u.unit_dists, u.baseline_dist), u.ddu,
+            _price(u, "upper").tobytes(), _price(u, "lower").tobytes())
+
+
+def _tasks(units: Sequence[UnitSpec], m: int, horizon: int) -> list[slice]:
+    """The evaluator's tasks over `units`, in order: each maximal run of
+    consecutive units sharing a `_template`, cut into slices of at most
+    ``max(1, TASK_ELEMENTS // (m * horizon))`` units."""
+    size = max(1, TASK_ELEMENTS // (m * horizon))
+    tasks, start = [], 0
+    for _, run in itertools.groupby(units, key=_template):
+        stop = start + sum(1 for _ in run)
+        tasks += [slice(i, min(i + size, stop)) for i in range(start, stop, size)]
+        start = stop
+    return tasks
+
+
+def _unit_noise(units: Sequence[UnitSpec], scn: ScenarioBundle, m: int, states: Sequence[np.ndarray],
                 workspace: Sequence[np.ndarray] | None = None) -> dict[str, np.ndarray]:
-    """Per-draw parameter/baseline-noise realization of unit `u` from its
-    block of `_noise_states`, with the per-draw rating references `pc_ref`,
-    `pd_ref` (m,) of the discomfort's intensity term.  With a `workspace`
-    the sampler writes into its first two buffers.  Refuses a unit whose
-    device is not its own, such as the virtual unit of `aggregate_scenario`,
-    which keeps its first member's device."""
-    if u.dev.unit_id != u.unit_id:
-        raise InvalidSpec(f"unit {u.unit_id!r} carries the device of unit {u.dev.unit_id!r}, "
-                          "so its noise cannot be realized (aggregated fleets cannot be evaluated)")
-    noise = sample_bounds(u.dev, u.params, u.unit_dists, u.baseline_dist, scn.dt, scn.horizon, m, states,
-                          workspace)
-    noise["pc_ref"] = noise["p_c_max"].mean(axis=1)
-    noise["pd_ref"] = noise["p_d_max"].mean(axis=1)
+    """Per-draw parameter/baseline-noise realization of a run of units (one
+    `_tasks` slice) from their blocks of `_noise_states`: the keys of
+    `diu.sample_bounds`, (units, m, horizon) or (units, 1, horizon), and the
+    per-draw rating references `pc_ref`, `pd_ref` (units, m) of the
+    discomfort's intensity term.  With a `workspace` the sampler writes into
+    its first two buffers."""
+    noise = sample_bounds(units, scn.dt, scn.horizon, m, states, workspace)
+    noise["pc_ref"] = noise["p_c_max"].mean(axis=2)
+    noise["pd_ref"] = noise["p_d_max"].mean(axis=2)
     return noise
 
 
@@ -167,23 +206,41 @@ class _Worlds:
         return self._g[self._key(u, side)]
 
 
-def _side_bound(u: UnitSpec, noise, rd, side: str, worlds: _Worlds,
+def _column(units: Sequence[UnitSpec], attr: str) -> np.ndarray:
+    """GesParams field `attr` of each unit as a (units, 1, 1) column."""
+    return np.array([getattr(u.params, attr) for u in units], dtype=float)[:, None, None]
+
+
+def _schedules(strategy: DispatchStrategy, units: Sequence[UnitSpec]) -> UnitSchedule:
+    """The schedules of `units` stacked as (units, 1, ·) rows: the form in
+    which the realization kernel and the scoring read a strategy.  Stacked
+    once per evaluation, a task takes its rows out without a copy (`_rows`)."""
+    scheds = [strategy.schedules[u.unit_id] for u in units]
+    return UnitSchedule(**{name: np.stack([getattr(s, name) for s in scheds])[:, None, :]
+                           for name in ("p_c", "p_d", "soc")})
+
+
+def _rows(sched: UnitSchedule, task: slice) -> UnitSchedule:
+    """The stacked schedules (`_schedules`) of one task's units."""
+    return UnitSchedule(p_c=sched.p_c[task], p_d=sched.p_d[task], soc=sched.soc[task])
+
+
+def _side_bound(units: Sequence[UnitSpec], noise, rd, side: str, worlds: _Worlds,
                 out: np.ndarray, h: np.ndarray, scratch: np.ndarray) -> None:
-    """Realized bound for one side, written into `out`: expansion draw, then
-    contraction draw.  `h` and `scratch` are overwritten; `scratch` may be
-    `rd`, which is read before it."""
-    spec = u.ddu
-    p = u.params
+    """Realized bound of a run for one side, written into `out`: expansion
+    draw, then contraction draw.  `h` and `scratch` are overwritten;
+    `scratch` may be `rd`, which is read before it."""
+    spec = units[0].ddu
     if side == "upper":
-        diu = np.minimum(noise["soc_hi"], p.soc_phys_hi)
-        phys = p.soc_phys_hi
+        phys = _column(units, "soc_phys_hi")
+        diu = np.minimum(noise["soc_hi"], phys)
         comfort = np.minimum(noise["avg"] + noise["deadband"] / 2.0, diu)
     else:
-        diu = np.maximum(noise["soc_lo"], p.soc_phys_lo)
-        phys = p.soc_phys_lo
+        phys = _column(units, "soc_phys_lo")
+        diu = np.maximum(noise["soc_lo"], phys)
         comfort = np.maximum(noise["avg"] - noise["deadband"] / 2.0, diu)
     # anchor = diu + (phys - diu) * g
-    anchor = np.multiply(phys - diu, worlds.g(u, side), out=out)
+    anchor = np.multiply(phys - diu, worlds.g(units[0], side), out=out)
     anchor += diu
     np.multiply(rd, spec.beta_side(side), out=h)
     contraction_quantile_vec(h, spec, **worlds.h_shocks[spec.h_family, side], out=h)
@@ -193,37 +250,40 @@ def _side_bound(u: UnitSpec, noise, rd, side: str, worlds: _Worlds,
     anchor += pull
 
 
-#: (draws, horizon) buffers of the realization kernel: discomfort, upper and
-#: lower bound, contraction factor
+#: (units, draws, horizon) buffers of the realization kernel: discomfort,
+#: upper and lower bound, contraction factor
 KERNEL_BUFFERS = 4
 
 
 def realize_unit(
-    u: UnitSpec, strategy: DispatchStrategy, noise: dict[str, np.ndarray], m: int, worlds: _Worlds,
-    workspace: Sequence[np.ndarray] | None = None,
+    units: Sequence[UnitSpec], sched: UnitSchedule, noise: dict[str, np.ndarray], m: int,
+    worlds: _Worlds, workspace: Sequence[np.ndarray] | None = None,
 ) -> UnitRealization:
-    """Per-draw practical bounds of one unit over the `m` draws of `worlds`,
-    given the unit's noise realization (`_unit_noise`): the realization
-    kernel of every evaluator.  A crossed (upper, lower) pair collapses to
-    its midpoint.
+    """Per-draw practical bounds of a run of units (one `_tasks` slice) over
+    the `m` draws of `worlds`, given the run's schedules (`_schedules`) and
+    noise realization (`_unit_noise`): the realization kernel of every
+    evaluator.  A crossed (upper, lower) pair collapses to its midpoint.
+    Every step is elementwise over the run, so a unit's bounds do not depend
+    on the run it is realized in.
 
-    `workspace` holds KERNEL_BUFFERS (m, horizon) buffers that the kernel
-    overwrites; the returned bounds are its second and third, so the next
-    call overwrites them.  Without one the kernel allocates its own.
+    `workspace` holds KERNEL_BUFFERS (units, m, horizon) buffers that the
+    kernel overwrites; the returned bounds are its second and third, so the
+    next call overwrites them.  Without one the kernel allocates its own.
     """
     if m != worlds.m:
-        raise DimensionMismatch(f"unit {u.unit_id}: {m} draws vs {worlds.m} in the shared worlds")
+        raise DimensionMismatch(f"unit {units[0].unit_id}: {m} draws vs {worlds.m} in the shared worlds")
     if workspace is None:
-        workspace = [np.empty((m, worlds.horizon)) for _ in range(KERNEL_BUFFERS)]
+        workspace = [np.empty((len(units), m, worlds.horizon)) for _ in range(KERNEL_BUFFERS)]
     rd, upper, lower, h = workspace
     # discomfort per draw and step, from each draw's realized references
-    discomfort(strategy.schedules[u.unit_id], noise["pc_ref"][:, None], noise["pd_ref"][:, None],
-               noise["avg"], noise["deadband"], u.ddu, out=rd, scratch=upper)
-    _side_bound(u, noise, rd, "upper", worlds, out=upper, h=h, scratch=lower)
-    _side_bound(u, noise, rd, "lower", worlds, out=lower, h=h, scratch=rd)
+    discomfort(sched, noise["pc_ref"][..., None], noise["pd_ref"][..., None],
+               noise["avg"], noise["deadband"], units[0].ddu, out=rd, scratch=upper)
+    _side_bound(units, noise, rd, "upper", worlds, out=upper, h=h, scratch=lower)
+    _side_bound(units, noise, rd, "lower", worlds, out=lower, h=h, scratch=rd)
     crossed = lower > upper
-    crossings = int(np.count_nonzero(crossed))
-    if crossings:
+    crossings = np.zeros(len(units), dtype=int)
+    if np.count_nonzero(crossed):
+        crossings = np.count_nonzero(crossed, axis=(1, 2))
         mid = 0.5 * (upper[crossed] + lower[crossed])
         upper[crossed] = mid
         lower[crossed] = mid
@@ -244,13 +304,18 @@ def realize_practical_bounds(
     The expansion and contraction shocks are fleet-common (one set for all
     units), the parameter and baseline noise is per unit, and a crossed
     (upper, lower) pair collapses to its midpoint: the kernel that
-    `evaluate_many` runs, so `compute_lorp_erns` of the batch equals
-    `evaluate_reliability` at the same draws and seed.  Every unit's arrays
-    are its own; no workspace is lent.
+    `evaluate_many` runs on the same `_tasks`, so `compute_lorp_erns` of the
+    batch equals `evaluate_reliability` at the same draws and seed.  No
+    workspace is lent, and no two units' arrays overlap.
     """
     worlds = _Worlds(seed, draws, scn)
-    units = {u.unit_id: realize_unit(u, strategy, _unit_noise(u, scn, draws, states), draws, worlds)
-             for u, states in zip(scn.units, _noise_states(scn.units, seed, scn.horizon))}
+    states = _noise_states(scn.units, seed, scn.horizon)
+    sched = _schedules(strategy, scn.units)
+    units = {}
+    for task in _tasks(scn.units, draws, scn.horizon):
+        run = scn.units[task]
+        real = realize_unit(run, _rows(sched, task), _unit_noise(run, scn, draws, states[task]), draws, worlds)
+        units.update((u.unit_id, real.unit(i)) for i, u in enumerate(run))
     return RealizationBatch(units=units, draws=draws, seed=seed)
 
 
@@ -269,28 +334,33 @@ class _UnitScore:
     crossings: int
 
 
-def _score_unit(strategy: DispatchStrategy, scn: ScenarioBundle, u: UnitSpec, real: UnitRealization,
-                over: np.ndarray | None = None, under: np.ndarray | None = None) -> _UnitScore:
-    """Score one unit's realization; the excess and shortfall go into
-    `over` and `under` when they are given, buffers of the batch's shape
-    that alias no bound of `real`."""
-    soc = strategy.schedules[u.unit_id].soc[1:][None, :]
-    over = np.maximum(np.subtract(soc, real.upper, out=over), 0.0, out=over)
-    under = np.maximum(np.subtract(real.lower, soc, out=under), 0.0, out=under)
+def _score_run(scn: ScenarioBundle, units: Sequence[UnitSpec], sched: UnitSchedule,
+               upper: np.ndarray, lower: np.ndarray, crossings: Sequence[int],
+               over: np.ndarray | None = None, under: np.ndarray | None = None) -> list[_UnitScore]:
+    """Score the realized (units, draws, horizon) bounds of a run against
+    its schedules (`_schedules`), one `_UnitScore` per unit; the excess and
+    shortfall go into `over` and `under` when they are given, buffers of the
+    bounds' shape that alias neither.  Every reduction runs once over the
+    run; the real-time cost takes one `np.dot` per unit, which a batched
+    product might sum in another order."""
+    soc = sched.soc[..., 1:]
+    size = _column(units, "S")[:, 0]
+    over = np.maximum(np.subtract(soc, upper, out=over), 0.0, out=over)
+    under = np.maximum(np.subtract(lower, soc, out=under), 0.0, out=under)
     violated = over > VIOLATION_TOL
     violated |= under > VIOLATION_TOL
     # undelivered response is bought back at a markup, excess response
     # loses part of its day-ahead revenue
-    e_over = over.mean(axis=0) * u.params.S
-    e_under = under.mean(axis=0) * u.params.S
+    e_over = over.mean(axis=1) * size
+    e_under = under.mean(axis=1) * size
+    rt = UNDER_RESPONSE_MULT * e_under + OVER_RESPONSE_MULT * e_over
     over -= under
-    return _UnitScore(
-        any_violation=violated.any(axis=1),
-        erns=over.mean(axis=0) * u.params.S,
-        freq=violated.mean(axis=0),
-        cost_rt=float(np.dot(scn.tou_price, UNDER_RESPONSE_MULT * e_under + OVER_RESPONSE_MULT * e_over)),
-        crossings=real.crossings,
-    )
+    any_violation = violated.any(axis=2)
+    erns = over.mean(axis=1) * size
+    freq = violated.mean(axis=1)
+    return [_UnitScore(any_violation=any_violation[i], erns=erns[i], freq=freq[i],
+                       cost_rt=float(np.dot(scn.tou_price, rt[i])), crossings=int(crossings[i]))
+            for i in range(len(units))]
 
 
 class _Score:
@@ -313,7 +383,9 @@ class _Score:
             raise DimensionMismatch(
                 f"unit {u.unit_id}: batch shape {real.upper.shape} vs ({self.draws}, {self.scn.horizon})"
             )
-        self.fold(u, _score_unit(self.strategy, self.scn, u, real))
+        (part,) = _score_run(self.scn, [u], _schedules(self.strategy, [u]), real.upper[None], real.lower[None],
+                             [real.crossings])
+        self.fold(u, part)
 
     def fold(self, u: UnitSpec, part: _UnitScore) -> None:
         self.any_violation |= part.any_violation
@@ -367,32 +439,42 @@ def evaluate_many(
     (upper, lower) pair collapses to its midpoint.
 
     The seed states of every unit's noise streams are hashed in one pass
-    (`_noise_states`) before the units run through `pool.map_in_workspaces`.
-    A unit's task realizes its noise from its block of states, and every
-    strategy's bounds, in one workspace of
-    `2 + KERNEL_BUFFERS` (draws, horizon) buffers, allocated by this thread,
-    and returns small per-strategy scores.  This thread folds them in unit
-    order, so a report depends only on (strategy, scenario, draws, seed),
-    not on the pool; `evaluate_reliability(s)` is this function with `s`
-    alone.
+    (`_noise_states`) before the `_tasks` run through
+    `pool.map_in_workspaces`.  A task realizes its run's noise, and every
+    strategy's bounds, as (units, draws, horizon) blocks in one workspace of
+    `2 + KERNEL_BUFFERS` buffers of the largest task's shape, allocated by
+    this thread, and returns small per-unit scores.  This thread folds them
+    in unit order, so a report depends only on (strategy, scenario, draws,
+    seed), not on the tasks or the pool; `evaluate_reliability(s)` is this
+    function with `s` alone.
     """
     worlds = _Worlds(seed, draws, scn)
     scores = {name: _Score(s, scn, draws, seed) for name, s in strategies.items()}
+    states = _noise_states(scn.units, seed, scn.horizon)
+    tasks = _tasks(scn.units, draws, scn.horizon)
+    width = max(task.stop - task.start for task in tasks)
+    scheds = [_schedules(s, scn.units) for s in strategies.values()]
 
-    def score_unit(item: tuple[UnitSpec, np.ndarray], workspace: list[np.ndarray]) -> list[_UnitScore]:
-        u, states = item
-        noise = _unit_noise(u, scn, draws, states, workspace)
-        kernel = workspace[2:]
+    def score_task(task: slice, workspace: list[np.ndarray]) -> list[list[_UnitScore]]:
+        run = scn.units[task]
+        buffers = [w[:len(run)] for w in workspace]
+        noise = _unit_noise(run, scn, draws, states[task], buffers)
+        kernel = buffers[2:]
         rd, _, _, h = kernel  # free once the bounds are realized
-        return [_score_unit(s, scn, u, realize_unit(u, s, noise, draws, worlds, kernel), rd, h)
-                for s in strategies.values()]
+        parts = []
+        for strategy_sched in scheds:
+            sched = _rows(strategy_sched, task)
+            real = realize_unit(run, sched, noise, draws, worlds, kernel)
+            parts.append(_score_run(scn, run, sched, real.upper, real.lower, real.crossings, rd, h))
+        return parts
 
-    parts = map_in_workspaces(score_unit, zip(scn.units, _noise_states(scn.units, seed, scn.horizon)),
-                              lambda: [np.empty((draws, scn.horizon)) for _ in range(2 + KERNEL_BUFFERS)],
-                              draws * scn.horizon)
-    for u, unit_parts in zip(scn.units, parts):
-        for score, part in zip(scores.values(), unit_parts):
-            score.fold(u, part)
+    parts = map_in_workspaces(score_task, tasks,
+                              lambda: [np.empty((width, draws, scn.horizon)) for _ in range(2 + KERNEL_BUFFERS)],
+                              width * draws * scn.horizon)
+    for task, task_parts in zip(tasks, parts):
+        for score, run_parts in zip(scores.values(), task_parts):
+            for u, part in zip(scn.units[task], run_parts):
+                score.fold(u, part)
     return {name: score.report() for name, score in scores.items()}
 
 
@@ -434,14 +516,20 @@ def expost_row_frequencies(
     frequencies describe no imposed row and must not be read against gamma.
     """
     out: dict[str, np.ndarray] = {}
-    for u, states in zip(scn.units, _noise_states(scn.units, seed, scn.horizon)):
-        real = _unit_noise(u, scn, draws, states)
-        sched = strategy.schedules[u.unit_id]
-        soc = sched.soc[1:][None, :]
-        out[f"pc:{u.unit_id}"] = (sched.p_c[None, :] > real["p_c_max"] + VIOLATION_TOL).mean(axis=0)
-        out[f"pd:{u.unit_id}"] = (sched.p_d[None, :] > real["p_d_max"] + VIOLATION_TOL).mean(axis=0)
-        out[f"soc_hi:{u.unit_id}"] = (soc > real["soc_hi"] + VIOLATION_TOL).mean(axis=0)
-        out[f"soc_lo:{u.unit_id}"] = (soc < real["soc_lo"] - VIOLATION_TOL).mean(axis=0)
+    states = _noise_states(scn.units, seed, scn.horizon)
+    scheds = _schedules(strategy, scn.units)
+    for task in _tasks(scn.units, draws, scn.horizon):
+        run = scn.units[task]
+        real = _unit_noise(run, scn, draws, states[task])
+        sched = _rows(scheds, task)
+        soc = sched.soc[..., 1:]
+        rows = {"pc": sched.p_c > real["p_c_max"] + VIOLATION_TOL,
+                "pd": sched.p_d > real["p_d_max"] + VIOLATION_TOL,
+                "soc_hi": soc > real["soc_hi"] + VIOLATION_TOL,
+                "soc_lo": soc < real["soc_lo"] - VIOLATION_TOL}
+        freq = {row: violated.mean(axis=1) for row, violated in rows.items()}
+        for i, u in enumerate(run):
+            out.update((f"{row}:{u.unit_id}", f[i]) for row, f in freq.items())
 
     def exogenous(dists, tag: bytes) -> np.ndarray:
         states = dist.spawn_states([(int(seed), zlib.crc32(tag))], [len(dists)])[0]

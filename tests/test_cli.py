@@ -178,6 +178,30 @@ def test_bad_evaluate_gamma_exits_2(tmp_path, capsys):
     assert not (rep / "report.yaml").exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["bounds", "--gammas", "abc"], "--gammas"),
+    (["bounds", "--gammas", "0.05,,0.1"], "--gammas"),
+    (["bounds", "--gammas", "1.5"], "--gammas"),
+    (["bounds", "--nu", "1"], "--nu"),
+    (["sweep", "--scenario", SMOKE, "--gammas", "abc"], "--gammas"),
+    (["sweep", "--scenario", SMOKE, "--gammas", "1.5"], "--gammas"),
+    (["reserve", "--scenario", SMOKE, "--gammas", "0.05,,0.1"], "--gammas"),
+    (["reserve", "--scenario", SMOKE, "--gammas", "1.5"], "--gammas"),
+])
+def test_bad_gammas_or_nu_exit_2(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x"
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert flag in err and "--gamma " not in err
+    assert not out.exists()
+
+
+def test_bounds_table_is_defined_at_gamma_one(capsys):
+    assert main(["bounds", "--gammas", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "no_assumption,0"
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("evaluate", "--draws", "0"),
     ("evaluate", "--draws", "-5"),

@@ -15,6 +15,7 @@ from gesdispatch.diu import (
     LEVELS,
     SIGMA_FLOOR,
     BoundStats,
+    RunMember,
     _column_stats,
     _zero_table,
     analytic_series_stats,
@@ -203,28 +204,36 @@ def test_tcl_fast_path_equals_the_per_draw_mapping():
 
 def test_sampler_branches_share_keys_and_shapes():
     bes = DeviceDescription(kind="BES", unit_id="b", s_capacity=50.0, p_c_rating=10.0, p_d_rating=10.0)
+    big = replace(bes, unit_id="b2", s_capacity=80.0, p_c_rating=12.0)
     ident = {"s_capacity": DistributionSpec.truncated_normal(50.0, 2.5, 45.0, 55.0)}
     baseline = [DistributionSpec.lognormal(math.log(4.0), 0.2)] * T
     n = 30
 
-    def sample(dev, unit_dists, baseline_dist):
-        states = unit_states(1, [(dev.unit_id, unit_dists, baseline_dist)], T)[0]
-        return sample_bounds(dev, map_device_to_ges(dev, 1.0, T), unit_dists, baseline_dist, 1.0, T, n, states)
+    def sample(run):
+        states = unit_states(1, [(dev.unit_id, unit_dists, bl) for dev, unit_dists, bl in run], T)
+        return sample_bounds([RunMember(dev, map_device_to_ges(dev, 1.0, T), unit_dists, bl)
+                              for dev, unit_dists, bl in run], 1.0, T, n, states)
 
-    branches = {
-        "no noise": sample(bes, {}, None),
-        "fast path": sample(tcl_device(), {}, baseline),
-        "per draw": sample(bes, ident, None),
+    runs = {
+        "no noise": [(bes, {}, None), (big, {}, None)],
+        "fast path": [(tcl_device(), {}, baseline), (tcl_device(unit_id="tcl2", p_max=8.0), {}, baseline)],
+        "per draw": [(bes, ident, None), (big, ident, None)],
     }
     keys = {"p_c_max", "p_d_max", "soc_lo", "soc_hi", "alpha", "avg", "deadband"}
-    for name, out in branches.items():
+    for name, run in runs.items():
+        out = sample(run)
         assert set(out) == keys, name
-        assert out["p_c_max"].shape == out["p_d_max"].shape == (n, T), name
-        assert all(out[k].shape in ((n, T), (T,)) for k in keys), name
+        assert out["p_c_max"].shape == out["p_d_max"].shape == (2, n, T), name
+        assert all(out[k].shape in ((2, n, T), (2, 1, T)) for k in keys), name
+        # a unit draws the same values in a run as alone
+        for i, member in enumerate(run):
+            alone = sample([member])
+            assert all(out[k][i].tobytes() == alone[k][0].tobytes() for k in keys), (name, i)
     nominal = map_device_to_ges(bes, 1.0, T)
-    assert np.array_equal(branches["no noise"]["p_c_max"][-1], nominal.p_c_max)
+    no_noise = sample(runs["no noise"][:1])
+    assert np.array_equal(no_noise["p_c_max"][0, -1], nominal.p_c_max)
     # the evaluator's rating references: row means of the (broadcast) ratings
-    assert np.all(branches["no noise"]["p_c_max"].mean(axis=1) == rating_refs(nominal)[0])
+    assert np.all(no_noise["p_c_max"][0].mean(axis=1) == rating_refs(nominal)[0])
 
 
 def stats_bytes(stats):

@@ -152,7 +152,7 @@ def test_exogenous_rows_hold_at_gamma_in_fresh_draws(request, name):
     bounds = prob.arrays().bounds
     worst = {}
     for u, states in zip(scn.units, _noise_states(scn.units, 2024, scn.horizon)):
-        real = _unit_noise(u, scn, draws, states)
+        real = {key: value[0] for key, value in _unit_noise([u], scn, draws, [states]).items()}
         pc, pd, soc = (bounds[prob.columns(kind, u.unit_id)] for kind in ("pc", "pd", "soc"))
         for kind, violated in (("p_c_max", pc[:, 1] > real["p_c_max"] + VIOLATION_TOL),
                                ("p_d_max", pd[:, 1] > real["p_d_max"] + VIOLATION_TOL),

@@ -35,7 +35,7 @@ from gesdispatch.reliability import (
     realize_unit,
 )
 
-from util import bes_device, make_scenario, make_unit
+from util import bes_device, largest_task, make_scenario, make_unit
 
 T = 8
 
@@ -280,21 +280,25 @@ def test_average_contraction_zero_at_rest():
 
 # --- the evaluator's unit pool ---------------------------------------------
 
-#: the fewest draws whose units run on the pool (24 steps in both fixtures)
+#: the fewest draws at which a one-unit task runs on the pool (24 steps in
+#: both fixtures)
 POOL_DRAWS = -(-POOL_MIN_ELEMENTS // 24)
 
 
 def serial_reference(strategies, scn, draws, seed):
-    """Each strategy realized unit by unit in fresh arrays, with no pool and
-    no workspace, and scored with the metric definitions."""
+    """Each strategy realized unit by unit, each unit a run of its own in
+    fresh arrays, with no pool and no workspace, and scored with the metric
+    definitions."""
+    worlds = reliability._Worlds(seed, draws, scn)
+    states = reliability._noise_states(scn.units, seed, scn.horizon)
+    noise = [reliability._unit_noise([u], scn, draws, [s]) for u, s in zip(scn.units, states)]
     out = {}
     for name, strategy in strategies.items():
-        batch = realize_practical_bounds(strategy, scn, draws, seed)
         any_violation = np.zeros(draws, dtype=bool)
         erns = np.zeros(scn.horizon)
         freq, cost_rt, crossings = {}, 0.0, 0
-        for u in scn.units:
-            real = batch.units[u.unit_id]
+        for u, unit_noise in zip(scn.units, noise):
+            real = realize_unit([u], reliability._schedules(strategy, [u]), unit_noise, draws, worlds).unit(0)
             soc = strategy.schedules[u.unit_id].soc[1:][None, :]
             over = np.maximum(soc - real.upper, 0.0)
             under = np.maximum(real.lower - soc, 0.0)
@@ -311,26 +315,39 @@ def serial_reference(strategies, scn, draws, seed):
     return out
 
 
-@pytest.mark.parametrize("fixture, draws, pooled", [("tcl100", POOL_DRAWS, True), ("smoke3", 300, False)])
+@pytest.mark.parametrize("fixture, draws, pooled", [
+    ("tcl100", POOL_DRAWS, True), ("smoke3", 300, False),
+    # tasks of 25, 25 and 10 units
+    ("fleet60", 200, True),
+    # runs of one and two units of every sampler branch
+    ("mixed_fleet", 500, True),
+])
 def test_pooled_evaluation_equals_a_serial_reference_bit_for_bit(request, monkeypatch, two_cpus,
                                                                   fixture, draws, pooled):
-    scn = request.getfixturevalue(fixture)
+    if fixture in ("fleet60", "mixed_fleet"):
+        scn, strategies = request.getfixturevalue(fixture)
+    else:
+        scn = request.getfixturevalue(fixture)
     if fixture == "tcl100":
         scn = replace(scn, units=scn.units[:40])
-    assert (draws * scn.horizon >= POOL_MIN_ELEMENTS) == pooled
-    if fixture == "tcl100":
         strategies = {k: request.getfixturevalue("tcl100_strategies")[k] for k in ("M2", "M3")}
-    else:
+    elif fixture == "smoke3":
         strategies = {"M1": solve_deterministic_m1(scn), "M2": request.getfixturevalue("smoke3_m2")}
+    assert (largest_task(scn, draws) >= POOL_MIN_ELEMENTS) == pooled
     threads = set()
+    units_per_call = []
 
     def recording(*args, **kwargs):
         threads.add(threading.get_ident())
+        units_per_call.append(len(args[0]))
         return realize_unit(*args, **kwargs)
 
     monkeypatch.setattr(reliability, "realize_unit", recording)
     reports = evaluate_many(strategies, scn, draws, seed=9)
     assert (threading.get_ident() not in threads) == pooled
+    assert sum(units_per_call) == len(strategies) * len(scn.units)
+    if fixture == "fleet60":
+        assert sorted(set(units_per_call)) == [10, 25]
     for name, (lorp, erns, freq, cost_rt, crossings) in serial_reference(strategies, scn, draws, 9).items():
         got = reports[name]
         assert (got.lorp, got.cost_rt, got.crossings) == (lorp, cost_rt, crossings), name
@@ -346,8 +363,11 @@ def test_aggregate_units_fail_alike_on_and_off_the_pool(tcl100, tcl100_strategie
     for i in (2, 4):
         units[i] = aggregate_scenario(replace(tcl100, units=tcl100.units[i:i + 2])).units[0]
     scn = replace(tcl100, units=units)
+    # the largest task holds the first two units
+    sides = (POOL_DRAWS // 2 - 1, POOL_DRAWS // 2)
+    assert [largest_task(scn, draws) >= POOL_MIN_ELEMENTS for draws in sides] == [False, True]
     errors = []
-    for draws in (POOL_DRAWS - 1, POOL_DRAWS):
+    for draws in sides:
         with pytest.raises(InvalidSpec, match="aggregated fleets cannot be evaluated") as exc:
             evaluate_many(tcl100_strategies, scn, draws, seed=1)
         errors.append(str(exc.value))

@@ -25,6 +25,7 @@ from gesdispatch.pool import POOL_MIN_ELEMENTS
 from gesdispatch.reliability import (
     RealizationBatch,
     _noise_states,
+    _tasks,
     _unit_noise,
     _Worlds,
     compute_lorp_erns,
@@ -33,7 +34,7 @@ from gesdispatch.reliability import (
     realize_unit,
 )
 
-from util import bes_device, make_unit, stat_threshold
+from util import bes_device, largest_task, make_unit, stat_threshold
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -132,12 +133,16 @@ def test_unit_noise_equals_the_spawn_based_sampler(request, fixture):
     units = scn.units[:8] + extra_units(scn.horizon) if fixture == "tcl100" else scn.units + extra_units(scn.horizon)
     scn = replace(scn, units=units)
     m, seed = 300, 2024
-    for u, states in zip(units, _noise_states(units, seed, scn.horizon), strict=True):
-        got = _unit_noise(u, scn, m, states)
-        want = reference_unit_noise(u, scn, m, seed)
-        assert got.keys() == set(want) | {"pc_ref", "pd_ref"}
-        for key, value in want.items():
-            assert got[key].tobytes() == np.asarray(value).tobytes(), (u.unit_id, key)
+    states = _noise_states(units, seed, scn.horizon)
+    tasks = _tasks(units, m, scn.horizon)
+    assert max(t.stop - t.start for t in tasks) == (8 if fixture == "tcl100" else 1)
+    for task in tasks:
+        got = _unit_noise(units[task], scn, m, states[task])
+        for i, u in enumerate(units[task]):
+            want = reference_unit_noise(u, scn, m, seed)
+            assert got.keys() == set(want) | {"pc_ref", "pd_ref"}
+            for key, value in want.items():
+                assert got[key][i].tobytes() == np.asarray(value).tobytes(), (u.unit_id, key)
 
 
 def reference_reports(monkeypatch, strategies, scn, draws, seed):
@@ -146,26 +151,38 @@ def reference_reports(monkeypatch, strategies, scn, draws, seed):
         worlds = _Worlds(seed, draws, scn)
     noise = {}
     for u in scn.units:
-        noise[u.unit_id] = reference_unit_noise(u, scn, draws, seed)
-        noise[u.unit_id]["pc_ref"] = noise[u.unit_id]["p_c_max"].mean(axis=1)
-        noise[u.unit_id]["pd_ref"] = noise[u.unit_id]["p_d_max"].mean(axis=1)
+        ref = reference_unit_noise(u, scn, draws, seed)
+        # one unit as a run of its own: rows (1, 1, T), draws (1, draws, T)
+        noise[u.unit_id] = {key: np.asarray(value).reshape(1, -1, scn.horizon) for key, value in ref.items()}
+        noise[u.unit_id]["pc_ref"] = ref["p_c_max"].mean(axis=1)[None]
+        noise[u.unit_id]["pd_ref"] = ref["p_d_max"].mean(axis=1)[None]
     reports = {}
     for name, s in strategies.items():
-        units = {u.unit_id: realize_unit(u, s, noise[u.unit_id], draws, worlds) for u in scn.units}
+        units = {u.unit_id: realize_unit([u], reliability._schedules(s, [u]), noise[u.unit_id], draws, worlds).unit(0)
+                 for u in scn.units}
         reports[name] = compute_lorp_erns(s, RealizationBatch(units=units, draws=draws, seed=seed), scn)
     return reports
 
 
-@pytest.mark.parametrize("fixture, draws", [("tcl100", -(-POOL_MIN_ELEMENTS // 24)), ("smoke3", 300)])
+@pytest.mark.parametrize("fixture, draws", [
+    ("tcl100", -(-POOL_MIN_ELEMENTS // 24)), ("smoke3", 300),
+    # tasks of 25, 25 and 10 units
+    ("fleet60", 200),
+    # runs of one and two units of every sampler branch
+    ("mixed_fleet", 500),
+])
 def test_evaluation_equals_the_spawn_based_streams(request, monkeypatch, two_cpus, fixture, draws):
-    scn = request.getfixturevalue(fixture)
+    if fixture in ("fleet60", "mixed_fleet"):
+        scn, strategies = request.getfixturevalue(fixture)
+    else:
+        scn = request.getfixturevalue(fixture)
     if fixture == "tcl100":
         scn = replace(scn, units=scn.units[:20])
         strategies = {k: request.getfixturevalue("tcl100_strategies")[k] for k in ("M2", "M3")}
-    else:
+    elif fixture == "smoke3":
         strategies = {"M2": request.getfixturevalue("smoke3_m2")}
-    assert (draws * scn.horizon >= POOL_MIN_ELEMENTS) == (fixture == "tcl100")
-    reports = evaluate_many(strategies, scn, draws, seed=9)  # pooled on tcl100, calling thread on smoke3
+    assert (largest_task(scn, draws) >= POOL_MIN_ELEMENTS) == (fixture != "smoke3")
+    reports = evaluate_many(strategies, scn, draws, seed=9)  # pooled except on smoke3
     for name, want in reference_reports(monkeypatch, strategies, scn, draws, 9).items():
         got = reports[name]
         assert (got.lorp, got.cost_rt, got.crossings) == (want.lorp, want.cost_rt, want.crossings), name

@@ -9,6 +9,7 @@ import numpy as np
 from gesdispatch.ddu import DduSpec
 from gesdispatch.distributions import DistributionSpec
 from gesdispatch.ges import DeviceDescription, map_device_to_ges
+from gesdispatch.reliability import _tasks
 from gesdispatch.scenario import ScenarioBundle, UnitSpec
 
 
@@ -61,3 +62,10 @@ def make_scenario(units, horizon, tou=0.8, load=20.0, res=0.0, grid_cap=1000.0,
         gamma=gamma,
         **kw,
     )
+
+
+def largest_task(scn, draws):
+    """Elements (units × draws × steps) of the evaluator's largest task over
+    `scn` at `draws`: its tasks run on the pool when this reaches
+    `pool.POOL_MIN_ELEMENTS`."""
+    return max(t.stop - t.start for t in _tasks(scn.units, draws, scn.horizon)) * draws * scn.horizon
