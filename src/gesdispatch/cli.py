@@ -28,7 +28,7 @@ import yaml
 
 from . import __version__
 from .cantelli import ShapeClass, cantelli_bound, parse_shape
-from .errors import GesDispatchError, InfeasibleBounds, ValidationError, first_few
+from .errors import GesDispatchError, InfeasibleBounds, ParseError, ValidationError, first_few
 from .ges import UnitSchedule
 from .optimizer import (
     DispatchStrategy,
@@ -210,21 +210,40 @@ def write_strategy(out: Path, strategy: DispatchStrategy) -> None:
                 w.writerow([k, fmt(obj), fmt(d)])
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
 def read_strategy(path: Path, scn: ScenarioBundle) -> DispatchStrategy:
-    """Reload a strategy written by write_strategy."""
+    """Reload a strategy written by write_strategy; its rows must cover every
+    step of every scenario unit."""
+    units_csv = path / "strategy_units.csv"
     per_unit: dict[str, dict[int, tuple]] = {}
-    with open(path / "strategy_units.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            per_unit.setdefault(row["unit_id"], {})[int(row["t"])] = row
+    for row in csv.DictReader(_read_text(units_csv).splitlines()):
+        per_unit.setdefault(row["unit_id"], {})[int(row["t"])] = row
     missing = [u.unit_id for u in scn.units if u.unit_id not in per_unit]
     if missing:
-        raise ValidationError([f"{path / 'strategy_units.csv'}: no schedule for scenario unit(s) "
-                               + first_few(missing)])
+        raise ValidationError([f"{units_csv}: no schedule for scenario unit(s) " + first_few(missing)])
+    horizon, issues = scn.horizon, []
+    for u in scn.units:
+        steps = per_unit[u.unit_id].keys()
+        lacking = [t for t in range(horizon) if t not in steps]
+        beyond = sorted(t for t in steps if not 0 <= t < horizon)
+        if lacking:
+            issues.append(f"{units_csv}: unit {u.unit_id} has no row for step(s) {first_few(lacking)} "
+                          f"of the scenario's 0-{horizon - 1}")
+        if beyond:
+            issues.append(f"{units_csv}: unit {u.unit_id} has rows for step(s) {first_few(beyond)} "
+                          f"outside the scenario's 0-{horizon - 1}")
+    if issues:
+        raise ValidationError(issues)
     schedules = {}
     rd = {}
     for u in scn.units:
         rows = per_unit[u.unit_id]
-        horizon = len(rows)
         p_c = np.array([float(rows[t]["p_c"]) for t in range(horizon)])
         p_d = np.array([float(rows[t]["p_d"]) for t in range(horizon)])
         soc = np.empty(horizon + 1)
@@ -232,9 +251,9 @@ def read_strategy(path: Path, scn: ScenarioBundle) -> DispatchStrategy:
         soc[1:] = [float(rows[t]["soc_next"]) for t in range(horizon)]
         schedules[u.unit_id] = UnitSchedule(p_c=p_c, p_d=p_d, soc=soc)
         rd[u.unit_id] = np.array([float(rows[t]["rd"]) for t in range(horizon)])
-    with open(path / "strategy_system.csv", newline="") as fh:
-        grid = np.array([float(r["grid_import"]) for r in csv.DictReader(fh)])
-    summary = yaml.safe_load((path / "summary.yaml").read_text())
+    grid = np.array([float(r["grid_import"])
+                     for r in csv.DictReader(_read_text(path / "strategy_system.csv").splitlines())])
+    summary = yaml.safe_load(_read_text(path / "summary.yaml"))
     meta = SolveMetadata(
         mode=summary["mode"], reformulation=summary.get("reformulation"),
         iterations=int(summary.get("iterations", 0)),

@@ -17,10 +17,12 @@ then on the HiGHS model holds the only solver-side copy of it, since the
 stacked matrix built for the hand-off is freed before HiGHS runs.  A later
 solve passes only the row bounds whose right-hand side changed, and HiGHS
 starts from the previous basis.  A solve gives an optimal solution, or an
-explicit infeasible/unbounded verdict, deterministic for identical input.  A
-cold solve returns what ``scipy.optimize.linprog(method="highs")`` returns for
-the same arrays; a warm re-solve after a right-hand-side change can differ
-from a cold solve of the same LP in the last ulp of ``x``.
+explicit infeasible/unbounded verdict, deterministic for identical input.
+Every solve runs without simplex scaling (see ``_OPTIONS``).  A cold solve
+returns what ``scipy.optimize.linprog(method="highs")`` returns for the same
+arrays when ``simplex_scale_strategy=0`` is forwarded in its ``options``; a
+warm re-solve after a right-hand-side change can differ from a cold solve of
+the same LP in the last ulp of ``x``.
 """
 
 from __future__ import annotations
@@ -41,9 +43,29 @@ UNBOUNDED = "unbounded"
 
 #: HiGHS primal and dual feasibility tolerance
 _TOL = 1e-9
-#: the options scipy's linprog(method="highs") passes: presolve, dual simplex, no output
+#: the options scipy's linprog(method="highs") passes (presolve, dual simplex,
+#: no output), and no simplex scaling.  Survey of `simplex_scale_strategy` on
+#: every LP the package solves (HiGHS 1.12.0 of scipy 1.17.1, 2-core x86_64,
+#: one in-process run each; simplex iterations, then HiGHS seconds in total):
+#:
+#:   LP (runs)                          2 = HiGHS default    0 = unscaled        4
+#:   1000-unit fleet R1, seeds 1/5/1441 24,152-24,595 25.8  17,186-17,267 11.4  17,797-18,690 14.6
+#:   synthetic_100tcl M3-R1 (4 gammas)   3,088-3,100   0.72   2,117-2,177   0.64   2,125-2,190   0.75
+#:   synthetic_100tcl reserve S1/S2 (8)  2,656-3,362   2.05   1,501-2,466   2.06   1,464-2,463   1.91
+#:   synthetic_100tcl M1/M2 (8)          2,651-2,726   0.38   2,656-2,790   0.42   2,656-2,790   0.45
+#:   synthetic_100tcl R2 warm (10)           0-40      0.14       0-40      0.17       0-40      0.22
+#:   smoke3, all families (33)               0-82      0.11       0-97      0.12       0-97      0.15
+#:   --a1 aggregates (16)                    0-54      0.03       0-50      0.02       0-50      0.04
+#:
+#: Gammas 0.05/0.15/0.25/0.35, reserve at 0.05/0.30/0.55/0.80.  The default
+#: column is these options without the scaling key; naming strategy 2 gives
+#: the same x and iterations.  Under 0 and 4 every optimum is within 7.6e-16
+#: relative of the default's, and x within 4.4e-12, except on smoke3: its
+#: dual-degenerate LPs end on another optimal vertex (max|dx| 1.6 for M3 and
+#: reserve, 3.8-7.0 for M1/M2).  Peak RSS of the fleet R1 solve: 474-487 MB
+#: by default, 480-482 MB unscaled.
 _OPTIONS = {"presolve": "on", "simplex_strategy": 1, "primal_feasibility_tolerance": _TOL,
-            "dual_feasibility_tolerance": _TOL, "output_flag": False}
+            "dual_feasibility_tolerance": _TOL, "output_flag": False, "simplex_scale_strategy": 0}
 #: HiGHS model status -> (scipy linprog status code, verdict); any other status is a NumericalFailure
 _VERDICTS = {HighsModelStatus.kOptimal: (0, OPTIMAL), HighsModelStatus.kInfeasible: (2, INFEASIBLE),
              HighsModelStatus.kUnbounded: (3, UNBOUNDED)}

@@ -243,6 +243,43 @@ def test_evaluate_of_a_mismatched_strategy_exits_2(tmp_path, capsys, solve_argv,
     assert not (rep / "report.yaml").exists()
 
 
+@pytest.mark.parametrize("name", ["strategy_units.csv", "strategy_system.csv", "summary.yaml"])
+def test_evaluate_of_a_strategy_without_a_file_exits_1(tmp_path, capsys, name):
+    strat = tmp_path / "s"
+    assert main(["solve", "--scenario", SMOKE, "--mode", "M2", "--out", str(strat)]) == 0
+    (strat / name).unlink()
+    rep = tmp_path / "r"
+    code = main(["evaluate", "--scenario", SMOKE, "--strategy", str(strat), "--draws", "50", "--out", str(rep)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.splitlines() == [err.strip()] and err.startswith(f"error: cannot read {strat / name}: ")
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("edit, message, units", [
+    (lambda rows: [r for r in rows if r["t"] != "23"], "has no row for step(s) 23 of the scenario's 0-23",
+     {"bes1", "ev1", "tcl1"}),
+    (lambda rows: rows + [{**rows[-1], "t": "24"}], "has rows for step(s) 24 outside the scenario's 0-23", {"tcl1"}),
+], ids=["short", "long"])
+def test_evaluate_of_a_strategy_off_the_horizon_exits_2(tmp_path, capsys, edit, message, units):
+    strat = tmp_path / "s"
+    assert main(["solve", "--scenario", SMOKE, "--mode", "M2", "--out", str(strat)]) == 0
+    with open(strat / "strategy_units.csv", newline="") as fh:
+        reader = csv.DictReader(fh)
+        fields, rows = reader.fieldnames, list(reader)
+    with open(strat / "strategy_units.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fields)
+        writer.writeheader()
+        writer.writerows(edit(rows))
+    rep = tmp_path / "r"
+    code = main(["evaluate", "--scenario", SMOKE, "--strategy", str(strat), "--draws", "50", "--out", str(rep)])
+    err = capsys.readouterr().err
+    assert code == 2
+    for uid in ("bes1", "ev1", "tcl1"):
+        assert (f"unit {uid} {message}" in err) == (uid in units)
+    assert not (rep / "report.yaml").exists()
+
+
 def test_window_ranges_and_steps_combine():
     from gesdispatch.cli import _parse_window
 

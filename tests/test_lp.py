@@ -1,15 +1,25 @@
 """Thin LP layer: column and row blocks over the HiGHS backend."""
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 from scipy.optimize._highspy._core import _Highs
 
-from gesdispatch import lp
-from gesdispatch.errors import InvalidSpec
+from gesdispatch import lp, optimizer
+from gesdispatch.errors import InvalidSpec, NumericalFailure
 from gesdispatch.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem, solve_lp
+from gesdispatch.optimizer import (
+    iterative_solve_r2,
+    robust_solve_r1,
+    solve_cco_diu,
+    solve_deterministic_m1,
+)
+from gesdispatch.reserve import solve_with_reserve
+from gesdispatch.scenario import ReserveSpec
 
 
 def scalar_columns(prob, **kinds):
@@ -192,3 +202,56 @@ def test_non_finite_coefficient_is_rejected():
         p.add_objective(x, np.nan)
     with pytest.raises(InvalidSpec):
         p.add_rows("u", {"mixed": "<=", "eq": "=="})
+
+
+def _scaled_bes1(scn, factor):
+    return replace(scn, units=[replace(u, params=replace(u.params, S=u.params.S * factor))
+                               if u.unit_id == "bes1" else u for u in scn.units])
+
+
+FAMILIES = {
+    "M1": solve_deterministic_m1,
+    "M2": solve_cco_diu,
+    "M3-R1": robust_solve_r1,
+    "M3-R2": lambda scn: iterative_solve_r2(scn, on_max_iter="return"),
+    "S1": lambda scn: solve_with_reserve(scn, ReserveSpec(mode="S1")),
+    "S2": lambda scn: solve_with_reserve(scn, ReserveSpec(mode="S2")),
+}
+
+
+@pytest.mark.parametrize("fixture, gamma, edit, verdict", [
+    ("smoke3", 0.05, None, OPTIMAL),
+    ("smoke3", 0.55, None, OPTIMAL),
+    ("tcl100", 0.05, None, OPTIMAL),
+    ("tcl100", 0.55, None, OPTIMAL),
+    ("smoke3", 0.05, lambda scn: _scaled_bes1(scn, 100.0), INFEASIBLE),
+], ids=["smoke3-0.05", "smoke3-0.55", "tcl100-0.05", "tcl100-0.55", "smoke3-bes1-S100"])
+def test_backend_agrees_with_a_default_scaled_highs_solve(request, monkeypatch, fixture, gamma, edit, verdict):
+    """The backend's options (no scaling) keep every fixture LP's verdict and
+    optimum: each family's last solve against a cold linprog at HiGHS's
+    default scaling."""
+    scn = replace(request.getfixturevalue(fixture), gamma=gamma, gamma_balance=gamma)
+    scn = edit(scn) if edit else scn
+    solved = []
+
+    def recording(prob):
+        sol = solve_lp(prob)
+        a = prob.arrays()
+        solved.append((sol, a._replace(b_ub=a.b_ub.copy(), b_eq=a.b_eq.copy())))
+        return sol
+
+    monkeypatch.setattr(optimizer, "solve_lp", recording)
+    for family, solve in FAMILIES.items():
+        before = len(solved)
+        if verdict == OPTIMAL:
+            solve(scn)
+        else:
+            with pytest.raises(NumericalFailure):
+                solve(scn)
+        assert len(solved) > before, family
+        sol, a = solved[-1]
+        ref = linprog(a.c, A_ub=a.A_ub, b_ub=a.b_ub, A_eq=a.A_eq, b_eq=a.b_eq, bounds=a.bounds, method="highs",
+                      options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9})
+        assert (sol.status, {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}.get(ref.status)) == (verdict, verdict), family
+        if verdict == OPTIMAL:
+            assert sol.objective == pytest.approx(ref.fun, rel=1e-9, abs=0.0), family
