@@ -16,7 +16,6 @@ byte-for-byte; ``evaluate`` and ``bounds`` write none.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
@@ -28,7 +27,7 @@ import yaml
 
 from . import __version__
 from .cantelli import ShapeClass, cantelli_bound, parse_shape
-from .errors import GesDispatchError, InfeasibleBounds, ParseError, ValidationError, first_few
+from .errors import GesDispatchError, InfeasibleBounds, ValidationError, first_few
 from .ges import UnitSchedule
 from .optimizer import (
     DispatchStrategy,
@@ -42,7 +41,7 @@ from .optimizer import (
 from .reliability import evaluate_reliability
 from .reserve import solve_with_reserve
 from .scenario import RESERVE_MODES, ReserveSpec, ScenarioBundle
-from .scenario_io import fmt, load_scenario
+from .scenario_io import fmt, load_scenario, read_steps, read_yaml, write_table
 
 
 MODEL_MODES = ("M1", "M2", "M3")
@@ -111,17 +110,6 @@ def _parse_gammas(text: str, top: bool = False) -> list[float]:
     return gammas
 
 
-def _override(scn: ScenarioBundle, flags: str, **kw) -> ScenarioBundle:
-    """`scn` with the command-line overrides `kw`, validated like a scenario
-    file; `flags` names the options they came from."""
-    scn = replace(scn, **kw)
-    try:
-        scn.validate()
-    except ValidationError as exc:
-        raise ValidationError([f"{issue} (set by {flags})" for issue in exc.issues]) from None
-    return scn
-
-
 def _apply_config(scn: ScenarioBundle, cfg: RunConfig) -> ScenarioBundle:
     kw = {}
     if cfg.gamma is not None:
@@ -133,9 +121,13 @@ def _apply_config(scn: ScenarioBundle, cfg: RunConfig) -> ScenarioBundle:
         kw["shape_class"] = parse_shape(cfg.shape, cfg.shape_nu)
     if cfg.window:
         kw["dispatch_window"] = _parse_window(cfg.window, scn.horizon)
-    # only the risk levels can leave the scenario invalid
-    given = {"--gamma": cfg.gamma, "--gamma-balance": cfg.gamma_balance}
-    scn = _override(scn, " ".join(f"{k} {v}" for k, v in given.items() if v is not None), **kw)
+    scn = replace(scn, **kw)
+    try:
+        scn.validate()
+    except ValidationError as exc:  # only the risk levels can leave the scenario invalid
+        given = {"--gamma": cfg.gamma, "--gamma-balance": cfg.gamma_balance}
+        flags = " ".join(f"{k} {v}" for k, v in given.items() if v is not None)
+        raise ValidationError([f"{issue} (set by {flags})" for issue in exc.issues]) from None
     if cfg.discomfort_variant:
         scn = replace(scn, units=[
             replace(u, ddu=replace(u.ddu, discomfort_variant=cfg.discomfort_variant))
@@ -175,20 +167,12 @@ def write_manifest(out: Path, config: dict, scenario_path: str) -> None:
 
 def write_strategy(out: Path, strategy: DispatchStrategy) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "strategy_units.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["unit_id", "t", "p_c", "p_d", "soc_next", "rd", "reserve"])
-        for uid in sorted(strategy.schedules):
-            s = strategy.schedules[uid]
-            rs = (strategy.reserve_schedule or {}).get(uid)
-            for t in range(s.p_c.shape[0]):
-                w.writerow([uid, t, fmt(s.p_c[t]), fmt(s.p_d[t]), fmt(s.soc[t + 1]),
-                            fmt(strategy.rd[uid][t]), fmt(rs[t]) if rs is not None else ""])
-    with open(out / "strategy_system.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "grid_import"])
-        for t, g in enumerate(strategy.grid_import):
-            w.writerow([t, fmt(g)])
+    reserve = strategy.reserve_schedule or {}
+    write_table(out / "strategy_units.csv", ["unit_id", "t", "p_c", "p_d", "soc_next", "rd", "reserve"], (
+        [uid, t, fmt(s.p_c[t]), fmt(s.p_d[t]), fmt(s.soc[t + 1]), fmt(strategy.rd[uid][t]),
+         fmt(reserve[uid][t]) if uid in reserve else ""]
+        for uid, s in sorted(strategy.schedules.items()) for t in range(s.p_c.shape[0])))
+    write_table(out / "strategy_system.csv", ["t", "grid_import"], enumerate(map(fmt, strategy.grid_import)))
     meta = strategy.metadata
     doc = {
         "objective": fmt(strategy.objective_value),
@@ -203,65 +187,35 @@ def write_strategy(out: Path, strategy: DispatchStrategy) -> None:
                           for k, v in strategy.reserve_diag.items()}
     (out / "summary.yaml").write_text(yaml.safe_dump(doc, sort_keys=True))
     if meta.trace:
-        with open(out / "trace.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iteration", "objective", "max_delta_f_inv"])
-            for k, (obj, d) in enumerate(meta.trace):
-                w.writerow([k, fmt(obj), fmt(d)])
-
-
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        write_table(out / "trace.csv", ["iteration", "objective", "max_delta_f_inv"],
+                    ([k, fmt(obj), fmt(d)] for k, (obj, d) in enumerate(meta.trace)))
 
 
 def read_strategy(path: Path, scn: ScenarioBundle) -> DispatchStrategy:
-    """Reload a strategy written by write_strategy; its rows must cover every
-    step of every scenario unit."""
-    units_csv = path / "strategy_units.csv"
-    per_unit: dict[str, dict[int, tuple]] = {}
-    for row in csv.DictReader(_read_text(units_csv).splitlines()):
-        per_unit.setdefault(row["unit_id"], {})[int(row["t"])] = row
-    missing = [u.unit_id for u in scn.units if u.unit_id not in per_unit]
+    """Reload a strategy written by write_strategy; its tables must hold one
+    row per step of every scenario unit and of the system."""
+    units_csv, issues = path / "strategy_units.csv", []
+    tables = read_steps(units_csv, ("unit_id",), ("p_c", "p_d", "soc_next", "rd"), scn.horizon, issues)
+    system = read_steps(path / "strategy_system.csv", (), ("grid_import",), scn.horizon, issues)
+    summary = read_yaml(path / "summary.yaml")
+    missing = [u.unit_id for u in scn.units if tables is not None and (u.unit_id,) not in tables]
     if missing:
-        raise ValidationError([f"{units_csv}: no schedule for scenario unit(s) " + first_few(missing)])
-    horizon, issues = scn.horizon, []
-    for u in scn.units:
-        steps = per_unit[u.unit_id].keys()
-        lacking = [t for t in range(horizon) if t not in steps]
-        beyond = sorted(t for t in steps if not 0 <= t < horizon)
-        if lacking:
-            issues.append(f"{units_csv}: unit {u.unit_id} has no row for step(s) {first_few(lacking)} "
-                          f"of the scenario's 0-{horizon - 1}")
-        if beyond:
-            issues.append(f"{units_csv}: unit {u.unit_id} has rows for step(s) {first_few(beyond)} "
-                          f"outside the scenario's 0-{horizon - 1}")
+        issues.append(f"{units_csv}: no schedule for scenario unit(s) " + first_few(missing))
+    try:
+        objective = float(summary["objective"])
+        meta = SolveMetadata(mode=summary["mode"], reformulation=summary.get("reformulation"),
+                             iterations=int(summary.get("iterations", 0)),
+                             converged=bool(summary.get("converged", True)), gamma=float(summary["gamma"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        issues.append(f"{path / 'summary.yaml'}: missing or bad value: {exc}")
     if issues:
         raise ValidationError(issues)
-    schedules = {}
-    rd = {}
+    schedules, rd = {}, {}
     for u in scn.units:
-        rows = per_unit[u.unit_id]
-        p_c = np.array([float(rows[t]["p_c"]) for t in range(horizon)])
-        p_d = np.array([float(rows[t]["p_d"]) for t in range(horizon)])
-        soc = np.empty(horizon + 1)
-        soc[0] = u.params.soc_init
-        soc[1:] = [float(rows[t]["soc_next"]) for t in range(horizon)]
-        schedules[u.unit_id] = UnitSchedule(p_c=p_c, p_d=p_d, soc=soc)
-        rd[u.unit_id] = np.array([float(rows[t]["rd"]) for t in range(horizon)])
-    grid = np.array([float(r["grid_import"])
-                     for r in csv.DictReader(_read_text(path / "strategy_system.csv").splitlines())])
-    summary = yaml.safe_load(_read_text(path / "summary.yaml"))
-    meta = SolveMetadata(
-        mode=summary["mode"], reformulation=summary.get("reformulation"),
-        iterations=int(summary.get("iterations", 0)),
-        converged=bool(summary.get("converged", True)),
-        gamma=float(summary["gamma"]),
-    )
-    return DispatchStrategy(schedules=schedules, grid_import=grid, rd=rd,
-                            objective_value=float(summary["objective"]), metadata=meta)
+        p_c, p_d, soc_next, rd[u.unit_id] = tables[(u.unit_id,)]
+        schedules[u.unit_id] = UnitSchedule(p_c=p_c, p_d=p_d, soc=np.concatenate(([u.params.soc_init], soc_next)))
+    (grid,) = system[()]
+    return DispatchStrategy(schedules=schedules, grid_import=grid, rd=rd, objective_value=objective, metadata=meta)
 
 
 def write_report(out: Path, report) -> None:
@@ -279,17 +233,9 @@ def write_report(out: Path, report) -> None:
         "seed": report.seed,
     }
     (out / "report.yaml").write_text(yaml.safe_dump(doc, sort_keys=True))
-    with open(out / "erns.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "erns_kwh"])
-        for t, v in enumerate(report.erns):
-            w.writerow([t, fmt(v)])
-    with open(out / "violation_freq.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["unit_id", "t", "freq"])
-        for uid in sorted(report.violation_freq):
-            for t, v in enumerate(report.violation_freq[uid]):
-                w.writerow([uid, t, fmt(v)])
+    write_table(out / "erns.csv", ["t", "erns_kwh"], enumerate(map(fmt, report.erns)))
+    write_table(out / "violation_freq.csv", ["unit_id", "t", "freq"],
+                ([uid, t, fmt(v)] for uid, freq in sorted(report.violation_freq.items()) for t, v in enumerate(freq)))
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +289,6 @@ def _check_sampling(args) -> None:
 def cmd_evaluate(args) -> int:
     _check_sampling(args)
     scn = load_scenario(args.scenario)
-    if args.gamma is not None:
-        scn = _override(scn, f"--gamma {args.gamma}", gamma=args.gamma, gamma_balance=args.gamma)
     strategy = read_strategy(Path(args.strategy), scn)
     report = evaluate_reliability(strategy, scn, args.draws, args.seed)
     out = Path(args.out)
@@ -396,10 +340,7 @@ def _solve_grid(args, choices, config, name: str, columns: list[str], values, ec
             strategy = _dispatch(scn, cfg)
             rows.append([fmt(gamma), mode, fmt(strategy.objective_value)]
                         + [fmt(v) for v in values(scn, strategy)])
-    with open(out / name, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["gamma", "mode", "cost_da", *columns])
-        w.writerows(rows)
+    write_table(out / name, ["gamma", "mode", "cost_da", *columns], rows)
     write_manifest(out, {"gammas": gammas, "modes": modes, **echo}, args.scenario)
     print(f"{len(rows)} rows -> {out / name}")
     return 0
@@ -465,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", required=True, help="directory written by `solve`")
     p.add_argument("--draws", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--out", default=default_out)
     p.set_defaults(func=cmd_evaluate)
 

@@ -406,7 +406,7 @@ class _Score:
             cost_tc=cost_da + self.cost_rt,
             violation_freq=self.freq,
             crossings=self.crossings,
-            gamma=self.scn.gamma,
+            gamma=self.strategy.metadata.gamma,
             draws=self.draws,
             seed=self.seed,
         )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from .cantelli import parse_shape
 from .ddu import DduSpec
 from .diu import new_workspace, propagate_diu, unit_states
 from .distributions import DistributionSpec
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, first_few
 from .ges import DeviceDescription, map_device_to_ges
 from .pool import map_in_workspaces
 from .scenario import ReserveSpec, ScenarioBundle, UnitSpec
@@ -74,6 +75,92 @@ def _read_csv(path: Path) -> list[dict[str, str]]:
             return list(csv.DictReader(fh))
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def write_table(path: Path, header, rows) -> None:
+    """Write a CSV file: the `header` row, then `rows`."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def read_yaml(path: Path) -> dict:
+    """The mapping in the YAML file at `path`."""
+    try:
+        doc = yaml.safe_load(path.read_text())
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ParseError(f"cannot parse {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: top level must be a mapping")
+    return doc
+
+
+def read_steps(path: Path, keys: tuple[str, ...], columns: tuple[str, ...], horizon: int,
+               issues: list[str]) -> dict[tuple[str, ...], np.ndarray | None] | None:
+    """Read a step table: a CSV file whose rows hold the cells `keys`, an
+    integer step `t` and the numbers `columns`.
+
+    Returns, per key tuple of the file, a `(len(columns), horizon)` array, or
+    None if a cell is not a finite number, a `t` is not an integer, or the
+    key's steps are not 0..horizon-1 exactly once; None for a header that
+    lacks a column.  Every problem goes to `issues`.
+    """
+    try:
+        with open(path, newline="") as fh:
+            header, *rows = [r for r in csv.reader(fh) if r] or [[]]
+    except (OSError, csv.Error) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    fields = ("t", *columns)
+    absent = [c for c in (*keys, *fields) if c not in header]
+    if absent:
+        issues.append(f"{path}: no column {first_few(absent)}")
+        return None
+    # a short row reads as empty cells; zip would cut every column to its length
+    cells = dict.fromkeys(header, ()) | dict(zip(header, zip(*(
+        r if len(r) >= len(header) else r + [""] * (len(header) - len(r)) for r in rows))))
+    numbers = np.empty((len(fields), len(rows)))
+    for j, name in enumerate(fields):
+        try:
+            numbers[j] = list(map(float, cells[name]))
+        except ValueError:
+            for k, text in enumerate(cells[name]):
+                try:
+                    numbers[j, k] = float(text)
+                except ValueError:
+                    numbers[j, k] = math.nan
+    t = numbers[0]
+    t[np.floor(t) != t] = math.nan
+    finite = np.isfinite(numbers)
+    for j, k in zip(*np.nonzero(~finite)):
+        says = "not an integer step" if j == 0 else "not a finite number"
+        issues.append(f"{path} row {k} {fields[j]}: {says}: {cells[fields[j]][k]!r}")
+
+    index: dict[tuple[str, ...], int] = {} if keys else {(): 0}
+    key_cells = zip(*(cells[k] for k in keys)) if keys else [()] * len(rows)
+    ids = np.array([index.setdefault(key, len(index)) for key in key_cells], dtype=np.intp)
+    on = finite[0] & (t >= 0) & (t < horizon)
+    steps = t[on].astype(np.intp)
+    counts = np.bincount(ids[on] * horizon + steps, minlength=len(index) * horizon).reshape(-1, horizon)
+    table = np.full((len(index), len(columns), horizon), math.nan)
+    table[ids[on], :, steps] = numbers[1:, on].T
+    bad = (counts != 1).any(axis=1)
+    bad[ids[~(finite.all(axis=0) & on)]] = True
+
+    span = f"the scenario's 0-{horizon - 1}"
+    for key, i in index.items():
+        if not bad[i]:
+            continue
+        name = f"{path}: " + " ".join(f"{k.removesuffix('_id')} {v}" for k, v in zip(keys, key)) if keys else path
+        outside = [int(step) for step in np.unique(t[(ids == i) & finite[0] & ~on])]
+        for found, says in ((np.flatnonzero(counts[i] == 0), f"has no row for step(s) {{}} of {span}"),
+                            (np.flatnonzero(counts[i] > 1), "has more than one row for step(s) {}"),
+                            (outside, f"has rows for step(s) {{}} outside {span}")):
+            if len(found):
+                issues.append(f"{name} {says.format(first_few(found))}")
+    return {key: None if bad[i] else table[i] for key, i in index.items()}
 
 
 def _dist_from_row(family: str, mean: float, sigma: float, where: str, issues):
@@ -121,15 +208,7 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
     """Load and fully validate a scenario directory."""
     root = Path(path)
     issues: list[str] = []
-    cfg_path = root / "scenario.yaml"
-    try:
-        cfg = yaml.safe_load(cfg_path.read_text())
-    except OSError as exc:
-        raise ParseError(f"cannot read {cfg_path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ParseError(f"cannot parse {cfg_path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ParseError(f"{cfg_path}: top level must be a mapping")
+    cfg = read_yaml(root / "scenario.yaml")
 
     horizon = int(cfg.get("horizon", 24))
     dt = float(cfg.get("dt", 1.0))
@@ -157,18 +236,14 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
         load_dist.append(DistributionSpec.point(0.0))
         res_dist.append(DistributionSpec.point(0.0))
 
-    series: dict[tuple[str, str], dict[int, float]] = {}
+    unit_rows = _read_csv(root / "units.csv")
+    series = {}
     sp = root / "unit_series.csv"
     if sp.exists():
-        for k, row in enumerate(_read_csv(sp)):
-            where = f"unit_series.csv row {k}"
-            fieldname = (row.get("field") or "").strip()
-            if fieldname not in _SERIES_FIELDS:
-                issues.append(f"{where}: unknown field {fieldname!r}")
-                continue
-            t = int(_parse_float(row.get("t"), where + " t", issues))
-            series.setdefault((row.get("unit_id", ""), fieldname), {})[t] = _parse_float(
-                row.get("value"), where + " value", issues)
+        series = read_steps(sp, ("unit_id", "field"), ("value",), horizon, issues) or {}
+        known = {row.get("unit_id", f"row{k}") for k, row in enumerate(unit_rows)}
+        issues += [f"{sp}: unit {uid} has unknown field {f!r}" for uid, f in series if f not in _SERIES_FIELDS]
+        issues += [f"{sp}: unit {uid} is not in units.csv" for uid, f in series if uid not in known]
 
     ddu_by_unit: dict[str, DduSpec] = {}
     for k, row in enumerate(_read_csv(root / "ddu.csv")):
@@ -191,7 +266,7 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
     gamma = float(cfg.get("gamma", 0.05))
 
     units: list[UnitSpec] = []
-    for k, row in enumerate(_read_csv(root / "units.csv")):
+    for k, row in enumerate(unit_rows):
         uid = row.get("unit_id", f"row{k}")
         where = f"units.csv row {k} (unit {uid})"
         kw: dict = {"kind": (row.get("kind") or "").strip(), "unit_id": uid}
@@ -200,18 +275,8 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
             if raw not in (None, ""):
                 kw[f] = _parse_float(raw, f"{where} {f}", issues)
         for f in _SERIES_FIELDS:
-            vals = series.get((uid, f))
-            if vals:
-                arr = np.full(horizon, math.nan)
-                for t, v in vals.items():
-                    if 0 <= t < horizon:
-                        arr[t] = v
-                    else:
-                        issues.append(f"unit_series.csv: unit {uid} {f}: t={t} out of range")
-                if np.any(np.isnan(arr)):
-                    issues.append(f"unit_series.csv: unit {uid} {f}: incomplete series")
-                else:
-                    kw[f] = arr
+            if series.get((uid, f)) is not None:
+                (kw[f],) = series[uid, f]
         try:
             dev = DeviceDescription(**kw)
             params = map_device_to_ges(dev, dt, horizon)
@@ -265,7 +330,7 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
     reserve = None
     if cfg.get("reserve"):
         try:
-            reserve = ReserveSpec(**{k: v for k, v in cfg["reserve"].items()})
+            reserve = ReserveSpec(**cfg["reserve"])
         except TypeError as exc:
             issues.append(f"scenario.yaml reserve: {exc}")
 
@@ -320,11 +385,7 @@ def serialize(bundle: ScenarioBundle, path, diu_samples: int = 10_000, diu_seed:
     if bundle.dispatch_window is not None:
         cfg["dispatch_window"] = [int(t) for t in np.flatnonzero(bundle.dispatch_window)]
     if bundle.reserve is not None:
-        r = bundle.reserve
-        cfg["reserve"] = {
-            "mode": r.mode, "a": r.a, "b": r.b,
-            **({"s1_price": r.s1_price} if r.s1_price is not None else {}),
-        }
+        cfg["reserve"] = asdict(bundle.reserve)
     (root / "scenario.yaml").write_text(yaml.safe_dump(cfg, sort_keys=True))
 
     with open(root / "timeseries.csv", "w", newline="") as fh:
@@ -373,25 +434,10 @@ def serialize(bundle: ScenarioBundle, path, diu_samples: int = 10_000, diu_seed:
                 row["baseline_sigma"] = fmt(sd0 / mean0)
         unit_rows.append(row)
 
-    cols = ["unit_id", "kind"] + [f for f in _DEV_FIELDS] + list(_UNC_FIELDS) + ["price_c", "price_d"]
-    with open(root / "units.csv", "w", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=cols, extrasaction="ignore")
-        w.writeheader()
-        for row in unit_rows:
-            w.writerow(row)
-
-    with open(root / "ddu.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["unit_id"] + list(_DDU_FIELDS))
-        for u in bundle.units:
-            d = u.ddu
-            w.writerow([u.unit_id] + [
-                d.h_family if f == "h_family" else
-                d.discomfort_variant if f == "discomfort_variant" else
-                fmt(getattr(d, f)) for f in _DDU_FIELDS])
-
+    cols = ["unit_id", "kind", *_DEV_FIELDS, *_UNC_FIELDS, "price_c", "price_d"]
+    write_table(root / "units.csv", cols, ([row.get(c, "") for c in cols] for row in unit_rows))
+    write_table(root / "ddu.csv", ["unit_id", *_DDU_FIELDS], ([u.unit_id] + [
+        getattr(u.ddu, f) if f in ("h_family", "discomfort_variant") else fmt(getattr(u.ddu, f)) for f in _DDU_FIELDS]
+        for u in bundle.units))
     if series_rows:
-        with open(root / "unit_series.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["unit_id", "field", "t", "value"])
-            w.writerows(series_rows)
+        write_table(root / "unit_series.csv", ["unit_id", "field", "t", "value"], series_rows)

@@ -1,6 +1,7 @@
 """Command-line surface: delegation, end-to-end runs, determinism."""
 
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ import yaml
 
 from gesdispatch import cli
 from gesdispatch.cantelli import ShapeClass, cantelli_bound
-from gesdispatch.cli import main
+from gesdispatch.cli import RunConfig, main
+from gesdispatch.optimizer import aggregate_scenario
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 SMOKE = str(FIXTURES / "smoke3")
@@ -166,16 +168,26 @@ def test_bad_solve_overrides_exit_2(tmp_path, capsys, argv, flag):
     assert not (out / "strategy_units.csv").exists()
 
 
-def test_bad_evaluate_gamma_exits_2(tmp_path, capsys):
+def test_evaluate_has_no_gamma_flag(tmp_path, capsys):
+    # the report's gamma is the strategy's own
     strat = tmp_path / "s"
     assert main(["solve", "--scenario", SMOKE, "--mode", "M2", "--out", str(strat)]) == 0
     rep = tmp_path / "r"
-    code = main(["evaluate", "--scenario", SMOKE, "--strategy", str(strat), "--draws", "50",
-                 "--gamma", "1.5", "--out", str(rep)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "--gamma" in err
-    assert not (rep / "report.yaml").exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["evaluate", "--scenario", SMOKE, "--strategy", str(strat), "--draws", "50",
+              "--gamma", "0.3", "--out", str(rep)])
+    assert exc.value.code == 2
+    assert "--gamma" in capsys.readouterr().err
+    assert not rep.exists()
+
+
+def test_report_carries_the_gamma_of_the_strategy(tmp_path, capsys):
+    strat, rep = tmp_path / "s", tmp_path / "r"
+    assert main(["solve", "--scenario", SMOKE, "--mode", "M2", "--gamma", "0.2", "--out", str(strat)]) == 0
+    assert main(["evaluate", "--scenario", SMOKE, "--strategy", str(strat), "--draws", "50",
+                 "--out", str(rep)]) == 0
+    capsys.readouterr()
+    assert float(yaml.safe_load((rep / "report.yaml").read_text())["gamma"]) == 0.2
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -370,3 +382,62 @@ def test_mismatched_strategy_message_caps_the_unit_list(tmp_path, capsys):
     assert err.startswith("invalid input:")
     assert "tcl000, tcl001, tcl002, tcl003, tcl004 (+95 more)" in err
     assert "tcl005" not in err
+
+
+def _with_cell(line: str, j: int, text: str) -> str:
+    cells = line.split(",")
+    cells[j] = text
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("strategy_system.csv", lambda lines: lines[:-1],
+     "strategy_system.csv has no row for step(s) 23 of the scenario's 0-23"),
+    ("strategy_system.csv", lambda lines: lines + lines[-1:], "strategy_system.csv has more than one row for step(s) 23"),
+    ("strategy_units.csv", lambda lines: [lines[0].replace("p_c", "p_charge"), *lines[1:]],
+     "strategy_units.csv: no column p_c"),
+    ("strategy_units.csv", lambda lines: [lines[0], _with_cell(lines[1], 2, "abc"), *lines[2:]],
+     "strategy_units.csv row 0 p_c: not a finite number: 'abc'"),
+    ("strategy_units.csv", lambda lines: [lines[0], _with_cell(lines[1], 5, "nan"), *lines[2:]],
+     "strategy_units.csv row 0 rd: not a finite number: 'nan'"),
+    ("strategy_units.csv", lambda lines: [lines[0], _with_cell(lines[1], 1, "0.5"), *lines[2:]],
+     "strategy_units.csv row 0 t: not an integer step: '0.5'"),
+    ("strategy_units.csv", lambda lines: [*lines, _with_cell(lines[1], 2, "999")],
+     "strategy_units.csv: unit bes1 has more than one row for step(s) 0"),
+    ("summary.yaml", lambda lines: [line for line in lines if not line.startswith("gamma:")],
+     "summary.yaml: missing or bad value: 'gamma'"),
+    ("summary.yaml", lambda lines: ["objective: abc" if line.startswith("objective:") else line for line in lines],
+     "summary.yaml: missing or bad value: could not convert string to float: 'abc'"),
+], ids=["system-short", "system-repeated", "no-column", "not-a-number", "nan", "fractional-step", "repeated-row",
+        "summary-without-gamma", "summary-objective-not-a-number"])
+def test_evaluate_of_a_damaged_strategy_exits_2(tmp_path, capsys, name, edit, message):
+    strat = tmp_path / "s"
+    assert main(["solve", "--scenario", SMOKE, "--mode", "M2", "--out", str(strat)]) == 0
+    (strat / name).write_text("\n".join(edit((strat / name).read_text().splitlines())) + "\n")
+    rep = tmp_path / "r"
+    code = main(["evaluate", "--scenario", SMOKE, "--strategy", str(strat), "--draws", "50", "--out", str(rep)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("invalid input:") and message in err
+    assert "no schedule" not in err
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("fixture", ["smoke3", "tcl100"])
+def test_read_strategy_returns_the_written_strategy(request, tmp_path, fixture):
+    scn = request.getfixturevalue(fixture)
+    configs = [RunConfig(model_mode="M1"), RunConfig(model_mode="M2"), RunConfig(reformulation="R1"),
+               RunConfig(reformulation="R2"), RunConfig(reserve="S1"), RunConfig(reserve="S2"),
+               RunConfig(model_mode="M2", a1=True)]
+    for k, cfg in enumerate(configs):
+        want = cli._dispatch(scn, cfg)
+        cli.write_strategy(tmp_path / str(k), want)
+        got = cli.read_strategy(tmp_path / str(k), aggregate_scenario(scn) if cfg.a1 else scn)
+        assert got.schedules.keys() == want.schedules.keys() == got.rd.keys() == want.rd.keys()
+        for uid, s in want.schedules.items():
+            for a, b in ((got.schedules[uid].p_c, s.p_c), (got.schedules[uid].p_d, s.p_d),
+                         (got.schedules[uid].soc, s.soc), (got.rd[uid], want.rd[uid])):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (cfg, uid)
+        assert got.grid_import.tobytes() == want.grid_import.tobytes()
+        assert got.objective_value == want.objective_value
+        assert got.metadata == replace(want.metadata, trace=[])

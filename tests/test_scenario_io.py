@@ -1,6 +1,7 @@
 """Scenario directory loading, validation diagnostics, and round-tripping."""
 
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import yaml
 
 from gesdispatch import diu
 from gesdispatch.errors import InvalidSpec, ParseError, ValidationError
+from gesdispatch.scenario import ReserveSpec
 from gesdispatch.scenario_io import load_scenario, serialize
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -119,3 +121,37 @@ def test_round_trip(smoke3, tmp_path):
     serialize(again, out2, diu_samples=4000, diu_seed=11)
     for f in sorted(p.name for p in out1.iterdir()):
         assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: [lines[0], "tcl1,t_in_baseline,x,24.0", *lines[2:]], "row 0 t: not an integer step: 'x'"),
+    (lambda lines: [*lines, "tcl1,t_in_baseline,1.5,30.0"], "row 72 t: not an integer step: '1.5'"),
+    (lambda lines: [*lines, "tcl1,t_in_baseline,0,30.0"],
+     "unit_series.csv: unit tcl1 field t_in_baseline has more than one row for step(s) 0"),
+    (lambda lines: [line for line in lines if line != "ev1,ev_dsoc,5,0.0"],
+     "unit_series.csv: unit ev1 field ev_dsoc has no row for step(s) 5 of the scenario's 0-23"),
+    (lambda lines: [*lines, "tcl1,t_in_baseline,24,30.0"],
+     "unit_series.csv: unit tcl1 field t_in_baseline has rows for step(s) 24 outside the scenario's 0-23"),
+    (lambda lines: [lines[0], "tcl1,t_in_baseline,0,inf", *lines[2:]], "row 0 value: not a finite number: 'inf'"),
+    (lambda lines: [*lines, *(f"tcl9,t_in_baseline,{t},24.0" for t in range(24))],
+     "unit_series.csv: unit tcl9 is not in units.csv"),
+    (lambda lines: [*lines, *(f"tcl1,t_outdoor,{t},24.0" for t in range(24))],
+     "unit_series.csv: unit tcl1 has unknown field 't_outdoor'"),
+    (lambda lines: [lines[0].replace("value", "val"), *lines[1:]], "unit_series.csv: no column value"),
+], ids=["t-not-a-number", "fractional-step", "repeated-row", "missing-step", "off-horizon", "infinite",
+        "unknown-unit", "unknown-field", "no-column"])
+def test_bad_unit_series_lists_the_problem(tmp_path, edit, message):
+    dst = tmp_path / "broken"
+    shutil.copytree(FIXTURES / "smoke3", dst)
+    path = dst / "unit_series.csv"
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValidationError) as err:
+        load_scenario(dst, compute_stats=False)
+    assert message in str(err.value)
+
+
+def test_round_trip_keeps_reserve_limits(smoke3, tmp_path):
+    reserve = ReserveSpec(mode="S1", p_lo=-3.0, p_hi=4.0, ramp_up=1.0, ramp_dn=2.0, a=1.5, b=0.5, s1_price=0.7)
+    for spec in (reserve, ReserveSpec()):  # the default's limits are infinite
+        serialize(replace(smoke3, reserve=spec), tmp_path / spec.mode, diu_samples=10, diu_seed=1)
+        assert load_scenario(tmp_path / spec.mode, compute_stats=False).reserve == spec
