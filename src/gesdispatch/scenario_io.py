@@ -1,19 +1,11 @@
 """Scenario directory loading and serialization.
 
-A scenario lives in a directory:
-
-* ``scenario.yaml`` — horizon, dt, gamma(s), grid cap, solver configuration,
-  sampling configuration, optional reserve block;
-* ``units.csv`` — one row per unit: device kind, physical parameters,
-  incentive prices, and uncertainty knobs;
-* ``ddu.csv`` — one row per unit: decision-dependent-uncertainty parameters;
-* ``timeseries.csv`` — one row per step: ToU price and load/renewable
-  forecast distributions;
-* ``unit_series.csv`` (optional) — long-format per-unit trajectories
-  (baseline power, baseline indoor temperature, EV profiles).
-
-Floats are written with 17 significant digits so a load/serialize round trip
-is bit-exact.
+A scenario directory holds ``scenario.yaml`` (configuration) and the tables
+``units.csv`` and ``ddu.csv`` (one row per unit), ``timeseries.csv`` (one
+row per step) and, optionally, ``unit_series.csv`` (per-unit trajectories);
+README.md lists their columns.  `read_table` reads every table by columns
+and `write_table` writes it, floats with 17 significant digits so that a
+load/serialize round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -43,11 +35,12 @@ _DEV_FIELDS = (
     "soc_lo", "soc_hi", "soc_init", "soc_phys_lo", "soc_phys_hi",
     "soc_ramp_up", "soc_ramp_dn", "deadband", "on_prob",
 )
-_UNC_FIELDS = ("baseline_sigma", "ident_sigma_frac")
-_DDU_FIELDS = (
-    "sigma_g", "sigma_h", "beta_up", "beta_lo", "lam", "c_bar",
-    "q_g_level", "h_family", "discomfort_variant",
-)
+_DDU_TEXTS = ("h_family", "discomfort_variant")
+_DDU_NUMBERS = ("sigma_g", "sigma_h", "beta_up", "beta_lo", "lam", "c_bar", "q_g_level")
+_DDU_FIELDS = (*_DDU_NUMBERS, *_DDU_TEXTS)
+_UNIT_NUMBERS = (*_DEV_FIELDS, "baseline_sigma", "ident_sigma_frac", "price_c", "price_d")
+_TS_NUMBERS = ("tou_price", "load_mean", "load_sigma", "res_mean", "res_sigma")
+_TS_OPTIONAL = ("load_family", "load_sigma", "res_family", "res_mean", "res_sigma")
 _SERIES_FIELDS = (
     "baseline_power", "t_in_baseline", "ev_base_p_c", "ev_base_p_d", "ev_dsoc",
     "t_comfort_lo", "t_comfort_hi", "on_prob", "deadband",
@@ -59,22 +52,6 @@ def fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return format(float(x), ".17g")
-
-
-def _parse_float(text, where, issues):
-    try:
-        return float(text)
-    except (TypeError, ValueError):
-        issues.append(f"{where}: not a number: {text!r}")
-        return math.nan
-
-
-def _read_csv(path: Path) -> list[dict[str, str]]:
-    try:
-        with open(path, newline="") as fh:
-            return list(csv.DictReader(fh))
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
 def write_table(path: Path, header, rows) -> None:
@@ -98,69 +75,112 @@ def read_yaml(path: Path) -> dict:
     return doc
 
 
-def read_steps(path: Path, keys: tuple[str, ...], columns: tuple[str, ...], horizon: int,
-               issues: list[str]) -> dict[tuple[str, ...], np.ndarray | None] | None:
-    """Read a step table: a CSV file whose rows hold the cells `keys`, an
-    integer step `t` and the numbers `columns`.
+def _float(text: str) -> float:
+    """`text` as a float: NaN if it is empty or not a number."""
+    try:
+        return float(text) if text else math.nan
+    except ValueError:
+        return math.nan
 
-    Returns, per key tuple of the file, a `(len(columns), horizon)` array, or
-    None if a cell is not a finite number, a `t` is not an integer, or the
-    key's steps are not 0..horizon-1 exactly once; None for a header that
-    lacks a column.  Every problem goes to `issues`.
-    """
+
+def read_table(path: Path, text: tuple[str, ...], numbers: tuple[str, ...], issues: list[str],
+               optional: tuple[str, ...] = ()) -> dict[str, tuple[str, ...] | np.ndarray] | None:
+    """Read a CSV file by columns: the cells of each `text` column, and each
+    `numbers` column as floats.  A number cell that is not a finite number is
+    an issue and reads as NaN.  An empty cell, or a missing column, that is
+    `optional` reads as "not given" ("" or NaN) without an issue; a header
+    that lacks another column is an issue, and the table reads as None."""
     try:
         with open(path, newline="") as fh:
             header, *rows = [r for r in csv.reader(fh) if r] or [[]]
     except (OSError, csv.Error) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    fields = ("t", *columns)
-    absent = [c for c in (*keys, *fields) if c not in header]
+    absent = [c for c in (*text, *numbers) if c not in header and c not in optional]
     if absent:
         issues.append(f"{path}: no column {first_few(absent)}")
         return None
     # a short row reads as empty cells; zip would cut every column to its length
-    cells = dict.fromkeys(header, ()) | dict(zip(header, zip(*(
-        r if len(r) >= len(header) else r + [""] * (len(header) - len(r)) for r in rows))))
-    numbers = np.empty((len(fields), len(rows)))
-    for j, name in enumerate(fields):
-        try:
-            numbers[j] = list(map(float, cells[name]))
-        except ValueError:
-            for k, text in enumerate(cells[name]):
-                try:
-                    numbers[j, k] = float(text)
-                except ValueError:
-                    numbers[j, k] = math.nan
-    t = numbers[0]
-    t[np.floor(t) != t] = math.nan
-    finite = np.isfinite(numbers)
-    for j, k in zip(*np.nonzero(~finite)):
-        says = "not an integer step" if j == 0 else "not a finite number"
-        issues.append(f"{path} row {k} {fields[j]}: {says}: {cells[fields[j]][k]!r}")
+    width, empty = len(header), ("",) * len(rows)
+    cells = dict(zip(header, zip(*(r if len(r) >= width else r + [""] * (width - len(r)) for r in rows))))
+    table = {name: cells.get(name, empty) for name in text}
+    for name in numbers:
+        column = cells.get(name, empty)
+        table[name] = values = np.fromiter(map(_float, column), float, len(column))
+        bad = ~np.isfinite(values)
+        values[bad] = math.nan
+        issues += [f"{path} row {k} {name}: not a finite number: {column[k]!r}"
+                   for k in np.flatnonzero(bad).tolist() if column[k] or name not in optional]
+    return table
+
+
+def _records(table) -> list[dict]:
+    """The rows of a `read_table` result, each a dict of its given cells."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.values()]
+    return [{n: v for n, v in zip(table, row) if v == v and v != ""} for row in zip(*columns)]
+
+
+def _step_rows(path: Path, table, keys: tuple[str, ...], horizon: int, ok: np.ndarray,
+               issues: list[str]) -> dict[tuple[str, ...], np.ndarray | None]:
+    """Per key tuple of a `read_table` result, the row of each step 0..horizon-1;
+    None if a `t` is not an integer, a row is not `ok`, or the key's steps are
+    not 0..horizon-1 exactly once, each an issue but the row that is not `ok`."""
+    t = np.fromiter(map(_float, table["t"]), float, len(table["t"]))
+    integer = np.isfinite(t) & (np.floor(t) == t)
+    issues += [f"{path} row {k} t: not an integer step: {table['t'][k]!r}" for k in np.flatnonzero(~integer).tolist()]
 
     index: dict[tuple[str, ...], int] = {} if keys else {(): 0}
-    key_cells = zip(*(cells[k] for k in keys)) if keys else [()] * len(rows)
+    key_cells = zip(*(table[k] for k in keys)) if keys else [()] * len(t)
     ids = np.array([index.setdefault(key, len(index)) for key in key_cells], dtype=np.intp)
-    on = finite[0] & (t >= 0) & (t < horizon)
+    on = integer & (t >= 0) & (t < horizon)
     steps = t[on].astype(np.intp)
-    counts = np.bincount(ids[on] * horizon + steps, minlength=len(index) * horizon).reshape(-1, horizon)
-    table = np.full((len(index), len(columns), horizon), math.nan)
-    table[ids[on], :, steps] = numbers[1:, on].T
+    counts = np.bincount(ids[on] * horizon + steps, minlength=len(index) * horizon).reshape(len(index), horizon)
+    rows = np.zeros((len(index), horizon), dtype=np.intp)
+    rows[ids[on], steps] = np.flatnonzero(on)
     bad = (counts != 1).any(axis=1)
-    bad[ids[~(finite.all(axis=0) & on)]] = True
+    bad[ids[~(ok & on)]] = True
 
     span = f"the scenario's 0-{horizon - 1}"
     for key, i in index.items():
         if not bad[i]:
             continue
         name = f"{path}: " + " ".join(f"{k.removesuffix('_id')} {v}" for k, v in zip(keys, key)) if keys else path
-        outside = [int(step) for step in np.unique(t[(ids == i) & finite[0] & ~on])]
+        outside = [int(step) for step in np.unique(t[(ids == i) & integer & ~on])]
         for found, says in ((np.flatnonzero(counts[i] == 0), f"has no row for step(s) {{}} of {span}"),
                             (np.flatnonzero(counts[i] > 1), "has more than one row for step(s) {}"),
                             (outside, f"has rows for step(s) {{}} outside {span}")):
             if len(found):
                 issues.append(f"{name} {says.format(first_few(found))}")
-    return {key: None if bad[i] else table[i] for key, i in index.items()}
+    return {key: None if bad[i] else rows[i] for key, i in index.items()}
+
+
+def read_steps(path: Path, keys: tuple[str, ...], columns: tuple[str, ...], horizon: int,
+               issues: list[str]) -> dict[tuple[str, ...], np.ndarray | None] | None:
+    """Read a step table (cells `keys`, an integer step `t`, numbers `columns`):
+    per key tuple a `(len(columns), horizon)` array, or None if a row of the key
+    has a problem; None for a header that lacks a column.  Problems go to `issues`."""
+    table = read_table(path, (*keys, "t"), columns, issues)
+    if table is None:
+        return None
+    numbers = np.array([table[c] for c in columns])
+    rows = _step_rows(path, table, keys, horizon, np.isfinite(numbers).all(axis=0), issues)
+    return {key: None if r is None else numbers[:, r] for key, r in rows.items()}
+
+
+def _number(value, name: str, default, issues: list[str], integer: bool = False):
+    """A `scenario.yaml` value as a float (an int if `integer`); a bad value is an issue, read as `default`."""
+    try:
+        number = value if integer and isinstance(value, int) else float(value)
+        if not integer or float(number).is_integer():
+            return int(number) if integer else number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    issues.append(f"scenario.yaml {name}: not {'an integer' if integer else 'a number'}: {value!r}")
+    return default
+
+
+def _ident_target(kind: str) -> str:
+    """The device field that identification noise perturbs."""
+    return "thermal_resistance" if kind.startswith("TCL") else "s_capacity"
 
 
 def _dist_from_row(family: str, mean: float, sigma: float, where: str, issues):
@@ -210,70 +230,62 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
     issues: list[str] = []
     cfg = read_yaml(root / "scenario.yaml")
 
-    horizon = int(cfg.get("horizon", 24))
-    dt = float(cfg.get("dt", 1.0))
+    horizon = _number(cfg.get("horizon", 24), "horizon", 24, issues, integer=True)
+    if horizon < 1:
+        raise ValidationError([*issues, f"horizon must be >= 1, got {horizon}"])
+    dt = _number(cfg.get("dt", 1.0), "dt", 1.0, issues)
+    diu_cfg = cfg.get("diu") or {}
+    n_samples = _number(diu_cfg.get("samples", 10_000), "diu.samples", 10_000, issues, integer=True)
+    diu_seed = _number(diu_cfg.get("seed", 0), "diu.seed", 0, issues, integer=True)
 
-    ts_rows = _read_csv(root / "timeseries.csv")
-    if len(ts_rows) != horizon:
-        issues.append(f"timeseries.csv: expected {horizon} rows, found {len(ts_rows)}")
-    tou = np.zeros(horizon)
-    load_dist: list[DistributionSpec] = []
-    res_dist: list[DistributionSpec] = []
-    for k, row in enumerate(ts_rows[:horizon]):
-        where = f"timeseries.csv row {k}"
-        tou[k] = _parse_float(row.get("tou_price"), where + " tou_price", issues)
-        load_dist.append(_dist_from_row(
-            row.get("load_family"),
-            _parse_float(row.get("load_mean"), where + " load_mean", issues),
-            _parse_float(row.get("load_sigma", "0") or "0", where + " load_sigma", issues),
-            where, issues))
-        res_dist.append(_dist_from_row(
-            row.get("res_family"),
-            _parse_float(row.get("res_mean", "0") or "0", where + " res_mean", issues),
-            _parse_float(row.get("res_sigma", "0") or "0", where + " res_sigma", issues),
-            where, issues))
-    while len(load_dist) < horizon:
-        load_dist.append(DistributionSpec.point(0.0))
-        res_dist.append(DistributionSpec.point(0.0))
+    ts_path = root / "timeseries.csv"
+    ts = read_table(ts_path, ("t", "load_family", "res_family"), _TS_NUMBERS, issues, optional=_TS_OPTIONAL)
+    # a step without a ToU price or load mean leaves the whole series unread
+    steps = None if ts is None else _step_rows(
+        ts_path, ts, (), horizon, np.isfinite(ts["tou_price"]) & np.isfinite(ts["load_mean"]), issues)[()]
+    tou = np.full(horizon, math.nan) if steps is None else ts["tou_price"][steps]
+    load_dist = res_dist = [DistributionSpec.point(0.0)] * horizon
+    if steps is not None:
+        ts_rows = _records(ts)
+        load_dist, res_dist = [], []
+        for k in steps.tolist():
+            row, where = ts_rows[k], f"{ts_path} row {k}"
+            load_dist.append(_dist_from_row(row.get("load_family"), row["load_mean"], row.get("load_sigma", 0.0),
+                                            where, issues))
+            res_dist.append(_dist_from_row(row.get("res_family"), row.get("res_mean", 0.0), row.get("res_sigma", 0.0),
+                                           where, issues))
 
-    unit_rows = _read_csv(root / "units.csv")
+    unit_rows = _records(read_table(root / "units.csv", ("unit_id", "kind"), _UNIT_NUMBERS, issues,
+                                    optional=_UNIT_NUMBERS) or {})
+    known = {row.get("unit_id", "") for row in unit_rows}
     series = {}
     sp = root / "unit_series.csv"
     if sp.exists():
         series = read_steps(sp, ("unit_id", "field"), ("value",), horizon, issues) or {}
-        known = {row.get("unit_id", f"row{k}") for k, row in enumerate(unit_rows)}
         issues += [f"{sp}: unit {uid} has unknown field {f!r}" for uid, f in series if f not in _SERIES_FIELDS]
         issues += [f"{sp}: unit {uid} is not in units.csv" for uid, f in series if uid not in known]
 
+    ddu_path = root / "ddu.csv"
+    ddu_rows = _records(read_table(ddu_path, ("unit_id", *_DDU_TEXTS), _DDU_NUMBERS, issues,
+                                   optional=_DDU_FIELDS) or {})
     ddu_by_unit: dict[str, DduSpec] = {}
-    for k, row in enumerate(_read_csv(root / "ddu.csv")):
-        uid = row.get("unit_id", "")
-        kw = {}
-        for f in _DDU_FIELDS:
-            raw = row.get(f)
-            if raw in (None, ""):
-                continue
-            kw[f] = raw.strip() if f in ("h_family", "discomfort_variant") else _parse_float(
-                raw, f"ddu.csv row {k} {f}", issues)
+    for k, row in enumerate(ddu_rows):
+        uid = row.pop("unit_id", "")
+        if uid in ddu_by_unit:
+            issues.append(f"{ddu_path}: unit {uid} has more than one row")
+        elif uid not in known:
+            issues.append(f"{ddu_path}: unit {uid} is not in units.csv")
         try:
-            ddu_by_unit[uid] = DduSpec(**kw)
+            ddu_by_unit[uid] = DduSpec(**{f: v.strip() if f in _DDU_TEXTS else v for f, v in row.items()})
         except Exception as exc:
             issues.append(f"ddu.csv row {k} (unit {uid}): {exc}")
 
-    diu_cfg = cfg.get("diu") or {}
-    n_samples = int(diu_cfg.get("samples", 10_000))
-    diu_seed = int(diu_cfg.get("seed", 0))
-    gamma = float(cfg.get("gamma", 0.05))
-
     units: list[UnitSpec] = []
     for k, row in enumerate(unit_rows):
-        uid = row.get("unit_id", f"row{k}")
+        uid = row.get("unit_id", "")
         where = f"units.csv row {k} (unit {uid})"
-        kw: dict = {"kind": (row.get("kind") or "").strip(), "unit_id": uid}
-        for f in _DEV_FIELDS:
-            raw = row.get(f)
-            if raw not in (None, ""):
-                kw[f] = _parse_float(raw, f"{where} {f}", issues)
+        kw: dict = {"kind": row.get("kind", "").strip(), "unit_id": uid}
+        kw.update((f, row[f]) for f in _DEV_FIELDS if f in row)
         for f in _SERIES_FIELDS:
             if series.get((uid, f)) is not None:
                 (kw[f],) = series[uid, f]
@@ -285,13 +297,13 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
             continue
 
         unit_dists: dict[str, DistributionSpec] = {}
-        frac = _parse_float(row.get("ident_sigma_frac") or "0", where, issues)
+        frac = row.get("ident_sigma_frac", 0.0)
         if frac > 0:
-            target = "thermal_resistance" if dev.kind.startswith("TCL") else "s_capacity"
+            target = _ident_target(dev.kind)
             center = getattr(dev, target)
             unit_dists[target] = DistributionSpec.truncated_normal(
                 center, frac * center, center * (1 - 2 * frac), center * (1 + 2 * frac))
-        bsig = _parse_float(row.get("baseline_sigma") or "0", where, issues)
+        bsig = row.get("baseline_sigma", 0.0)
         baseline_dist = None
         if bsig > 0:
             base = kw.get("baseline_power")
@@ -304,15 +316,11 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
                     for b in base
                 ]
 
-        price_c = _parse_float(row.get("price_c") or "0.3", where + " price_c", issues)
-        price_d = _parse_float(row.get("price_d") or "0.6", where + " price_d", issues)
-        ddu = ddu_by_unit.get(uid)
-        if ddu is None:
+        if uid not in ddu_by_unit:
             issues.append(f"ddu.csv: no row for unit {uid}")
-            ddu = DduSpec()
         units.append(UnitSpec(
-            dev=dev, params=params, ddu=ddu,
-            price_c=np.full(horizon, price_c), price_d=np.full(horizon, price_d),
+            dev=dev, params=params, ddu=ddu_by_unit.get(uid) or DduSpec(),
+            price_c=np.full(horizon, row.get("price_c", 0.3)), price_d=np.full(horizon, row.get("price_d", 0.6)),
             unit_dists=unit_dists, baseline_dist=baseline_dist))
 
     if compute_stats:
@@ -322,8 +330,9 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
     if cfg.get("dispatch_window") is not None:
         window = np.zeros(horizon, dtype=bool)
         for t in cfg["dispatch_window"]:
-            if 0 <= int(t) < horizon:
-                window[int(t)] = True
+            step = _number(t, "dispatch_window step", 0, issues, integer=True)
+            if 0 <= step < horizon:
+                window[step] = True
             else:
                 issues.append(f"scenario.yaml: dispatch_window step {t} out of range")
 
@@ -335,7 +344,9 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
             issues.append(f"scenario.yaml reserve: {exc}")
 
     try:
-        shape = parse_shape(str(cfg.get("shape_class", "unimodal")), cfg.get("shape_nu"))
+        nu = cfg.get("shape_nu")
+        shape = parse_shape(str(cfg.get("shape_class", "unimodal")),
+                            None if nu is None else _number(nu, "shape_nu", None, issues))
     except Exception as exc:
         issues.append(f"scenario.yaml shape_class: {exc}")
         shape = parse_shape("unimodal")
@@ -347,9 +358,10 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
         tou_price=tou,
         load_dist=load_dist,
         res_dist=res_dist,
-        grid_cap=float(cfg.get("grid_cap", 1e6)),
-        gamma=gamma,
-        gamma_balance=(float(cfg["gamma_balance"]) if cfg.get("gamma_balance") is not None else None),
+        grid_cap=_number(cfg.get("grid_cap", 1e6), "grid_cap", 1e6, issues),
+        gamma=_number(cfg.get("gamma", 0.05), "gamma", 0.05, issues),
+        gamma_balance=(_number(cfg["gamma_balance"], "gamma_balance", None, issues)
+                       if cfg.get("gamma_balance") is not None else None),
         dispatch_window=window,
         shape_class=shape,
         reserve=reserve,
@@ -388,15 +400,11 @@ def serialize(bundle: ScenarioBundle, path, diu_samples: int = 10_000, diu_seed:
         cfg["reserve"] = asdict(bundle.reserve)
     (root / "scenario.yaml").write_text(yaml.safe_dump(cfg, sort_keys=True))
 
-    with open(root / "timeseries.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "tou_price", "load_family", "load_mean", "load_sigma",
-                    "res_family", "res_mean", "res_sigma"])
-        for t in range(bundle.horizon):
-            ld, rd_ = bundle.load_dist[t], bundle.res_dist[t]
-            w.writerow([t, fmt(bundle.tou_price[t]),
-                        ld.family, fmt(dist.mean(ld)), fmt(dist.std(ld)),
-                        rd_.family, fmt(dist.mean(rd_)), fmt(dist.std(rd_))])
+    write_table(root / "timeseries.csv", ["t", "tou_price", "load_family", "load_mean", "load_sigma",
+                                          "res_family", "res_mean", "res_sigma"], (
+        [t, fmt(tou), ld.family, fmt(dist.mean(ld)), fmt(dist.std(ld)),
+         rd_.family, fmt(dist.mean(rd_)), fmt(dist.std(rd_))]
+        for t, (tou, ld, rd_) in enumerate(zip(bundle.tou_price, bundle.load_dist, bundle.res_dist))))
 
     unit_rows = []
     series_rows = []
@@ -404,28 +412,20 @@ def serialize(bundle: ScenarioBundle, path, diu_samples: int = 10_000, diu_seed:
         dev = u.dev
         row = {"unit_id": dev.unit_id, "kind": dev.kind,
                "price_c": fmt(u.price_c[0]), "price_d": fmt(u.price_d[0])}
-        for f in _DEV_FIELDS:
+        for f in (*_DEV_FIELDS, *(f for f in _SERIES_FIELDS if f not in _DEV_FIELDS)):
             v = getattr(dev, f, None)
             if v is None:
                 continue
             arr = np.atleast_1d(np.asarray(v, dtype=float))
-            if arr.size == 1:
+            if arr.size == 1 and f in _DEV_FIELDS:
                 if math.isfinite(arr[0]):
                     row[f] = fmt(arr[0])
             else:
-                for t in range(arr.size):
-                    series_rows.append([dev.unit_id, f, t, fmt(arr[t])])
-        for f in ("t_in_baseline", "ev_base_p_c", "ev_base_p_d", "ev_dsoc"):
-            v = getattr(dev, f, None)
-            if v is not None:
-                arr = np.broadcast_to(np.asarray(v, dtype=float), (bundle.horizon,))
-                for t in range(bundle.horizon):
-                    series_rows.append([dev.unit_id, f, t, fmt(arr[t])])
-        if "ident_sigma_frac" not in row and u.unit_dists:
-            target = "thermal_resistance" if dev.kind.startswith("TCL") else "s_capacity"
-            spec = u.unit_dists.get(target)
-            if spec is not None and spec.family == "truncated_normal":
-                row["ident_sigma_frac"] = fmt(spec.params["sigma"] / spec.params["mu"])
+                arr = np.broadcast_to(arr, (bundle.horizon,))
+                series_rows += ([dev.unit_id, f, t, fmt(x)] for t, x in enumerate(arr))
+        spec = u.unit_dists.get(_ident_target(dev.kind))
+        if spec is not None and spec.family == "truncated_normal":
+            row["ident_sigma_frac"] = fmt(spec.params["sigma"] / spec.params["mu"])
         if u.baseline_dist is not None:
             first = u.baseline_dist[0]
             if first.family == "lognormal":
@@ -434,10 +434,10 @@ def serialize(bundle: ScenarioBundle, path, diu_samples: int = 10_000, diu_seed:
                 row["baseline_sigma"] = fmt(sd0 / mean0)
         unit_rows.append(row)
 
-    cols = ["unit_id", "kind", *_DEV_FIELDS, *_UNC_FIELDS, "price_c", "price_d"]
+    cols = ["unit_id", "kind", *_UNIT_NUMBERS]
     write_table(root / "units.csv", cols, ([row.get(c, "") for c in cols] for row in unit_rows))
     write_table(root / "ddu.csv", ["unit_id", *_DDU_FIELDS], ([u.unit_id] + [
-        getattr(u.ddu, f) if f in ("h_family", "discomfort_variant") else fmt(getattr(u.ddu, f)) for f in _DDU_FIELDS]
+        getattr(u.ddu, f) if f in _DDU_TEXTS else fmt(getattr(u.ddu, f)) for f in _DDU_FIELDS]
         for u in bundle.units))
     if series_rows:
         write_table(root / "unit_series.csv", ["unit_id", "field", "t", "value"], series_rows)

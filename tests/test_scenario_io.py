@@ -1,5 +1,7 @@
 """Scenario directory loading, validation diagnostics, and round-tripping."""
 
+import dataclasses
+import hashlib
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -123,31 +125,128 @@ def test_round_trip(smoke3, tmp_path):
         assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
 
 
-@pytest.mark.parametrize("edit, message", [
-    (lambda lines: [lines[0], "tcl1,t_in_baseline,x,24.0", *lines[2:]], "row 0 t: not an integer step: 'x'"),
-    (lambda lines: [*lines, "tcl1,t_in_baseline,1.5,30.0"], "row 72 t: not an integer step: '1.5'"),
-    (lambda lines: [*lines, "tcl1,t_in_baseline,0,30.0"],
+def _cell(row, column, value):
+    """An edit of a CSV file's lines: `column` of data row `row` set to `value`."""
+    def edit(lines):
+        cells = lines[row + 1].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        return [*lines[:row + 1], ",".join(cells), *lines[row + 2:]]
+    return edit
+
+
+# the name predates the other files; it covers every file of a scenario directory
+@pytest.mark.parametrize("name, edit, message", [
+    ("unit_series.csv", lambda lines: [lines[0], "tcl1,t_in_baseline,x,24.0", *lines[2:]],
+     "row 0 t: not an integer step: 'x'"),
+    ("unit_series.csv", lambda lines: [*lines, "tcl1,t_in_baseline,1.5,30.0"], "row 72 t: not an integer step: '1.5'"),
+    ("unit_series.csv", lambda lines: [*lines, "tcl1,t_in_baseline,0,30.0"],
      "unit_series.csv: unit tcl1 field t_in_baseline has more than one row for step(s) 0"),
-    (lambda lines: [line for line in lines if line != "ev1,ev_dsoc,5,0.0"],
+    ("unit_series.csv", lambda lines: [line for line in lines if line != "ev1,ev_dsoc,5,0.0"],
      "unit_series.csv: unit ev1 field ev_dsoc has no row for step(s) 5 of the scenario's 0-23"),
-    (lambda lines: [*lines, "tcl1,t_in_baseline,24,30.0"],
+    ("unit_series.csv", lambda lines: [*lines, "tcl1,t_in_baseline,24,30.0"],
      "unit_series.csv: unit tcl1 field t_in_baseline has rows for step(s) 24 outside the scenario's 0-23"),
-    (lambda lines: [lines[0], "tcl1,t_in_baseline,0,inf", *lines[2:]], "row 0 value: not a finite number: 'inf'"),
-    (lambda lines: [*lines, *(f"tcl9,t_in_baseline,{t},24.0" for t in range(24))],
+    ("unit_series.csv", lambda lines: [lines[0], "tcl1,t_in_baseline,0,inf", *lines[2:]],
+     "row 0 value: not a finite number: 'inf'"),
+    ("unit_series.csv", lambda lines: [*lines, *(f"tcl9,t_in_baseline,{t},24.0" for t in range(24))],
      "unit_series.csv: unit tcl9 is not in units.csv"),
-    (lambda lines: [*lines, *(f"tcl1,t_outdoor,{t},24.0" for t in range(24))],
+    ("unit_series.csv", lambda lines: [*lines, *(f"tcl1,t_outdoor,{t},24.0" for t in range(24))],
      "unit_series.csv: unit tcl1 has unknown field 't_outdoor'"),
-    (lambda lines: [lines[0].replace("value", "val"), *lines[1:]], "unit_series.csv: no column value"),
+    ("unit_series.csv", lambda lines: [lines[0].replace("value", "val"), *lines[1:]],
+     "unit_series.csv: no column value"),
+    ("timeseries.csv", lambda lines: [line for line in lines if not line.startswith("5,")],
+     "timeseries.csv has no row for step(s) 5 of the scenario's 0-23"),
+    ("timeseries.csv", lambda lines: [*lines, lines[1]], "timeseries.csv has more than one row for step(s) 0"),
+    ("timeseries.csv", _cell(3, "tou_price", "nan"), "timeseries.csv row 3 tou_price: not a finite number: 'nan'"),
+    ("units.csv", _cell(0, "p_c_rating", "nan"), "units.csv row 0 p_c_rating: not a finite number: 'nan'"),
+    ("units.csv", _cell(1, "price_d", "inf"), "units.csv row 1 price_d: not a finite number: 'inf'"),
+    ("units.csv", _cell(0, "s_capacity", "abc"), "units.csv row 0 s_capacity: not a finite number: 'abc'"),
+    ("ddu.csv", lambda lines: [*lines, lines[1].replace(",3,", ",0.5,")], "ddu.csv: unit bes1 has more than one row"),
+    ("ddu.csv", lambda lines: [*lines, lines[1].replace("bes1", "bes9")], "ddu.csv: unit bes9 is not in units.csv"),
+    ("scenario.yaml", lambda lines: [line.replace("horizon: 24", "horizon: abc") for line in lines],
+     "scenario.yaml horizon: not an integer: 'abc'"),
+    ("scenario.yaml", lambda lines: [line.replace("horizon: 24", "horizon: 0") for line in lines],
+     "horizon must be >= 1, got 0"),
+    ("scenario.yaml", lambda lines: [line.replace("samples: 4000", "samples: many") for line in lines],
+     "scenario.yaml diu.samples: not an integer: 'many'"),
+    ("scenario.yaml", lambda lines: [line.replace("gamma: 0.05", "gamma: x") for line in lines],
+     "scenario.yaml gamma: not a number: 'x'"),
+    ("scenario.yaml", lambda lines: [*lines, "dispatch_window: [1.5, 3]"],
+     "scenario.yaml dispatch_window step: not an integer: 1.5"),
 ], ids=["t-not-a-number", "fractional-step", "repeated-row", "missing-step", "off-horizon", "infinite",
-        "unknown-unit", "unknown-field", "no-column"])
-def test_bad_unit_series_lists_the_problem(tmp_path, edit, message):
+        "unknown-unit", "unknown-field", "no-column", "timeseries-missing-step", "timeseries-repeated-step",
+        "timeseries-nan-tou-price", "units-nan-p_c_rating", "units-infinite-price_d", "units-not-a-number",
+        "ddu-repeated-unit", "ddu-unknown-unit", "yaml-horizon-not-a-number", "yaml-zero-horizon",
+        "yaml-samples-not-a-number", "yaml-gamma-not-a-number", "yaml-fractional-window-step"])
+def test_bad_unit_series_lists_the_problem(tmp_path, name, edit, message):
     dst = tmp_path / "broken"
     shutil.copytree(FIXTURES / "smoke3", dst)
-    path = dst / "unit_series.csv"
+    path = dst / name
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     with pytest.raises(ValidationError) as err:
         load_scenario(dst, compute_stats=False)
     assert message in str(err.value)
+
+
+def _digest(scn) -> str:
+    """sha256 over every field of a loaded bundle: arrays by dtype, shape and
+    bytes, floats by their hex form, so any bit or type that moves shows."""
+    h = hashlib.sha256()
+
+    def add(x):
+        h.update(type(x).__name__.encode())
+        if dataclasses.is_dataclass(x):
+            for f in dataclasses.fields(x):
+                add(f.name)
+                add(getattr(x, f.name))
+        elif isinstance(x, np.ndarray):
+            h.update(f"{x.dtype}{x.shape}".encode() + np.ascontiguousarray(x).tobytes())
+        elif isinstance(x, dict):
+            for k, v in x.items():
+                add(k)
+                add(v)
+        elif isinstance(x, (list, tuple)):
+            h.update(str(len(x)).encode())
+            for v in x:
+                add(v)
+        elif isinstance(x, (float, np.floating)):
+            h.update(float(x).hex().encode())
+        else:
+            h.update(str(int(x)).encode() if isinstance(x, (int, np.integer)) else repr(x).encode())
+
+    add(scn)
+    return h.hexdigest()
+
+
+def _swap_steps_0_and_19(root):
+    lines = (root / "timeseries.csv").read_text().splitlines()
+    lines[1], lines[20] = lines[20], lines[1]
+    (root / "timeseries.csv").write_text("\n".join(lines) + "\n")
+
+
+# `_digest` of each bundle as loaded before the scenario tables were read by
+# columns (no DIU statistics); "fleet" is `make_100tcl(n_units=1000, seed=5)`
+_DIGESTS = {
+    "smoke3": "d9f481e4928fe39f7bf0e929a71362ed41f62ddfa8c41589f501bd2c71777a13",
+    "synthetic_100tcl": "6b01487ed14de804128ae555fd5c23c0a8bf6b47542b4a6275b554f349cdce68",
+    "fleet": "cf2dd07e3a9d1b5c846d4d1144776f956876381fc0b5d09e63ec7228ae2d9d92",
+}
+
+
+# rows of timeseries.csv are placed by their step t, so their order does not matter
+@pytest.mark.parametrize("name, edit", [("smoke3", None), ("smoke3", _swap_steps_0_and_19),
+                                        ("synthetic_100tcl", None), ("fleet", None)],
+                         ids=["smoke3", "smoke3-swapped-steps", "synthetic_100tcl", "generated-fleet"])
+def test_loaded_bundle_keeps_its_digest(tmp_path, name, edit):
+    from generate_fixtures import make_100tcl
+
+    dst = tmp_path / name
+    if name == "fleet":
+        make_100tcl(dst, n_units=1000, seed=5)
+    else:
+        shutil.copytree(FIXTURES / name, dst)
+    if edit is not None:
+        edit(dst)
+    assert _digest(load_scenario(dst, compute_stats=False)) == _DIGESTS[name]
 
 
 def test_round_trip_keeps_reserve_limits(smoke3, tmp_path):
