@@ -193,29 +193,43 @@ def write_strategy(out: Path, strategy: DispatchStrategy) -> None:
 
 def read_strategy(path: Path, scn: ScenarioBundle) -> DispatchStrategy:
     """Reload a strategy written by write_strategy; its tables must hold one
-    row per step of every scenario unit and of the system."""
+    row per step of every scenario unit and of the system.  The `reserve`
+    column is blank unless `summary.yaml` has a reserve block, and then it
+    holds every step of every unit: the reserve schedule, next to the
+    block's diagnostics."""
     units_csv, issues = path / "strategy_units.csv", []
-    tables = read_steps(units_csv, ("unit_id",), ("p_c", "p_d", "soc_next", "rd"), scn.horizon, issues)
+    tables = read_steps(units_csv, ("unit_id",), ("p_c", "p_d", "soc_next", "rd", "reserve"), scn.horizon, issues,
+                        optional=("reserve",))
     system = read_steps(path / "strategy_system.csv", (), ("grid_import",), scn.horizon, issues)
     summary = read_yaml(path / "summary.yaml")
+    reserved = "reserve" in summary
     missing = [u.unit_id for u in scn.units if tables is not None and (u.unit_id,) not in tables]
     if missing:
         issues.append(f"{units_csv}: no schedule for scenario unit(s) " + first_few(missing))
+    for u in scn.units:
+        table = None if tables is None else tables.get((u.unit_id,))
+        blank = np.zeros(0, dtype=bool) if table is None else np.isnan(table[4])
+        if reserved and blank.any():
+            issues.append(f"{units_csv}: unit {u.unit_id} has no reserve for step(s) {first_few(np.flatnonzero(blank))}")
+        elif not reserved and not blank.all():
+            issues.append(f"{units_csv}: unit {u.unit_id} has reserve values, but summary.yaml has no reserve block")
     try:
         objective = float(summary["objective"])
         meta = SolveMetadata(mode=summary["mode"], reformulation=summary.get("reformulation"),
                              iterations=int(summary.get("iterations", 0)),
                              converged=bool(summary.get("converged", True)), gamma=float(summary["gamma"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        diag = {k: v if k == "mode" else float(v) for k, v in summary["reserve"].items()} if reserved else None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         issues.append(f"{path / 'summary.yaml'}: missing or bad value: {exc}")
     if issues:
         raise ValidationError(issues)
-    schedules, rd = {}, {}
+    schedules, rd, reserve = {}, {}, {}
     for u in scn.units:
-        p_c, p_d, soc_next, rd[u.unit_id] = tables[(u.unit_id,)]
+        p_c, p_d, soc_next, rd[u.unit_id], reserve[u.unit_id] = tables[(u.unit_id,)]
         schedules[u.unit_id] = UnitSchedule(p_c=p_c, p_d=p_d, soc=np.concatenate(([u.params.soc_init], soc_next)))
     (grid,) = system[()]
-    return DispatchStrategy(schedules=schedules, grid_import=grid, rd=rd, objective_value=objective, metadata=meta)
+    return DispatchStrategy(schedules=schedules, grid_import=grid, rd=rd, objective_value=objective, metadata=meta,
+                            reserve_schedule=reserve if reserved else None, reserve_diag=diag)
 
 
 def write_report(out: Path, report) -> None:

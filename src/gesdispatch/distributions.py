@@ -244,14 +244,18 @@ class _Row(ISeedSequence):
         return self.row
 
 
+def _generator(row: np.ndarray) -> np.random.Generator:
+    """``np.random.default_rng(child)``, where `child` is the SeedSequence
+    that the `spawn_states` row was hashed from: numpy's own PCG64 seeding
+    runs on the row."""
+    return np.random.Generator(np.random.PCG64(_Row(row)))
+
+
 def uniform_streams(states: np.ndarray, size) -> Iterator[np.ndarray]:
     """For each row of `states` (from `spawn_states`), in order, the
-    ``random(size)`` uniforms of ``np.random.default_rng(child)``, where
-    `child` is the SeedSequence the row was hashed from: numpy's own PCG64
-    seeding runs on the row.
-    """
+    ``random(size)`` uniforms of its generator (`_generator`)."""
     for row in states:
-        yield np.random.Generator(np.random.PCG64(_Row(row))).random(size)
+        yield _generator(row).random(size)
 
 
 def sample_columns(specs: list[DistributionSpec], n: int, states: np.ndarray,
@@ -267,31 +271,38 @@ def sample_columns(specs: list[DistributionSpec], n: int, states: np.ndarray,
 
 
 def sample_blocks(specs: Sequence[list[DistributionSpec]], n: int, states: Sequence[np.ndarray],
-                  out: np.ndarray | None = None) -> np.ndarray:
+                  out: np.ndarray | None = None, uniforms: np.ndarray | None = None) -> np.ndarray:
     """(len(specs), n, T) draws: block i is `sample_columns` of ``specs[i]``
     on the streams ``states[i]``, written into `out` when it is given (and
     returned).  Every block has the same T.
 
-    The uniforms go in stream by stream, then the quantile transform runs in
-    place.  When every spec is lognormal (the baseline noise) that transform
-    is one call per ufunc over all blocks: per element it is the arithmetic
-    of `quantile`, with far fewer short calls that each release the GIL.
+    Each stream's `n` uniforms go into a contiguous row of `uniforms`, a
+    C-contiguous (len(specs), T, n) scratch buffer (allocated when it is
+    None; only read once the quantile transform has run).  The transform
+    reads the rows and writes the columns of `out`.  When every spec is
+    lognormal (the baseline noise) it is one call per ufunc over all
+    blocks, the first of which, ``ndtri``, does that transpose: per element
+    it is the arithmetic of `quantile`, with far fewer short calls that each
+    release the GIL.  Every value is computed elementwise, so the layout of
+    the scratch moves no bit of the draws.
     """
     _check_count(n)
     if out is None:
         out = np.empty((len(specs), n, len(specs[0])))
-    for block, block_states in zip(out, states):
-        for t, uniforms in enumerate(uniform_streams(block_states, n)):
-            block[:, t] = uniforms
+    if uniforms is None:
+        uniforms = np.empty((len(specs), len(specs[0]), n))
+    for rows, block_states in zip(uniforms, states):
+        for row, state in zip(rows, block_states):
+            _generator(state).random(out=row)
     if all(spec.family == "lognormal" for row in specs for spec in row):
-        special.ndtri(out, out=out)
+        special.ndtri(uniforms.transpose(0, 2, 1), out=out)
         out *= np.array([[spec.params["sigma"] for spec in row] for row in specs])[:, None, :]
         out += np.array([[spec.params["mu"] for spec in row] for row in specs])[:, None, :]
         np.exp(out, out=out)
     else:
-        for block, row in zip(out, specs):
-            for t, spec in enumerate(row):
-                block[:, t] = quantile(spec, block[:, t])
+        for block, rows, row_specs in zip(out, uniforms, specs):
+            for t, spec in enumerate(row_specs):
+                block[:, t] = quantile(spec, rows[t])
     return out
 
 

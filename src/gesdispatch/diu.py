@@ -9,17 +9,29 @@ evaluator realizes the same draws again.  A draw-invariant row has no spread,
 and its table is one read-only array of zeros shared by every such row of
 the same horizon.
 
-Load-time propagation can run in a *workspace*: three (n, horizon) buffers
-(`new_workspace`) that one unit at a time borrows.  The baseline draws go
-into the first, the charge rating into the second, the discharge rating
-overwrites the baseline draws, and the third holds the deviations and the
-sorted copy of `_column_stats`.  Nothing the statistics return points into
-it, so the next unit may overwrite it.  A unit propagated without one
-allocates and frees about five (n, horizon) temporaries; on a worker thread
-glibc hands that memory back to the OS between units, so every unit faults
-its pages in afresh.  The workspaces are allocated by the thread that
-starts the workers (`pool.map_in_workspaces`): buffers allocated inside a
-worker would stay in that worker's malloc arena after the pool ends.
+Load-time propagation runs in a *workspace*: three (n, horizon) buffers
+(`new_workspace`) that one unit at a time borrows.  For a thermal unit with
+baseline noise (the fast path), in order:
+
+- the second buffer, read as (horizon, n), takes each step's uniforms as a
+  contiguous row, and the first takes the baseline draws
+  (`distributions.sample_blocks`);
+- the third, read as (horizon, n), takes the baseline draws sorted per
+  step, from which both ratings' order statistics are read (`propagate_diu`);
+- the charge rating goes into the second, and the discharge rating
+  overwrites the baseline draws in the first;
+- the third then holds each rating's squared deviations in turn
+  (`_column_stats`).
+
+Any other noisy unit samples into arrays of its own, and the third buffer
+holds the deviations and then the sorted draws of each bound in turn.
+Nothing the statistics return points into the workspace, so the next unit
+may overwrite it.  A unit propagated without one allocates one for itself;
+on a worker thread glibc hands that memory back to the OS between units,
+so every unit would fault its pages in afresh.  The workspaces are
+allocated by the thread that starts the workers (`pool.map_in_workspaces`):
+buffers allocated inside a worker would stay in that worker's malloc arena
+after the pool ends.
 """
 
 from __future__ import annotations
@@ -129,7 +141,22 @@ def _zero_table(horizon: int) -> np.ndarray:
     return table
 
 
-def _column_stats(samples: np.ndarray, scratch: np.ndarray | None = None) -> BoundStats:
+def _ranks(n: int) -> np.ndarray:
+    """The 0-based ranks among `n` sorted draws that tabulate LEVELS
+    (nearest rank, ``ceil(level * n)``)."""
+    return np.minimum(np.ceil(LEVELS * n).astype(int), n) - 1
+
+
+def _sort_draws(draws: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Each step's draws of `draws` (..., n, horizon) in ascending order, as
+    the contiguous rows of `out` (..., horizon, n), which is returned."""
+    np.copyto(out, np.swapaxes(draws, -1, -2))
+    out.sort(axis=-1)
+    return out
+
+
+def _column_stats(samples: np.ndarray, scratch: np.ndarray | None = None,
+                  mu: np.ndarray | None = None, ranked: np.ndarray | None = None) -> BoundStats:
     """Empirical mean/sd and normalized quantile table for each column of `samples`.
 
     A row broadcast over the draws (stride 0 on axis 0) that lies within
@@ -137,14 +164,20 @@ def _column_stats(samples: np.ndarray, scratch: np.ndarray | None = None) -> Bou
     read-only zero table: `std` of n equal values is their distance to the
     same mean, up to rounding.  Any other input gets a table of its own.
 
-    `samples` is only read.  The squared deviations and the sorted copy go
-    into `scratch`, a C-contiguous array of the same shape that the caller
-    lends (one is allocated when it is None).  In that layout
+    `samples` is only read.  The squared deviations go into `scratch`, a
+    C-contiguous array of the same shape that the caller lends (one is
+    allocated when it is None); in that layout
     ``sqrt(sum((x - mu)**2, axis=0) / n)`` is bit-identical to
-    ``samples.std(axis=0)``.
+    ``samples.std(axis=0)``.  The table reads the LEVELS ranks of each
+    sorted column: `ranked`, (len(LEVELS), horizon), when the caller has
+    them, else a transposed copy in `scratch` sorted along its contiguous
+    axis (`_sort_draws`).  `mu`, when given, is ``samples.mean(axis=0)``
+    computed by the caller.  Sorting picks values, not positions, so the
+    table does not depend on the layout in which it was sorted.
     """
     n, horizon = samples.shape
-    mu = samples.mean(axis=0)
+    if mu is None:
+        mu = samples.mean(axis=0)
     if samples.strides[0] == 0 and np.all(np.abs(samples[0] - mu) < SIGMA_FLOOR / 2):
         return BoundStats(mu=mu, sigma=np.zeros(horizon), table=_zero_table(horizon))
     work = np.subtract(samples, mu, out=scratch)
@@ -152,13 +185,24 @@ def _column_stats(samples: np.ndarray, scratch: np.ndarray | None = None) -> Bou
     sigma = np.sqrt(work.sum(axis=0) / n)
     live = sigma >= SIGMA_FLOOR
     sigma[~live] = 0.0
+    if ranked is None:
+        # normalizing is monotone, so sorting first picks the same ranks
+        ranked = _sort_draws(samples, work.reshape(horizon, n))[:, _ranks(n)].T
     table = np.zeros((LEVELS.size, horizon))
-    ranks = np.minimum(np.ceil(LEVELS * n).astype(int), n) - 1
-    # normalizing is monotone, so sorting first picks the same ranks
-    np.copyto(work, samples)
-    work.sort(axis=0)
-    table[:, live] = (work[ranks][:, live] - mu[live]) / sigma[live]
+    table[:, live] = (ranked[:, live] - mu[live]) / sigma[live]
     return BoundStats(mu=mu, sigma=sigma, table=table)
+
+
+def _ratings(dev, base_c: np.ndarray, base_d: np.ndarray,
+             p_c_max: np.ndarray | None = None, p_d_max: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """A thermal unit's power ratings at baseline draws: the charge rating
+    ``clip(p_max - base_c, 0)`` into `p_c_max`, then the discharge rating
+    ``clip(base_d - p_min, 0)`` into `p_d_max` (which may be `base_d`)."""
+    p_c_max = np.subtract(dev.p_max, base_c, out=p_c_max)
+    np.clip(p_c_max, 0.0, None, out=p_c_max)
+    p_d_max = np.subtract(base_d, dev.p_min, out=p_d_max)
+    np.clip(p_d_max, 0.0, None, out=p_d_max)
+    return p_c_max, p_d_max
 
 
 def tcl_baseline_bound_samples(dev, params: GesParams, base: np.ndarray,
@@ -176,10 +220,7 @@ def tcl_baseline_bound_samples(dev, params: GesParams, base: np.ndarray,
     Elementwise, so `dev` and `params` may hold fields stacked over a run of
     units (`_stacked`) against a (units, n, horizon) `base`.
     """
-    p_c_max = np.subtract(dev.p_max, base, out=p_c_max)
-    np.clip(p_c_max, 0.0, None, out=p_c_max)
-    p_d_max = np.subtract(base, dev.p_min, out=p_d_max)
-    np.clip(p_d_max, 0.0, None, out=p_d_max)
+    p_c_max, p_d_max = _ratings(dev, base, base, p_c_max, p_d_max)
     row = lambda v: np.asarray(v, dtype=float)  # noqa: E731
     return {
         "p_c_max": p_c_max,
@@ -250,6 +291,7 @@ def sample_bounds(
     n: int,
     states: Sequence[np.ndarray],
     workspace: Sequence[np.ndarray] | None = None,
+    sorted_base: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """`n` draws of the storage parameters of a run of units under
     identification and baseline noise: the one sampler of the DIU model.
@@ -261,9 +303,14 @@ def sample_bounds(
     varies by draw and (units, 1, horizon) where it does not; the ratings
     are always (units, n, horizon), read-only broadcasts of the rows in a
     noise-free run.  Per unit and draw, the values do not depend on which
-    run the unit is sampled in.  With a `workspace` of two (units, n,
-    horizon) buffers the baseline draws and the ratings of the thermal fast
-    path are written into them.
+    run the unit is sampled in.  With a `workspace` of two C-contiguous
+    (units, n, horizon) buffers the thermal fast path writes into them: the
+    uniforms (as (units, horizon, n) rows) and then the charge rating into
+    the second, the baseline draws and then the discharge rating into the
+    first.  Given `sorted_base`, a C-contiguous (units, horizon, n) buffer,
+    the fast path also writes each step's baseline draws into it in
+    ascending order (`_sort_draws`) before the discharge rating overwrites
+    them; the other branches leave it alone.
     """
     k = len(run)
     branch = sampler_branch(run[0].dev, run[0].unit_dists, run[0].baseline_dist)
@@ -275,7 +322,10 @@ def sample_bounds(
         return out
     if branch == "tcl":
         buffers = (None, None) if workspace is None else workspace[:2]
-        base = dist.sample_blocks([m.baseline_dist for m in run], n, states, out=buffers[0])
+        uniforms = None if buffers[1] is None else buffers[1].reshape(k, horizon, n)
+        base = dist.sample_blocks([m.baseline_dist for m in run], n, states, out=buffers[0], uniforms=uniforms)
+        if sorted_base is not None:
+            _sort_draws(base, sorted_base)
         # nothing reads the baseline draws after the discharge rating
         return tcl_baseline_bound_samples(_stacked([m.dev for m in run], ("p_max", "p_min")),
                                           _stacked([m.params for m in run], _ROWS),
@@ -316,7 +366,8 @@ def propagate_diu(
     per step for the baseline power draw.  The statistics do not depend on
     a violation level: the chance rows read quantiles from the table.
     `workspace`, from `new_workspace(n, horizon)`, is scratch that the call
-    overwrites; the statistics are bit-identical with or without it.
+    overwrites (see the module docstring for what it holds when); the
+    statistics are bit-identical with or without it.
     `states` (the unit's block of `unit_states` at `seed`) and `params`
     (``map_device_to_ges(dev, dt, horizon)``) are computed here when a
     caller that has them for many units does not pass them.
@@ -334,12 +385,31 @@ def propagate_diu(
         states = unit_states(seed, [(dev.unit_id, unit_dists, baseline_dist)], horizon)[0]
     if params is None:
         params = map_device_to_ges(dev, dt, horizon)
+    if workspace is None:
+        workspace = new_workspace(n, horizon)
+    scratch = workspace[2]
+    fast = sampler_branch(dev, unit_dists, baseline_dist) == "tcl"
     samples = sample_bounds([RunMember(dev, params, unit_dists, baseline_dist)], dt, horizon, n, [states],
-                            None if workspace is None else workspace[:2, None])
-    scratch = None if workspace is None else workspace[2]
+                            workspace[:2, None], sorted_base=scratch.reshape(1, horizon, n) if fast else None)
+    ranked = {}
+    if fast:
+        # p_c_max falls and p_d_max rises with the baseline draw b, so rank r
+        # of p_c_max is the rating of b's rank n-1-r, and rank r of p_d_max
+        # that of b's rank r: one sort gives both, read before `scratch`
+        # takes the deviations
+        order, ranks = scratch.reshape(horizon, n), _ranks(n)
+        ranked["p_c_max"], ranked["p_d_max"] = _ratings(dev, order[:, n - 1 - ranks].T, order[:, ranks].T)
+    draws = {kind: np.broadcast_to(samples[kind][0], (n, horizon)) for kind in BOUND_KINDS}
+    # the rows shared by all draws are averaged in one call: a stride-0
+    # axis sums in order, so each row's mean keeps the bits of its own call
+    invariant = [kind for kind in BOUND_KINDS if draws[kind].strides[0] == 0]
+    mus = {}
+    if invariant:
+        rows = np.concatenate([draws[kind][0] for kind in invariant])
+        mus = dict(zip(invariant, np.split(np.broadcast_to(rows, (n, rows.size)).mean(axis=0), len(invariant))))
     return UnitBoundStats(
         unit_id=dev.unit_id,
-        **{kind: _column_stats(np.broadcast_to(samples[kind][0], (n, horizon)), scratch)
+        **{kind: _column_stats(draws[kind], scratch, mu=mus.get(kind), ranked=ranked.get(kind))
            for kind in BOUND_KINDS},
     )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -154,15 +154,18 @@ def _step_rows(path: Path, table, keys: tuple[str, ...], horizon: int, ok: np.nd
 
 
 def read_steps(path: Path, keys: tuple[str, ...], columns: tuple[str, ...], horizon: int,
-               issues: list[str]) -> dict[tuple[str, ...], np.ndarray | None] | None:
+               issues: list[str], optional: tuple[str, ...] = ()) -> dict[tuple[str, ...], np.ndarray | None] | None:
     """Read a step table (cells `keys`, an integer step `t`, numbers `columns`):
     per key tuple a `(len(columns), horizon)` array, or None if a row of the key
-    has a problem; None for a header that lacks a column.  Problems go to `issues`."""
-    table = read_table(path, (*keys, "t"), columns, issues)
+    has a problem; None for a header that lacks a column.  An `optional` column
+    may be missing or hold blank cells, which read as NaN (`read_table`).
+    Problems go to `issues`."""
+    table = read_table(path, (*keys, "t"), columns, issues, optional)
     if table is None:
         return None
     numbers = np.array([table[c] for c in columns])
-    rows = _step_rows(path, table, keys, horizon, np.isfinite(numbers).all(axis=0), issues)
+    ok = np.isfinite(numbers[[c not in optional for c in columns]]).all(axis=0)
+    rows = _step_rows(path, table, keys, horizon, ok, issues)
     return {key: None if r is None else numbers[:, r] for key, r in rows.items()}
 
 
@@ -176,6 +179,15 @@ def _number(value, name: str, default, issues: list[str], integer: bool = False)
         pass
     issues.append(f"scenario.yaml {name}: not {'an integer' if integer else 'a number'}: {value!r}")
     return default
+
+
+def _mapping(cfg: dict, name: str, issues: list[str]) -> dict:
+    """The `scenario.yaml` block `name`, {} if absent; a block that is not a mapping is an issue, read as {}."""
+    block = cfg.get(name) or {}
+    if isinstance(block, dict):
+        return block
+    issues.append(f"scenario.yaml {name}: not a mapping: {block!r}")
+    return {}
 
 
 def _ident_target(kind: str) -> str:
@@ -234,7 +246,7 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
     if horizon < 1:
         raise ValidationError([*issues, f"horizon must be >= 1, got {horizon}"])
     dt = _number(cfg.get("dt", 1.0), "dt", 1.0, issues)
-    diu_cfg = cfg.get("diu") or {}
+    diu_cfg = _mapping(cfg, "diu", issues)
     n_samples = _number(diu_cfg.get("samples", 10_000), "diu.samples", 10_000, issues, integer=True)
     diu_seed = _number(diu_cfg.get("seed", 0), "diu.seed", 0, issues, integer=True)
 
@@ -323,13 +335,14 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
             price_c=np.full(horizon, row.get("price_c", 0.3)), price_d=np.full(horizon, row.get("price_d", 0.6)),
             unit_dists=unit_dists, baseline_dist=baseline_dist))
 
-    if compute_stats:
-        _propagate_all(units, dt, horizon, n_samples, diu_seed)
-
     window = None
     if cfg.get("dispatch_window") is not None:
         window = np.zeros(horizon, dtype=bool)
-        for t in cfg["dispatch_window"]:
+        steps = cfg["dispatch_window"]
+        if not isinstance(steps, list):
+            issues.append(f"scenario.yaml dispatch_window: not a list of steps: {steps!r}")
+            steps = []
+        for t in steps:
             step = _number(t, "dispatch_window step", 0, issues, integer=True)
             if 0 <= step < horizon:
                 window[step] = True
@@ -337,11 +350,18 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
                 issues.append(f"scenario.yaml: dispatch_window step {t} out of range")
 
     reserve = None
-    if cfg.get("reserve"):
+    reserve_cfg = _mapping(cfg, "reserve", issues)
+    if reserve_cfg:
         try:
-            reserve = ReserveSpec(**cfg["reserve"])
+            reserve = ReserveSpec(**reserve_cfg)
         except TypeError as exc:
             issues.append(f"scenario.yaml reserve: {exc}")
+        else:
+            for f in fields(ReserveSpec):
+                value = getattr(reserve, f.name)
+                if f.name != "mode" and value is not None:
+                    setattr(reserve, f.name, _number(value, f"reserve.{f.name}", f.default, issues))
+            issues += [f"scenario.yaml reserve: {issue}" for issue in reserve.validate()]
 
     try:
         nu = cfg.get("shape_nu")
@@ -372,6 +392,8 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
         issues.extend(exc.issues)
     if issues:
         raise ValidationError(issues)
+    if compute_stats:
+        _propagate_all(units, dt, horizon, n_samples, diu_seed)
     return bundle
 
 

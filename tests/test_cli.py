@@ -1,6 +1,7 @@
 """Command-line surface: delegation, end-to-end runs, determinism."""
 
 import csv
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -372,6 +373,23 @@ def test_unknown_grid_mode_exits_2(tmp_path, capsys, command, modes):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("block", ["reserve: {mode: S1, p_lo: x}", "reserve: {p_lo: 2.0, p_hi: 1.0}",
+                                   "diu: 5", "dispatch_window: 5"])
+def test_a_bad_scenario_yaml_block_exits_2(tmp_path, capsys, block):
+    scn = tmp_path / "scn"
+    shutil.copytree(SMOKE, scn)
+    lines = (scn / "scenario.yaml").read_text().splitlines()
+    if block.startswith("diu:"):
+        lines = [line for line in lines if line != "diu:" and not line.startswith(" ")]
+    (scn / "scenario.yaml").write_text("\n".join([*lines, block]) + "\n")
+    out = tmp_path / "x"
+    code = main(["reserve", "--scenario", str(scn), "--gammas", "0.05", "--modes", "S1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("invalid input:") and block.split(":")[0] in err
+    assert not out.exists()
+
+
 def test_mismatched_strategy_message_caps_the_unit_list(tmp_path, capsys):
     strat = tmp_path / "s"
     assert main(["solve", "--scenario", SMOKE, "--mode", "M2", "--out", str(strat)]) == 0
@@ -408,8 +426,10 @@ def _with_cell(line: str, j: int, text: str) -> str:
      "summary.yaml: missing or bad value: 'gamma'"),
     ("summary.yaml", lambda lines: ["objective: abc" if line.startswith("objective:") else line for line in lines],
      "summary.yaml: missing or bad value: could not convert string to float: 'abc'"),
+    ("strategy_units.csv", lambda lines: [lines[0], _with_cell(lines[1], 6, "1.5"), *lines[2:]],
+     "strategy_units.csv: unit bes1 has reserve values, but summary.yaml has no reserve block"),
 ], ids=["system-short", "system-repeated", "no-column", "not-a-number", "nan", "fractional-step", "repeated-row",
-        "summary-without-gamma", "summary-objective-not-a-number"])
+        "summary-without-gamma", "summary-objective-not-a-number", "reserve-without-a-reserve-block"])
 def test_evaluate_of_a_damaged_strategy_exits_2(tmp_path, capsys, name, edit, message):
     strat = tmp_path / "s"
     assert main(["solve", "--scenario", SMOKE, "--mode", "M2", "--out", str(strat)]) == 0
@@ -420,6 +440,23 @@ def test_evaluate_of_a_damaged_strategy_exits_2(tmp_path, capsys, name, edit, me
     assert code == 2
     assert err.startswith("invalid input:") and message in err
     assert "no schedule" not in err
+    assert not rep.exists()
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("", "strategy_units.csv: unit bes1 has no reserve for step(s) 0"),
+    ("nan", "strategy_units.csv row 0 reserve: not a finite number: 'nan'"),
+], ids=["blank", "nan"])
+def test_a_reserve_strategy_needs_every_reserve_cell(tmp_path, capsys, cell, message):
+    strat = tmp_path / "s"
+    assert main(["solve", "--scenario", SMOKE, "--reserve", "S1", "--out", str(strat)]) == 0
+    lines = (strat / "strategy_units.csv").read_text().splitlines()
+    (strat / "strategy_units.csv").write_text("\n".join([lines[0], _with_cell(lines[1], 6, cell), *lines[2:]]) + "\n")
+    rep = tmp_path / "r"
+    code = main(["evaluate", "--scenario", SMOKE, "--strategy", str(strat), "--draws", "50", "--out", str(rep)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("invalid input:") and message in err
     assert not rep.exists()
 
 
@@ -439,5 +476,12 @@ def test_read_strategy_returns_the_written_strategy(request, tmp_path, fixture):
                          (got.schedules[uid].soc, s.soc), (got.rd[uid], want.rd[uid])):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (cfg, uid)
         assert got.grid_import.tobytes() == want.grid_import.tobytes()
+        if want.reserve_schedule is None:
+            assert got.reserve_schedule is None, cfg
+        else:
+            assert got.reserve_schedule.keys() == want.reserve_schedule.keys(), cfg
+            for uid, rs in want.reserve_schedule.items():
+                assert got.reserve_schedule[uid].tobytes() == rs.tobytes(), (cfg, uid)
+        assert got.reserve_diag == want.reserve_diag, cfg
         assert got.objective_value == want.objective_value
         assert got.metadata == replace(want.metadata, trace=[])

@@ -299,6 +299,27 @@ def test_column_stats_equal_the_reference_bit_for_bit(scale, n):
         assert np.any(_column_stats(np.broadcast_to(row, (n, T))).sigma > 0)
 
 
+@pytest.mark.parametrize("n", [1, 7, 4000])
+def test_thermal_statistics_equal_the_reference_of_the_mapped_draws(n):
+    # baseline draws on both sides of p_min and of p_max: both ratings clip at zero
+    dev = tcl_device(p_min=2.0, p_max=6.0)
+    baseline = [DistributionSpec.lognormal(math.log(1.5 + 0.25 * t), 0.6) for t in range(T)]
+    states = unit_states(3, [(dev.unit_id, {}, baseline)], T)[0]
+    got = propagate_diu({}, dev, baseline, 1.0, T, n=n, seed=3)
+    base = sample_columns(baseline, n, states)
+    params = map_device_to_ges(dev, 1.0, T)
+    draws = {"p_c_max": np.clip(dev.p_max - base, 0.0, None), "p_d_max": np.clip(base - dev.p_min, 0.0, None),
+             "soc_lo": np.broadcast_to(params.soc_lo, (n, T)), "soc_hi": np.broadcast_to(params.soc_hi, (n, T)),
+             "alpha": np.broadcast_to(params.alpha, (n, T))}
+    if n == 4000:
+        assert (draws["p_c_max"] == 0).any() and (draws["p_d_max"] == 0).any()
+        assert (draws["p_c_max"] > 0).any() and (draws["p_d_max"] > 0).any()
+    for kind, samples in draws.items():
+        stats = got.get(kind)
+        for a, b in zip((stats.mu, stats.sigma, stats.table), reference_column_stats(samples)):
+            assert a.tobytes() == b.tobytes(), kind
+
+
 def test_draw_invariant_rows_share_one_read_only_zero_table(tcl100):
     tables = [u.stats.get(kind).table for u in tcl100.units for kind in ("soc_lo", "soc_hi", "alpha")]
     shared = tables[0]

@@ -172,11 +172,20 @@ def _cell(row, column, value):
      "scenario.yaml gamma: not a number: 'x'"),
     ("scenario.yaml", lambda lines: [*lines, "dispatch_window: [1.5, 3]"],
      "scenario.yaml dispatch_window step: not an integer: 1.5"),
+    ("scenario.yaml", lambda lines: ["diu: 5" if line == "diu:" else line for line in lines if not line.startswith(" ")],
+     "scenario.yaml diu: not a mapping: 5"),
+    ("scenario.yaml", lambda lines: [*lines, "dispatch_window: 5"],
+     "scenario.yaml dispatch_window: not a list of steps: 5"),
+    ("scenario.yaml", lambda lines: [*lines, "reserve: {mode: S1, p_lo: x}"],
+     "scenario.yaml reserve.p_lo: not a number: 'x'"),
+    ("scenario.yaml", lambda lines: [*lines, "reserve: {mode: S3, p_lo: 2.0, p_hi: 1.0}"],
+     "scenario.yaml reserve: reserve mode must be S1 or S2, got 'S3'"),
 ], ids=["t-not-a-number", "fractional-step", "repeated-row", "missing-step", "off-horizon", "infinite",
         "unknown-unit", "unknown-field", "no-column", "timeseries-missing-step", "timeseries-repeated-step",
         "timeseries-nan-tou-price", "units-nan-p_c_rating", "units-infinite-price_d", "units-not-a-number",
         "ddu-repeated-unit", "ddu-unknown-unit", "yaml-horizon-not-a-number", "yaml-zero-horizon",
-        "yaml-samples-not-a-number", "yaml-gamma-not-a-number", "yaml-fractional-window-step"])
+        "yaml-samples-not-a-number", "yaml-gamma-not-a-number", "yaml-fractional-window-step",
+        "yaml-diu-not-a-mapping", "yaml-window-not-a-list", "yaml-reserve-not-a-number", "yaml-reserve-bad-mode"])
 def test_bad_unit_series_lists_the_problem(tmp_path, name, edit, message):
     dst = tmp_path / "broken"
     shutil.copytree(FIXTURES / "smoke3", dst)
