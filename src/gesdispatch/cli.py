@@ -27,7 +27,7 @@ import yaml
 
 from . import __version__
 from .cantelli import ShapeClass, cantelli_bound, parse_shape
-from .errors import GesDispatchError, InfeasibleBounds, ValidationError, first_few
+from .errors import GesDispatchError, InfeasibleBounds, InvalidSpec, ValidationError, first_few
 from .ges import UnitSchedule
 from .optimizer import (
     DispatchStrategy,
@@ -66,9 +66,28 @@ class RunConfig:
     reserve: str = "none"
     out: str = "out"
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        """Reject bad options, listing every one; needs no scenario, so it runs before one is loaded."""
+        issues = []
         if self.reformulation == "R2" and self.model_mode != "M3":
-            raise ValidationError(["R2 requires model mode M3"])
+            issues.append("R2 requires model mode M3")
+        kind = None
+        if self.shape is not None:
+            try:
+                kind = parse_shape(self.shape).kind
+            except InvalidSpec as exc:
+                issues.append(f"--shape: {exc}")
+        if self.shape_nu is not None:
+            if kind != "student_t":
+                issues.append("--nu: only the student_t shape class (--shape t) takes a nu")
+            elif not (math.isfinite(self.shape_nu) and self.shape_nu > 2.0):
+                issues.append(f"--nu: {self.shape_nu} must be a finite number above 2")
+        if not self.delta > 0:
+            issues.append(f"--delta: {self.delta} must be > 0")
+        if self.max_iter < 1:
+            issues.append(f"--max-iter: {self.max_iter} must be >= 1")
+        if issues:
+            raise ValidationError(issues)
 
 
 def _parse_window(text: str, horizon: int) -> np.ndarray:
@@ -257,7 +276,7 @@ def write_report(out: Path, report) -> None:
 
 
 def _cfg_from_args(args) -> RunConfig:
-    cfg = RunConfig(
+    return RunConfig(
         model_mode=args.mode, reformulation=args.reform, shape=args.shape,
         shape_nu=args.nu, gamma=args.gamma, gamma_balance=args.gamma_balance,
         delta=args.delta, max_iter=args.max_iter,
@@ -265,8 +284,6 @@ def _cfg_from_args(args) -> RunConfig:
         a1=args.a1, a2=args.a2, reserve=args.reserve,
         out=args.out,
     )
-    cfg.validate()
-    return cfg
 
 
 def cmd_solve(args) -> int:
@@ -343,17 +360,16 @@ def _solve_grid(args, choices, config, name: str, columns: list[str], values, ec
     if unknown:
         raise ValidationError([f"--modes: unknown mode {m!r} (choose from {', '.join(choices)})"
                                for m in unknown])
+    configs = [(gamma, mode, config(gamma, mode)) for gamma in gammas for mode in modes]  # each checks itself
     base = load_scenario(args.scenario)
+    # every cell's scenario is checked before the first solve
+    cells = [(gamma, mode, cfg, _apply_config(base, cfg)) for gamma, mode, cfg in configs]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for gamma in gammas:
-        for mode in modes:
-            cfg = config(gamma, mode)
-            scn = _apply_config(base, cfg)
-            strategy = _dispatch(scn, cfg)
-            rows.append([fmt(gamma), mode, fmt(strategy.objective_value)]
-                        + [fmt(v) for v in values(scn, strategy)])
+    for gamma, mode, cfg, scn in cells:
+        strategy = _dispatch(scn, cfg)
+        rows.append([fmt(gamma), mode, fmt(strategy.objective_value)] + [fmt(v) for v in values(scn, strategy)])
     write_table(out / name, ["gamma", "mode", "cost_da", *columns], rows)
     write_manifest(out, {"gammas": gammas, "modes": modes, **echo}, args.scenario)
     print(f"{len(rows)} rows -> {out / name}")

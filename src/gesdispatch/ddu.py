@@ -76,10 +76,11 @@ class DduSpec:
 # Response discomfort
 
 
-def rating_refs(params: GesParams) -> tuple:
-    """Time-averaged power ratings used to normalize response intensity; one
-    per unit when `params` holds rating series stacked over units, (units, T)."""
-    return np.mean(params.p_c_max, axis=-1), np.mean(params.p_d_max, axis=-1)
+def rating_refs(p_c_max, p_d_max) -> tuple:
+    """Time-averaged power ratings used to normalize response intensity: the
+    mean of each rating series over its last axis (the steps), so one per
+    unit, or per unit and draw, for ratings stacked over leading axes."""
+    return np.mean(p_c_max, axis=-1), np.mean(p_d_max, axis=-1)
 
 
 def response_discomfort(sched: UnitSchedule, params: GesParams, spec: DduSpec, t: int) -> float:
@@ -89,7 +90,7 @@ def response_discomfort(sched: UnitSchedule, params: GesParams, spec: DduSpec, t
 
 def response_discomfort_series(sched: UnitSchedule, params: GesParams, spec: DduSpec) -> np.ndarray:
     """Vector of discomfort values over the whole horizon."""
-    pc_ref, pd_ref = rating_refs(params)
+    pc_ref, pd_ref = rating_refs(params.p_c_max, params.p_d_max)
     return discomfort(sched, pc_ref, pd_ref, params.soc_baseline_avg, params.deadband, spec)
 
 
@@ -127,20 +128,35 @@ def discomfort(sched: UnitSchedule, pc_ref, pd_ref, avg, deadband, spec: DduSpec
 
 
 # ---------------------------------------------------------------------------
-# Expansion anchor and contraction distribution
+# Bound ends, expansion anchor and contraction distribution
+
+
+def bound_ends(side: str, soc_bound, phys, avg, deadband) -> tuple:
+    """The fixed ends of one side ("upper" or "lower") of the realized SoC
+    bound: the identified bound `soc_bound` clipped to the physical one
+    `phys`, and the comfort edge ``avg +/- deadband / 2`` clipped to that.
+    Elementwise; the LP rows pass bound means, the evaluator draws."""
+    if side == "upper":
+        identified = np.minimum(soc_bound, phys)
+        return identified, np.minimum(avg + deadband / 2.0, identified)
+    identified = np.maximum(soc_bound, phys)
+    return identified, np.maximum(avg - deadband / 2.0, identified)
+
+
+def expansion_fraction(price, spec: DduSpec, level):
+    """The price-driven expansion factor G at quantile `level`: a normal with
+    mean price / c_bar and spread sigma_g, truncated to [0, 1]; elementwise,
+    also over `spec` fields stacked over units, (units, 1)."""
+    return dist.truncnorm_quantile(np.asarray(price, dtype=float) / spec.c_bar, spec.sigma_g, 0.0, 1.0, level)
 
 
 def expansion_anchor(diu_bound, phys_bound, price, spec: DduSpec):
-    """Price-expanded bound between the identified and physical values.
-
-    The expansion fraction is the q_g_level-quantile of a normal with mean
-    price / c_bar, truncated to [0, 1] so the anchor never leaves the
-    physical range.  Elementwise over arrays of bounds and prices, and over
-    `spec` fields stacked over units, (units, 1).
+    """Price-expanded bound between the identified and physical values, at
+    the q_g_level-quantile of the expansion factor, which lies in [0, 1] so
+    the anchor never leaves the physical range.  Elementwise over arrays of
+    bounds and prices, and over `spec` fields stacked over units, (units, 1).
     """
-    q_g = dist.truncnorm_quantile(np.asarray(price, dtype=float) / spec.c_bar, spec.sigma_g,
-                                  0.0, 1.0, spec.q_g_level)
-    anchor = diu_bound + (phys_bound - diu_bound) * q_g
+    anchor = diu_bound + (phys_bound - diu_bound) * expansion_fraction(price, spec, spec.q_g_level)
     return anchor if np.ndim(anchor) else float(anchor)
 
 
@@ -288,12 +304,3 @@ def ddu_bound_distribution(
     mu = anchor + gap * dist.mean(h)
     sigma = abs(gap) * dist.std(h)
     return RealizedBound(side=side, anchor=anchor, comfort=comfort_bound, h=h, mean=mu, sigma=sigma)
-
-
-def comfort_bounds(params: GesParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step comfort band: baseline average plus/minus half the deadband.
-    Elementwise, so `params` may hold fields stacked over units."""
-    half = params.deadband / 2.0
-    lo = params.soc_baseline_avg - half
-    hi = params.soc_baseline_avg + half
-    return np.clip(lo, params.soc_phys_lo, None), np.clip(hi, None, params.soc_phys_hi)

@@ -48,7 +48,7 @@ import numpy as np
 from . import distributions as dist
 from .distributions import DistributionSpec
 from .errors import InvalidSpec
-from .ges import TCL_KINDS, DeviceDescription, GesParams, map_device_to_ges
+from .ges import TCL_KINDS, DeviceDescription, GesParams, map_device_to_ges, thermal_ratings
 
 #: below this spread a bound is treated as deterministic
 SIGMA_FLOOR = 1e-9
@@ -63,6 +63,11 @@ LEVELS = np.arange(1, 100) / 100.0
 
 #: tolerance beyond a tabulated level within which a request still uses it
 LEVEL_SLACK = 1e-9
+
+
+def tabulated(level: float) -> bool:
+    """Whether `BoundStats.inv_cdf` can read `level` (LEVELS is symmetric: gamma and 1 - gamma alike)."""
+    return LEVELS[0] - LEVEL_SLACK <= level <= LEVELS[-1] + LEVEL_SLACK
 
 
 @dataclass
@@ -83,11 +88,9 @@ class BoundStats:
         """
         if self.table is None:
             return np.zeros_like(self.mu)
-        if not LEVELS[0] - LEVEL_SLACK <= level <= LEVELS[-1] + LEVEL_SLACK:
-            raise InvalidSpec(
-                f"quantile level {level} is outside the tabulated levels "
-                f"[{LEVELS[0]}, {LEVELS[-1]}]; the smallest supported gamma is {LEVELS[0]:.2f}"
-            )
+        if not tabulated(level):
+            raise InvalidSpec(f"quantile level {level} is outside the tabulated levels [{LEVELS[0]}, {LEVELS[-1]}], "
+                              f"so gamma must lie in [{LEVELS[0]}, {LEVELS[-1]}]")
         if level < 0.5:
             return self.table[int(np.searchsorted(LEVELS, level + LEVEL_SLACK, side="right")) - 1]
         return self.table[int(np.searchsorted(LEVELS, level - LEVEL_SLACK))]
@@ -193,18 +196,6 @@ def _column_stats(samples: np.ndarray, scratch: np.ndarray | None = None,
     return BoundStats(mu=mu, sigma=sigma, table=table)
 
 
-def _ratings(dev, base_c: np.ndarray, base_d: np.ndarray,
-             p_c_max: np.ndarray | None = None, p_d_max: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """A thermal unit's power ratings at baseline draws: the charge rating
-    ``clip(p_max - base_c, 0)`` into `p_c_max`, then the discharge rating
-    ``clip(base_d - p_min, 0)`` into `p_d_max` (which may be `base_d`)."""
-    p_c_max = np.subtract(dev.p_max, base_c, out=p_c_max)
-    np.clip(p_c_max, 0.0, None, out=p_c_max)
-    p_d_max = np.subtract(base_d, dev.p_min, out=p_d_max)
-    np.clip(p_d_max, 0.0, None, out=p_d_max)
-    return p_c_max, p_d_max
-
-
 def tcl_baseline_bound_samples(dev, params: GesParams, base: np.ndarray,
                                p_c_max: np.ndarray | None = None,
                                p_d_max: np.ndarray | None = None) -> dict[str, np.ndarray]:
@@ -220,24 +211,16 @@ def tcl_baseline_bound_samples(dev, params: GesParams, base: np.ndarray,
     Elementwise, so `dev` and `params` may hold fields stacked over a run of
     units (`_stacked`) against a (units, n, horizon) `base`.
     """
-    p_c_max, p_d_max = _ratings(dev, base, base, p_c_max, p_d_max)
-    row = lambda v: np.asarray(v, dtype=float)  # noqa: E731
-    return {
-        "p_c_max": p_c_max,
-        "p_d_max": p_d_max,
-        "soc_lo": row(params.soc_lo),
-        "soc_hi": row(params.soc_hi),
-        "alpha": row(params.alpha),
-        "avg": row(params.soc_baseline_avg),
-        "deadband": row(params.deadband),
-    }
+    p_c_max, p_d_max = thermal_ratings(dev.p_max, dev.p_min, base, base, p_c_max, p_d_max)
+    rows = {key: np.asarray(getattr(params, attr), dtype=float) for key, attr in _SAMPLED.items() if attr in _ROWS}
+    return {"p_c_max": p_c_max, "p_d_max": p_d_max, **rows}
 
 
 #: sampled per-step keys and the GesParams attribute each one reads
 _SAMPLED = {"p_c_max": "p_c_max", "p_d_max": "p_d_max", "soc_lo": "soc_lo", "soc_hi": "soc_hi",
             "alpha": "alpha", "avg": "soc_baseline_avg", "deadband": "deadband"}
-#: the GesParams rows that the thermal fast path shares by all draws
-_ROWS = ("soc_lo", "soc_hi", "alpha", "soc_baseline_avg", "deadband")
+#: the GesParams rows that the thermal fast path shares by all draws: all but the ratings
+_ROWS = tuple(attr for key, attr in _SAMPLED.items() if key not in ("p_c_max", "p_d_max"))
 
 
 def unit_states(seed: int, units: Sequence[tuple[str, dict, list | None]], horizon: int,
@@ -398,7 +381,8 @@ def propagate_diu(
         # that of b's rank r: one sort gives both, read before `scratch`
         # takes the deviations
         order, ranks = scratch.reshape(horizon, n), _ranks(n)
-        ranked["p_c_max"], ranked["p_d_max"] = _ratings(dev, order[:, n - 1 - ranks].T, order[:, ranks].T)
+        ranked["p_c_max"], ranked["p_d_max"] = thermal_ratings(dev.p_max, dev.p_min, order[:, n - 1 - ranks].T,
+                                                               order[:, ranks].T)
     draws = {kind: np.broadcast_to(samples[kind][0], (n, horizon)) for kind in BOUND_KINDS}
     # the rows shared by all draws are averaged in one call: a stride-0
     # axis sums in order, so each row's mean keeps the bits of its own call

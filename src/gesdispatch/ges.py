@@ -169,6 +169,17 @@ class ComplementarityWarning(UserWarning):
 # ---------------------------------------------------------------------------
 
 
+def thermal_ratings(p_max, p_min, base_c, base_d, p_c_max: np.ndarray | None = None,
+                    p_d_max: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """A thermal unit's power ratings at baseline power draws: the charge
+    rating ``clip(p_max - base_c, 0)`` into `p_c_max`, then the discharge
+    rating ``clip(base_d - p_min, 0)`` into `p_d_max` (which may be `base_d`).
+    Elementwise; new arrays where no buffer is given."""
+    p_c_max = np.subtract(p_max, base_c, out=p_c_max)
+    p_d_max = np.subtract(base_d, p_min, out=p_d_max)
+    return np.clip(p_c_max, 0.0, None, out=p_c_max), np.clip(p_d_max, 0.0, None, out=p_d_max)
+
+
 def map_device_to_ges(dev: DeviceDescription, dt: float, horizon: int) -> GesParams:
     """Translate a device description into generic-storage parameters."""
     dev.validate()
@@ -190,8 +201,7 @@ def map_device_to_ges(dev: DeviceDescription, dt: float, horizon: int) -> GesPar
         if not (math.isfinite(s_cap) and s_cap > 0 and 0.0 < eps < 1.0):
             raise NonFiniteResult(f"{dev.unit_id}: degenerate TCL mapping (eps={eps}, S={s_cap})")
         p_base = _series(dev.baseline_power if dev.baseline_power is not None else 0.0, horizon, "baseline_power")
-        p_c_max = np.clip(dev.p_max - p_base, 0.0, None)
-        p_d_max = np.clip(p_base - dev.p_min, 0.0, None)
+        p_c_max, p_d_max = thermal_ratings(dev.p_max, dev.p_min, p_base, p_base)
         soc_lo = (t_ref_hi - t_hi) / span
         soc_hi = (t_ref_hi - t_lo) / span
         if dev.soc_baseline is not None:

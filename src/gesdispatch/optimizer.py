@@ -14,7 +14,6 @@ Three model levels share one LP skeleton:
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
@@ -24,18 +23,13 @@ import numpy as np
 
 from . import distributions as dist
 from .cantelli import cantelli_bound
-from .ddu import comfort_bounds, discomfort, expansion_anchor, rating_refs, standardized_h_quantile
+from .ddu import bound_ends, discomfort, expansion_anchor, rating_refs, standardized_h_quantile
 from .distributions import DistributionSpec
 from .diu import UnitBoundStats, analytic_series_stats
-from .errors import (
-    InfeasibleBounds,
-    MaxIterationsExceeded,
-    NonTighteningCoefficient,
-    NumericalFailure,
-)
+from .errors import InfeasibleBounds, MaxIterationsExceeded, NumericalFailure
 from .ges import UnitSchedule, aggregate_fleet
 from .lp import LpProblem, LpSolution, OPTIMAL, solve_lp
-from .scenario import ScenarioBundle, UnitSpec
+from .scenario import ScenarioBundle, UnitSpec, runs
 
 
 @dataclass
@@ -86,15 +80,6 @@ def _stack(values) -> np.ndarray:
 def _fields(objs, names, **fixed) -> SimpleNamespace:
     """The named fields of `objs`, stacked, for the elementwise functions of `ddu`."""
     return SimpleNamespace(**{n: _stack([getattr(o, n) for o in objs]) for n in names}, **fixed)
-
-
-def _runs(keys):
-    """(key, slice) of each maximal run of equal consecutive `keys`."""
-    start = 0
-    for key, group in itertools.groupby(keys):
-        stop = start + sum(1 for _ in group)
-        yield key, slice(start, stop)
-        start = stop
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +138,7 @@ def _build_skeleton(scn: ScenarioBundle, soc_bounds: tuple | None = None) -> LpP
     eq.set_rhs("dyn", _stack([s.alpha.mu for s in stats]) + keep * initial)
     eq.add("sustain", soc[:, -1:], 1.0).set_rhs("sustain", p.soc_init)
     ramps = {"rampup": ("<=", p.soc_ramp_up), "rampdn": (">=", -p.soc_ramp_dn)}
-    for finite, run in _runs(zip(*(np.isfinite(limit[:, 0]) for _, limit in ramps.values()))):
+    for finite, run in runs(zip(*(np.isfinite(limit[:, 0]) for _, limit in ramps.values()))):
         families = {f: sense for (f, (sense, _)), on in zip(ramps.items(), finite) if on}
         if families:
             block = prob.add_rows(uids[run], families, horizon)
@@ -207,27 +192,20 @@ def build_cco_diu(scn: ScenarioBundle) -> LpProblem:
 DduRowData = namedtuple("DduRowData", "q_up q_lo slope_up slope_lo sigma_up sigma_lo")
 
 
-def ddu_row_data(units: list[UnitSpec], horizon: int) -> DduRowData:
+def ddu_row_data(units: list[UnitSpec]) -> DduRowData:
     p = _fields([u.params for u in units], ("soc_phys_lo", "soc_phys_hi", "soc_baseline_avg", "deadband"))
     spec = _fields([u.ddu for u in units], ("sigma_g", "sigma_h", "beta_up", "beta_lo", "c_bar", "q_g_level"))
     stats = [_unit_stats(u) for u in units]
-    c_lo, c_hi = comfort_bounds(p)
-    diu_hi = np.minimum(_stack([s.soc_hi.mu[:horizon] for s in stats]), p.soc_phys_hi)
-    diu_lo = np.maximum(_stack([s.soc_lo.mu[:horizon] for s in stats]), p.soc_phys_lo)
-    q_up = expansion_anchor(diu_hi, p.soc_phys_hi, _stack([u.price_c[:horizon] for u in units]), spec)
-    q_lo = expansion_anchor(diu_lo, p.soc_phys_lo, _stack([u.price_d[:horizon] for u in units]), spec)
-    gap_up = np.minimum(c_hi[:, :horizon], diu_hi) - q_up
-    gap_lo = np.maximum(c_lo[:, :horizon], diu_lo) - q_lo
-    slope_up = gap_up * spec.beta_up
-    slope_lo = gap_lo * spec.beta_lo
-    widening = np.argwhere((slope_up > 1e-12) | (slope_lo < -1e-12))
-    if widening.size:
-        i, t = widening[0]
-        raise NonTighteningCoefficient(
-            f"unit {units[i].unit_id} t={t}: discomfort would widen a SoC bound "
-            f"(upper slope {slope_up[i, t]}, lower slope {slope_lo[i, t]})"
-        )
-    return DduRowData(q_up, q_lo, slope_up, slope_lo,
+    diu_hi, c_hi = bound_ends("upper", _stack([s.soc_hi.mu for s in stats]), p.soc_phys_hi,
+                              p.soc_baseline_avg, p.deadband)
+    diu_lo, c_lo = bound_ends("lower", _stack([s.soc_lo.mu for s in stats]), p.soc_phys_lo,
+                              p.soc_baseline_avg, p.deadband)
+    q_up = expansion_anchor(diu_hi, p.soc_phys_hi, _stack([u.price_c for u in units]), spec)
+    q_lo = expansion_anchor(diu_lo, p.soc_phys_lo, _stack([u.price_d for u in units]), spec)
+    # comfort <= identified <= anchor on the upper side (mirrored on the lower)
+    # and beta >= 0, so discomfort never widens a bound: slope_up <= 0 <= slope_lo
+    gap_up, gap_lo = c_hi - q_up, c_lo - q_lo
+    return DduRowData(q_up, q_lo, gap_up * spec.beta_up, gap_lo * spec.beta_lo,
                       np.abs(gap_up) * spec.sigma_h, np.abs(gap_lo) * spec.sigma_h)
 
 
@@ -249,16 +227,16 @@ def build_cco_ddu(
     horizon = scn.horizon
     prob = _build_skeleton(scn) if update is None else update
     uids = [u.unit_id for u in scn.units]
-    rows = ddu_row_data(scn.units, horizon)
+    rows = ddu_row_data(scn.units)
     hi = rows.q_up - f_inv["upper"] * rows.sigma_up
     lo = rows.q_lo + f_inv["lower"] * rows.sigma_lo
     _raise_crossed(scn.units, lo, hi)
     p = _fields([u.params for u in scn.units], ("p_c_max", "p_d_max", "soc_baseline_avg", "deadband"))
-    pc_ref, pd_ref = (ref[:, None] for ref in rating_refs(p))
+    pc_ref, pd_ref = (ref[:, None] for ref in rating_refs(p.p_c_max, p.p_d_max))
     # a run's template: the discomfort variant, and which rating references (intensity terms) are > 0
-    runs = list(_runs(zip((u.ddu.discomfort_variant for u in scn.units), pc_ref[:, 0] > 0, pd_ref[:, 0] > 0)))
+    templates = list(runs(zip((u.ddu.discomfort_variant for u in scn.units), pc_ref[:, 0] > 0, pd_ref[:, 0] > 0)))
     if update is not None:
-        for _, run in runs:
+        for _, run in templates:
             update.set_rhs("socup", uids[run], hi[run])
             update.set_rhs("soclo", uids[run], lo[run])
         return update
@@ -266,7 +244,7 @@ def build_cco_ddu(
     lam = _stack([u.ddu.lam for u in scn.units])
     pc, pd, soc = (prob.columns(kind, uids) for kind in ("pc", "pd", "soc"))
     steps, taus = np.tril_indices(horizon)
-    for (variant, has_pc, has_pd), run in runs:
+    for (variant, has_pc, has_pd), run in templates:
         w = 1.0 if variant == "F1" else lam[run]
         # SoC deviation rows d + soc_coeff * soc >= rhs (F2 outside the deadband, F3 below avg)
         avg, half_db = p.soc_baseline_avg[run], p.deadband[run] / 2.0
@@ -304,9 +282,9 @@ def extract_strategy(scn: ScenarioBundle, prob: LpProblem, sol: LpSolution,
     p = _fields([u.params for u in scn.units], ("soc_init", "p_c_max", "p_d_max", "soc_baseline_avg", "deadband"))
     p_c, p_d, soc = (x[prob.columns(kind, uids)] for kind in ("pc", "pd", "soc"))
     soc = np.hstack((p.soc_init, soc))
-    pc_ref, pd_ref = (ref[:, None] for ref in rating_refs(p))
+    pc_ref, pd_ref = (ref[:, None] for ref in rating_refs(p.p_c_max, p.p_d_max))
     rd = np.empty_like(p_c)
-    for variant, run in _runs(u.ddu.discomfort_variant for u in scn.units):
+    for variant, run in runs(u.ddu.discomfort_variant for u in scn.units):
         spec = _fields([u.ddu for u in scn.units[run]], ("lam",), discomfort_variant=variant)
         rd[run] = discomfort(UnitSchedule(p_c[run], p_d[run], soc[run]), pc_ref[run], pd_ref[run],
                              p.soc_baseline_avg[run], p.deadband[run], spec)
@@ -354,7 +332,7 @@ def _update_f_inv(scn: ScenarioBundle, strategy: DispatchStrategy) -> dict[str, 
     for each run of units whose contraction distributions share parameters."""
     rd = np.stack([strategy.rd[u.unit_id] for u in scn.units])
     out = {side: np.empty_like(rd) for side in ("upper", "lower")}
-    for _, run in _runs((u.ddu.h_family, u.ddu.sigma_h, u.ddu.beta_up, u.ddu.beta_lo) for u in scn.units):
+    for _, run in runs((u.ddu.h_family, u.ddu.sigma_h, u.ddu.beta_up, u.ddu.beta_lo) for u in scn.units):
         for side, f in out.items():
             f[run] = standardized_h_quantile(rd[run], side, scn.units[run.start].ddu, 1.0 - scn.gamma)
     return out

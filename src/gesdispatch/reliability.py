@@ -35,7 +35,6 @@ task a unit falls in.
 
 from __future__ import annotations
 
-import itertools
 import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -44,7 +43,7 @@ import numpy as np
 from scipy import special
 
 from . import distributions as dist
-from .ddu import contraction_quantile_vec, discomfort
+from .ddu import bound_ends, contraction_quantile_vec, discomfort, expansion_fraction, rating_refs
 from .errors import DimensionMismatch, InvalidSpec
 from .diu import sample_bounds, sampler_branch, unit_states
 from .diu import tcl_baseline_bound_samples  # noqa: F401  (a wrap target of bench/tracing.py)
@@ -52,7 +51,7 @@ from .ges import UnitSchedule
 from .ges import map_device_to_ges  # noqa: F401  (a wrap target of bench/tracing.py)
 from .optimizer import DispatchStrategy
 from .pool import TASK_ELEMENTS, map_in_workspaces
-from .scenario import ScenarioBundle, UnitSpec
+from .scenario import ScenarioBundle, UnitSpec, runs
 
 #: numeric slack before a bound crossing counts as a violation
 VIOLATION_TOL = 1e-9
@@ -133,12 +132,8 @@ def _tasks(units: Sequence[UnitSpec], m: int, horizon: int) -> list[slice]:
     consecutive units sharing a `_template`, cut into slices of at most
     ``max(1, TASK_ELEMENTS // (m * horizon))`` units."""
     size = max(1, TASK_ELEMENTS // (m * horizon))
-    tasks, start = [], 0
-    for _, run in itertools.groupby(units, key=_template):
-        stop = start + sum(1 for _ in run)
-        tasks += [slice(i, min(i + size, stop)) for i in range(start, stop, size)]
-        start = stop
-    return tasks
+    return [slice(i, min(i + size, run.stop))
+            for _, run in runs(_template(u) for u in units) for i in range(run.start, run.stop, size)]
 
 
 def _unit_noise(units: Sequence[UnitSpec], scn: ScenarioBundle, m: int, states: Sequence[np.ndarray],
@@ -150,8 +145,7 @@ def _unit_noise(units: Sequence[UnitSpec], scn: ScenarioBundle, m: int, states: 
     discomfort's intensity term.  With a `workspace` the sampler writes into
     its first two buffers."""
     noise = sample_bounds(units, scn.dt, scn.horizon, m, states, workspace)
-    noise["pc_ref"] = noise["p_c_max"].mean(axis=2)
-    noise["pd_ref"] = noise["p_d_max"].mean(axis=2)
+    noise["pc_ref"], noise["pd_ref"] = rating_refs(noise["p_c_max"], noise["p_d_max"])
     return noise
 
 
@@ -192,9 +186,7 @@ class _Worlds:
             for side in ("upper", "lower"):
                 key = self._key(u, side)
                 if key not in self._g:
-                    price = _price(u, side)
-                    self._g[key] = dist.truncnorm_quantile(price[None, :] / u.ddu.c_bar, u.ddu.sigma_g,
-                                                           0.0, 1.0, sysu[f"g_{side}"])
+                    self._g[key] = expansion_fraction(_price(u, side)[None, :], u.ddu, sysu[f"g_{side}"])
 
     @staticmethod
     def _key(u: UnitSpec, side: str) -> tuple:
@@ -231,14 +223,9 @@ def _side_bound(units: Sequence[UnitSpec], noise, rd, side: str, worlds: _Worlds
     draw, then contraction draw.  `h` and `scratch` are overwritten;
     `scratch` may be `rd`, which is read before it."""
     spec = units[0].ddu
-    if side == "upper":
-        phys = _column(units, "soc_phys_hi")
-        diu = np.minimum(noise["soc_hi"], phys)
-        comfort = np.minimum(noise["avg"] + noise["deadband"] / 2.0, diu)
-    else:
-        phys = _column(units, "soc_phys_lo")
-        diu = np.maximum(noise["soc_lo"], phys)
-        comfort = np.maximum(noise["avg"] - noise["deadband"] / 2.0, diu)
+    end = "hi" if side == "upper" else "lo"
+    phys = _column(units, f"soc_phys_{end}")
+    diu, comfort = bound_ends(side, noise[f"soc_{end}"], phys, noise["avg"], noise["deadband"])
     # anchor = diu + (phys - diu) * g
     anchor = np.multiply(phys - diu, worlds.g(units[0], side), out=out)
     anchor += diu

@@ -9,19 +9,31 @@ all of its problems at once.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cantelli import ShapeClass, UNIMODAL
 from .ddu import DduSpec
-from .diu import UnitBoundStats
+from .diu import LEVELS, UnitBoundStats, tabulated
 from .distributions import DistributionSpec
 from .errors import ValidationError
 from .ges import DeviceDescription, GesParams
 
 RESERVE_MODES = ("S1", "S2")
+
+
+def runs(keys: Iterable) -> Iterator[tuple[object, slice]]:
+    """(key, slice) of each maximal run of equal consecutive `keys`: how the
+    LP builders and the evaluator group a fleet's units."""
+    start = 0
+    for key, group in itertools.groupby(keys):
+        stop = start + sum(1 for _ in group)
+        yield key, slice(start, stop)
+        start = stop
 
 
 @dataclass
@@ -111,6 +123,10 @@ class ScenarioBundle:
         for name, g in (("gamma", self.gamma), ("gamma_balance", self.gamma_balance)):
             if not 0.0 < g < 1.0:
                 issues.append(f"{name} must lie in (0, 1), got {g}")
+        if 0.0 < self.gamma < 1.0 and not tabulated(self.gamma) and any(
+                u.unit_dists or u.baseline_dist is not None for u in self.units):
+            issues.append(f"gamma {self.gamma} is outside [{LEVELS[0]}, {LEVELS[-1]}], the levels at which the "
+                          "bound quantiles of units with identification or baseline noise are tabulated")
         if self.tou_price.shape != (self.horizon,):
             issues.append(f"tou_price must have length {self.horizon}")
         elif np.any(self.tou_price <= 0):

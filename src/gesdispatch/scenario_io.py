@@ -389,7 +389,8 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
     try:
         bundle.validate()
     except ValidationError as exc:
-        issues.extend(exc.issues)
+        # the risk levels are the scenario.yaml ones (cli._apply_config names its flags)
+        issues += [f"scenario.yaml {issue}" if issue.startswith("gamma") else issue for issue in exc.issues]
     if issues:
         raise ValidationError(issues)
     if compute_stats:

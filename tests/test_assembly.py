@@ -16,7 +16,6 @@ import pytest
 
 from gesdispatch import lp, reserve
 from gesdispatch.ddu import (
-    comfort_bounds,
     contraction_distribution,
     expansion_anchor,
     rating_refs,
@@ -98,7 +97,8 @@ def ref_build_cco_diu(scn):
 
 def ref_ddu_row_data(u, horizon):
     p, stats = u.params, ref_stats(u)
-    c_lo, c_hi = comfort_bounds(p)
+    c_lo = np.clip(p.soc_baseline_avg - p.deadband / 2.0, p.soc_phys_lo, None)
+    c_hi = np.clip(p.soc_baseline_avg + p.deadband / 2.0, None, p.soc_phys_hi)
     diu_hi = np.minimum(stats.soc_hi.mu[:horizon], p.soc_phys_hi)
     diu_lo = np.maximum(stats.soc_lo.mu[:horizon], p.soc_phys_lo)
     q_up = expansion_anchor(diu_hi, p.soc_phys_hi, u.price_c[:horizon], u.ddu)
@@ -128,7 +128,7 @@ def ref_build_cco_ddu(scn, f_inv, update=None):
         uid, spec = u.unit_id, u.ddu
         variant = spec.discomfort_variant
         lam = 1.0 if variant == "F1" else spec.lam
-        pc_ref, pd_ref = rating_refs(u.params)
+        pc_ref, pd_ref = rating_refs(u.params.p_c_max, u.params.p_d_max)
         avg, half_db = u.params.soc_baseline_avg, u.params.deadband / 2.0
         dev = {"F1": [], "F3": [("dev", 1.0, avg)],
                "F2": [("dev+", -1.0, -avg - half_db), ("dev-", 1.0, avg - half_db)]}[variant]

@@ -159,6 +159,17 @@ def test_window_flag(tmp_path, capsys):
     (["solve", "--window", "a-b"], "--window"),
     (["solve", "--gamma", "1.5"], "--gamma"),
     (["solve", "--gamma-balance", "0"], "--gamma-balance"),
+    (["solve", "--shape", "xyz"], "--shape"),
+    (["solve", "--shape", "t", "--nu", "2"], "--nu"),
+    (["solve", "--shape", "t", "--nu", "nan"], "--nu"),
+    (["solve", "--shape", "t", "--nu", "-1"], "--nu"),
+    (["solve", "--nu", "3"], "--nu"),
+    (["solve", "--shape", "u", "--nu", "3"], "--nu"),
+    (["solve", "--delta", "0"], "--delta"),
+    (["solve", "--max-iter", "0"], "--max-iter"),
+    (["solve", "--reform", "R2", "--delta", "0"], "--delta"),
+    (["solve", "--reform", "R2", "--max-iter", "0"], "--max-iter"),
+    (["solve", "--delta", "-1", "--reform", "R2", "--mode", "M2"], "--delta"),
 ])
 def test_bad_solve_overrides_exit_2(tmp_path, capsys, argv, flag):
     out = tmp_path / "x"
@@ -200,6 +211,7 @@ def test_report_carries_the_gamma_of_the_strategy(tmp_path, capsys):
     (["sweep", "--scenario", SMOKE, "--gammas", "1.5"], "--gammas"),
     (["reserve", "--scenario", SMOKE, "--gammas", "0.05,,0.1"], "--gammas"),
     (["reserve", "--scenario", SMOKE, "--gammas", "1.5"], "--gammas"),
+    (["sweep", "--scenario", SMOKE, "--shape", "bogus"], "--shape"),
 ])
 def test_bad_gammas_or_nu_exit_2(tmp_path, capsys, argv, flag):
     out = tmp_path / "x"
@@ -207,6 +219,44 @@ def test_bad_gammas_or_nu_exit_2(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert code == 2
     assert flag in err and "--gamma " not in err
+    assert not out.exists()
+
+
+def test_bad_solve_options_are_all_listed_before_loading(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_scenario", lambda path: pytest.fail("the scenario was loaded"))
+    code = main(["solve", "--scenario", SMOKE, "--mode", "M2", "--reform", "R2", "--shape", "t", "--nu", "2",
+                 "--delta", "-1", "--max-iter", "0", "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert all(issue in err for issue in ("R2 requires model mode M3", "--nu: 2.0", "--delta: -1.0", "--max-iter: 0"))
+
+
+def write_gamma_scenario(tmp_path, gamma):
+    dst = tmp_path / "scn"
+    shutil.copytree(FIXTURES / "smoke3", dst)
+    cfg = yaml.safe_load((dst / "scenario.yaml").read_text())
+    cfg["gamma"] = gamma
+    (dst / "scenario.yaml").write_text(yaml.safe_dump(cfg))
+    return str(dst)
+
+
+@pytest.mark.parametrize("argv, source", [
+    (["solve", "--scenario", SMOKE, "--gamma", "0.005"], "(set by --gamma 0.005)"),
+    (["solve", "--scenario", SMOKE, "--mode", "M1", "--gamma", "0.995"], "(set by --gamma 0.995)"),
+    (["sweep", "--scenario", SMOKE, "--gammas", "0.005"], "(set by --gamma 0.005)"),
+    (["sweep", "--scenario", SMOKE, "--gammas", "0.05,0.005"], "(set by --gamma 0.005)"),
+    (["solve", "--scenario", None], "scenario.yaml gamma 0.005"),
+], ids=["solve-low", "solve-m1-high", "sweep", "sweep-second-gamma", "scenario-yaml"])
+def test_gamma_outside_the_tabulated_levels_exits_2_before_solving(tmp_path, capsys, monkeypatch, argv, source):
+    # the DIU bound quantiles are tabulated at levels 0.01..0.99
+    if argv[-1] is None:
+        argv = argv[:-1] + [write_gamma_scenario(tmp_path, 0.005)]
+    monkeypatch.setattr(cli, "_dispatch", lambda scn, cfg: pytest.fail("a solve ran"))
+    out = tmp_path / "x"
+    code = main(argv + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "is outside [0.01, 0.99]" in err and source in err
     assert not out.exists()
 
 

@@ -10,7 +10,7 @@ from scipy import special, stats as sstats
 from gesdispatch.ddu import (
     MEAN_FLOOR,
     DduSpec,
-    comfort_bounds,
+    bound_ends,
     contraction_distribution,
     contraction_quantile_vec,
     ddu_bound_distribution,
@@ -236,9 +236,38 @@ def test_paper_parameters_keep_bounds_ordered():
 
 def test_comfort_bounds_clipped():
     p = make_params(deadband=0.3)
-    lo, hi = comfort_bounds(p)
-    assert np.allclose(lo, 0.35)
-    assert np.allclose(hi, 0.65)
+    ident_hi, hi = bound_ends("upper", p.soc_hi, p.soc_phys_hi, p.soc_baseline_avg, p.deadband)
+    ident_lo, lo = bound_ends("lower", p.soc_lo, p.soc_phys_lo, p.soc_baseline_avg, p.deadband)
+    assert np.allclose(lo, 0.35) and np.allclose(hi, 0.65)
+    assert np.all(ident_lo == 0.0) and np.all(ident_hi == 1.0)
+    # an identified bound beyond the physical one is clipped to it, and the
+    # comfort edge to the identified bound
+    assert bound_ends("upper", 1.2, 0.6, 0.5, 0.3) == (0.6, 0.6)
+    assert bound_ends("lower", -0.1, 0.4, 0.5, 0.3) == (0.4, 0.4)
+
+
+unit_floats = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(soc_bound=st.floats(min_value=-0.5, max_value=1.5), phys=unit_floats, avg=unit_floats,
+       deadband=unit_floats, price=st.floats(min_value=-2.0, max_value=5.0),
+       sigma_g=st.floats(min_value=1e-3, max_value=3.0), c_bar=st.floats(min_value=0.05, max_value=5.0),
+       q_g_level=st.floats(min_value=1e-6, max_value=1.0 - 1e-6), beta=st.floats(min_value=0.0, max_value=20.0))
+def test_discomfort_never_widens_a_bound(soc_bound, phys, avg, deadband, price, sigma_g, c_bar, q_g_level,
+                                         beta):
+    # upper: comfort <= identified <= anchor <= physical; lower mirrored.  So
+    # the LP slope d(mean bound)/d(rd) = (comfort - anchor) * beta is <= 0 on
+    # the upper side and >= 0 on the lower
+    spec = DduSpec(sigma_g=sigma_g, c_bar=c_bar, q_g_level=q_g_level, beta_up=beta, beta_lo=beta)
+    ident, comfort = bound_ends("upper", soc_bound, phys, avg, deadband)
+    anchor = expansion_anchor(ident, phys, price, spec)
+    assert comfort <= ident <= anchor <= phys + 1e-12
+    assert (comfort - anchor) * beta <= 0.0
+    ident, comfort = bound_ends("lower", soc_bound, phys, avg, deadband)
+    anchor = expansion_anchor(ident, phys, price, spec)
+    assert phys - 1e-12 <= anchor <= ident <= comfort
+    assert (comfort - anchor) * beta >= 0.0
 
 
 def test_spec_validation():

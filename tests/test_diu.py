@@ -199,7 +199,7 @@ def test_tcl_fast_path_equals_the_per_draw_mapping():
         for key, value in want.items():
             got = fast[key] if fast[key].shape == (T,) else fast[key][j]  # a row is shared by all draws
             assert np.array_equal(got, value), (key, j)
-        assert (refs[0][j], refs[1][j]) == rating_refs(params), j
+        assert (refs[0][j], refs[1][j]) == rating_refs(params.p_c_max, params.p_d_max), j
 
 
 def test_sampler_branches_share_keys_and_shapes():
@@ -233,7 +233,7 @@ def test_sampler_branches_share_keys_and_shapes():
     no_noise = sample(runs["no noise"][:1])
     assert np.array_equal(no_noise["p_c_max"][0, -1], nominal.p_c_max)
     # the evaluator's rating references: row means of the (broadcast) ratings
-    assert np.all(no_noise["p_c_max"][0].mean(axis=1) == rating_refs(nominal)[0])
+    assert np.all(no_noise["p_c_max"][0].mean(axis=1) == rating_refs(nominal.p_c_max, nominal.p_d_max)[0])
 
 
 def stats_bytes(stats):

@@ -209,7 +209,7 @@ def test_beta_zero_reduces_to_anchor_bounds():
     assert strat.metadata.converged
     assert strat.metadata.iterations == 1
 
-    rows = ddu_row_data(scn.units, T)
+    rows = ddu_row_data(scn.units)
     assert np.all(rows.slope_up == 0.0) and np.all(rows.slope_lo == 0.0)
     u2 = make_unit(
         bes_device(soc_lo=0.1, soc_hi=0.9, deadband=0.4), T, ddu=u.ddu,
@@ -227,7 +227,7 @@ def test_null_window_row_limits():
                         shape_class=ShapeClass("unimodal"))
     f = robust_f_inv(scn)
     prob = build_cco_ddu(scn, f)
-    rows = ddu_row_data([u], T)
+    rows = ddu_row_data([u])
     bound = f["upper"][0, 0]
     matrix, i = prob.row("socup", "bes", 7)
     assert matrix == "ub"
@@ -423,7 +423,7 @@ def test_model_nesting_objectives(smoke3):
 def test_epigraph_exactness(smoke3):
     strat = robust_solve_r1(smoke3)
     f = robust_f_inv(smoke3)
-    rows = ddu_row_data(smoke3.units, smoke3.horizon)
+    rows = ddu_row_data(smoke3.units)
     for i, u in enumerate(smoke3.units):
         rd = strat.rd[u.unit_id]
         soc = strat.schedules[u.unit_id].soc[1:]

@@ -79,9 +79,29 @@ def test_degenerate_bounds_equal_anchors():
     real = batch.units["bes"]
     from gesdispatch.optimizer import ddu_row_data
 
-    rows = ddu_row_data(scn.units, T)
+    rows = ddu_row_data(scn.units)
     assert np.allclose(real.upper, rows.q_up, atol=1e-6)
     assert np.allclose(real.lower, rows.q_lo, atol=1e-6)
+
+
+def test_lp_rows_model_the_realized_mean_bound_at_positive_discomfort():
+    # the LP's mean bound q + slope * rd is the evaluator's per-step mean over
+    # draws: both take the same bound ends, expansion anchor and slope sign
+    from gesdispatch.optimizer import ddu_row_data
+
+    scn = ddu_scenario(sigma_g=1e-12)  # the expansion factor is a point: only H varies
+    strat = strategy_with(scn, p_d=np.full(T, 3.0))
+    rd = strat.rd["bes"]
+    assert np.all(rd > 0)
+    draws = 20_000
+    real = realize_practical_bounds(strat, scn, draws=draws, seed=0).units["bes"]
+    assert real.crossings == 0
+    rows = ddu_row_data(scn.units)
+    assert np.all(rows.slope_up < 0) and np.all(rows.slope_lo > 0)
+    for realized, q, slope, sigma in ((real.upper, rows.q_up, rows.slope_up, rows.sigma_up),
+                                      (real.lower, rows.q_lo, rows.slope_lo, rows.sigma_lo)):
+        z = (realized.mean(axis=0) - (q[0] + slope[0] * rd)) / (sigma[0] / np.sqrt(draws))
+        assert np.all(np.abs(z) <= 4.0), z
 
 
 def test_beta_doubling_contracts_bounds():
