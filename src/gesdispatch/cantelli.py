@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import special, stats
+from scipy import special
 
+from . import distributions as dist
 from .errors import InvalidGamma, InvalidSpec
 
 
@@ -33,8 +34,9 @@ class ShapeClass:
         if self.kind not in self.KINDS:
             raise InvalidSpec(f"unknown shape class {self.kind!r}")
         if self.kind == "student_t":
-            if self.nu is None or not self.nu > 0:
-                raise InvalidSpec("student_t shape class requires nu > 0")
+            # the unit-variance rescaling needs a finite variance
+            if self.nu is None or not (math.isfinite(self.nu) and self.nu > 2.0):
+                raise InvalidSpec(f"{self.nu} must be a finite number above 2 (the student_t nu)")
         elif self.nu is not None:
             raise InvalidSpec(f"shape class {self.kind!r} takes no nu")
 
@@ -70,10 +72,9 @@ def cantelli_bound(shape: ShapeClass, gamma: float) -> float:
             return math.sqrt(3.0) * (1.0 - 2.0 * gamma)
         return 0.0
     if k == "student_t":
-        if shape.nu <= 2.0:
-            raise InvalidSpec("student_t shape needs nu > 2 for a finite normalized quantile")
         # unit-variance rescaling of the standard t quantile
-        return float(stats.t.ppf(1.0 - gamma, shape.nu)) * math.sqrt((shape.nu - 2.0) / shape.nu)
+        t = dist.quantile(dist.DistributionSpec.student_t(shape.nu), 1.0 - gamma)
+        return t * math.sqrt((shape.nu - 2.0) / shape.nu)
     if k == "normal":
         return float(special.ndtri(1.0 - gamma))
     raise InvalidSpec(k)  # pragma: no cover

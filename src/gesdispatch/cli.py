@@ -16,7 +16,6 @@ byte-for-byte; ``evaluate`` and ``bounds`` write none.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -26,7 +25,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .cantelli import ShapeClass, cantelli_bound, parse_shape
+from .cantelli import ShapeClass, cantelli_bound, parse_shape, student_t
 from .errors import GesDispatchError, InfeasibleBounds, InvalidSpec, ValidationError, first_few
 from .ges import UnitSchedule
 from .optimizer import (
@@ -80,8 +79,11 @@ class RunConfig:
         if self.shape_nu is not None:
             if kind != "student_t":
                 issues.append("--nu: only the student_t shape class (--shape t) takes a nu")
-            elif not (math.isfinite(self.shape_nu) and self.shape_nu > 2.0):
-                issues.append(f"--nu: {self.shape_nu} must be a finite number above 2")
+            else:
+                try:
+                    student_t(self.shape_nu)
+                except InvalidSpec as exc:
+                    issues.append(f"--nu: {exc}")
         if not self.delta > 0:
             issues.append(f"--delta: {self.delta} must be > 0")
         if self.max_iter < 1:
@@ -137,7 +139,9 @@ def _apply_config(scn: ScenarioBundle, cfg: RunConfig) -> ScenarioBundle:
     elif cfg.gamma_balance is not None:
         kw["gamma_balance"] = cfg.gamma_balance
     if cfg.shape:
-        kw["shape_class"] = parse_shape(cfg.shape, cfg.shape_nu)
+        # `--shape t` without `--nu` keeps a student_t scenario's own nu
+        nu = scn.shape_class.nu if cfg.shape_nu is None else cfg.shape_nu
+        kw["shape_class"] = parse_shape(cfg.shape, nu)
     if cfg.window:
         kw["dispatch_window"] = _parse_window(cfg.window, scn.horizon)
     scn = replace(scn, **kw)
@@ -330,12 +334,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bounds(args) -> int:
     gammas = _parse_gammas(args.gammas, top=True)
-    if not (math.isfinite(args.nu) and args.nu > 2.0):
-        raise ValidationError([f"--nu: {args.nu} must be a finite number above 2 (the student_t row)"])
+    try:
+        t_row = student_t(args.nu)
+    except InvalidSpec as exc:
+        raise ValidationError([f"--nu: {exc}"]) from None
     shapes = [
         ShapeClass("no_assumption"), ShapeClass("symmetric"), ShapeClass("unimodal"),
-        ShapeClass("symmetric_unimodal"), ShapeClass("student_t", nu=args.nu),
-        ShapeClass("normal"),
+        ShapeClass("symmetric_unimodal"), t_row, ShapeClass("normal"),
     ]
     rows = [["shape"] + [fmt(g) for g in gammas]]
     for s in shapes:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from . import distributions as dist
 from .distributions import DistributionSpec
@@ -237,7 +237,7 @@ def contraction_quantile_vec(
     else:
         uu = np.broadcast_to(u, out.shape)[live]
         mf, _, k = _beta_fit(mm, s)
-        out[live] = BETA_CAP * stats.beta.ppf(uu, mf * k, (1.0 - mf) * k)
+        out[live] = BETA_CAP * special.betaincinv(mf * k, (1.0 - mf) * k, uu)
     return out
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy import special, stats
+from scipy import special
 
 from .errors import EmptySample, InvalidSpec
 
@@ -321,7 +321,10 @@ def quantile(spec: DistributionSpec, level) -> np.ndarray | float:
     elif fam == "beta":
         out = p["low"] + (p["high"] - p["low"]) * special.betaincinv(p["alpha"], p["beta"], level)
     elif fam == "student_t":
-        out = p["loc"] + p["scale"] * stats.t.ppf(level, p["nu"])
+        # stdtrit is what scipy.stats.t.ppf computes, except at level 0,
+        # where it gives +inf instead of the lower end of the support
+        t = np.where(level == 0.0, -np.inf, special.stdtrit(p["nu"], level))
+        out = p["loc"] + p["scale"] * t
     elif fam == "bernoulli":
         out = (level > 1.0 - p["p"]).astype(float)
     elif fam == "uniform":

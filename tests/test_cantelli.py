@@ -99,6 +99,21 @@ def test_invalid_gamma():
     assert cantelli_bound(NA, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("nu", [2.5, 3.0, 5.0, 30.0])
+def test_student_t_bound_is_the_scaled_t_ppf_bit_for_bit(nu):
+    for g in [*GRID, 1.0]:
+        got = cantelli_bound(student_t(nu), float(g))
+        want = float(stats.t.ppf(1.0 - g, nu)) * math.sqrt((nu - 2.0) / nu)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert cantelli_bound(student_t(nu), 1.0) == -math.inf
+
+
+@pytest.mark.parametrize("nu", [2.0, 1.5, 0.0, -3.0, math.nan, math.inf])
+def test_student_t_needs_a_finite_nu_above_two(nu):
+    with pytest.raises(InvalidSpec, match="must be a finite number above 2"):
+        student_t(nu)
+
+
 def test_parse_shape_aliases():
     assert parse_shape("na").kind == "no_assumption"
     assert parse_shape("unimodal").kind == "unimodal"

@@ -265,6 +265,50 @@ def test_bounds_table_is_defined_at_gamma_one(capsys):
     assert capsys.readouterr().out.splitlines()[1] == "no_assumption,0"
 
 
+def test_bounds_table_at_gamma_one_keeps_the_lower_end_of_the_t_support(capsys):
+    assert main(["bounds", "--gammas", "0.05,1"]) == 0
+    assert capsys.readouterr().out == (
+        "shape,0.050000000000000003,1\n"
+        "no_assumption,4.3588989435406731,0\n"
+        "symmetric,3.1622776601683795,0\n"
+        "unimodal,2.8087165910587859,0\n"
+        "symmetric_unimodal,2.1081851067789197,0\n"
+        "student_t(5),1.5608497583442291,-inf\n"
+        "normal,1.6448536269514722,-inf\n"
+    )
+
+
+def write_student_t_scenario(tmp_path, nu):
+    dst = tmp_path / "scn-t"
+    shutil.copytree(FIXTURES / "smoke3", dst)
+    cfg = yaml.safe_load((dst / "scenario.yaml").read_text())
+    cfg.update(shape_class="student_t", shape_nu=nu)
+    (dst / "scenario.yaml").write_text(yaml.safe_dump(cfg))
+    return str(dst)
+
+
+@pytest.mark.parametrize("nu", [2.0, float("nan")])
+def test_scenario_student_t_nu_outside_the_rule_exits_2(tmp_path, capsys, nu):
+    out = tmp_path / "x"
+    assert main(["solve", "--scenario", write_student_t_scenario(tmp_path, nu), "--out", str(out)]) == 2
+    assert "must be a finite number above 2 (the student_t nu)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_shape_t_without_nu_keeps_the_scenarios_nu(tmp_path, capsys):
+    scn = write_student_t_scenario(tmp_path, 3.0)
+    assert main(["solve", "--scenario", scn, "--shape", "t", "--out", str(tmp_path / "s")]) == 0
+    assert main(["sweep", "--scenario", scn, "--shape", "t", "--modes", "M3", "--draws", "20",
+                 "--out", str(tmp_path / "w")]) == 0
+    assert main(["solve", "--scenario", scn, "--shape", "t", "--nu", "5", "--out", str(tmp_path / "s5")]) == 0
+    capsys.readouterr()
+    objective = yaml.safe_load((tmp_path / "s" / "summary.yaml").read_text())["objective"]
+    assert objective == "609.50591852273237"
+    with open(tmp_path / "w" / "sweep.csv", newline="") as fh:
+        assert next(csv.DictReader(fh))["cost_da"] == objective
+    assert yaml.safe_load((tmp_path / "s5" / "summary.yaml").read_text())["objective"] == "609.51390452246562"
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("evaluate", "--draws", "0"),
     ("evaluate", "--draws", "-5"),

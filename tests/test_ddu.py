@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special, stats as sstats
 
 from gesdispatch.ddu import (
+    BETA_CAP,
     MEAN_FLOOR,
     DduSpec,
     bound_ends,
@@ -166,6 +167,27 @@ def test_contraction_quantile_vec_matches_scalar():
     # scores of one row of uniforms would broadcast silently against the matrix
     with pytest.raises(DimensionMismatch, match="ndtri"):
         contraction_quantile_vec(m, spec, np.tile(u, (3, 1)), z=special.ndtri(u))
+
+
+def test_beta_contraction_quantile_is_scipy_beta_ppf_bit_for_bit():
+    # the whole range of the clipped beta fit: mean fractions from below the
+    # 1e-9 floor to the 1 - 1e-6 cap, shape sums from 0.0101 (the 0.99
+    # variance cap) to above 1e9, and the uniforms 0 and 1
+    rng = np.random.default_rng(20)
+    frac = np.concatenate([10.0 ** rng.uniform(-10, 0, 5000), 1.0 - 10.0 ** rng.uniform(-8, -1, 5000)])
+    u = rng.random(frac.size)
+    u[::97], u[1::97] = 0.0, 1.0
+    m = BETA_CAP * frac
+    sums = []
+    for s in BETA_CAP * 10.0 ** np.linspace(-5, 0, 6):
+        got = contraction_quantile_vec(m, DduSpec(h_family="beta", sigma_h=s), u)
+        mf = np.clip(m / BETA_CAP, 1e-9, 1.0 - 1e-6)
+        k = mf * (1.0 - mf) / np.minimum((s / BETA_CAP) ** 2, 0.99 * mf * (1.0 - mf)) - 1.0
+        want = np.where(m > MEAN_FLOOR, BETA_CAP * sstats.beta.ppf(u, mf * k, (1.0 - mf) * k), m)
+        assert got.tobytes() == want.tobytes()
+        sums.append(k[m > MEAN_FLOOR])
+    sums = np.concatenate(sums)
+    assert sums.min() < 0.0102 and sums.max() > 1e9
 
 
 def test_standardized_quantile_closed_form():

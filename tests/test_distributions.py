@@ -121,6 +121,15 @@ def test_beta_quantile_matches_scipy():
     assert np.allclose(got, 2.0 * stats.beta.ppf(levels, 2.0, 3.0), rtol=1e-12)
 
 
+@pytest.mark.parametrize("nu", [0.5, 1.0, 2.5, 4.0, 30.0])
+def test_student_t_quantile_is_loc_plus_scale_t_ppf(nu):
+    # bit for bit, also at level 0, where the quantile is -inf
+    levels = np.concatenate([[0.0, 0.5, 1.0], np.random.default_rng(7).random(1000)])
+    spec = DistributionSpec.student_t(nu, 1.0, 0.5)
+    assert quantile(spec, levels).tobytes() == (1.0 + 0.5 * stats.t.ppf(levels, nu)).tobytes()
+    assert quantile(spec, 0.0) == -math.inf and quantile(spec, 1.0) == math.inf
+
+
 def test_normal_quantile():
     spec = DistributionSpec.normal(2.0, 3.0)
     assert quantile(spec, 0.95) == pytest.approx(2.0 + 3.0 * 1.6448536269514722, abs=1e-9)

@@ -134,6 +134,10 @@ def _cell(row, column, value):
     return edit
 
 
+def _student_t(lines):
+    return [line.replace("shape_class: unimodal", "shape_class: student_t") for line in lines]
+
+
 # the name predates the other files; it covers every file of a scenario directory
 @pytest.mark.parametrize("name, edit, message", [
     ("unit_series.csv", lambda lines: [lines[0], "tcl1,t_in_baseline,x,24.0", *lines[2:]],
@@ -180,12 +184,17 @@ def _cell(row, column, value):
      "scenario.yaml reserve.p_lo: not a number: 'x'"),
     ("scenario.yaml", lambda lines: [*lines, "reserve: {mode: S3, p_lo: 2.0, p_hi: 1.0}"],
      "scenario.yaml reserve: reserve mode must be S1 or S2, got 'S3'"),
+    ("scenario.yaml", lambda lines: [*_student_t(lines), "shape_nu: 2"],
+     "scenario.yaml shape_class: 2.0 must be a finite number above 2 (the student_t nu)"),
+    ("scenario.yaml", lambda lines: [*_student_t(lines), "shape_nu: .nan"],
+     "scenario.yaml shape_class: nan must be a finite number above 2 (the student_t nu)"),
 ], ids=["t-not-a-number", "fractional-step", "repeated-row", "missing-step", "off-horizon", "infinite",
         "unknown-unit", "unknown-field", "no-column", "timeseries-missing-step", "timeseries-repeated-step",
         "timeseries-nan-tou-price", "units-nan-p_c_rating", "units-infinite-price_d", "units-not-a-number",
         "ddu-repeated-unit", "ddu-unknown-unit", "yaml-horizon-not-a-number", "yaml-zero-horizon",
         "yaml-samples-not-a-number", "yaml-gamma-not-a-number", "yaml-fractional-window-step",
-        "yaml-diu-not-a-mapping", "yaml-window-not-a-list", "yaml-reserve-not-a-number", "yaml-reserve-bad-mode"])
+        "yaml-diu-not-a-mapping", "yaml-window-not-a-list", "yaml-reserve-not-a-number", "yaml-reserve-bad-mode",
+        "yaml-student-t-nu-2", "yaml-student-t-nu-nan"])
 def test_bad_unit_series_lists_the_problem(tmp_path, name, edit, message):
     dst = tmp_path / "broken"
     shutil.copytree(FIXTURES / "smoke3", dst)
