@@ -37,7 +37,7 @@ from .optimizer import (
     solve_cco_diu,
     solve_deterministic_m1,
 )
-from .reliability import evaluate_reliability
+from .reliability import evaluate_many, evaluate_reliability
 from .reserve import solve_with_reserve
 from .scenario import RESERVE_MODES, ReserveSpec, ScenarioBundle
 from .scenario_io import fmt, load_scenario, read_steps, read_yaml, write_table
@@ -323,7 +323,8 @@ def _check_sampling(args) -> None:
 
 def cmd_evaluate(args) -> int:
     _check_sampling(args)
-    scn = load_scenario(args.scenario)
+    # the evaluator reads no DIU statistics, and its own draws refuse an invalid device
+    scn = load_scenario(args.scenario, compute_stats=False)
     strategy = read_strategy(Path(args.strategy), scn)
     report = evaluate_reliability(strategy, scn, args.draws, args.seed)
     out = Path(args.out)
@@ -357,8 +358,9 @@ def cmd_bounds(args) -> int:
 def _solve_grid(args, choices, config, name: str, columns: list[str], values, echo: dict) -> int:
     """Solve `config(gamma, mode)` for every `--gammas` x `--modes` pair and
     write one CSV row per solve: gamma, mode, the day-ahead cost, then the
-    `columns` that `values(scn, strategy)` returns.  The manifest echoes the
-    grid and the other options in `echo`."""
+    `columns` that `values(base, strategies)` returns for each solve, in
+    order (`base` is the scenario as loaded).  The manifest echoes the grid
+    and the other options in `echo`."""
     gammas = _parse_gammas(args.gammas)
     modes = args.modes.split(",")
     unknown = [m for m in modes if m not in choices]
@@ -371,10 +373,9 @@ def _solve_grid(args, choices, config, name: str, columns: list[str], values, ec
     cells = [(gamma, mode, cfg, _apply_config(base, cfg)) for gamma, mode, cfg in configs]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for gamma, mode, cfg, scn in cells:
-        strategy = _dispatch(scn, cfg)
-        rows.append([fmt(gamma), mode, fmt(strategy.objective_value)] + [fmt(v) for v in values(scn, strategy)])
+    strategies = [_dispatch(scn, cfg) for _, _, cfg, scn in cells]
+    rows = [[fmt(gamma), mode, fmt(strategy.objective_value), *map(fmt, row)]
+            for (gamma, mode, _, _), strategy, row in zip(cells, strategies, values(base, strategies))]
     write_table(out / name, ["gamma", "mode", "cost_da", *columns], rows)
     write_manifest(out, {"gammas": gammas, "modes": modes, **echo}, args.scenario)
     print(f"{len(rows)} rows -> {out / name}")
@@ -389,18 +390,20 @@ def cmd_sweep(args) -> int:
         return RunConfig(model_mode=mode, reformulation=args.reform if mode == "M3" else "R1",
                          shape=args.shape, gamma=gamma)
 
-    def values(scn, strategy):
-        report = evaluate_reliability(strategy, scn, args.draws, args.seed)
-        return report.lorp, report.cost_rt, report.cost_tc
+    def values(base, strategies):
+        # the cells differ from `base` only in gamma and shape, which the evaluator does not read (a report's
+        # gamma is its strategy's): one evaluation draws each unit's noise once for every cell
+        reports = evaluate_many(dict(enumerate(strategies)), base, args.draws, args.seed)
+        return [(r.lorp, r.cost_rt, r.cost_tc) for r in reports.values()]
 
     return _solve_grid(args, MODEL_MODES, config, "sweep.csv", ["lorp", "cost_rt", "cost_tc"], values,
                        {"reform": args.reform, "shape": args.shape, "draws": args.draws, "seed": args.seed})
 
 
 def cmd_reserve(args) -> int:
-    def values(scn, strategy):
-        d = strategy.reserve_diag
-        return d["ges_energy_kwh"], d["reserve_energy_kwh"], d["reserve_cost"]
+    def values(base, strategies):
+        return [(d["ges_energy_kwh"], d["reserve_energy_kwh"], d["reserve_cost"])
+                for d in (s.reserve_diag for s in strategies)]
 
     return _solve_grid(args, RESERVE_MODES, lambda gamma, mode: RunConfig(reserve=mode, gamma=gamma),
                        "reserve.csv", ["ges_energy_kwh", "reserve_energy_kwh", "reserve_cost"], values, {})

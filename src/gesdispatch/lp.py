@@ -12,17 +12,19 @@ solve assembles the matrices and freezes the structure; after that only
 right-hand sides change, in place, so the R2 fixed point never re-assembles.
 
 The backend is one persistent HiGHS model per problem, driven through the
-bindings that ship with scipy.  The first solve passes the whole LP; from
-then on the HiGHS model holds the only solver-side copy of it, since the
-stacked matrix built for the hand-off is freed before HiGHS runs.  A later
-solve passes only the row bounds whose right-hand side changed, and HiGHS
-starts from the previous basis.  A solve gives an optimal solution, or an
-explicit infeasible/unbounded verdict, deterministic for identical input.
-Every solve runs without simplex scaling (see ``_OPTIONS``).  A cold solve
-returns what ``scipy.optimize.linprog(method="highs")`` returns for the same
-arrays when ``simplex_scale_strategy=0`` is forwarded in its ``options``; a
-warm re-solve after a right-hand-side change can differ from a cold solve of
-the same LP in the last ulp of ``x``.
+bindings that ship with scipy.  The first solve passes the whole LP through
+the array overload of ``passModel``: the rows of the two CSR matrices, the
+inequalities first, as one row-wise buffer set.  From then on the HiGHS
+model holds the only solver-side copy of it, since those buffers are freed
+before HiGHS runs.  A later solve passes only the row bounds whose
+right-hand side changed, and HiGHS starts from the previous basis.  A solve
+gives an optimal solution, or an explicit infeasible/unbounded verdict,
+deterministic for identical input.  Every solve runs without simplex scaling
+(see ``_OPTIONS``).  A cold solve returns what
+``scipy.optimize.linprog(method="highs")`` returns for the same arrays when
+``simplex_scale_strategy=0`` is forwarded in its ``options``; a warm
+re-solve after a right-hand-side change can differ from a cold solve of the
+same LP in the last ulp of ``x``.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize._highspy._core import HighsLp, HighsModelStatus, HighsOptions, HighsStatus, MatrixFormat, _Highs
-from scipy.sparse import csr_matrix, vstack
+from scipy.optimize._highspy._core import HighsModelStatus, HighsOptions, HighsStatus, MatrixFormat, ObjSense, _Highs
+from scipy.sparse import csr_matrix
 
 from .errors import InvalidSpec, NumericalFailure
 
@@ -229,7 +231,7 @@ class LpProblem:
                 rows, cols, vals = (np.concatenate(p) for p in zip(*pieces))
                 mats += [csr_matrix((vals, (rows, cols)), shape=(b.size, n)), b]
             self._arrays = LpArrays(c, *mats, bounds)
-            self._pieces = self._objective = None
+            self._pieces = self._objective = self._bound_blocks = None
         return self._arrays
 
 
@@ -276,19 +278,15 @@ def _check(status, highs: _Highs, call: str) -> None:
 
 
 def _pass(highs: _Highs, c, A_ub, A_eq, b_eq, bounds, upper) -> None:
-    """Pass the whole LP to `highs`, which copies it: the stacked matrix and
-    the HighsLp built here die on return, before `run()`."""
-    a = vstack((A_ub, A_eq), format="csc")
-    lp = HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
-    lp.num_row_ = lp.a_matrix_.num_row_ = upper.size
-    lp.a_matrix_.format_ = MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
-    lp.col_cost_ = c
-    lp.col_lower_, lp.col_upper_ = bounds.T.copy()
-    lp.row_lower_ = np.concatenate((np.full(A_ub.shape[0], -np.inf), b_eq))
-    lp.row_upper_ = upper
-    _check(highs.passModel(lp), highs, "passModel")
+    """Pass the whole LP to `highs`, which copies it: the row-wise buffers
+    built here, `A_ub`'s rows then `A_eq`'s, die on return, before `run()`."""
+    start = np.concatenate((A_ub.indptr[:-1], A_eq.indptr + A_ub.nnz)).astype(np.int32, copy=False)
+    index = np.concatenate((A_ub.indices, A_eq.indices)).astype(np.int32, copy=False)
+    value = np.concatenate((A_ub.data, A_eq.data))
+    lower = np.concatenate((np.full(A_ub.shape[0], -np.inf), b_eq))
+    continuous = np.zeros(c.size, np.int32)  # passModel refuses an empty integrality array
+    _check(highs.passModel(c.size, upper.size, value.size, MatrixFormat.kRowwise, ObjSense.kMinimize, 0.0,
+                           c, *bounds.T, lower, upper, start, index, value, continuous), highs, "passModel")
 
 
 # Named and called like scipy's linprog: the benchmark tracer wraps `lp.linprog` and reads these arguments.

@@ -85,7 +85,7 @@ def solve_with_reserve(scn: ScenarioBundle, spec: ReserveSpec) -> DispatchStrate
     uids = [u.unit_id for u in scn.units]
     shares = np.array([[_coverage_share(float(p), scn.gamma) for p in u.params.on_prob] for u in scn.units])
     prices = np.array([[_unit_reserve_price(float(p), scn, spec) for p in u.params.on_prob] for u in scn.units])
-    cols = prob.add_columns(uids, {"rs": (max(spec.p_lo, -1e12), min(spec.p_hi, 1e12)),
+    cols = prob.add_columns(uids, {"rs": (spec.p_lo, spec.p_hi),
                                    "rs+": (0.0, math.inf), "rs-": (0.0, math.inf)}, horizon)
     rs = cols["rs"]
     link = prob.add_rows(uids, {"rslink": "==", "rssplit": "=="}, horizon)

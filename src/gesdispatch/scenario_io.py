@@ -21,7 +21,7 @@ import yaml
 from . import distributions as dist
 from .cantelli import parse_shape
 from .ddu import DduSpec
-from .diu import new_workspace, propagate_diu, unit_states
+from .diu import DEFAULT_SAMPLES, new_workspace, propagate_diu, unit_states
 from .distributions import DistributionSpec
 from .errors import ParseError, ValidationError, first_few
 from .ges import DeviceDescription, map_device_to_ges
@@ -247,7 +247,7 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
         raise ValidationError([*issues, f"horizon must be >= 1, got {horizon}"])
     dt = _number(cfg.get("dt", 1.0), "dt", 1.0, issues)
     diu_cfg = _mapping(cfg, "diu", issues)
-    n_samples = _number(diu_cfg.get("samples", 10_000), "diu.samples", 10_000, issues, integer=True)
+    n_samples = _number(diu_cfg.get("samples", DEFAULT_SAMPLES), "diu.samples", DEFAULT_SAMPLES, issues, integer=True)
     diu_seed = _number(diu_cfg.get("seed", 0), "diu.seed", 0, issues, integer=True)
 
     ts_path = root / "timeseries.csv"
@@ -402,7 +402,7 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
 # Serialization
 
 
-def serialize(bundle: ScenarioBundle, path, diu_samples: int = 10_000, diu_seed: int = 0) -> None:
+def serialize(bundle: ScenarioBundle, path, diu_samples: int = DEFAULT_SAMPLES, diu_seed: int = 0) -> None:
     """Write a scenario directory that load_scenario reads back equal."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)

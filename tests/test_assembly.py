@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gesdispatch import lp, reserve
+from gesdispatch import lp
 from gesdispatch.ddu import (
     contraction_distribution,
     expansion_anchor,
@@ -37,6 +37,8 @@ from gesdispatch.optimizer import (
 )
 from gesdispatch.reserve import _coverage_share, _unit_reserve_price
 from gesdispatch.scenario import ReserveSpec
+
+from util import reserve_problem
 
 # ---------------------------------------------------------------------------
 # Per-unit reference builders
@@ -160,7 +162,7 @@ def ref_reserve(scn, spec):
         uid = u.unit_id
         w = np.array([_coverage_share(float(p), scn.gamma) for p in u.params.on_prob])
         c_rs = np.array([_unit_reserve_price(float(p), scn, spec) for p in u.params.on_prob])
-        cols = prob.add_columns(uid, {"rs": (max(spec.p_lo, -1e12), min(spec.p_hi, 1e12)),
+        cols = prob.add_columns(uid, {"rs": (spec.p_lo, spec.p_hi),
                                       "rs+": (0.0, math.inf), "rs-": (0.0, math.inf)}, horizon)
         rs = cols["rs"]
         link = prob.add_rows(uid, {"rslink": "==", "rssplit": "=="}, horizon)
@@ -179,24 +181,9 @@ def ref_reserve(scn, spec):
 # Helpers
 
 
-def reserve_problem(monkeypatch, scn, spec):
-    """The LP `solve_with_reserve` builds, taken before it is solved."""
-    class Built(Exception):
-        pass
-
-    def capture(prob, context):
-        raise Built(prob)
-
-    monkeypatch.setattr(reserve, "solve_or_raise", capture)
-    with pytest.raises(Built) as built:
-        reserve.solve_with_reserve(scn, spec)
-    monkeypatch.undo()
-    return built.value.args[0]
-
-
 def assert_no_repeated_entry(prob):
-    """No (row, column) pair is added twice, so the CSC hand-off does not
-    depend on the order of the pieces."""
+    """No (row, column) pair is added twice, so the row-wise hand-off does
+    not depend on the order of the pieces."""
     for matrix, pieces in prob._pieces.items():
         rows, cols = (np.concatenate(part) for part in list(zip(*pieces))[:2])
         pairs = rows.astype(np.int64) * prob._num_cols + cols
@@ -285,8 +272,8 @@ def test_tail_factor_update_equals_the_per_unit_update(scenario):
 @pytest.mark.parametrize("spec", [ReserveSpec(mode="S1"), ReserveSpec(mode="S2"),
                                   ReserveSpec(mode="S2", p_lo=-30.0, ramp_up=2.0, ramp_dn=1.5)],
                          ids=["S1", "S2", "S2-ramps"])
-def test_reserve_equals_the_per_unit_assembly(monkeypatch, scenario, spec):
-    got = reserve_problem(monkeypatch, scenario, spec)
+def test_reserve_equals_the_per_unit_assembly(scenario, spec):
+    got = reserve_problem(scenario, spec)
     assert_no_repeated_entry(got)
     assert_same_arrays(got, ref_reserve(scenario, spec))
 

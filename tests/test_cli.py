@@ -114,6 +114,47 @@ def test_evaluate_byte_determinism(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_evaluate_loads_without_the_diu_statistics(tmp_path, capsys, monkeypatch, smoke3, smoke3_m2):
+    from gesdispatch import scenario_io
+    from gesdispatch.reliability import evaluate_reliability
+
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("evaluate propagated the DIU statistics")
+
+    cli.write_strategy(tmp_path / "s", smoke3_m2)
+    monkeypatch.setattr(scenario_io, "propagate_diu", no_propagation)
+    assert main(["evaluate", "--scenario", SMOKE, "--strategy", str(tmp_path / "s"),
+                 "--draws", "300", "--seed", "3", "--out", str(tmp_path / "r")]) == 0
+    capsys.readouterr()
+    want = tmp_path / "want"
+    cli.write_report(want, evaluate_reliability(smoke3_m2, smoke3, 300, 3))  # a scenario with its statistics
+    assert read_tree(tmp_path / "r") == read_tree(want)
+
+
+def test_evaluate_refuses_an_invalid_device_only_in_its_own_draws(tmp_path, capsys, smoke3_m2):
+    # identification noise of 51 % reaches below zero capacity: about 1 draw in 400 of bes1 and ev1
+    scn = tmp_path / "scn"
+    shutil.copytree(FIXTURES / "smoke3", scn)
+    rows = list(csv.DictReader((scn / "units.csv").read_text().splitlines()))
+    for row in rows:
+        if row["ident_sigma_frac"]:
+            row["ident_sigma_frac"] = "0.51"
+    with open(scn / "units.csv", "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    cli.write_strategy(tmp_path / "s", smoke3_m2)
+    # solve refuses it at load, where 4,000 DIU draws per unit are mapped
+    assert main(["solve", "--scenario", str(scn), "--mode", "M2", "--out", str(tmp_path / "m2")]) == 1
+    assert "s_capacity must be > 0" in capsys.readouterr().err
+    # evaluate maps only its own draws: 20 hold no invalid device, 2,000 do
+    evaluate = ["evaluate", "--scenario", str(scn), "--strategy", str(tmp_path / "s"), "--seed", "0"]
+    assert main(evaluate + ["--draws", "20", "--out", str(tmp_path / "r20")]) == 0
+    capsys.readouterr()
+    assert main(evaluate + ["--draws", "2000", "--out", str(tmp_path / "r2000")]) == 1
+    assert "s_capacity must be > 0" in capsys.readouterr().err
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     import shutil
 
@@ -439,6 +480,26 @@ def test_sweep_and_reserve_rows_equal_the_solve_command(tmp_path, capsys):
         (row,) = csv.DictReader(table.read_text().splitlines())
         assert row["cost_da"] == summary["objective"]
     capsys.readouterr()
+
+
+def test_sweep_rows_equal_the_evaluation_of_each_cell(tmp_path, capsys, smoke3):
+    from gesdispatch.reliability import evaluate_reliability
+    from gesdispatch.scenario_io import fmt
+
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", SMOKE, "--gammas", "0.05,0.3", "--reform", "R2",
+                 "--draws", "200", "--seed", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = list(csv.DictReader((out / "sweep.csv").read_text().splitlines()))
+    assert [r["mode"] for r in rows] == ["M1", "M2", "M3"] * 2
+    for row in rows:
+        cfg = RunConfig(model_mode=row["mode"], reformulation="R2" if row["mode"] == "M3" else "R1",
+                        gamma=float(row["gamma"]))
+        scn = cli._apply_config(smoke3, cfg)
+        strategy = cli._dispatch(scn, cfg)
+        report = evaluate_reliability(strategy, scn, 200, 3)
+        assert [row["cost_da"], row["lorp"], row["cost_rt"], row["cost_tc"]] == [
+            fmt(strategy.objective_value), fmt(report.lorp), fmt(report.cost_rt), fmt(report.cost_tc)], row
 
 
 def test_sweep_and_reserve_write_a_manifest(tmp_path, capsys):

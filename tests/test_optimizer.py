@@ -33,8 +33,9 @@ from gesdispatch.optimizer import (
 )
 
 from gesdispatch.reliability import VIOLATION_TOL, _noise_states, _unit_noise
+from gesdispatch.scenario import ReserveSpec
 
-from util import PROPAGATION_SAMPLES, bes_device, make_scenario, make_unit, stat_threshold
+from util import PROPAGATION_SAMPLES, bes_device, make_scenario, make_unit, reserve_problem, stat_threshold
 
 T = 24
 
@@ -280,10 +281,14 @@ def test_r2_rhs_update_equals_fresh_build(smoke3):
 
 # linprog forwards the scaling option, which it does not know, to HiGHS and warns about it
 @pytest.mark.filterwarnings("ignore:Unrecognized options detected:scipy.optimize.OptimizeWarning")
-@pytest.mark.parametrize("build", [build_cco_diu, lambda scn: build_cco_ddu(scn, robust_f_inv(scn))],
-                         ids=["M2", "R1"])
-def test_cold_solve_equals_linprog(smoke3, build):
-    prob = build(smoke3)
+@pytest.mark.parametrize("fixture, build", [
+    ("smoke3", build_cco_diu), ("smoke3", lambda scn: build_cco_ddu(scn, robust_f_inv(scn))),
+    ("tcl100", lambda scn: reserve_problem(scn, ReserveSpec(mode="S1"))),
+    ("tcl100", lambda scn: reserve_problem(scn, ReserveSpec(mode="S2"))),
+    ("tcl100", lambda scn: build_cco_ddu(scn, robust_f_inv(scn))),
+], ids=["M2", "R1", "reserve-S1", "reserve-S2", "tcl100-R1"])
+def test_cold_solve_equals_linprog(request, fixture, build):
+    prob = build(request.getfixturevalue(fixture))
     a = prob.arrays()
     ref = linprog(a.c, A_ub=a.A_ub, b_ub=a.b_ub, A_eq=a.A_eq, b_eq=a.b_eq, bounds=a.bounds, method="highs",
                   options={"primal_feasibility_tolerance": 1e-9, "dual_feasibility_tolerance": 1e-9,

@@ -1,5 +1,6 @@
 """Reserve-backed dispatch: pricing formulas and portfolio behavior."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,8 @@ from gesdispatch.errors import InvalidProbability, MissingOnProb
 from gesdispatch.optimizer import robust_solve_r1
 from gesdispatch.reserve import required_reliability, reserve_price, solve_with_reserve
 from gesdispatch.scenario import ReserveSpec
+
+from util import reserve_problem
 
 
 def test_required_reliability_examples():
@@ -86,6 +89,13 @@ def test_reserve_links_to_net_response(tcl100):
         sched = strat.schedules[u.unit_id]
         expect = w * (sched.p_d - sched.p_c)
         assert np.allclose(strat.reserve_schedule[u.unit_id], expect, atol=1e-6)
+
+
+@pytest.mark.parametrize("p_lo, p_hi", [(-math.inf, math.inf), (-30.0, 12.5)], ids=["default", "finite"])
+def test_reserve_power_bounds_reach_the_lp_as_given(smoke3, p_lo, p_hi):
+    prob = reserve_problem(smoke3, ReserveSpec(mode="S1", p_lo=p_lo, p_hi=p_hi))
+    bounds = prob.arrays().bounds[prob.columns("rs", [u.unit_id for u in smoke3.units])]
+    assert (bounds[..., 0] == p_lo).all() and (bounds[..., 1] == p_hi).all()
 
 
 def test_reserve_spec_validation():

@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 
+from gesdispatch import reserve
 from gesdispatch.ddu import DduSpec
 from gesdispatch.distributions import DistributionSpec
 from gesdispatch.ges import DeviceDescription, map_device_to_ges
@@ -69,3 +71,18 @@ def largest_task(scn, draws):
     `scn` at `draws`: its tasks run on the pool when this reaches
     `pool.POOL_MIN_ELEMENTS`."""
     return max(t.stop - t.start for t in _tasks(scn.units, draws, scn.horizon)) * draws * scn.horizon
+
+
+def reserve_problem(scn, spec):
+    """The LP `solve_with_reserve` builds, taken before it is solved."""
+    built = []
+
+    def capture(prob, context):
+        built.append(prob)
+        raise StopIteration
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reserve, "solve_or_raise", capture)
+        with pytest.raises(StopIteration):
+            reserve.solve_with_reserve(scn, spec)
+    return built[0]
