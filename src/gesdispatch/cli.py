@@ -294,16 +294,7 @@ def cmd_solve(args) -> int:
     cfg = _cfg_from_args(args)
     scn = _apply_config(load_scenario(args.scenario), cfg)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        strategy = _dispatch(scn, cfg)
-    except InfeasibleBounds as exc:
-        (out / "infeasible.yaml").write_text(yaml.safe_dump(
-            {"empty_intervals": [
-                {"unit": u, "t": int(t), "lower": fmt(lo), "upper": fmt(hi)}
-                for u, t, lo, hi in exc.entries]}, sort_keys=True))
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 2
+    strategy = _dispatch(scn, cfg)
     write_strategy(out, strategy)
     write_manifest(out, {k: v for k, v in asdict(cfg).items() if k != "out"}, args.scenario)
     print(f"objective {strategy.objective_value:.6f} -> {out}")
@@ -479,6 +470,15 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValidationError as exc:
         print(str(exc), file=sys.stderr)
+        return 2
+    except InfeasibleBounds as exc:  # from `solve`, `sweep` or `reserve`, which all take --out
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "infeasible.yaml").write_text(yaml.safe_dump(
+            {"empty_intervals": [
+                {"unit": u, "t": int(t), "lower": fmt(lo), "upper": fmt(hi)}
+                for u, t, lo, hi in exc.entries]}, sort_keys=True))
+        print(f"infeasible: {exc}", file=sys.stderr)
         return 2
     except GesDispatchError as exc:
         print(f"error: {exc}", file=sys.stderr)

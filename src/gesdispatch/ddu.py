@@ -19,7 +19,7 @@ from scipy import special
 
 from . import distributions as dist
 from .distributions import DistributionSpec
-from .errors import DimensionMismatch, InvalidSpec, NonTighteningCoefficient, OrderingViolation
+from .errors import InvalidSpec, NonTighteningCoefficient, OrderingViolation
 from .ges import GesParams, UnitSchedule
 
 H_FAMILIES = ("lognormal", "beta")
@@ -189,30 +189,26 @@ def contraction_distribution(rd: float, side: str, spec: DduSpec) -> Distributio
     return DistributionSpec.beta(mf * k, (1.0 - mf) * k, 0.0, BETA_CAP)
 
 
-def contraction_quantile_vec(
-    m: np.ndarray, spec: DduSpec, u: np.ndarray | None = None, *, z: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Vectorized inverse CDF of H over elementwise means `m` at uniforms `u`.
+def contraction_shock(family: str, u):
+    """The standard variate of the `family` contraction at uniforms `u`: the
+    normal score ndtri(u) for the lognormal family, `u` itself for the beta
+    family.  `contraction_quantile_vec` reads H from it."""
+    return special.ndtri(u) if family == "lognormal" else u
+
+
+def contraction_quantile_vec(m: np.ndarray, spec: DduSpec, shock, out: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized inverse CDF of H over elementwise means `m` at the shocks
+    ``contraction_shock(spec.h_family, u)`` of uniforms `u`.
 
     Equivalent to quantile(contraction_distribution(...), u) evaluated
-    entry-by-entry, but without constructing per-entry spec objects.
-
-    `z` is a fast path for a caller that applies one set of uniforms to many
-    means (the Monte-Carlo evaluator): it must be ndtri(u), computed once by
-    that caller.  Only the lognormal family reads it, and that family then
-    needs no `u`; the beta family always reads `u`.  The result is written
-    into `out` when it is given, which may be `m` itself.  Only the live
-    entries (mean above MEAN_FLOOR) are gathered and transformed.
+    entry-by-entry, but without constructing per-entry spec objects; a
+    caller that applies one set of uniforms to many means (the Monte-Carlo
+    evaluator) transforms them once.  The result is written into `out` when
+    it is given, which may be `m` itself.  Only the live entries (mean above
+    MEAN_FLOOR) are gathered and transformed.
     """
     m = np.asarray(m, dtype=float)
-    if u is not None:
-        u = np.asarray(u, dtype=float)
-        if z is not None and np.shape(z) != u.shape:
-            raise DimensionMismatch(f"z must be ndtri(u): shape {np.shape(z)} against uniforms {u.shape}")
-    elif z is None or spec.h_family != "lognormal":
-        raise InvalidSpec(f"the {spec.h_family} contraction quantile needs the uniforms u")
-    shape = np.broadcast_shapes(m.shape, np.shape(z) if u is None else u.shape)
+    shape = np.broadcast_shapes(m.shape, np.shape(shock))
     if out is None:
         out = np.broadcast_to(m, shape).copy()
     elif out is not m:
@@ -221,9 +217,9 @@ def contraction_quantile_vec(
     if not np.any(live):
         return out
     s = spec.sigma_h
-    mm = out[live]
+    mm, shock = out[live], np.broadcast_to(shock, out.shape)
     if spec.h_family == "lognormal":
-        # exp(log(mm) - s2 / 2 + sqrt(s2) * z), evaluated in place on the
+        # exp(log(mm) - s2 / 2 + sqrt(s2) * shock), evaluated in place on the
         # gathered entries, so at most three of them are alive at once
         s2 = np.divide(s, mm)
         np.square(s2, out=s2)
@@ -231,13 +227,12 @@ def contraction_quantile_vec(
         np.log(mm, out=mm)
         mm -= s2 / 2.0
         np.sqrt(s2, out=s2)
-        s2 *= np.broadcast_to(special.ndtri(u) if z is None else z, out.shape)[live]
+        s2 *= shock[live]
         mm += s2
         out[live] = np.exp(mm, out=mm)
     else:
-        uu = np.broadcast_to(u, out.shape)[live]
         mf, _, k = _beta_fit(mm, s)
-        out[live] = BETA_CAP * special.betaincinv(mf * k, (1.0 - mf) * k, uu)
+        out[live] = BETA_CAP * special.betaincinv(mf * k, (1.0 - mf) * k, shock[live])
     return out
 
 
@@ -250,7 +245,7 @@ def standardized_h_quantile(rd, side: str, spec: DduSpec, level: float):
     if np.any(rd < -1e-12):
         raise InvalidSpec(f"response discomfort must be >= 0, got {rd.min()}")
     m = spec.beta_side(side) * np.maximum(rd, 0.0)
-    q = contraction_quantile_vec(m, spec, u=level)
+    q = contraction_quantile_vec(m, spec, contraction_shock(spec.h_family, level))
     if spec.h_family == "lognormal":
         mean, sd = m, spec.sigma_h
     else:

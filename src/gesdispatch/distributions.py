@@ -399,8 +399,10 @@ def _truncnorm_moments(p) -> tuple[float, float]:
     al, be = (a - mu) / sg, (b - mu) / sg
     z = special.ndtr(be) - special.ndtr(al)
     pa, pb = _phi(al), _phi(be)
+    # x * phi(x) is 0 at an infinite end, where inf * 0 would be nan
+    ta, tb = (0.0 if math.isinf(x) else x * px for x, px in ((al, pa), (be, pb)))
     m = mu + sg * (pa - pb) / z
-    var = sg * sg * (1.0 + (al * pa - be * pb) / z - ((pa - pb) / z) ** 2)
+    var = sg * sg * (1.0 + (ta - tb) / z - ((pa - pb) / z) ** 2)
     return m, math.sqrt(max(var, 0.0))
 
 

@@ -212,15 +212,14 @@ def tcl_baseline_bound_samples(dev, params: GesParams, base: np.ndarray,
     units (`_stacked`) against a (units, n, horizon) `base`.
     """
     p_c_max, p_d_max = thermal_ratings(dev.p_max, dev.p_min, base, base, p_c_max, p_d_max)
-    rows = {key: np.asarray(getattr(params, attr), dtype=float) for key, attr in _SAMPLED.items() if attr in _ROWS}
+    rows = {name: np.asarray(getattr(params, name), dtype=float) for name in _ROWS}
     return {"p_c_max": p_c_max, "p_d_max": p_d_max, **rows}
 
 
-#: sampled per-step keys and the GesParams attribute each one reads
-_SAMPLED = {"p_c_max": "p_c_max", "p_d_max": "p_d_max", "soc_lo": "soc_lo", "soc_hi": "soc_hi",
-            "alpha": "alpha", "avg": "soc_baseline_avg", "deadband": "deadband"}
-#: the GesParams rows that the thermal fast path shares by all draws: all but the ratings
-_ROWS = tuple(attr for key, attr in _SAMPLED.items() if key not in ("p_c_max", "p_d_max"))
+#: the sampled per-step GesParams fields
+_SAMPLED = ("p_c_max", "p_d_max", "soc_lo", "soc_hi", "alpha", "soc_baseline_avg", "deadband")
+#: the rows that the thermal fast path shares by all draws: all but the ratings
+_ROWS = _SAMPLED[2:]
 
 
 def unit_states(seed: int, units: Sequence[tuple[str, dict, list | None]], horizon: int,
@@ -280,26 +279,25 @@ def sample_bounds(
     identification and baseline noise: the one sampler of the DIU model.
 
     Every unit of `run` takes the same `sampler_branch`, and ``states[i]``
-    is unit i's block of `unit_states`.  Returns the bounds `p_c_max`,
-    `p_d_max`, `soc_lo`, `soc_hi`, `alpha` and the comfort anchors `avg`
-    (baseline SoC average) and `deadband`, each (units, n, horizon) where it
-    varies by draw and (units, 1, horizon) where it does not; the ratings
-    are always (units, n, horizon), read-only broadcasts of the rows in a
-    noise-free run.  Per unit and draw, the values do not depend on which
-    run the unit is sampled in.  With a `workspace` of two C-contiguous
-    (units, n, horizon) buffers the thermal fast path writes into them: the
-    uniforms (as (units, horizon, n) rows) and then the charge rating into
-    the second, the baseline draws and then the discharge rating into the
-    first.  Given `sorted_base`, a C-contiguous (units, horizon, n) buffer,
-    the fast path also writes each step's baseline draws into it in
-    ascending order (`_sort_draws`) before the discharge rating overwrites
-    them; the other branches leave it alone.
+    is unit i's block of `unit_states`.  Returns, keyed by GesParams field,
+    the bounds `p_c_max`, `p_d_max`, `soc_lo`, `soc_hi`, `alpha` and the
+    comfort anchors `soc_baseline_avg` and `deadband`, each (units, n,
+    horizon) where it varies by draw and (units, 1, horizon) where it does
+    not; the ratings are always (units, n, horizon), read-only broadcasts
+    of the rows in a noise-free run.  Per unit and draw, the values do not
+    depend on which run the unit is sampled in.  With a `workspace` of two
+    C-contiguous (units, n, horizon) buffers the thermal fast path writes
+    into them: the uniforms (as (units, horizon, n) rows) and then the
+    charge rating into the second, the baseline draws and then the
+    discharge rating into the first.  Given `sorted_base`, a C-contiguous
+    (units, horizon, n) buffer, the fast path also writes each step's
+    baseline draws into it in ascending order (`_sort_draws`) before the
+    discharge rating overwrites them; the other branches leave it alone.
     """
     k = len(run)
     branch = sampler_branch(run[0].dev, run[0].unit_dists, run[0].baseline_dist)
     if branch == "fixed":
-        out = vars(_stacked([m.params for m in run], _SAMPLED.values()))
-        out = {key: out[attr] for key, attr in _SAMPLED.items()}
+        out = vars(_stacked([m.params for m in run], _SAMPLED))
         for key in ("p_c_max", "p_d_max"):
             out[key] = np.broadcast_to(out[key], (k, n, horizon))
         return out
@@ -325,8 +323,8 @@ def sample_bounds(
             if base is not None:
                 kw["baseline_power"] = base[j]
             draw_params = map_device_to_ges(replace(member.dev, **kw), dt, horizon)
-            for key, attr in _SAMPLED.items():
-                out[key][i, j] = getattr(draw_params, attr)
+            for key in _SAMPLED:
+                out[key][i, j] = getattr(draw_params, key)
     return out
 
 

@@ -40,10 +40,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import distributions as dist
-from .ddu import bound_ends, contraction_quantile_vec, discomfort, expansion_fraction, rating_refs
+from .ddu import (bound_ends, contraction_quantile_vec, contraction_shock, discomfort, expansion_fraction,
+                  rating_refs)
 from .errors import DimensionMismatch, InvalidSpec
 from .diu import sample_bounds, sampler_branch, unit_states
 from .diu import tcl_baseline_bound_samples  # noqa: F401  (a wrap target of bench/tracing.py)
@@ -63,20 +63,12 @@ OVER_RESPONSE_MULT = 0.3
 
 @dataclass
 class UnitRealization:
-    """Per-draw realized bounds of one unit, arrays (draws, horizon); or of a
-    run of units (`realize_unit`), arrays (units, draws, horizon) and one
-    `crossings` count per unit."""
+    """Per-draw realized bounds of one unit, arrays (draws, horizon), and the
+    number of (draw, step) pairs whose bounds crossed."""
 
     upper: np.ndarray
     lower: np.ndarray
-    p_c_max: np.ndarray
-    p_d_max: np.ndarray
-    crossings: int | np.ndarray
-
-    def unit(self, i: int) -> "UnitRealization":
-        """Unit `i` of a run's realization."""
-        return UnitRealization(upper=self.upper[i], lower=self.lower[i], p_c_max=self.p_c_max[i],
-                               p_d_max=self.p_d_max[i], crossings=int(self.crossings[i]))
+    crossings: int
 
 
 @dataclass
@@ -162,9 +154,8 @@ def _price(u: UnitSpec, side: str) -> np.ndarray:
 
 class _Worlds:
     """The fleet-common state of one evaluation, computed once and shared by
-    every unit and strategy: the contraction shocks in the form each
-    contraction family reads (the uniforms for beta, their standard normal
-    scores for lognormal), and the expansion factor g of every distinct
+    every unit and strategy: the contraction shock of each family and side
+    (`ddu.contraction_shock`), and the expansion factor g of every distinct
     price input of the scenario's units.  Nothing here changes after
     construction, so the evaluator's worker threads only read it."""
 
@@ -172,15 +163,8 @@ class _Worlds:
         self.m = m
         self.horizon = scn.horizon
         sysu = _system_uniforms(seed, m, scn.horizon)
-        families = {u.ddu.h_family for u in scn.units}
-        # keyword arguments of contraction_quantile_vec per (family, side)
-        self.h_shocks: dict[tuple[str, str], dict[str, np.ndarray]] = {}
-        for side in ("upper", "lower"):
-            u_h = sysu[f"h_{side}"]
-            if "beta" in families:
-                self.h_shocks["beta", side] = {"u": u_h}
-            if "lognormal" in families:
-                self.h_shocks["lognormal", side] = {"z": special.ndtri(u_h)}
+        self.h_shocks = {(family, side): contraction_shock(family, sysu[f"h_{side}"])
+                         for family in {u.ddu.h_family for u in scn.units} for side in ("upper", "lower")}
         self._g: dict[tuple, np.ndarray] = {}
         for u in scn.units:
             for side in ("upper", "lower"):
@@ -225,12 +209,12 @@ def _side_bound(units: Sequence[UnitSpec], noise, rd, side: str, worlds: _Worlds
     spec = units[0].ddu
     end = "hi" if side == "upper" else "lo"
     phys = _column(units, f"soc_phys_{end}")
-    diu, comfort = bound_ends(side, noise[f"soc_{end}"], phys, noise["avg"], noise["deadband"])
+    diu, comfort = bound_ends(side, noise[f"soc_{end}"], phys, noise["soc_baseline_avg"], noise["deadband"])
     # anchor = diu + (phys - diu) * g
     anchor = np.multiply(phys - diu, worlds.g(units[0], side), out=out)
     anchor += diu
     np.multiply(rd, spec.beta_side(side), out=h)
-    contraction_quantile_vec(h, spec, **worlds.h_shocks[spec.h_family, side], out=h)
+    contraction_quantile_vec(h, spec, worlds.h_shocks[spec.h_family, side], out=h)
     # bound = anchor + (comfort - anchor) * h
     pull = np.subtract(comfort, anchor, out=scratch)
     pull *= h
@@ -245,13 +229,14 @@ KERNEL_BUFFERS = 4
 def realize_unit(
     units: Sequence[UnitSpec], sched: UnitSchedule, noise: dict[str, np.ndarray], m: int,
     worlds: _Worlds, workspace: Sequence[np.ndarray] | None = None,
-) -> UnitRealization:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-draw practical bounds of a run of units (one `_tasks` slice) over
     the `m` draws of `worlds`, given the run's schedules (`_schedules`) and
     noise realization (`_unit_noise`): the realization kernel of every
-    evaluator.  A crossed (upper, lower) pair collapses to its midpoint.
-    Every step is elementwise over the run, so a unit's bounds do not depend
-    on the run it is realized in.
+    evaluator.  Returns the realized (upper, lower) bounds, each (units, m,
+    horizon), and the number of crossed (draw, step) pairs of each unit; a
+    crossed pair collapses to its midpoint.  Every step is elementwise over
+    the run, so a unit's bounds do not depend on the run it is realized in.
 
     `workspace` holds KERNEL_BUFFERS (units, m, horizon) buffers that the
     kernel overwrites; the returned bounds are its second and third, so the
@@ -264,7 +249,7 @@ def realize_unit(
     rd, upper, lower, h = workspace
     # discomfort per draw and step, from each draw's realized references
     discomfort(sched, noise["pc_ref"][..., None], noise["pd_ref"][..., None],
-               noise["avg"], noise["deadband"], units[0].ddu, out=rd, scratch=upper)
+               noise["soc_baseline_avg"], noise["deadband"], units[0].ddu, out=rd, scratch=upper)
     _side_bound(units, noise, rd, "upper", worlds, out=upper, h=h, scratch=lower)
     _side_bound(units, noise, rd, "lower", worlds, out=lower, h=h, scratch=rd)
     crossed = lower > upper
@@ -274,13 +259,7 @@ def realize_unit(
         mid = 0.5 * (upper[crossed] + lower[crossed])
         upper[crossed] = mid
         lower[crossed] = mid
-    return UnitRealization(
-        upper=upper,
-        lower=lower,
-        p_c_max=noise["p_c_max"],
-        p_d_max=noise["p_d_max"],
-        crossings=crossings,
-    )
+    return upper, lower, crossings
 
 
 def realize_practical_bounds(
@@ -301,8 +280,9 @@ def realize_practical_bounds(
     units = {}
     for task in _tasks(scn.units, draws, scn.horizon):
         run = scn.units[task]
-        real = realize_unit(run, _rows(sched, task), _unit_noise(run, scn, draws, states[task]), draws, worlds)
-        units.update((u.unit_id, real.unit(i)) for i, u in enumerate(run))
+        upper, lower, crossings = realize_unit(run, _rows(sched, task), _unit_noise(run, scn, draws, states[task]),
+                                               draws, worlds)
+        units.update((u.unit_id, UnitRealization(upper[i], lower[i], int(crossings[i]))) for i, u in enumerate(run))
     return RealizationBatch(units=units, draws=draws, seed=seed)
 
 
@@ -451,8 +431,8 @@ def evaluate_many(
         parts = []
         for strategy_sched in scheds:
             sched = _rows(strategy_sched, task)
-            real = realize_unit(run, sched, noise, draws, worlds, kernel)
-            parts.append(_score_run(scn, run, sched, real.upper, real.lower, real.crossings, rd, h))
+            upper, lower, crossings = realize_unit(run, sched, noise, draws, worlds, kernel)
+            parts.append(_score_run(scn, run, sched, upper, lower, crossings, rd, h))
         return parts
 
     parts = map_in_workspaces(score_task, tasks,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cantelli import ShapeClass, UNIMODAL
 from .ddu import DduSpec
-from .diu import LEVELS, UnitBoundStats, tabulated
+from .diu import DEFAULT_SAMPLES, LEVELS, UnitBoundStats, tabulated
 from .distributions import DistributionSpec
 from .errors import ValidationError
 from .ges import DeviceDescription, GesParams
@@ -98,6 +98,8 @@ class ScenarioBundle:
     dispatch_window: np.ndarray | None = None  # boolean mask over steps; None = all
     shape_class: ShapeClass = UNIMODAL
     reserve: ReserveSpec | None = None
+    diu_samples: int = DEFAULT_SAMPLES  # Monte-Carlo draws of the DIU bound statistics
+    diu_seed: int = 0
 
     def __post_init__(self):
         if self.gamma_balance is None:

@@ -213,8 +213,9 @@ def _dist_from_row(family: str, mean: float, sigma: float, where: str, issues):
     return DistributionSpec.point(mean)
 
 
-def _propagate_all(units: list[UnitSpec], dt: float, horizon: int, n: int, seed: int) -> None:
-    """Fill `stats` of every unit with identification or baseline noise.
+def _propagate_all(bundle: ScenarioBundle) -> None:
+    """Fill `stats` of every unit with identification or baseline noise, from
+    `bundle.diu_samples` draws at `bundle.diu_seed`.
 
     The seed states of every unit's streams are hashed in one pass
     (`diu.unit_states`); each task reads its unit's read-only block.  The
@@ -223,7 +224,8 @@ def _propagate_all(units: list[UnitSpec], dt: float, horizon: int, n: int, seed:
     from its own streams, so the statistics do not depend on the pool, and
     the first failing unit in file order raises.
     """
-    noisy = [u for u in units if u.unit_dists or u.baseline_dist is not None]
+    dt, horizon, n, seed = bundle.dt, bundle.horizon, bundle.diu_samples, bundle.diu_seed
+    noisy = [u for u in bundle.units if u.unit_dists or u.baseline_dist is not None]
     states = unit_states(seed, [(u.dev.unit_id, u.unit_dists, u.baseline_dist) for u in noisy], horizon)
 
     def propagate(item, workspace):
@@ -385,6 +387,8 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
         dispatch_window=window,
         shape_class=shape,
         reserve=reserve,
+        diu_samples=n_samples,
+        diu_seed=diu_seed,
     )
     try:
         bundle.validate()
@@ -394,7 +398,7 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
     if issues:
         raise ValidationError(issues)
     if compute_stats:
-        _propagate_all(units, dt, horizon, n_samples, diu_seed)
+        _propagate_all(bundle)
     return bundle
 
 
@@ -402,7 +406,7 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
 # Serialization
 
 
-def serialize(bundle: ScenarioBundle, path, diu_samples: int = DEFAULT_SAMPLES, diu_seed: int = 0) -> None:
+def serialize(bundle: ScenarioBundle, path) -> None:
     """Write a scenario directory that load_scenario reads back equal."""
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
@@ -413,7 +417,7 @@ def serialize(bundle: ScenarioBundle, path, diu_samples: int = DEFAULT_SAMPLES, 
         "gamma_balance": float(bundle.gamma_balance),
         "grid_cap": float(bundle.grid_cap),
         "shape_class": bundle.shape_class.kind,
-        "diu": {"samples": diu_samples, "seed": diu_seed},
+        "diu": {"samples": int(bundle.diu_samples), "seed": int(bundle.diu_seed)},
     }
     if bundle.shape_class.nu is not None:
         cfg["shape_nu"] = float(bundle.shape_class.nu)

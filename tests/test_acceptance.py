@@ -394,8 +394,7 @@ def test_ac9_derived_example_oracles(smoke3):
     upper[3] = 0.45
     batch = RealizationBatch(
         units={"bes": UnitRealization(
-            upper=np.tile(upper, (4, 1)), lower=np.tile(np.full(8, 0.1), (4, 1)),
-            p_c_max=np.full((4, 8), 10.0), p_d_max=np.full((4, 8), 10.0), crossings=0)},
+            upper=np.tile(upper, (4, 1)), lower=np.tile(np.full(8, 0.1), (4, 1)), crossings=0)},
         draws=4, seed=0)
     rep = compute_lorp_erns(rest, batch, scn)
     check("constructed ERNS", float(rep.erns[3]), 0.5, 1e-12)
@@ -404,8 +403,7 @@ def test_ac9_derived_example_oracles(smoke3):
     lower[2] = 0.6
     batch_under = RealizationBatch(
         units={"bes": UnitRealization(
-            upper=np.tile(np.full(8, 0.9), (4, 1)), lower=np.tile(lower, (4, 1)),
-            p_c_max=np.full((4, 8), 10.0), p_d_max=np.full((4, 8), 10.0), crossings=0)},
+            upper=np.tile(np.full(8, 0.9), (4, 1)), lower=np.tile(lower, (4, 1)), crossings=0)},
         draws=4, seed=0)
     check("under-response penalty", penalty_cost(rest, batch_under, scn), 1.3 * 0.9, 1e-9)
     scn14 = make_scenario([make_unit(bes_device(S=10.0), 8)], 8, tou=1.4)

@@ -640,3 +640,51 @@ def test_read_strategy_returns_the_written_strategy(request, tmp_path, fixture):
         assert got.reserve_diag == want.reserve_diag, cfg
         assert got.objective_value == want.objective_value
         assert got.metadata == replace(want.metadata, trace=[])
+
+
+def write_sigma_h_scenario(tmp_path, sigma_h):
+    """A smoke3 copy whose every unit has contraction spread `sigma_h`."""
+    dst = tmp_path / "scn"
+    shutil.copytree(FIXTURES / "smoke3", dst)
+    with open(dst / "ddu.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(dst / "ddu.csv", "w", newline="") as fh:
+        w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        w.writeheader()
+        w.writerows({**row, "sigma_h": str(sigma_h)} for row in rows)
+    return str(dst)
+
+
+def test_empty_soc_bounds_exit_2_from_every_solve_command(tmp_path, capsys):
+    # sigma_h 2.0 widens the contraction spread until the tightened SoC intervals are empty
+    scenario = write_sigma_h_scenario(tmp_path, 2.0)
+    written = {}
+    for argv in (["solve"], ["sweep", "--gammas", "0.05", "--modes", "M3"],
+                 ["reserve", "--gammas", "0.05", "--modes", "S1"]):
+        out = tmp_path / argv[0]
+        assert main([argv[0], "--scenario", scenario, *argv[1:], "--out", str(out)]) == 2, argv[0]
+        assert capsys.readouterr().err.startswith("infeasible: empty tightened interval(s)"), argv[0]
+        assert sorted(p.name for p in out.iterdir()) == ["infeasible.yaml"], argv[0]
+        written[argv[0]] = (out / "infeasible.yaml").read_bytes()
+    entries = yaml.safe_load(written["solve"])["empty_intervals"]
+    assert entries and all(float(e["lower"]) > float(e["upper"]) for e in entries)
+    assert written["sweep"] == written["reserve"] == written["solve"]
+
+
+def test_solve_variant_equals_the_library_solve(tmp_path, capsys, smoke3):
+    from gesdispatch.optimizer import robust_solve_r1
+
+    out = tmp_path / "f3"
+    assert main(["solve", "--scenario", SMOKE, "--variant", "F3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    f3 = replace(smoke3, units=[replace(u, ddu=replace(u.ddu, discomfort_variant="F3")) for u in smoke3.units])
+    want = robust_solve_r1(f3)
+    got = cli.read_strategy(out, smoke3)
+    assert got.objective_value == want.objective_value
+    assert got.objective_value != robust_solve_r1(smoke3).objective_value  # the variant reaches the LP
+    assert got.grid_import.tobytes() == want.grid_import.tobytes()
+    for uid, s in want.schedules.items():
+        for name in ("p_c", "p_d", "soc"):
+            assert getattr(got.schedules[uid], name).tobytes() == getattr(s, name).tobytes(), (uid, name)
+        assert got.rd[uid].tobytes() == want.rd[uid].tobytes(), uid
+    assert yaml.safe_load((out / "manifest.yaml").read_text())["config"]["discomfort_variant"] == "F3"

@@ -14,6 +14,7 @@ from gesdispatch.ddu import (
     bound_ends,
     contraction_distribution,
     contraction_quantile_vec,
+    contraction_shock,
     ddu_bound_distribution,
     expansion_anchor,
     response_discomfort,
@@ -21,7 +22,7 @@ from gesdispatch.ddu import (
     standardized_h_quantile,
 )
 from gesdispatch.distributions import DistributionSpec, mean, normalized_quantile, quantile, sample, std
-from gesdispatch.errors import DimensionMismatch, InvalidSpec, NonTighteningCoefficient, OrderingViolation
+from gesdispatch.errors import InvalidSpec, NonTighteningCoefficient, OrderingViolation
 from gesdispatch.ges import GesParams, UnitSchedule
 
 T = 10
@@ -152,21 +153,19 @@ def test_contraction_quantile_vec_matches_scalar():
     spec = DduSpec()
     m = np.array([0.0, 0.1, 0.5, 1.2])
     u = np.array([0.2, 0.5, 0.8, 0.95])
-    out = contraction_quantile_vec(m, spec, u)
+    out = contraction_quantile_vec(m, spec, contraction_shock(spec.h_family, u))
     for k in range(m.size):
         if m[k] <= 1e-9:
             assert out[k] == m[k]
         else:
             h = contraction_distribution(m[k] / spec.beta_up, "upper", spec)
             assert out[k] == pytest.approx(float(quantile(h, u[k])), rel=1e-9)
-    # precomputed standard normal scores give the same result
-    assert np.array_equal(contraction_quantile_vec(m, spec, u, z=special.ndtri(u)), out)
-    # one row of means broadcasts against a matrix of uniforms
-    grid = contraction_quantile_vec(m, spec, np.tile(u, (3, 1)))
+    # the lognormal shock is the standard normal score of the uniform, the beta shock the uniform itself
+    assert np.array_equal(contraction_shock("lognormal", u), special.ndtri(u))
+    assert np.array_equal(contraction_shock("beta", u), u)
+    # one row of means broadcasts against a matrix of shocks
+    grid = contraction_quantile_vec(m, spec, contraction_shock(spec.h_family, np.tile(u, (3, 1))))
     assert grid.shape == (3, m.size) and np.array_equal(grid[1], out)
-    # scores of one row of uniforms would broadcast silently against the matrix
-    with pytest.raises(DimensionMismatch, match="ndtri"):
-        contraction_quantile_vec(m, spec, np.tile(u, (3, 1)), z=special.ndtri(u))
 
 
 def test_beta_contraction_quantile_is_scipy_beta_ppf_bit_for_bit():
@@ -180,7 +179,7 @@ def test_beta_contraction_quantile_is_scipy_beta_ppf_bit_for_bit():
     m = BETA_CAP * frac
     sums = []
     for s in BETA_CAP * 10.0 ** np.linspace(-5, 0, 6):
-        got = contraction_quantile_vec(m, DduSpec(h_family="beta", sigma_h=s), u)
+        got = contraction_quantile_vec(m, DduSpec(h_family="beta", sigma_h=s), contraction_shock("beta", u))
         mf = np.clip(m / BETA_CAP, 1e-9, 1.0 - 1e-6)
         k = mf * (1.0 - mf) / np.minimum((s / BETA_CAP) ** 2, 0.99 * mf * (1.0 - mf)) - 1.0
         want = np.where(m > MEAN_FLOOR, BETA_CAP * sstats.beta.ppf(u, mf * k, (1.0 - mf) * k), m)

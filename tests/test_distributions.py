@@ -1,7 +1,9 @@
 """Sampling, quantiles, and the closed-form lognormal inverse CDF."""
 
 import math
+import shutil
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,10 @@ from gesdispatch.distributions import (
     uniform_streams,
 )
 from gesdispatch.errors import EmptySample, InvalidSpec
+from gesdispatch.optimizer import balance_requirements
+from gesdispatch.scenario_io import load_scenario
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def test_bernoulli_degenerate():
@@ -161,6 +167,11 @@ def test_moments_match_scipy():
         (DistributionSpec.uniform(1.0, 3.0), stats.uniform(1.0, 2.0)),
         (DistributionSpec.student_t(5.0), stats.t(5.0)),
     ]
+    # truncated normals (mu, sigma, a, b), an infinite end among them, where x * phi(x) must read 0
+    for mu, sigma, a, b in [(1.0, 0.3, 0.5, 1.6), (5.0, 2.0, -1.0, 4.0), (0.0, 1.0, 2.5, 6.0),
+                            (0.0, 1.0, 0.0, math.inf), (2.0, 0.5, -math.inf, 2.3), (0.0, 1.0, -math.inf, math.inf)]:
+        cases.append((DistributionSpec.truncated_normal(mu, sigma, a, b),
+                      stats.truncnorm((a - mu) / sigma, (b - mu) / sigma, loc=mu, scale=sigma)))
     for spec, rv in cases:
         assert mean(spec) == pytest.approx(rv.mean(), abs=1e-9)
         assert std(spec) == pytest.approx(rv.std(), abs=1e-9)
@@ -226,3 +237,19 @@ def test_uniform_streams_take_a_shape_and_spawn_states_refuse_negative_seeds():
         assert uniforms.tobytes() == np.random.default_rng(child).random((3, 4)).tobytes()
     with pytest.raises(ValueError, match="non-negative"):
         spawn_states([(-1, 3)], [1])
+
+
+def test_truncated_normal_load_reaches_the_balance_requirement(tmp_path):
+    # a timeseries.csv `load_family: truncated_normal` row is truncated at mean -/+ 3 sigma
+    dst = tmp_path / "scn"
+    shutil.copytree(FIXTURES / "smoke3", dst)
+    ts = dst / "timeseries.csv"
+    ts.write_text(ts.read_text().replace(",normal,", ",truncated_normal,", 1))
+    scn = load_scenario(dst, compute_stats=False)
+    load_mean, load_sigma = 30.0, 0.6  # step 0 of smoke3
+    assert scn.load_dist[0].family == "truncated_normal"
+    rv = stats.truncnorm(-3.0, 3.0, loc=load_mean, scale=load_sigma)
+    assert mean(scn.load_dist[0]) == pytest.approx(rv.mean(), rel=1e-12)
+    assert std(scn.load_dist[0]) == pytest.approx(rv.std(), rel=1e-12)
+    load, _ = balance_requirements(scn)
+    assert load[0] == pytest.approx(rv.ppf(1.0 - scn.gamma_balance), rel=1e-9)

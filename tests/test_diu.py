@@ -193,7 +193,7 @@ def test_tcl_fast_path_equals_the_per_draw_mapping():
     for j in range(base.shape[0]):
         params = map_device_to_ges(replace(dev, baseline_power=base[j]), 0.5, T)
         want = {"p_c_max": params.p_c_max, "p_d_max": params.p_d_max, "soc_lo": params.soc_lo,
-                "soc_hi": params.soc_hi, "alpha": params.alpha, "avg": params.soc_baseline_avg,
+                "soc_hi": params.soc_hi, "alpha": params.alpha, "soc_baseline_avg": params.soc_baseline_avg,
                 "deadband": params.deadband}
         assert fast.keys() == want.keys()
         for key, value in want.items():
@@ -219,7 +219,7 @@ def test_sampler_branches_share_keys_and_shapes():
         "fast path": [(tcl_device(), {}, baseline), (tcl_device(unit_id="tcl2", p_max=8.0), {}, baseline)],
         "per draw": [(bes, ident, None), (big, ident, None)],
     }
-    keys = {"p_c_max", "p_d_max", "soc_lo", "soc_hi", "alpha", "avg", "deadband"}
+    keys = {"p_c_max", "p_d_max", "soc_lo", "soc_hi", "alpha", "soc_baseline_avg", "deadband"}
     for name, run in runs.items():
         out = sample(run)
         assert set(out) == keys, name

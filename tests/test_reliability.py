@@ -140,8 +140,6 @@ def fixed_batch(scn, upper, lower, draws=4):
         u.unit_id: UnitRealization(
             upper=np.tile(np.asarray(upper, float), (draws, 1)),
             lower=np.tile(np.asarray(lower, float), (draws, 1)),
-            p_c_max=np.tile(u.params.p_c_max, (draws, 1)),
-            p_d_max=np.tile(u.params.p_d_max, (draws, 1)),
             crossings=0,
         )
         for u in scn.units
@@ -318,15 +316,16 @@ def serial_reference(strategies, scn, draws, seed):
         erns = np.zeros(scn.horizon)
         freq, cost_rt, crossings = {}, 0.0, 0
         for u, unit_noise in zip(scn.units, noise):
-            real = realize_unit([u], reliability._schedules(strategy, [u]), unit_noise, draws, worlds).unit(0)
+            upper, lower, unit_crossings = realize_unit([u], reliability._schedules(strategy, [u]), unit_noise,
+                                                        draws, worlds)
             soc = strategy.schedules[u.unit_id].soc[1:][None, :]
-            over = np.maximum(soc - real.upper, 0.0)
-            under = np.maximum(real.lower - soc, 0.0)
+            over = np.maximum(soc - upper[0], 0.0)
+            under = np.maximum(lower[0] - soc, 0.0)
             violated = (over > VIOLATION_TOL) | (under > VIOLATION_TOL)
             any_violation |= violated.any(axis=1)
             erns += (over - under).mean(axis=0) * u.params.S
             freq[u.unit_id] = violated.mean(axis=0)
-            crossings += real.crossings
+            crossings += int(unit_crossings[0])
             e_over = over.mean(axis=0) * u.params.S
             e_under = under.mean(axis=0) * u.params.S
             cost_rt += float(np.dot(scn.tou_price,
@@ -341,9 +340,12 @@ def serial_reference(strategies, scn, draws, seed):
     ("fleet60", 200, True),
     # runs of one and two units of every sampler branch
     ("mixed_fleet", 500, True),
+    # the beta contraction family (":beta"), off and on the pool
+    ("smoke3:beta", 300, False), ("mixed_fleet:beta", 500, True),
 ])
 def test_pooled_evaluation_equals_a_serial_reference_bit_for_bit(request, monkeypatch, two_cpus,
                                                                   fixture, draws, pooled):
+    fixture, _, h_family = fixture.partition(":")
     if fixture in ("fleet60", "mixed_fleet"):
         scn, strategies = request.getfixturevalue(fixture)
     else:
@@ -353,6 +355,8 @@ def test_pooled_evaluation_equals_a_serial_reference_bit_for_bit(request, monkey
         strategies = {k: request.getfixturevalue("tcl100_strategies")[k] for k in ("M2", "M3")}
     elif fixture == "smoke3":
         strategies = {"M1": solve_deterministic_m1(scn), "M2": request.getfixturevalue("smoke3_m2")}
+    if h_family:
+        scn = replace(scn, units=[replace(u, ddu=replace(u.ddu, h_family=h_family)) for u in scn.units])
     assert (largest_task(scn, draws) >= POOL_MIN_ELEMENTS) == pooled
     threads = set()
     units_per_call = []
@@ -410,7 +414,7 @@ def test_realized_units_share_no_memory(request, fixture):
         scn = replace(scn, units=scn.units[:8])
     batch = realize_practical_bounds(strategy_with(scn), scn, draws=POOL_DRAWS, seed=3)
     arrays = [(uid, getattr(real, name)) for uid, real in batch.units.items()
-              for name in ("upper", "lower", "p_c_max", "p_d_max")]
+              for name in ("upper", "lower")]
     shared = [(a, b) for (a, x), (b, y) in itertools.combinations(arrays, 2)
               if a != b and np.shares_memory(x, y)]
     assert shared == []

@@ -12,7 +12,7 @@ import yaml
 
 from gesdispatch import diu
 from gesdispatch.errors import InvalidSpec, ParseError, ValidationError
-from gesdispatch.scenario import ReserveSpec
+from gesdispatch.scenario import ReserveSpec, ScenarioBundle
 from gesdispatch.scenario_io import load_scenario, serialize
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -108,7 +108,7 @@ def test_missing_directory():
 def test_round_trip(smoke3, tmp_path):
     out1 = tmp_path / "rt1"
     out2 = tmp_path / "rt2"
-    serialize(smoke3, out1, diu_samples=4000, diu_seed=11)
+    serialize(smoke3, out1)
     again = load_scenario(out1)
     assert again.horizon == smoke3.horizon
     assert again.gamma == smoke3.gamma
@@ -119,8 +119,16 @@ def test_round_trip(smoke3, tmp_path):
         assert np.allclose(a.price_c, b.price_c)
         assert a.ddu == b.ddu
     assert np.allclose(again.tou_price, smoke3.tou_price)
+    # serialize writes the scenario's own diu.samples and diu.seed, so every DIU statistic reloads bit for bit
+    for a, b in zip(again.units, smoke3.units):
+        assert b.stats is not None and a.stats is not None, b.unit_id
+        for kind in diu.BOUND_KINDS:
+            x, y = a.stats.get(kind), b.stats.get(kind)
+            for name in ("mu", "sigma", "table"):
+                assert getattr(x, name).tobytes() == getattr(y, name).tobytes(), (b.unit_id, kind, name)
+    assert (again.diu_samples, again.diu_seed) == (smoke3.diu_samples, smoke3.diu_seed) == (4000, 11)
     # a second serialize of the reloaded bundle is byte-identical
-    serialize(again, out2, diu_samples=4000, diu_seed=11)
+    serialize(again, out2)
     for f in sorted(p.name for p in out1.iterdir()):
         assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
 
@@ -205,15 +213,22 @@ def test_bad_unit_series_lists_the_problem(tmp_path, name, edit, message):
     assert message in str(err.value)
 
 
+#: bundle fields added after `_DIGESTS` was frozen; `test_loaded_bundle_keeps_its_digest` checks them by value
+_LATER_FIELDS = ("diu_samples", "diu_seed")
+
+
 def _digest(scn) -> str:
-    """sha256 over every field of a loaded bundle: arrays by dtype, shape and
-    bytes, floats by their hex form, so any bit or type that moves shows."""
+    """sha256 over every field of a loaded bundle but `_LATER_FIELDS`: arrays
+    by dtype, shape and bytes, floats by their hex form, so any bit or type
+    that moves shows."""
     h = hashlib.sha256()
 
     def add(x):
         h.update(type(x).__name__.encode())
         if dataclasses.is_dataclass(x):
             for f in dataclasses.fields(x):
+                if isinstance(x, ScenarioBundle) and f.name in _LATER_FIELDS:
+                    continue
                 add(f.name)
                 add(getattr(x, f.name))
         elif isinstance(x, np.ndarray):
@@ -264,11 +279,14 @@ def test_loaded_bundle_keeps_its_digest(tmp_path, name, edit):
         shutil.copytree(FIXTURES / name, dst)
     if edit is not None:
         edit(dst)
-    assert _digest(load_scenario(dst, compute_stats=False)) == _DIGESTS[name]
+    bundle = load_scenario(dst, compute_stats=False)
+    assert _digest(bundle) == _DIGESTS[name]
+    cfg = yaml.safe_load((dst / "scenario.yaml").read_text())["diu"]
+    assert (bundle.diu_samples, bundle.diu_seed) == (cfg["samples"], cfg["seed"])
 
 
 def test_round_trip_keeps_reserve_limits(smoke3, tmp_path):
     reserve = ReserveSpec(mode="S1", p_lo=-3.0, p_hi=4.0, ramp_up=1.0, ramp_dn=2.0, a=1.5, b=0.5, s1_price=0.7)
     for spec in (reserve, ReserveSpec()):  # the default's limits are infinite
-        serialize(replace(smoke3, reserve=spec), tmp_path / spec.mode, diu_samples=10, diu_seed=1)
+        serialize(replace(smoke3, reserve=spec), tmp_path / spec.mode)
         assert load_scenario(tmp_path / spec.mode, compute_stats=False).reserve == spec

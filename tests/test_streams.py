@@ -24,6 +24,7 @@ from gesdispatch.optimizer import iterative_solve_r2, robust_solve_r1, solve_cco
 from gesdispatch.pool import POOL_MIN_ELEMENTS
 from gesdispatch.reliability import (
     RealizationBatch,
+    UnitRealization,
     _noise_states,
     _tasks,
     _unit_noise,
@@ -38,9 +39,8 @@ from util import bes_device, largest_task, make_unit, stat_threshold
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
-#: sampled keys and the GesParams attribute each one reads
-KEYS = {"p_c_max": "p_c_max", "p_d_max": "p_d_max", "soc_lo": "soc_lo", "soc_hi": "soc_hi",
-        "alpha": "alpha", "avg": "soc_baseline_avg", "deadband": "deadband"}
+#: the sampled GesParams fields
+KEYS = ("p_c_max", "p_d_max", "soc_lo", "soc_hi", "alpha", "soc_baseline_avg", "deadband")
 
 
 def reference_sample_bounds(dev, unit_dists, baseline_dist, dt, horizon, n, ss):
@@ -48,7 +48,7 @@ def reference_sample_bounds(dev, unit_dists, baseline_dist, dt, horizon, n, ss):
     (in name order), then one per step, and each child seeds a generator."""
     if not unit_dists and baseline_dist is None:
         params = map_device_to_ges(dev, dt, horizon)
-        out = {key: getattr(params, attr) for key, attr in KEYS.items()}
+        out = {key: getattr(params, key) for key in KEYS}
         for key in ("p_c_max", "p_d_max"):
             out[key] = np.broadcast_to(out[key], (n, horizon))
         return out
@@ -60,7 +60,7 @@ def reference_sample_bounds(dev, unit_dists, baseline_dist, dt, horizon, n, ss):
         base = np.column_stack([sample(spec, n, c) for spec, c in zip(baseline_dist, children[len(names):])])
         if not unit_dists and dev.kind in TCL_KINDS:
             params = map_device_to_ges(dev, dt, horizon)
-            out = {key: np.asarray(getattr(params, attr), dtype=float) for key, attr in KEYS.items()}
+            out = {key: np.asarray(getattr(params, key), dtype=float) for key in KEYS}
             out["p_c_max"] = np.clip(dev.p_max - base, 0.0, None)
             out["p_d_max"] = np.clip(base - dev.p_min, 0.0, None)
             return out
@@ -70,8 +70,8 @@ def reference_sample_bounds(dev, unit_dists, baseline_dist, dt, horizon, n, ss):
         if base is not None:
             kw["baseline_power"] = base[j]
         params = map_device_to_ges(replace(dev, **kw), dt, horizon)
-        for key, attr in KEYS.items():
-            out[key][j] = getattr(params, attr)
+        for key in KEYS:
+            out[key][j] = getattr(params, key)
     return out
 
 
@@ -158,8 +158,10 @@ def reference_reports(monkeypatch, strategies, scn, draws, seed):
         noise[u.unit_id]["pd_ref"] = ref["p_d_max"].mean(axis=1)[None]
     reports = {}
     for name, s in strategies.items():
-        units = {u.unit_id: realize_unit([u], reliability._schedules(s, [u]), noise[u.unit_id], draws, worlds).unit(0)
-                 for u in scn.units}
+        units = {}
+        for u in scn.units:
+            upper, lower, crossings = realize_unit([u], reliability._schedules(s, [u]), noise[u.unit_id], draws, worlds)
+            units[u.unit_id] = UnitRealization(upper[0], lower[0], int(crossings[0]))
         reports[name] = compute_lorp_erns(s, RealizationBatch(units=units, draws=draws, seed=seed), scn)
     return reports
 
