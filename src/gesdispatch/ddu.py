@@ -53,6 +53,9 @@ class DduSpec:
             raise NonTighteningCoefficient(
                 f"need 0 <= beta_up <= beta_lo, got ({self.beta_up}, {self.beta_lo})"
             )
+        if not math.isfinite(self.beta_lo):
+            # an infinite aversion times zero discomfort is NaN
+            raise InvalidSpec(f"beta_lo must be finite, got {self.beta_lo}")
         if not 0.0 <= self.lam <= 1.0:
             raise InvalidSpec(f"lambda weight must lie in [0, 1], got {self.lam}")
         if not self.c_bar > 0:
@@ -103,15 +106,21 @@ def discomfort(sched: UnitSchedule, pc_ref, pd_ref, avg, deadband, spec: DduSpec
     `deadband` of shape (m, T) and gets one row per draw; the optimizer
     passes schedules, references and a `spec.lam` stacked over units of one
     variant.  A reference at or below zero drops its intensity term.  The
-    result is written into `out` when it is given, and the cumulated
-    intensities into `scratch`; both have the result's shape.
+    result is written into `out` when it is given, and the discharge
+    intensities into `scratch`; both have the result's shape, and may be
+    views of time-major storage, as in the evaluator.
+
+    The intensities cumulate in place with one add per step, in the order
+    in which `np.cumsum` adds, so the bits are those of a cumsum; each add
+    spans the leading axes, which are contiguous in time-major storage.
     """
     horizon = sched.p_c.shape[-1]
     pc_ref = np.where(np.asarray(pc_ref) > 0, pc_ref, np.inf)
     pd_ref = np.where(np.asarray(pd_ref) > 0, pd_ref, np.inf)
-    intensity = np.divide(sched.p_c, pc_ref, out=scratch)
-    intensity += np.divide(sched.p_d, pd_ref, out=out)  # `out` is free until the cumsum
-    cum = np.cumsum(intensity, axis=-1, out=out)
+    cum = np.divide(sched.p_c, pc_ref, out=out)
+    cum += np.divide(sched.p_d, pd_ref, out=scratch)
+    for t in range(1, horizon):
+        np.add(cum[..., t - 1], cum[..., t], out=cum[..., t])
     cum /= horizon
 
     lam = 1.0 if spec.discomfort_variant == "F1" else spec.lam

@@ -25,12 +25,22 @@ alone would give it unit-specific shocks, against the model above.
 Every evaluator realizes the units in the same tasks (`_tasks`: runs of
 consecutive units that share a realization template, cut to about
 `pool.TASK_ELEMENTS`), through the same noise sampler (`_unit_noise`) and
-realization kernel (`realize_unit`) over (units, draws, horizon) blocks, and
-scores them the same way: `evaluate_reliability(s)` is
-`evaluate_many({name: s})[name]`, and `compute_lorp_erns`/`penalty_cost`
-score a realized batch through the same scoring, one unit per run.  Every
-step is elementwise or reduces within a unit, so no number depends on the
-task a unit falls in.
+realization kernel (`realize_unit`), and scores them the same way:
+`evaluate_reliability(s)` is `evaluate_many({name: s})[name]`, and
+`compute_lorp_erns`/`penalty_cost` score a realized batch through the same
+scoring, one unit per run.  Every step is elementwise or reduces within a
+unit, so no number depends on the task a unit falls in.
+
+Layout: the noise sampler writes draws-major (units, draws, horizon) blocks,
+and the kernel and the scoring work on time-major (units, horizon, draws)
+blocks, draws innermost, so that a step of every draw is one contiguous
+row.  A unit's bound moves off its price-expanded anchor only where its
+discomfort is nonzero, and the fixtures respond only late in the day, so the
+kernel draws and applies the contraction only from the first step at which
+any unit and draw of its run has nonzero discomfort; before it the bound is
+the anchor, bit for bit (`_side_bound`).  The means over draws add in draw
+order, as over draws-major arrays (`_score_run`), and a `UnitRealization`
+holds draws-major arrays.
 """
 
 from __future__ import annotations
@@ -63,8 +73,8 @@ OVER_RESPONSE_MULT = 0.3
 
 @dataclass
 class UnitRealization:
-    """Per-draw realized bounds of one unit, arrays (draws, horizon), and the
-    number of (draw, step) pairs whose bounds crossed."""
+    """Per-draw realized bounds of one unit, C-contiguous arrays (draws,
+    horizon), and the number of (draw, step) pairs whose bounds crossed."""
 
     upper: np.ndarray
     lower: np.ndarray
@@ -119,6 +129,12 @@ def _template(u: UnitSpec) -> tuple:
             _price(u, "upper").tobytes(), _price(u, "lower").tobytes())
 
 
+def _check_draws(draws: int) -> None:
+    """Refuse a Monte-Carlo draw count below one."""
+    if draws < 1:
+        raise InvalidSpec(f"draw count must be >= 1, got {draws}")
+
+
 def _tasks(units: Sequence[UnitSpec], m: int, horizon: int) -> list[slice]:
     """The evaluator's tasks over `units`, in order: each maximal run of
     consecutive units sharing a `_template`, cut into slices of at most
@@ -142,10 +158,13 @@ def _unit_noise(units: Sequence[UnitSpec], scn: ScenarioBundle, m: int, states: 
 
 
 def _system_uniforms(seed: int, m: int, horizon: int) -> dict[str, np.ndarray]:
-    """Fleet-common expansion/contraction shock uniforms, one per (draw, step)."""
+    """Fleet-common expansion/contraction shock uniforms, one per (draw,
+    step), drawn draws-major and returned time-major, (horizon, m): each
+    stream is transposed as it is drawn, so one draws-major stream is alive
+    at a time."""
     names = ("g_upper", "g_lower", "h_upper", "h_lower")
     states = dist.spawn_states([(int(seed), zlib.crc32(b"system"))], [len(names)])[0]
-    return dict(zip(names, dist.uniform_streams(states, (m, horizon))))
+    return {name: np.ascontiguousarray(u.T) for name, u in zip(names, dist.uniform_streams(states, (m, horizon)))}
 
 
 def _price(u: UnitSpec, side: str) -> np.ndarray:
@@ -156,8 +175,9 @@ class _Worlds:
     """The fleet-common state of one evaluation, computed once and shared by
     every unit and strategy: the contraction shock of each family and side
     (`ddu.contraction_shock`), and the expansion factor g of every distinct
-    price input of the scenario's units.  Nothing here changes after
-    construction, so the evaluator's worker threads only read it."""
+    price input of the scenario's units, each (horizon, m).  Nothing here
+    changes after construction, so the evaluator's worker threads only read
+    it."""
 
     def __init__(self, seed: int, m: int, scn: ScenarioBundle):
         self.m = m
@@ -170,14 +190,14 @@ class _Worlds:
             for side in ("upper", "lower"):
                 key = self._key(u, side)
                 if key not in self._g:
-                    self._g[key] = expansion_fraction(_price(u, side)[None, :], u.ddu, sysu[f"g_{side}"])
+                    self._g[key] = expansion_fraction(_price(u, side)[:, None], u.ddu, sysu[f"g_{side}"])
 
     @staticmethod
     def _key(u: UnitSpec, side: str) -> tuple:
         return side, _price(u, side).tobytes(), float(u.ddu.c_bar), float(u.ddu.sigma_g)
 
     def g(self, u: UnitSpec, side: str) -> np.ndarray:
-        """Expansion factor of unit `u` per (draw, step); depends only on the
+        """Expansion factor of unit `u` per (step, draw); depends only on the
         unit's price input for `side`, `c_bar` and `sigma_g`."""
         return self._g[self._key(u, side)]
 
@@ -201,28 +221,46 @@ def _rows(sched: UnitSchedule, task: slice) -> UnitSchedule:
     return UnitSchedule(p_c=sched.p_c[task], p_d=sched.p_d[task], soc=sched.soc[task])
 
 
-def _side_bound(units: Sequence[UnitSpec], noise, rd, side: str, worlds: _Worlds,
+def _first_step(mask: np.ndarray) -> int:
+    """The first step (axis 1) at which `mask` holds for some unit and draw,
+    or the number of steps when it holds nowhere."""
+    steps = np.flatnonzero(mask.any(axis=(0, 2)))
+    return int(steps[0]) if steps.size else mask.shape[1]
+
+
+def _side_bound(units: Sequence[UnitSpec], noise, rd, t0: int, side: str, worlds: _Worlds,
                 out: np.ndarray, h: np.ndarray, scratch: np.ndarray) -> None:
     """Realized bound of a run for one side, written into `out`: expansion
-    draw, then contraction draw.  `h` and `scratch` are overwritten;
-    `scratch` may be `rd`, which is read before it."""
+    draw, then contraction draw on the steps from `t0`, before which every
+    discomfort is zero.  All arrays are time-major.  `h` and `scratch` are
+    overwritten; `scratch` may be `rd`, which is read before it."""
     spec = units[0].ddu
     end = "hi" if side == "upper" else "lo"
     phys = _column(units, f"soc_phys_{end}")
-    diu, comfort = bound_ends(side, noise[f"soc_{end}"], phys, noise["soc_baseline_avg"], noise["deadband"])
+    # the draws-major (units, m | 1, horizon) noise read through time-major views
+    soc_bound, avg, deadband = (noise[key].swapaxes(1, 2) for key in (f"soc_{end}", "soc_baseline_avg", "deadband"))
+    diu, comfort = bound_ends(side, soc_bound, phys, avg, deadband)
     # anchor = diu + (phys - diu) * g
     anchor = np.multiply(phys - diu, worlds.g(units[0], side), out=out)
     anchor += diu
-    np.multiply(rd, spec.beta_side(side), out=h)
-    contraction_quantile_vec(h, spec, worlds.h_shocks[spec.h_family, side], out=h)
+    # Before t0 the discomfort is +-0, so H is +-0 (the aversion is finite)
+    # and the bound anchor + (comfort - anchor) * H is the anchor itself,
+    # unless the anchor is -0.0 and the pull +0.0.  A sum is -0.0 only when
+    # both terms are, so that needs an identified bound of -0.0: such steps
+    # join the window.
+    t0 = _first_step(np.signbit(diu[:, :t0]) & (diu[:, :t0] == 0))
+    window = slice(t0, None)
+    hw = np.multiply(rd[:, window], spec.beta_side(side), out=h[:, window])
+    contraction_quantile_vec(hw, spec, worlds.h_shocks[spec.h_family, side][window], out=hw)
     # bound = anchor + (comfort - anchor) * h
-    pull = np.subtract(comfort, anchor, out=scratch)
-    pull *= h
-    anchor += pull
+    pull = np.subtract(comfort[:, window], anchor[:, window], out=scratch[:, window])
+    pull *= hw
+    bound = anchor[:, window]
+    bound += pull
 
 
-#: (units, draws, horizon) buffers of the realization kernel: discomfort,
-#: upper and lower bound, contraction factor
+#: time-major (units, horizon, draws) buffers of the realization kernel:
+#: discomfort, upper and lower bound, contraction factor
 KERNEL_BUFFERS = 4
 
 
@@ -233,25 +271,35 @@ def realize_unit(
     """Per-draw practical bounds of a run of units (one `_tasks` slice) over
     the `m` draws of `worlds`, given the run's schedules (`_schedules`) and
     noise realization (`_unit_noise`): the realization kernel of every
-    evaluator.  Returns the realized (upper, lower) bounds, each (units, m,
-    horizon), and the number of crossed (draw, step) pairs of each unit; a
-    crossed pair collapses to its midpoint.  Every step is elementwise over
-    the run, so a unit's bounds do not depend on the run it is realized in.
+    evaluator.  Returns the realized (upper, lower) bounds, each time-major,
+    (units, horizon, m), and the number of crossed (draw, step) pairs of each
+    unit; a crossed pair collapses to its midpoint.  Every step is
+    elementwise over the run, so a unit's bounds do not depend on the run it
+    is realized in.
 
-    `workspace` holds KERNEL_BUFFERS (units, m, horizon) buffers that the
-    kernel overwrites; the returned bounds are its second and third, so the
-    next call overwrites them.  Without one the kernel allocates its own.
+    The contraction is drawn and applied only from the first step at which
+    some unit and draw of the run has nonzero discomfort; the bounds before
+    it are the price-expanded anchors, which is what the contraction gives
+    there (`_side_bound`).
+
+    `workspace` holds KERNEL_BUFFERS C-contiguous (units, horizon, m) buffers
+    that the kernel overwrites; the returned bounds are its second and third,
+    so the next call overwrites them.  Without one the kernel allocates its
+    own.
     """
     if m != worlds.m:
         raise DimensionMismatch(f"unit {units[0].unit_id}: {m} draws vs {worlds.m} in the shared worlds")
     if workspace is None:
-        workspace = [np.empty((len(units), m, worlds.horizon)) for _ in range(KERNEL_BUFFERS)]
+        workspace = [np.empty((len(units), worlds.horizon, m)) for _ in range(KERNEL_BUFFERS)]
     rd, upper, lower, h = workspace
-    # discomfort per draw and step, from each draw's realized references
-    discomfort(sched, noise["pc_ref"][..., None], noise["pd_ref"][..., None],
-               noise["soc_baseline_avg"], noise["deadband"], units[0].ddu, out=rd, scratch=upper)
-    _side_bound(units, noise, rd, "upper", worlds, out=upper, h=h, scratch=lower)
-    _side_bound(units, noise, rd, "lower", worlds, out=lower, h=h, scratch=rd)
+    # discomfort per draw and step, from each draw's realized references;
+    # `discomfort` reads the steps on the last axis, so it writes through
+    # draws-major views, and cumulates over contiguous rows of draws
+    discomfort(sched, noise["pc_ref"][..., None], noise["pd_ref"][..., None], noise["soc_baseline_avg"],
+               noise["deadband"], units[0].ddu, out=rd.swapaxes(1, 2), scratch=upper.swapaxes(1, 2))
+    t0 = _first_step(rd != 0)
+    _side_bound(units, noise, rd, t0, "upper", worlds, out=upper, h=h, scratch=lower)
+    _side_bound(units, noise, rd, t0, "lower", worlds, out=lower, h=h, scratch=rd)
     crossed = lower > upper
     crossings = np.zeros(len(units), dtype=int)
     if np.count_nonzero(crossed):
@@ -271,9 +319,11 @@ def realize_practical_bounds(
     units), the parameter and baseline noise is per unit, and a crossed
     (upper, lower) pair collapses to its midpoint: the kernel that
     `evaluate_many` runs on the same `_tasks`, so `compute_lorp_erns` of the
-    batch equals `evaluate_reliability` at the same draws and seed.  No
-    workspace is lent, and no two units' arrays overlap.
+    batch equals `evaluate_reliability` at the same draws and seed.  Each
+    unit's bounds are copied out of the kernel's time-major blocks into
+    draws-major arrays of its own.
     """
+    _check_draws(draws)
     worlds = _Worlds(seed, draws, scn)
     states = _noise_states(scn.units, seed, scn.horizon)
     sched = _schedules(strategy, scn.units)
@@ -282,7 +332,9 @@ def realize_practical_bounds(
         run = scn.units[task]
         upper, lower, crossings = realize_unit(run, _rows(sched, task), _unit_noise(run, scn, draws, states[task]),
                                                draws, worlds)
-        units.update((u.unit_id, UnitRealization(upper[i], lower[i], int(crossings[i]))) for i, u in enumerate(run))
+        units.update((u.unit_id, UnitRealization(np.ascontiguousarray(upper[i].T), np.ascontiguousarray(lower[i].T),
+                                                 int(crossings[i])))
+                     for i, u in enumerate(run))
     return RealizationBatch(units=units, draws=draws, seed=seed)
 
 
@@ -301,30 +353,49 @@ class _UnitScore:
     crossings: int
 
 
+def _draws_major(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A C-contiguous (units, draws, horizon) copy of the time-major array
+    `a`, written into the memory of `out` (C-contiguous, of `a`'s size) when
+    it is given."""
+    units, horizon, draws = a.shape
+    dm = np.empty((units, draws, horizon)) if out is None else out.reshape(units, draws, horizon)
+    np.copyto(dm, a.swapaxes(1, 2))
+    return dm
+
+
 def _score_run(scn: ScenarioBundle, units: Sequence[UnitSpec], sched: UnitSchedule,
                upper: np.ndarray, lower: np.ndarray, crossings: Sequence[int],
-               over: np.ndarray | None = None, under: np.ndarray | None = None) -> list[_UnitScore]:
-    """Score the realized (units, draws, horizon) bounds of a run against
-    its schedules (`_schedules`), one `_UnitScore` per unit; the excess and
-    shortfall go into `over` and `under` when they are given, buffers of the
-    bounds' shape that alias neither.  Every reduction runs once over the
-    run; the real-time cost takes one `np.dot` per unit, which a batched
-    product might sum in another order."""
-    soc = sched.soc[..., 1:]
+               buffers: Sequence[np.ndarray] | None = None) -> list[_UnitScore]:
+    """Score the realized time-major (units, horizon, draws) bounds of a run
+    against its schedules (`_schedules`), one `_UnitScore` per unit.
+
+    The excess, shortfall and violations are computed time-major.  The three
+    means over draws take draws-major copies of the excess and shortfall, so
+    that they add in draw order as they always have; over a contiguous axis
+    numpy would add pairwise, in other bits.  `buffers`, when given, are four
+    C-contiguous arrays of the bounds' size that the scoring overwrites: the
+    excess and shortfall go into the first two and their draws-major copies
+    into the last two, which may be `upper` and `lower`.  Every reduction
+    runs once over the run; the real-time cost takes one `np.dot` per unit,
+    which a batched product might sum in another order."""
+    over, under, over_dm, under_dm = (None,) * 4 if buffers is None else buffers
+    soc = sched.soc[..., 1:].swapaxes(1, 2)
     size = _column(units, "S")[:, 0]
     over = np.maximum(np.subtract(soc, upper, out=over), 0.0, out=over)
     under = np.maximum(np.subtract(lower, soc, out=under), 0.0, out=under)
     violated = over > VIOLATION_TOL
     violated |= under > VIOLATION_TOL
+    any_violation = violated.any(axis=1)
+    freq = violated.mean(axis=2)  # a count over draws: exact in any order
+    over = _draws_major(over, over_dm)
+    under = _draws_major(under, under_dm)
     # undelivered response is bought back at a markup, excess response
     # loses part of its day-ahead revenue
     e_over = over.mean(axis=1) * size
     e_under = under.mean(axis=1) * size
     rt = UNDER_RESPONSE_MULT * e_under + OVER_RESPONSE_MULT * e_over
     over -= under
-    any_violation = violated.any(axis=2)
     erns = over.mean(axis=1) * size
-    freq = violated.mean(axis=1)
     return [_UnitScore(any_violation=any_violation[i], erns=erns[i], freq=freq[i],
                        cost_rt=float(np.dot(scn.tou_price, rt[i])), crossings=int(crossings[i]))
             for i in range(len(units))]
@@ -350,7 +421,7 @@ class _Score:
             raise DimensionMismatch(
                 f"unit {u.unit_id}: batch shape {real.upper.shape} vs ({self.draws}, {self.scn.horizon})"
             )
-        (part,) = _score_run(self.scn, [u], _schedules(self.strategy, [u]), real.upper[None], real.lower[None],
+        (part,) = _score_run(self.scn, [u], _schedules(self.strategy, [u]), real.upper.T[None], real.lower.T[None],
                              [real.crossings])
         self.fold(u, part)
 
@@ -408,13 +479,17 @@ def evaluate_many(
     The seed states of every unit's noise streams are hashed in one pass
     (`_noise_states`) before the `_tasks` run through
     `pool.map_in_workspaces`.  A task realizes its run's noise, and every
-    strategy's bounds, as (units, draws, horizon) blocks in one workspace of
-    `2 + KERNEL_BUFFERS` buffers of the largest task's shape, allocated by
-    this thread, and returns small per-unit scores.  This thread folds them
-    in unit order, so a report depends only on (strategy, scenario, draws,
-    seed), not on the tasks or the pool; `evaluate_reliability(s)` is this
-    function with `s` alone.
+    strategy's bounds, in one workspace of `2 + KERNEL_BUFFERS` buffers of
+    the largest task's size, allocated by this thread: two draws-major ones
+    for the noise sampler and the kernel's time-major ones.  It returns small
+    per-unit scores, which this thread folds in unit order, so a report
+    depends only on (strategy, scenario, draws, seed), not on the tasks or
+    the pool; `evaluate_reliability(s)` is this function with `s` alone.
+    With no strategies nothing is sampled.
     """
+    _check_draws(draws)
+    if not strategies:
+        return {}
     worlds = _Worlds(seed, draws, scn)
     scores = {name: _Score(s, scn, draws, seed) for name, s in strategies.items()}
     states = _noise_states(scn.units, seed, scn.horizon)
@@ -432,12 +507,14 @@ def evaluate_many(
         for strategy_sched in scheds:
             sched = _rows(strategy_sched, task)
             upper, lower, crossings = realize_unit(run, sched, noise, draws, worlds, kernel)
-            parts.append(_score_run(scn, run, sched, upper, lower, crossings, rd, h))
+            parts.append(_score_run(scn, run, sched, upper, lower, crossings, (rd, h, upper, lower)))
         return parts
 
-    parts = map_in_workspaces(score_task, tasks,
-                              lambda: [np.empty((width, draws, scn.horizon)) for _ in range(2 + KERNEL_BUFFERS)],
-                              width * draws * scn.horizon)
+    def new_workspace() -> list[np.ndarray]:
+        return ([np.empty((width, draws, scn.horizon)) for _ in range(2)]
+                + [np.empty((width, scn.horizon, draws)) for _ in range(KERNEL_BUFFERS)])
+
+    parts = map_in_workspaces(score_task, tasks, new_workspace, width * draws * scn.horizon)
     for task, task_parts in zip(tasks, parts):
         for score, run_parts in zip(scores.values(), task_parts):
             for u, part in zip(scn.units[task], run_parts):
@@ -482,6 +559,7 @@ def expost_row_frequencies(
     rows replace the exogenous SoC rows, so there the "soc_lo:"/"soc_hi:"
     frequencies describe no imposed row and must not be read against gamma.
     """
+    _check_draws(draws)
     out: dict[str, np.ndarray] = {}
     states = _noise_states(scn.units, seed, scn.horizon)
     scheds = _schedules(strategy, scn.units)

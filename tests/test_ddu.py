@@ -294,6 +294,8 @@ def test_discomfort_never_widens_a_bound(soc_bound, phys, avg, deadband, price, 
 def test_spec_validation():
     with pytest.raises(NonTighteningCoefficient):
         DduSpec(beta_up=5.0, beta_lo=2.0)
+    with pytest.raises(InvalidSpec, match="finite"):
+        DduSpec(beta_up=3.0, beta_lo=float("inf"))
     with pytest.raises(InvalidSpec):
         DduSpec(sigma_h=0.0)
     with pytest.raises(InvalidSpec):

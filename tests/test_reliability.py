@@ -7,8 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gesdispatch import reliability
-from gesdispatch.ddu import DduSpec
+from gesdispatch import ddu, reliability
+from gesdispatch.ddu import DduSpec, contraction_quantile_vec
 from gesdispatch.errors import DimensionMismatch, InvalidSpec
 from gesdispatch.ges import UnitSchedule
 from gesdispatch.optimizer import (
@@ -35,7 +35,7 @@ from gesdispatch.reliability import (
     realize_unit,
 )
 
-from util import bes_device, largest_task, make_scenario, make_unit
+from util import bes_device, largest_task, make_scenario, make_unit, reference_evaluation, report_bits
 
 T = 8
 
@@ -274,6 +274,31 @@ def test_aggregated_fleet_is_not_evaluated(smoke3):
         expost_row_frequencies(strategy, agg, draws=50, seed=1)
 
 
+@pytest.mark.parametrize("entry", ["evaluate_reliability", "evaluate_many", "realize_practical_bounds",
+                                   "expost_row_frequencies"])
+@pytest.mark.parametrize("draws", [0, -1])
+def test_a_draw_count_below_one_is_refused(entry, draws):
+    scn = ddu_scenario()
+    strat = strategy_with(scn)
+    call = {"evaluate_reliability": lambda: evaluate_reliability(strat, scn, draws, 1),
+            "evaluate_many": lambda: evaluate_many({"s": strat}, scn, draws, 1),
+            "realize_practical_bounds": lambda: realize_practical_bounds(strat, scn, draws, 1),
+            "expost_row_frequencies": lambda: expost_row_frequencies(strat, scn, draws, 1)}[entry]
+    with pytest.raises(InvalidSpec, match=f"draw count must be >= 1, got {draws}"):
+        call()
+
+
+def test_no_strategies_sample_nothing(monkeypatch, tcl100):
+    def must_not_sample(*args, **kwargs):
+        raise AssertionError("sampled noise for no strategy")
+
+    monkeypatch.setattr(reliability, "sample_bounds", must_not_sample)
+    monkeypatch.setattr(reliability, "_system_uniforms", must_not_sample)
+    assert evaluate_many({}, tcl100, 10_000, 1) == {}
+    with pytest.raises(AssertionError, match="no strategy"):
+        evaluate_many({"M2": None}, tcl100, 10_000, 1)
+
+
 def test_lorp_weakly_increases_with_gamma(smoke3):
     lorps = []
     for g in (0.05, 0.25, 0.45):
@@ -318,9 +343,11 @@ def serial_reference(strategies, scn, draws, seed):
         for u, unit_noise in zip(scn.units, noise):
             upper, lower, unit_crossings = realize_unit([u], reliability._schedules(strategy, [u]), unit_noise,
                                                         draws, worlds)
+            # the kernel's time-major (1, steps, draws) blocks as draws-major arrays
+            upper, lower = np.ascontiguousarray(upper[0].T), np.ascontiguousarray(lower[0].T)
             soc = strategy.schedules[u.unit_id].soc[1:][None, :]
-            over = np.maximum(soc - upper[0], 0.0)
-            under = np.maximum(lower[0] - soc, 0.0)
+            over = np.maximum(soc - upper, 0.0)
+            under = np.maximum(lower - soc, 0.0)
             violated = (over > VIOLATION_TOL) | (under > VIOLATION_TOL)
             any_violation |= violated.any(axis=1)
             erns += (over - under).mean(axis=0) * u.params.S
@@ -397,6 +424,90 @@ def test_aggregate_units_fail_alike_on_and_off_the_pool(tcl100, tcl100_strategie
         errors.append(str(exc.value))
     assert errors[0] == errors[1]
     assert f"the device of unit {tcl100.units[2].unit_id!r}" in errors[0]
+
+
+# --- the time-major kernel against the frozen draws-major one --------------
+
+
+def window_case(case, monkeypatch):
+    """A one-unit scenario and its strategies for an edge of the kernel's
+    window of steps with nonzero discomfort, and the window lengths that
+    each realization must draw the contraction on.
+
+    - "step0": a response from the first step: the window is the horizon;
+    - "none": a schedule at rest: the window is empty;
+    - "negzero": an identified lower bound of -0.0 and, forced by a patched
+      expansion factor of -0.0, a lower anchor of -0.0, with a response from
+      step 4 only.  The contraction pulls such an anchor to +0.0 even where
+      the discomfort is zero, so the lower side's window must start at
+      step 0.
+    """
+    if case != "negzero":
+        scn = ddu_scenario()
+        if case == "step0":
+            return scn, {"active": strategy_with(scn, p_d=np.full(T, 3.0))}, {T}
+        return scn, {"rest": strategy_with(scn)}, {0}
+
+    def minus_zero(price, spec, level):
+        return np.full(np.broadcast_shapes(np.shape(price), np.shape(level)), -0.0)
+
+    monkeypatch.setattr(reliability, "expansion_fraction", minus_zero)
+    monkeypatch.setattr(ddu, "expansion_fraction", minus_zero)  # the reference's
+    dev = replace(bes_device(soc_lo=-0.0, soc_hi=0.9, deadband=0.4), soc_phys_lo=-0.0)
+    scn = make_scenario([make_unit(dev, T, ddu=DduSpec(q_g_level=0.05))], T, load=15.0)
+    assert np.all(np.signbit(scn.units[0].params.soc_lo)) and np.all(scn.units[0].params.soc_lo == 0)
+    p_d = np.where(np.arange(T) < 4, 0.0, 3.0)
+    return scn, {"late": strategy_with(scn, p_d=p_d)}, {T - 4, T}
+
+
+@pytest.mark.parametrize("case, draws", [
+    ("smoke3", 300), ("smoke3:beta", 300), ("tcl100", POOL_DRAWS), ("tcl100:beta", POOL_DRAWS),
+    ("fleet60", 200), ("mixed_fleet", 500), ("mixed_fleet:beta", 500),
+    ("step0", 500), ("none", 500), ("negzero", 500),
+])
+def test_evaluator_equals_the_frozen_draws_major_reference(request, monkeypatch, two_cpus, case, draws):
+    case, _, h_family = case.partition(":")
+    windows = None
+    if case in ("fleet60", "mixed_fleet"):
+        scn, strategies = request.getfixturevalue(case)
+    elif case == "tcl100":
+        scn = request.getfixturevalue(case)
+        scn = replace(scn, units=scn.units[:40])
+        strategies = {k: request.getfixturevalue("tcl100_strategies")[k] for k in ("M2", "M3")}
+    elif case == "smoke3":
+        scn = request.getfixturevalue(case)
+        strategies = {"M1": solve_deterministic_m1(scn), "M2": request.getfixturevalue("smoke3_m2")}
+    else:
+        scn, strategies, windows = window_case(case, monkeypatch)
+    if h_family:
+        scn = replace(scn, units=[replace(u, ddu=replace(u.ddu, h_family=h_family)) for u in scn.units])
+    ref_reports, ref_batches = reference_evaluation(strategies, scn, draws, seed=9)
+
+    seen = []
+
+    def recording(m, spec, shock, out=None):
+        seen.append(m.shape[1])
+        return contraction_quantile_vec(m, spec, shock, out=out)
+
+    monkeypatch.setattr(reliability, "contraction_quantile_vec", recording)
+    reports = evaluate_many(strategies, scn, draws, seed=9)
+    if windows is None:  # the fixtures respond only late in the day
+        assert 0 < max(seen) < scn.horizon
+    else:
+        assert set(seen) == windows
+    for name, strategy in strategies.items():
+        assert report_bits(reports[name]) == report_bits(ref_reports[name]), name
+        batch = realize_practical_bounds(strategy, scn, draws, seed=9)
+        for uid, (upper, lower, crossings) in ref_batches[name].items():
+            got = batch.units[uid]
+            assert got.upper.flags.c_contiguous and got.lower.flags.c_contiguous
+            assert (got.upper.shape, got.upper.tobytes(), got.lower.tobytes(), got.crossings) == \
+                (upper.shape, upper.tobytes(), lower.tobytes(), crossings), (name, uid)
+        assert report_bits(compute_lorp_erns(strategy, batch, scn)) == report_bits(ref_reports[name]), name
+    if case == "negzero":
+        # the pull, not the anchor: +0.0 where the anchor is -0.0
+        lower = ref_batches["late"][scn.units[0].unit_id][1]
+        assert np.all(lower[:, :4] == 0) and not np.any(np.signbit(lower[:, :4]))
 
 
 def noise_free_pair():

@@ -146,8 +146,11 @@ def test_unit_noise_equals_the_spawn_based_sampler(request, fixture):
 
 
 def reference_reports(monkeypatch, strategies, scn, draws, seed):
+    def time_major_uniforms(seed, m, horizon):
+        return {name: np.ascontiguousarray(u.T) for name, u in reference_system_uniforms(seed, m, horizon).items()}
+
     with monkeypatch.context() as patch:
-        patch.setattr(reliability, "_system_uniforms", reference_system_uniforms)
+        patch.setattr(reliability, "_system_uniforms", time_major_uniforms)
         worlds = _Worlds(seed, draws, scn)
     noise = {}
     for u in scn.units:
@@ -161,7 +164,8 @@ def reference_reports(monkeypatch, strategies, scn, draws, seed):
         units = {}
         for u in scn.units:
             upper, lower, crossings = realize_unit([u], reliability._schedules(s, [u]), noise[u.unit_id], draws, worlds)
-            units[u.unit_id] = UnitRealization(upper[0], lower[0], int(crossings[0]))
+            units[u.unit_id] = UnitRealization(np.ascontiguousarray(upper[0].T), np.ascontiguousarray(lower[0].T),
+                                               int(crossings[0]))
         reports[name] = compute_lorp_erns(s, RealizationBatch(units=units, draws=draws, seed=seed), scn)
     return reports
 

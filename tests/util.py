@@ -7,11 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from gesdispatch import reserve
-from gesdispatch.ddu import DduSpec
+from gesdispatch import ddu, reliability, reserve
+from gesdispatch.ddu import DduSpec, bound_ends, contraction_quantile_vec, contraction_shock
 from gesdispatch.distributions import DistributionSpec
 from gesdispatch.ges import DeviceDescription, map_device_to_ges
-from gesdispatch.reliability import _tasks
+from gesdispatch.reliability import (
+    OVER_RESPONSE_MULT,
+    UNDER_RESPONSE_MULT,
+    VIOLATION_TOL,
+    ReliabilityReport,
+    _tasks,
+)
 from gesdispatch.scenario import ScenarioBundle, UnitSpec
 
 
@@ -86,3 +92,140 @@ def reserve_problem(scn, spec):
         with pytest.raises(StopIteration):
             reserve.solve_with_reserve(scn, spec)
     return built[0]
+
+
+# ---------------------------------------------------------------------------
+# The draws-major realization kernel and scoring, frozen as a reference
+#
+# A copy of the evaluator as it was before its kernel went time-major and
+# began skipping the steps with no discomfort: every block is (units, draws,
+# horizon), the contraction is drawn at every step, the discomfort
+# cumulates through np.cumsum, and nothing is written into borrowed
+# buffers.  It shares only the noise sampler, the system uniforms and the
+# elementwise model functions of `ddu` with the evaluator under test.
+
+
+class ReferenceWorlds:
+    """The fleet-common expansion factors and contraction shocks of one
+    evaluation, draws-major (m, horizon)."""
+
+    def __init__(self, seed, m, scn):
+        self.uniforms = {name: np.ascontiguousarray(u.T)
+                         for name, u in reliability._system_uniforms(seed, m, scn.horizon).items()}
+
+    def g(self, u, side):
+        price = u.price_c if side == "upper" else u.price_d
+        return ddu.expansion_fraction(np.asarray(price, dtype=float)[None, :], u.ddu, self.uniforms[f"g_{side}"])
+
+    def h_shock(self, family, side):
+        return contraction_shock(family, self.uniforms[f"h_{side}"])
+
+
+def reference_discomfort(sched, pc_ref, pd_ref, avg, deadband, spec):
+    horizon = sched.p_c.shape[-1]
+    pc_ref = np.where(np.asarray(pc_ref) > 0, pc_ref, np.inf)
+    pd_ref = np.where(np.asarray(pd_ref) > 0, pd_ref, np.inf)
+    intensity = np.divide(sched.p_c, pc_ref)
+    intensity += np.divide(sched.p_d, pd_ref)
+    cum = np.cumsum(intensity, axis=-1)
+    cum /= horizon
+    lam = 1.0 if spec.discomfort_variant == "F1" else spec.lam
+    soc = sched.soc[..., 1:]
+    if spec.discomfort_variant == "F1":
+        dev = 0.0
+    elif spec.discomfort_variant == "F2":
+        dev = np.maximum(np.abs(soc - avg) - deadband / 2.0, 0.0)
+    else:
+        dev = np.maximum(avg - soc, 0.0)
+    cum *= lam
+    cum += (1.0 - lam) * dev
+    return cum
+
+
+def reference_realize(units, sched, noise, worlds):
+    """(upper, lower, crossings) of a run: (units, draws, horizon) bounds and
+    the crossed pairs per unit, each crossed pair at its midpoint."""
+    spec = units[0].ddu
+    rd = reference_discomfort(sched, noise["pc_ref"][..., None], noise["pd_ref"][..., None],
+                              noise["soc_baseline_avg"], noise["deadband"], spec)
+    bounds = []
+    for side, end in (("upper", "hi"), ("lower", "lo")):
+        phys = np.array([getattr(u.params, f"soc_phys_{end}") for u in units], dtype=float)[:, None, None]
+        diu, comfort = bound_ends(side, noise[f"soc_{end}"], phys, noise["soc_baseline_avg"], noise["deadband"])
+        anchor = np.multiply(phys - diu, worlds.g(units[0], side))
+        anchor += diu
+        h = contraction_quantile_vec(np.multiply(rd, spec.beta_side(side)), spec, worlds.h_shock(spec.h_family, side))
+        pull = np.subtract(comfort, anchor)
+        pull *= h
+        anchor += pull
+        bounds.append(anchor)
+    upper, lower = bounds
+    crossed = lower > upper
+    crossings = np.count_nonzero(crossed, axis=(1, 2))
+    mid = 0.5 * (upper[crossed] + lower[crossed])
+    upper[crossed] = mid
+    lower[crossed] = mid
+    return upper, lower, crossings
+
+
+def reference_score_run(scn, units, sched, upper, lower):
+    """(any_violation, erns, freq, cost_rt) of each unit of a run from its
+    draws-major bounds."""
+    soc = sched.soc[..., 1:]
+    size = np.array([u.params.S for u in units], dtype=float)[:, None]
+    over = np.maximum(np.subtract(soc, upper), 0.0)
+    under = np.maximum(np.subtract(lower, soc), 0.0)
+    violated = over > VIOLATION_TOL
+    violated |= under > VIOLATION_TOL
+    e_over = over.mean(axis=1) * size
+    e_under = under.mean(axis=1) * size
+    rt = UNDER_RESPONSE_MULT * e_under + OVER_RESPONSE_MULT * e_over
+    over -= under
+    any_violation = violated.any(axis=2)
+    erns = over.mean(axis=1) * size
+    freq = violated.mean(axis=1)
+    return [(any_violation[i], erns[i], freq[i], float(np.dot(scn.tou_price, rt[i]))) for i in range(len(units))]
+
+
+def reference_evaluation(strategies, scn, draws, seed):
+    """Each strategy's report, and its realized bounds {unit id: (upper,
+    lower, crossings)}, from the frozen kernel, one unit per run."""
+    worlds = ReferenceWorlds(seed, draws, scn)
+    states = reliability._noise_states(scn.units, seed, scn.horizon)
+    noise = [reliability._unit_noise([u], scn, draws, [s]) for u, s in zip(scn.units, states)]
+    reports, batches = {}, {}
+    for name, strategy in strategies.items():
+        any_violation = np.zeros(draws, dtype=bool)
+        erns = np.zeros(scn.horizon)
+        freq, cost_rt, crossings, batch = {}, 0.0, 0, {}
+        for u, unit_noise in zip(scn.units, noise):
+            sched = strategy.schedules[u.unit_id]
+            rows = type(sched)(p_c=sched.p_c[None, None], p_d=sched.p_d[None, None], soc=sched.soc[None, None])
+            upper, lower, unit_crossings = reference_realize([u], rows, unit_noise, worlds)
+            batch[u.unit_id] = (upper[0], lower[0], int(unit_crossings[0]))
+            ((unit_any, unit_erns, unit_freq, unit_rt),) = reference_score_run(scn, [u], rows, upper, lower)
+            any_violation |= unit_any
+            erns += unit_erns
+            freq[u.unit_id] = unit_freq
+            crossings += int(unit_crossings[0])
+            cost_rt += unit_rt
+        cost_da = strategy.objective_value
+        reports[name] = ReliabilityReport(
+            lorp=float(any_violation.mean()), erns=erns, erns_total_signed=float(erns.sum()),
+            erns_total_abs=float(np.abs(erns).sum()), cost_da=cost_da, cost_rt=cost_rt, cost_tc=cost_da + cost_rt,
+            violation_freq=freq, crossings=crossings, gamma=strategy.metadata.gamma, draws=draws, seed=seed)
+        batches[name] = batch
+    return reports, batches
+
+
+def report_bits(report):
+    """Every field of a ReliabilityReport in a form that compares bit for bit."""
+    def bits(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        if isinstance(value, dict):
+            return {key: bits(v) for key, v in value.items()}
+        if isinstance(value, float):
+            return value.hex()
+        return value
+    return {name: bits(value) for name, value in vars(report).items()}
