@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ import yaml
 
 from . import __version__
 from .cantelli import ShapeClass, cantelli_bound, parse_shape, student_t
-from .errors import GesDispatchError, InfeasibleBounds, InvalidSpec, ValidationError, first_few
+from .errors import GesDispatchError, InfeasibleBounds, InvalidSpec, MaxIterationsExceeded, ValidationError, first_few
 from .ges import UnitSchedule
 from .optimizer import (
     DispatchStrategy,
@@ -48,7 +48,8 @@ MODEL_MODES = ("M1", "M2", "M3")
 
 @dataclass
 class RunConfig:
-    """Run options of one solve; mirrors the solve-family CLI flags."""
+    """Run options of one solve: the one definition of the `solve` flags (each
+    flag's `dest` is a field) and of their defaults; `manifest.yaml` echoes it."""
 
     model_mode: str = "M3"
     reformulation: str = "R1"
@@ -63,13 +64,15 @@ class RunConfig:
     a1: bool = False
     a2: bool = False
     reserve: str = "none"
-    out: str = "out"
 
     def __post_init__(self):
         """Reject bad options, listing every one; needs no scenario, so it runs before one is loaded."""
         issues = []
         if self.reformulation == "R2" and self.model_mode != "M3":
             issues.append("R2 requires model mode M3")
+        for flag, g in (("--gamma", self.gamma), ("--gamma-balance", self.gamma_balance)):
+            if g is not None and not 0.0 < g < 1.0:
+                issues.append(f"{flag}: {g} must lie in (0, 1)")
         kind = None
         if self.shape is not None:
             try:
@@ -112,10 +115,11 @@ def _parse_window(text: str, horizon: int) -> np.ndarray:
     return mask
 
 
-def _parse_gammas(text: str, top: bool = False) -> list[float]:
+def _parse_gammas(text: str, issues: list[str], top: bool = False) -> list[float]:
     """The risk levels of `--gammas`, comma-separated, each in (0, 1), or in
-    (0, 1] with `top` (the worst-case table is defined at gamma = 1)."""
-    gammas, issues = [], []
+    (0, 1] with `top` (the worst-case table is defined at gamma = 1); a bad
+    entry is appended to `issues` and left out."""
+    gammas = []
     for part in (p.strip() for p in text.split(",")):
         try:
             g = float(part)
@@ -126,8 +130,6 @@ def _parse_gammas(text: str, top: bool = False) -> list[float]:
             issues.append(f"--gammas: {part} must lie in (0, {'1]' if top else '1)'}")
             continue
         gammas.append(g)
-    if issues:
-        raise ValidationError(issues)
     return gammas
 
 
@@ -147,7 +149,7 @@ def _apply_config(scn: ScenarioBundle, cfg: RunConfig) -> ScenarioBundle:
     scn = replace(scn, **kw)
     try:
         scn.validate()
-    except ValidationError as exc:  # only the risk levels can leave the scenario invalid
+    except ValidationError as exc:  # only a risk level off the scenario's tabulated DIU levels can fail here
         given = {"--gamma": cfg.gamma, "--gamma-balance": cfg.gamma_balance}
         flags = " ".join(f"{k} {v}" for k, v in given.items() if v is not None)
         raise ValidationError([f"{issue} (set by {flags})" for issue in exc.issues]) from None
@@ -171,10 +173,12 @@ def _dispatch(scn: ScenarioBundle, cfg: RunConfig) -> DispatchStrategy:
         return solve_cco_diu(scn)
     if cfg.reformulation == "R1":
         return robust_solve_r1(scn)
-    return iterative_solve_r2(
-        scn, delta=cfg.delta, max_iter=2 if cfg.a2 else cfg.max_iter,
-        on_max_iter="return" if cfg.a2 else "raise",
-    )
+    try:
+        return iterative_solve_r2(scn, delta=cfg.delta, max_iter=2 if cfg.a2 else cfg.max_iter)
+    except MaxIterationsExceeded as exc:
+        if not cfg.a2:
+            raise
+        return exc.strategy  # --a2 keeps the capped loop's last iterate, marked unconverged
 
 
 # ---------------------------------------------------------------------------
@@ -279,41 +283,30 @@ def write_report(out: Path, report) -> None:
 # Subcommands
 
 
-def _cfg_from_args(args) -> RunConfig:
-    return RunConfig(
-        model_mode=args.mode, reformulation=args.reform, shape=args.shape,
-        shape_nu=args.nu, gamma=args.gamma, gamma_balance=args.gamma_balance,
-        delta=args.delta, max_iter=args.max_iter,
-        window=args.window, discomfort_variant=args.variant,
-        a1=args.a1, a2=args.a2, reserve=args.reserve,
-        out=args.out,
-    )
-
-
 def cmd_solve(args) -> int:
-    cfg = _cfg_from_args(args)
+    cfg = RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
     scn = _apply_config(load_scenario(args.scenario), cfg)
-    out = Path(cfg.out)
+    out = Path(args.out)
     strategy = _dispatch(scn, cfg)
     write_strategy(out, strategy)
-    write_manifest(out, {k: v for k, v in asdict(cfg).items() if k != "out"}, args.scenario)
+    write_manifest(out, asdict(cfg), args.scenario)
     print(f"objective {strategy.objective_value:.6f} -> {out}")
     return 0
 
 
-def _check_sampling(args) -> None:
-    """Reject a Monte-Carlo `--draws` or `--seed` before any work is done."""
+def _sampling_issues(args) -> list[str]:
+    """The problems of a Monte-Carlo `--draws` or `--seed`, refused before any work is done."""
     issues = []
     if args.draws < 1:
         issues.append(f"--draws: {args.draws} draws; at least 1 is needed")
     if args.seed < 0:
         issues.append(f"--seed: {args.seed} is negative")
-    if issues:
-        raise ValidationError(issues)
+    return issues
 
 
 def cmd_evaluate(args) -> int:
-    _check_sampling(args)
+    if issues := _sampling_issues(args):
+        raise ValidationError(issues)
     # the evaluator reads no DIU statistics, and its own draws refuse an invalid device
     scn = load_scenario(args.scenario, compute_stats=False)
     strategy = read_strategy(Path(args.strategy), scn)
@@ -325,11 +318,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    gammas = _parse_gammas(args.gammas, top=True)
+    issues = []
+    gammas = _parse_gammas(args.gammas, issues, top=True)
     try:
         t_row = student_t(args.nu)
     except InvalidSpec as exc:
-        raise ValidationError([f"--nu: {exc}"]) from None
+        issues.append(f"--nu: {exc}")
+    if issues:
+        raise ValidationError(issues)
     shapes = [
         ShapeClass("no_assumption"), ShapeClass("symmetric"), ShapeClass("unimodal"),
         ShapeClass("symmetric_unimodal"), t_row, ShapeClass("normal"),
@@ -346,19 +342,26 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def _solve_grid(args, choices, config, name: str, columns: list[str], values, echo: dict) -> int:
+def _solve_grid(args, choices, config, name: str, columns: list[str], values, echo: dict, issues: list) -> int:
     """Solve `config(gamma, mode)` for every `--gammas` x `--modes` pair and
     write one CSV row per solve: gamma, mode, the day-ahead cost, then the
     `columns` that `values(base, strategies)` returns for each solve, in
     order (`base` is the scenario as loaded).  The manifest echoes the grid
-    and the other options in `echo`."""
-    gammas = _parse_gammas(args.gammas)
+    and the other options in `echo`.  Every problem of the options, those in
+    `issues` first, is listed once before the scenario is loaded."""
+    gammas = _parse_gammas(args.gammas, issues)
     modes = args.modes.split(",")
-    unknown = [m for m in modes if m not in choices]
-    if unknown:
-        raise ValidationError([f"--modes: unknown mode {m!r} (choose from {', '.join(choices)})"
-                               for m in unknown])
-    configs = [(gamma, mode, config(gamma, mode)) for gamma in gammas for mode in modes]  # each checks itself
+    issues += [f"--modes: unknown mode {m!r} (choose from {', '.join(choices)})" for m in modes if m not in choices]
+    configs = []
+    # each cell checks itself; with no valid gamma the modes are still checked at the scenario's own
+    for gamma in gammas or [None]:
+        for mode in modes:
+            try:
+                configs.append((gamma, mode, config(gamma, mode)))
+            except ValidationError as exc:
+                issues += exc.issues
+    if issues:
+        raise ValidationError(dict.fromkeys(issues))
     base = load_scenario(args.scenario)
     # every cell's scenario is checked before the first solve
     cells = [(gamma, mode, cfg, _apply_config(base, cfg)) for gamma, mode, cfg in configs]
@@ -374,8 +377,6 @@ def _solve_grid(args, choices, config, name: str, columns: list[str], values, ec
 
 
 def cmd_sweep(args) -> int:
-    _check_sampling(args)
-
     def config(gamma, mode):
         # R2 reformulates M3 only; the M1 and M2 rows solve as under R1
         return RunConfig(model_mode=mode, reformulation=args.reform if mode == "M3" else "R1",
@@ -388,7 +389,8 @@ def cmd_sweep(args) -> int:
         return [(r.lorp, r.cost_rt, r.cost_tc) for r in reports.values()]
 
     return _solve_grid(args, MODEL_MODES, config, "sweep.csv", ["lorp", "cost_rt", "cost_tc"], values,
-                       {"reform": args.reform, "shape": args.shape, "draws": args.draws, "seed": args.seed})
+                       {"reform": args.reform, "shape": args.shape, "draws": args.draws, "seed": args.seed},
+                       _sampling_issues(args))
 
 
 def cmd_reserve(args) -> int:
@@ -397,7 +399,7 @@ def cmd_reserve(args) -> int:
                 for d in (s.reserve_diag for s in strategies)]
 
     return _solve_grid(args, RESERVE_MODES, lambda gamma, mode: RunConfig(reserve=mode, gamma=gamma),
-                       "reserve.csv", ["ges_energy_kwh", "reserve_energy_kwh", "reserve_cost"], values, {})
+                       "reserve.csv", ["ges_energy_kwh", "reserve_energy_kwh", "reserve_cost"], values, {}, [])
 
 
 # ---------------------------------------------------------------------------
@@ -409,26 +411,24 @@ def build_parser() -> argparse.ArgumentParser:
     default_out = os.environ.get("GES_DISPATCH_OUT", "out")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def solve_flags(p):
-        p.add_argument("--scenario", required=True)
-        p.add_argument("--mode", default="M3", choices=MODEL_MODES)
-        p.add_argument("--reform", default="R1", choices=["R1", "R2"])
-        p.add_argument("--shape", default=None, help="overrides the scenario's shape_class")
-        p.add_argument("--nu", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--gamma-balance", dest="gamma_balance", type=float, default=None)
-        p.add_argument("--delta", type=float, default=1e-3)
-        p.add_argument("--max-iter", dest="max_iter", type=int, default=25)
-        p.add_argument("--window", default=None, help="dispatch steps, e.g. 19-22 or 3,4,5")
-        p.add_argument("--variant", default=None, choices=["F1", "F2", "F3"])
-        p.add_argument("--a1", action="store_true", help="aggregate the fleet before solving")
-        p.add_argument("--a2", action="store_true", help="cap the fixed-point loop at 2 iterations")
-        p.add_argument("--reserve", default="none", choices=["none", *RESERVE_MODES])
-        p.add_argument("--out", default=default_out)
-
+    # the solve flags: each `dest` is a RunConfig field, and RunConfig holds the defaults
     p = sub.add_parser("solve", help="solve the day-ahead dispatch")
-    solve_flags(p)
-    p.set_defaults(func=cmd_solve)
+    p.add_argument("--scenario", required=True)
+    p.add_argument("--mode", dest="model_mode", choices=MODEL_MODES)
+    p.add_argument("--reform", dest="reformulation", choices=["R1", "R2"])
+    p.add_argument("--shape", help="overrides the scenario's shape_class")
+    p.add_argument("--nu", dest="shape_nu", metavar="NU", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--gamma-balance", type=float)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--window", help="dispatch steps, e.g. 19-22 or 3,4,5")
+    p.add_argument("--variant", dest="discomfort_variant", choices=["F1", "F2", "F3"])
+    p.add_argument("--a1", action="store_true", help="aggregate the fleet before solving")
+    p.add_argument("--a2", action="store_true", help="cap the fixed-point loop at 2 iterations")
+    p.add_argument("--reserve", choices=["none", *RESERVE_MODES])
+    p.add_argument("--out", default=default_out)
+    p.set_defaults(func=cmd_solve, **asdict(RunConfig()))
 
     p = sub.add_parser("evaluate", help="Monte-Carlo evaluation of a saved strategy")
     p.add_argument("--scenario", required=True)
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True)
     p.add_argument("--gammas", default="0.05")
     p.add_argument("--modes", default="M1,M2,M3")
-    p.add_argument("--reform", default="R1", choices=["R1", "R2"], help="reformulation of the M3 rows")
+    p.add_argument("--reform", default=RunConfig.reformulation, choices=["R1", "R2"], help="M3 rows' reformulation")
     p.add_argument("--shape", default=None, help="overrides the scenario's shape_class")
     p.add_argument("--draws", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)

@@ -65,12 +65,12 @@ class NumericalFailure(GesDispatchError):
 
 
 class MaxIterationsExceeded(GesDispatchError):
-    """Fixed-point loop hit its iteration cap; ``strategy`` holds the best iterate."""
+    """Fixed-point loop hit its iteration cap; ``strategy`` holds the last
+    iterate, whose metadata has ``converged=False`` and the trace."""
 
-    def __init__(self, message, strategy, trace):
+    def __init__(self, message, strategy):
         super().__init__(message)
         self.strategy = strategy
-        self.trace = trace
 
 
 class EmptyFleet(GesDispatchError):

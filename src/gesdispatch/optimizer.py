@@ -338,19 +338,16 @@ def _update_f_inv(scn: ScenarioBundle, strategy: DispatchStrategy) -> dict[str, 
     return out
 
 
-def iterative_solve_r2(
-    scn: ScenarioBundle,
-    delta: float = 1e-3,
-    max_iter: int = 25,
-    on_max_iter: str = "raise",
-) -> DispatchStrategy:
+def iterative_solve_r2(scn: ScenarioBundle, delta: float = 1e-3, max_iter: int = 25) -> DispatchStrategy:
     """M3 fixed-point solve: alternate LP solves with tail-factor re-estimation.
 
     Starts from the worst-case factors, then replaces them with the exact
     standardized quantile of the contraction distribution evaluated at the
     last solution's discomfort trajectory, until the factors stop moving.
     The LP is assembled once; each iteration rewrites only the SoC-row
-    right-hand sides that the factors enter.
+    right-hand sides that the factors enter.  A loop that reaches `max_iter`
+    without a fixed point raises `MaxIterationsExceeded`, whose `strategy`
+    is the last iterate, marked unconverged; the CLI's `--a2` keeps it.
     """
     if not delta > 0:
         raise NumericalFailure(f"delta must be > 0, got {delta}")
@@ -362,28 +359,20 @@ def iterative_solve_r2(
     meta = SolveMetadata(mode="M3", reformulation="R2", gamma=scn.gamma)
     strategy = extract_strategy(scn, prob, sol, meta)
     meta.trace.append((strategy.objective_value, math.nan))
-    converged = False
     while True:
         f_new = _update_f_inv(scn, strategy)
         step = max(float(np.max(np.abs(f_new[side] - f[side]))) for side in f)
         f = f_new
         if step <= delta:
-            converged = True
-            break
+            return strategy
         if meta.iterations >= max_iter:
-            break
+            meta.converged = False
+            raise MaxIterationsExceeded(
+                f"no fixed point within {max_iter} iterations (last step {meta.trace[-1][1]:.3g})", strategy)
         sol = solve_or_raise(build_cco_ddu(scn, f, update=prob), "M3-R2")
         strategy = extract_strategy(scn, prob, sol, meta)
         meta.iterations += 1
         meta.trace.append((strategy.objective_value, step))
-    meta.converged = converged
-    if not converged and on_max_iter == "raise":
-        raise MaxIterationsExceeded(
-            f"no fixed point within {max_iter} iterations (last step {meta.trace[-1][1]:.3g})",
-            strategy,
-            meta.trace,
-        )
-    return strategy
 
 
 def deterministic_scenario(scn: ScenarioBundle) -> ScenarioBundle:

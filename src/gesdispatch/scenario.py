@@ -53,7 +53,14 @@ class ReserveSpec:
         issues = []
         if self.mode not in RESERVE_MODES:
             issues.append(f"reserve mode must be S1 or S2, got {self.mode!r}")
-        if not self.p_lo <= self.p_hi:
+        # a power or ramp limit may be infinite (no limit, as in the defaults), a price may not; none may be NaN
+        usable = {"p_lo": self.p_lo < math.inf, "p_hi": self.p_hi > -math.inf,
+                  "ramp_up": not math.isnan(self.ramp_up), "ramp_dn": not math.isnan(self.ramp_dn),
+                  "a": math.isfinite(self.a), "b": math.isfinite(self.b),
+                  "s1_price": self.s1_price is None or math.isfinite(self.s1_price)}
+        issues += [f"reserve {name}: {getattr(self, name)} is not a value the LP can use"
+                   for name, ok in usable.items() if not ok]
+        if usable["p_lo"] and usable["p_hi"] and not self.p_lo <= self.p_hi:
             issues.append("reserve power bounds must satisfy p_lo <= p_hi")
         if self.a < 0 or self.b < 0:
             issues.append("reserve price coefficients a, b must be >= 0")

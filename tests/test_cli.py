@@ -266,10 +266,50 @@ def test_bad_gammas_or_nu_exit_2(tmp_path, capsys, argv, flag):
 def test_bad_solve_options_are_all_listed_before_loading(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "load_scenario", lambda path: pytest.fail("the scenario was loaded"))
     code = main(["solve", "--scenario", SMOKE, "--mode", "M2", "--reform", "R2", "--shape", "t", "--nu", "2",
-                 "--delta", "-1", "--max-iter", "0", "--out", str(tmp_path / "x")])
+                 "--delta", "-1", "--max-iter", "0", "--gamma", "2", "--gamma-balance", "nan",
+                 "--out", str(tmp_path / "x")])
     err = capsys.readouterr().err
     assert code == 2
-    assert all(issue in err for issue in ("R2 requires model mode M3", "--nu: 2.0", "--delta: -1.0", "--max-iter: 0"))
+    assert all(issue in err for issue in ("R2 requires model mode M3", "--nu: 2.0", "--delta: -1.0", "--max-iter: 0",
+                                          "--gamma: 2.0 must lie in (0, 1)", "--gamma-balance: nan must"))
+
+
+@pytest.mark.parametrize("argv, issues", [
+    (["sweep", "--draws", "0", "--gammas", "2", "--modes", "M9", "--shape", "bogus"],
+     ["--draws: 0", "--gammas: 2 must", "--modes: unknown mode 'M9'", "--shape: unknown shape class name 'bogus'"]),
+    (["sweep", "--seed", "-1", "--gammas", "0.05,0.1", "--modes", "M1,M3", "--shape", "bogus"],
+     ["--seed: -1", "--shape: unknown shape class name 'bogus'"]),
+    (["reserve", "--gammas", "0,abc,0.05", "--modes", "S1,none"],
+     ["--gammas: 0 must", "--gammas: 'abc'", "--modes: unknown mode 'none'"]),
+], ids=["sweep-four-groups", "sweep-one-problem-of-four-cells", "reserve"])
+def test_grid_options_are_all_listed_once_before_loading(tmp_path, capsys, monkeypatch, argv, issues):
+    monkeypatch.setattr(cli, "load_scenario", lambda path: pytest.fail("the scenario was loaded"))
+    out = tmp_path / "x"
+    code = main([*argv[:1], "--scenario", SMOKE, *argv[1:], "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert [err.count(issue) for issue in issues] == [1] * len(issues)
+    assert len(err.splitlines()) == 1 + len(issues)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, config", [
+    ([], {"model_mode": "M3", "reformulation": "R1", "shape": None, "shape_nu": None, "gamma": None,
+          "gamma_balance": None, "delta": 0.001, "max_iter": 25, "window": None, "discomfort_variant": None,
+          "a1": False, "a2": False, "reserve": "none"}),
+    (["--mode", "M3", "--reform", "R2", "--shape", "t", "--nu", "6", "--gamma", "0.1", "--gamma-balance", "0.2",
+      "--delta", "0.01", "--max-iter", "7", "--window", "18-23", "--variant", "F2", "--a1", "--a2",
+      "--reserve", "S1"],
+     {"model_mode": "M3", "reformulation": "R2", "shape": "t", "shape_nu": 6.0, "gamma": 0.1,
+      "gamma_balance": 0.2, "delta": 0.01, "max_iter": 7, "window": "18-23", "discomfort_variant": "F2",
+      "a1": True, "a2": True, "reserve": "S1"}),
+], ids=["defaults", "every-flag"])
+def test_solve_manifest_echoes_every_solve_option(tmp_path, capsys, flags, config):
+    out = tmp_path / "s"
+    assert main(["solve", "--scenario", SMOKE, *flags, "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = yaml.safe_load((out / "manifest.yaml").read_text())
+    assert manifest == {"version": cli.__version__, "scenario": SMOKE, "config": config}
 
 
 def write_gamma_scenario(tmp_path, gamma):
@@ -529,7 +569,12 @@ def test_unknown_grid_mode_exits_2(tmp_path, capsys, command, modes):
 
 
 @pytest.mark.parametrize("block", ["reserve: {mode: S1, p_lo: x}", "reserve: {p_lo: 2.0, p_hi: 1.0}",
-                                   "diu: 5", "dispatch_window: 5"])
+                                   "diu: 5", "dispatch_window: 5",
+                                   # values that a number check passes but the LP cannot use
+                                   "reserve: {mode: S1, p_lo: .inf}", "reserve: {mode: S1, p_hi: -.inf}",
+                                   "reserve: {mode: S1, ramp_up: .nan}", "reserve: {mode: S1, ramp_dn: .nan}",
+                                   "reserve: {mode: S1, a: .nan}", "reserve: {mode: S1, b: .inf}",
+                                   "reserve: {mode: S1, s1_price: .nan}"])
 def test_a_bad_scenario_yaml_block_exits_2(tmp_path, capsys, block):
     scn = tmp_path / "scn"
     shutil.copytree(SMOKE, scn)

@@ -213,7 +213,7 @@ FAMILIES = {
     "M1": solve_deterministic_m1,
     "M2": solve_cco_diu,
     "M3-R1": robust_solve_r1,
-    "M3-R2": lambda scn: iterative_solve_r2(scn, on_max_iter="return"),
+    "M3-R2": iterative_solve_r2,  # converges on every case below; a capped loop would raise
     "S1": lambda scn: solve_with_reserve(scn, ReserveSpec(mode="S1")),
     "S2": lambda scn: solve_with_reserve(scn, ReserveSpec(mode="S2")),
 }

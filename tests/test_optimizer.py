@@ -385,8 +385,9 @@ def test_r2_trace_nonincreasing_random_scenarios():
 def test_max_iter_carries_best_iterate(smoke3):
     with pytest.raises(MaxIterationsExceeded) as err:
         iterative_solve_r2(smoke3, delta=1e-12, max_iter=1)
-    assert err.value.strategy is not None  # last iterate attached
-    assert len(err.value.trace) >= 1
+    strategy = err.value.strategy  # the last iterate, marked unconverged
+    assert strategy.metadata.converged is False and strategy.metadata.iterations == 1
+    assert len(strategy.metadata.trace) == 2  # the start and the one iteration
 
 
 # --- invariants ------------------------------------------------------------

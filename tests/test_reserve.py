@@ -101,3 +101,12 @@ def test_reserve_power_bounds_reach_the_lp_as_given(smoke3, p_lo, p_hi):
 def test_reserve_spec_validation():
     issues = ReserveSpec(mode="S9", a=-1.0).validate()
     assert len(issues) == 2
+
+
+def test_reserve_spec_keeps_infinite_limits_and_refuses_what_the_lp_cannot_use():
+    # no limit on the power or the ramps is the default, and serialize writes it
+    assert ReserveSpec(p_lo=-math.inf, p_hi=math.inf, ramp_up=math.inf, ramp_dn=math.inf).validate() == []
+    for field, value in [("p_lo", math.inf), ("p_hi", -math.inf), ("ramp_up", math.nan), ("ramp_dn", math.nan),
+                         ("p_lo", math.nan), ("a", math.inf), ("b", math.nan), ("s1_price", math.inf)]:
+        issues = ReserveSpec(mode="S1", **{field: value}).validate()
+        assert len(issues) == 1 and field in issues[0], (field, value, issues)
