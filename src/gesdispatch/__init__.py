@@ -16,7 +16,6 @@ from .ddu import (  # noqa: F401
     DduSpec,
     RealizedBound,
     ddu_bound_distribution,
-    response_discomfort,
     response_discomfort_series,
     standardized_h_quantile,
 )
@@ -52,11 +51,8 @@ from .optimizer import (  # noqa: F401
 from .reliability import (  # noqa: F401
     ReliabilityReport,
     average_contraction,
-    compute_lorp_erns,
     evaluate_many,
     evaluate_reliability,
-    penalty_cost,
-    realize_practical_bounds,
 )
 from .reserve import required_reliability, reserve_price, solve_with_reserve  # noqa: F401
 from .scenario import ReserveSpec, ScenarioBundle, UnitSpec  # noqa: F401

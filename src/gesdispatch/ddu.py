@@ -86,11 +86,6 @@ def rating_refs(p_c_max, p_d_max) -> tuple:
     return np.mean(p_c_max, axis=-1), np.mean(p_d_max, axis=-1)
 
 
-def response_discomfort(sched: UnitSchedule, params: GesParams, spec: DduSpec, t: int) -> float:
-    """Cumulative-intensity / SoC-deviation discomfort at step t."""
-    return float(response_discomfort_series(sched, params, spec)[t])
-
-
 def response_discomfort_series(sched: UnitSchedule, params: GesParams, spec: DduSpec) -> np.ndarray:
     """Vector of discomfort values over the whole horizon."""
     pc_ref, pd_ref = rating_refs(params.p_c_max, params.p_d_max)

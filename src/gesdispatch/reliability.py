@@ -22,14 +22,14 @@ worlds.  Where a draw's realized lower bound lies above its upper bound, the
 pair collapses to its midpoint; redrawing the shocks of the crossed unit
 alone would give it unit-specific shocks, against the model above.
 
-Every evaluator realizes the units in the same tasks (`_tasks`: runs of
-consecutive units that share a realization template, cut to about
-`pool.TASK_ELEMENTS`), through the same noise sampler (`_unit_noise`) and
-realization kernel (`realize_unit`), and scores them the same way:
-`evaluate_reliability(s)` is `evaluate_many({name: s})[name]`, and
-`compute_lorp_erns`/`penalty_cost` score a realized batch through the same
-scoring, one unit per run.  Every step is elementwise or reduces within a
-unit, so no number depends on the task a unit falls in.
+`evaluate_many` is the one evaluator: `evaluate_reliability(s)` is
+`evaluate_many({name: s})[name]`.  It realizes the units in tasks (`_tasks`:
+runs of consecutive units that share a realization template, cut to about
+`pool.TASK_ELEMENTS`), through the noise sampler (`_unit_noise`) and the
+realization kernel (`realize_unit`), and scores each run (`_score_run`).
+Every step is elementwise or reduces within a unit, so no number depends on
+the task a unit falls in.  `expost_row_frequencies` checks the exogenous
+chance rows against the same tasks and noise draws.
 
 Layout: the noise sampler writes draws-major (units, draws, horizon) blocks,
 and the kernel and the scoring work on time-major (units, horizon, draws)
@@ -39,8 +39,7 @@ discomfort is nonzero, and the fixtures respond only late in the day, so the
 kernel draws and applies the contraction only from the first step at which
 any unit and draw of its run has nonzero discomfort; before it the bound is
 the anchor, bit for bit (`_side_bound`).  The means over draws add in draw
-order, as over draws-major arrays (`_score_run`), and a `UnitRealization`
-holds draws-major arrays.
+order, as over draws-major arrays (`_score_run`).
 """
 
 from __future__ import annotations
@@ -69,23 +68,6 @@ VIOLATION_TOL = 1e-9
 #: real-time price multipliers on the ToU price
 UNDER_RESPONSE_MULT = 1.3
 OVER_RESPONSE_MULT = 0.3
-
-
-@dataclass
-class UnitRealization:
-    """Per-draw realized bounds of one unit, C-contiguous arrays (draws,
-    horizon), and the number of (draw, step) pairs whose bounds crossed."""
-
-    upper: np.ndarray
-    lower: np.ndarray
-    crossings: int
-
-
-@dataclass
-class RealizationBatch:
-    units: dict[str, UnitRealization]
-    draws: int
-    seed: int
 
 
 @dataclass
@@ -266,12 +248,12 @@ KERNEL_BUFFERS = 4
 
 def realize_unit(
     units: Sequence[UnitSpec], sched: UnitSchedule, noise: dict[str, np.ndarray], m: int,
-    worlds: _Worlds, workspace: Sequence[np.ndarray] | None = None,
+    worlds: _Worlds, workspace: Sequence[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-draw practical bounds of a run of units (one `_tasks` slice) over
     the `m` draws of `worlds`, given the run's schedules (`_schedules`) and
-    noise realization (`_unit_noise`): the realization kernel of every
-    evaluator.  Returns the realized (upper, lower) bounds, each time-major,
+    noise realization (`_unit_noise`): the evaluator's realization
+    kernel.  Returns the realized (upper, lower) bounds, each time-major,
     (units, horizon, m), and the number of crossed (draw, step) pairs of each
     unit; a crossed pair collapses to its midpoint.  Every step is
     elementwise over the run, so a unit's bounds do not depend on the run it
@@ -284,13 +266,10 @@ def realize_unit(
 
     `workspace` holds KERNEL_BUFFERS C-contiguous (units, horizon, m) buffers
     that the kernel overwrites; the returned bounds are its second and third,
-    so the next call overwrites them.  Without one the kernel allocates its
-    own.
+    so the next call overwrites them.
     """
     if m != worlds.m:
         raise DimensionMismatch(f"unit {units[0].unit_id}: {m} draws vs {worlds.m} in the shared worlds")
-    if workspace is None:
-        workspace = [np.empty((len(units), worlds.horizon, m)) for _ in range(KERNEL_BUFFERS)]
     rd, upper, lower, h = workspace
     # discomfort per draw and step, from each draw's realized references;
     # `discomfort` reads the steps on the last axis, so it writes through
@@ -310,34 +289,6 @@ def realize_unit(
     return upper, lower, crossings
 
 
-def realize_practical_bounds(
-    strategy: DispatchStrategy, scn: ScenarioBundle, draws: int, seed: int
-) -> RealizationBatch:
-    """Realize every unit's practical bounds and keep them in memory.
-
-    The expansion and contraction shocks are fleet-common (one set for all
-    units), the parameter and baseline noise is per unit, and a crossed
-    (upper, lower) pair collapses to its midpoint: the kernel that
-    `evaluate_many` runs on the same `_tasks`, so `compute_lorp_erns` of the
-    batch equals `evaluate_reliability` at the same draws and seed.  Each
-    unit's bounds are copied out of the kernel's time-major blocks into
-    draws-major arrays of its own.
-    """
-    _check_draws(draws)
-    worlds = _Worlds(seed, draws, scn)
-    states = _noise_states(scn.units, seed, scn.horizon)
-    sched = _schedules(strategy, scn.units)
-    units = {}
-    for task in _tasks(scn.units, draws, scn.horizon):
-        run = scn.units[task]
-        upper, lower, crossings = realize_unit(run, _rows(sched, task), _unit_noise(run, scn, draws, states[task]),
-                                               draws, worlds)
-        units.update((u.unit_id, UnitRealization(np.ascontiguousarray(upper[i].T), np.ascontiguousarray(lower[i].T),
-                                                 int(crossings[i])))
-                     for i, u in enumerate(run))
-    return RealizationBatch(units=units, draws=draws, seed=seed)
-
-
 # ---------------------------------------------------------------------------
 # Metrics
 
@@ -353,32 +304,30 @@ class _UnitScore:
     crossings: int
 
 
-def _draws_major(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _draws_major(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """A C-contiguous (units, draws, horizon) copy of the time-major array
-    `a`, written into the memory of `out` (C-contiguous, of `a`'s size) when
-    it is given."""
-    units, horizon, draws = a.shape
-    dm = np.empty((units, draws, horizon)) if out is None else out.reshape(units, draws, horizon)
+    `a`, written into the memory of `out` (C-contiguous, of `a`'s size)."""
+    dm = out.reshape(a.swapaxes(1, 2).shape)
     np.copyto(dm, a.swapaxes(1, 2))
     return dm
 
 
 def _score_run(scn: ScenarioBundle, units: Sequence[UnitSpec], sched: UnitSchedule,
                upper: np.ndarray, lower: np.ndarray, crossings: Sequence[int],
-               buffers: Sequence[np.ndarray] | None = None) -> list[_UnitScore]:
+               buffers: Sequence[np.ndarray]) -> list[_UnitScore]:
     """Score the realized time-major (units, horizon, draws) bounds of a run
     against its schedules (`_schedules`), one `_UnitScore` per unit.
 
     The excess, shortfall and violations are computed time-major.  The three
     means over draws take draws-major copies of the excess and shortfall, so
     that they add in draw order as they always have; over a contiguous axis
-    numpy would add pairwise, in other bits.  `buffers`, when given, are four
-    C-contiguous arrays of the bounds' size that the scoring overwrites: the
-    excess and shortfall go into the first two and their draws-major copies
-    into the last two, which may be `upper` and `lower`.  Every reduction
-    runs once over the run; the real-time cost takes one `np.dot` per unit,
-    which a batched product might sum in another order."""
-    over, under, over_dm, under_dm = (None,) * 4 if buffers is None else buffers
+    numpy would add pairwise, in other bits.  `buffers` are four C-contiguous
+    arrays of the bounds' size that the scoring overwrites: the excess and
+    shortfall go into the first two and their draws-major copies into the
+    last two, which may be `upper` and `lower`.  Every reduction runs once
+    over the run; the real-time cost takes one `np.dot` per unit, which a
+    batched product might sum in another order."""
+    over, under, over_dm, under_dm = buffers
     soc = sched.soc[..., 1:].swapaxes(1, 2)
     size = _column(units, "S")[:, 0]
     over = np.maximum(np.subtract(soc, upper, out=over), 0.0, out=over)
@@ -407,7 +356,6 @@ class _Score:
 
     def __init__(self, strategy: DispatchStrategy, scn: ScenarioBundle, draws: int, seed: int):
         self.strategy = strategy
-        self.scn = scn
         self.draws = draws
         self.seed = seed
         self.any_violation = np.zeros(draws, dtype=bool)
@@ -415,15 +363,6 @@ class _Score:
         self.freq: dict[str, np.ndarray] = {}
         self.cost_rt = 0.0
         self.crossings = 0
-
-    def add(self, u: UnitSpec, real: UnitRealization) -> None:
-        if real.upper.shape != (self.draws, self.scn.horizon):
-            raise DimensionMismatch(
-                f"unit {u.unit_id}: batch shape {real.upper.shape} vs ({self.draws}, {self.scn.horizon})"
-            )
-        (part,) = _score_run(self.scn, [u], _schedules(self.strategy, [u]), real.upper.T[None], real.lower.T[None],
-                             [real.crossings])
-        self.fold(u, part)
 
     def fold(self, u: UnitSpec, part: _UnitScore) -> None:
         self.any_violation |= part.any_violation
@@ -448,21 +387,6 @@ class _Score:
             draws=self.draws,
             seed=self.seed,
         )
-
-
-def compute_lorp_erns(
-    strategy: DispatchStrategy, batch: RealizationBatch, scn: ScenarioBundle
-) -> ReliabilityReport:
-    """Full reliability report of a realized batch."""
-    score = _Score(strategy, scn, batch.draws, batch.seed)
-    for u in scn.units:
-        score.add(u, batch.units[u.unit_id])
-    return score.report()
-
-
-def penalty_cost(strategy: DispatchStrategy, batch: RealizationBatch, scn: ScenarioBundle) -> float:
-    """Expected real-time cost of a realized batch."""
-    return compute_lorp_erns(strategy, batch, scn).cost_rt
 
 
 def evaluate_many(

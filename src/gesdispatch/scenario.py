@@ -64,6 +64,8 @@ class ReserveSpec:
             issues.append("reserve power bounds must satisfy p_lo <= p_hi")
         if self.a < 0 or self.b < 0:
             issues.append("reserve price coefficients a, b must be >= 0")
+        if self.s1_price is not None and self.s1_price < 0:
+            issues.append(f"reserve s1_price must be >= 0, got {self.s1_price}")
         if self.ramp_up < 0 or self.ramp_dn < 0:
             issues.append("reserve ramp limits must be >= 0")
         return issues

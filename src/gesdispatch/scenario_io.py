@@ -41,6 +41,8 @@ _DDU_FIELDS = (*_DDU_NUMBERS, *_DDU_TEXTS)
 _UNIT_NUMBERS = (*_DEV_FIELDS, "baseline_sigma", "ident_sigma_frac", "price_c", "price_d")
 _TS_NUMBERS = ("tou_price", "load_mean", "load_sigma", "res_mean", "res_sigma")
 _TS_OPTIONAL = ("load_family", "load_sigma", "res_family", "res_mean", "res_sigma")
+#: noise magnitudes, where 0 means no noise and a negative value is refused
+_NOISE_NUMBERS = ("load_sigma", "res_sigma", "baseline_sigma", "ident_sigma_frac")
 _SERIES_FIELDS = (
     "baseline_power", "t_in_baseline", "ev_base_p_c", "ev_base_p_d", "ev_dsoc",
     "t_comfort_lo", "t_comfort_hi", "on_prob", "deadband",
@@ -84,12 +86,14 @@ def _float(text: str) -> float:
 
 
 def read_table(path: Path, text: tuple[str, ...], numbers: tuple[str, ...], issues: list[str],
-               optional: tuple[str, ...] = ()) -> dict[str, tuple[str, ...] | np.ndarray] | None:
+               optional: tuple[str, ...] = (), nonnegative: tuple[str, ...] = ()
+               ) -> dict[str, tuple[str, ...] | np.ndarray] | None:
     """Read a CSV file by columns: the cells of each `text` column, and each
     `numbers` column as floats.  A number cell that is not a finite number is
-    an issue and reads as NaN.  An empty cell, or a missing column, that is
-    `optional` reads as "not given" ("" or NaN) without an issue; a header
-    that lacks another column is an issue, and the table reads as None."""
+    an issue and reads as NaN; a negative cell of a `nonnegative` column is
+    an issue too.  An empty cell, or a missing column, that is `optional`
+    reads as "not given" ("" or NaN) without an issue; a header that lacks
+    another column is an issue, and the table reads as None."""
     try:
         with open(path, newline="") as fh:
             header, *rows = [r for r in csv.reader(fh) if r] or [[]]
@@ -110,6 +114,9 @@ def read_table(path: Path, text: tuple[str, ...], numbers: tuple[str, ...], issu
         values[bad] = math.nan
         issues += [f"{path} row {k} {name}: not a finite number: {column[k]!r}"
                    for k in np.flatnonzero(bad).tolist() if column[k] or name not in optional]
+        if name in nonnegative:
+            issues += [f"{path} row {k} {name}: must be >= 0, got {values[k]}"
+                       for k in np.flatnonzero(values < 0).tolist()]
     return table
 
 
@@ -253,7 +260,8 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
     diu_seed = _number(diu_cfg.get("seed", 0), "diu.seed", 0, issues, integer=True)
 
     ts_path = root / "timeseries.csv"
-    ts = read_table(ts_path, ("t", "load_family", "res_family"), _TS_NUMBERS, issues, optional=_TS_OPTIONAL)
+    ts = read_table(ts_path, ("t", "load_family", "res_family"), _TS_NUMBERS, issues, optional=_TS_OPTIONAL,
+                    nonnegative=_NOISE_NUMBERS)
     # a step without a ToU price or load mean leaves the whole series unread
     steps = None if ts is None else _step_rows(
         ts_path, ts, (), horizon, np.isfinite(ts["tou_price"]) & np.isfinite(ts["load_mean"]), issues)[()]
@@ -270,7 +278,7 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
                                            where, issues))
 
     unit_rows = _records(read_table(root / "units.csv", ("unit_id", "kind"), _UNIT_NUMBERS, issues,
-                                    optional=_UNIT_NUMBERS) or {})
+                                    optional=_UNIT_NUMBERS, nonnegative=_NOISE_NUMBERS) or {})
     known = {row.get("unit_id", "") for row in unit_rows}
     series = {}
     sp = root / "unit_series.csv"

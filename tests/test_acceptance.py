@@ -37,20 +37,11 @@ from gesdispatch.optimizer import (
     solve_cco_diu,
     solve_deterministic_m1,
 )
-from gesdispatch.reliability import (
-    RealizationBatch,
-    UnitRealization,
-    average_contraction,
-    compute_lorp_erns,
-    evaluate_many,
-    expost_row_frequencies,
-    penalty_cost,
-    realize_practical_bounds,
-)
+from gesdispatch.reliability import average_contraction, evaluate_many, expost_row_frequencies
 from gesdispatch.reserve import required_reliability, reserve_price, solve_with_reserve
 from gesdispatch.scenario import ReserveSpec
 
-from util import bes_device, make_scenario, make_unit, stat_threshold
+from util import Realized, bes_device, make_scenario, make_unit, realized_bounds, score_bounds, stat_threshold
 
 
 def report(criterion, ok, detail):
@@ -377,8 +368,8 @@ def test_ac9_derived_example_oracles(smoke3):
         metadata=SolveMetadata(mode="M2"))
     active.rd = {"bes": response_discomfort_series(active.schedules["bes"],
                                                    s1.units[0].params, spec)}
-    b1 = realize_practical_bounds(active, s1, draws=500, seed=7).units["bes"]
-    b2 = realize_practical_bounds(active, s2, draws=500, seed=7).units["bes"]
+    b1 = realized_bounds(active, s1, draws=500, seed=7)["bes"]
+    b2 = realized_bounds(active, s2, draws=500, seed=7)["bes"]
     check_true("beta doubling pulls bounds comfort-ward",
                np.all(b2.upper.mean(axis=0) <= b1.upper.mean(axis=0) + 1e-9)
                and np.all(b2.lower.mean(axis=0) >= b1.lower.mean(axis=0) - 1e-9))
@@ -392,27 +383,21 @@ def test_ac9_derived_example_oracles(smoke3):
         metadata=SolveMetadata(mode="M2"))
     upper = np.full(8, 0.9)
     upper[3] = 0.45
-    batch = RealizationBatch(
-        units={"bes": UnitRealization(
-            upper=np.tile(upper, (4, 1)), lower=np.tile(np.full(8, 0.1), (4, 1)), crossings=0)},
-        draws=4, seed=0)
-    rep = compute_lorp_erns(rest, batch, scn)
+    batch = {"bes": Realized(upper=np.tile(upper, (4, 1)), lower=np.tile(np.full(8, 0.1), (4, 1)), crossings=0)}
+    rep = score_bounds(rest, scn, batch)
     check("constructed ERNS", float(rep.erns[3]), 0.5, 1e-12)
     check("constructed LORP", rep.lorp, 1.0, 0.0)
     lower = np.full(8, 0.1)
     lower[2] = 0.6
-    batch_under = RealizationBatch(
-        units={"bes": UnitRealization(
-            upper=np.tile(np.full(8, 0.9), (4, 1)), lower=np.tile(lower, (4, 1)), crossings=0)},
-        draws=4, seed=0)
-    check("under-response penalty", penalty_cost(rest, batch_under, scn), 1.3 * 0.9, 1e-9)
+    batch_under = {"bes": Realized(upper=np.tile(np.full(8, 0.9), (4, 1)), lower=np.tile(lower, (4, 1)), crossings=0)}
+    check("under-response penalty", score_bounds(rest, scn, batch_under).cost_rt, 1.3 * 0.9, 1e-9)
     scn14 = make_scenario([make_unit(bes_device(S=10.0), 8)], 8, tou=1.4)
     check("over-response penalty",
-          penalty_cost(DispatchStrategy(
+          score_bounds(DispatchStrategy(
               schedules={"bes": UnitSchedule(p_c=np.zeros(8), p_d=np.zeros(8),
                                              soc=np.full(9, 0.55))},
               grid_import=np.zeros(8), rd={"bes": np.zeros(8)}, objective_value=0.0,
-              metadata=SolveMetadata(mode="M2")), batch, scn14),
+              metadata=SolveMetadata(mode="M2")), scn14, batch).cost_rt,
           0.3 * 1.4, 1e-9)
 
     # reserve formulas

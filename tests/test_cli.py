@@ -172,6 +172,27 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "price_c" in err
 
 
+@pytest.mark.parametrize("name, row, column, value", [
+    ("timeseries.csv", 3, "load_sigma", "-1"), ("timeseries.csv", 5, "res_sigma", "-1"),
+    ("units.csv", 1, "baseline_sigma", "-0.1"), ("units.csv", 0, "ident_sigma_frac", "-0.05"),
+])
+def test_a_negative_noise_magnitude_exits_2(tmp_path, capsys, name, row, column, value):
+    # 0 means no noise; a negative magnitude is an input error, not "no noise"
+    dst = tmp_path / "negative"
+    shutil.copytree(SMOKE, dst)
+    lines = (dst / name).read_text().splitlines()
+    cells = lines[row + 1].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[row + 1] = ",".join(cells)
+    (dst / name).write_text("\n".join(lines) + "\n")
+    out = tmp_path / "x"
+    code = main(["solve", "--scenario", str(dst), "--mode", "M3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{name} row {row} {column}: must be >= 0, got {float(value)}" in err
+    assert not out.exists()
+
+
 def test_reserve_sweep_csv(tmp_path, capsys):
     out = tmp_path / "rs"
     assert main(["reserve", "--scenario", SMOKE, "--gammas", "0.05,0.30",
@@ -574,7 +595,9 @@ def test_unknown_grid_mode_exits_2(tmp_path, capsys, command, modes):
                                    "reserve: {mode: S1, p_lo: .inf}", "reserve: {mode: S1, p_hi: -.inf}",
                                    "reserve: {mode: S1, ramp_up: .nan}", "reserve: {mode: S1, ramp_dn: .nan}",
                                    "reserve: {mode: S1, a: .nan}", "reserve: {mode: S1, b: .inf}",
-                                   "reserve: {mode: S1, s1_price: .nan}"])
+                                   "reserve: {mode: S1, s1_price: .nan}",
+                                   # a negative flat price makes the reserve LP unbounded
+                                   "reserve: {mode: S1, s1_price: -1.0}"])
 def test_a_bad_scenario_yaml_block_exits_2(tmp_path, capsys, block):
     scn = tmp_path / "scn"
     shutil.copytree(SMOKE, scn)

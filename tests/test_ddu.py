@@ -17,7 +17,6 @@ from gesdispatch.ddu import (
     contraction_shock,
     ddu_bound_distribution,
     expansion_anchor,
-    response_discomfort,
     response_discomfort_series,
     standardized_h_quantile,
 )
@@ -55,7 +54,7 @@ def schedule(p_c=0.0, p_d=0.0, soc=0.5, horizon=T):
 
 def test_rd_zero_at_rest():
     p = make_params()
-    assert response_discomfort(schedule(), p, DduSpec(), T - 1) == 0.0
+    assert response_discomfort_series(schedule(), p, DduSpec())[T - 1] == 0.0
 
 
 def test_rd_f1_full_rating():
@@ -90,9 +89,9 @@ def test_rd_f3_one_sided():
 def test_rd_monotone_in_power_and_deviation(extra_power, extra_dev):
     p = make_params()
     spec = DduSpec()
-    base = response_discomfort(schedule(p_d=0.1, soc=0.58), p, spec, T - 1)
-    more_power = response_discomfort(schedule(p_d=0.1 + extra_power, soc=0.58), p, spec, T - 1)
-    more_dev = response_discomfort(schedule(p_d=0.1, soc=0.58 + extra_dev), p, spec, T - 1)
+    base = response_discomfort_series(schedule(p_d=0.1, soc=0.58), p, spec)[T - 1]
+    more_power = response_discomfort_series(schedule(p_d=0.1 + extra_power, soc=0.58), p, spec)[T - 1]
+    more_dev = response_discomfort_series(schedule(p_d=0.1, soc=0.58 + extra_dev), p, spec)[T - 1]
     assert more_power >= base - 1e-12
     assert more_dev >= base - 1e-12
 

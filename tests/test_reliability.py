@@ -9,7 +9,7 @@ import pytest
 
 from gesdispatch import ddu, reliability
 from gesdispatch.ddu import DduSpec, contraction_quantile_vec
-from gesdispatch.errors import DimensionMismatch, InvalidSpec
+from gesdispatch.errors import InvalidSpec
 from gesdispatch.ges import UnitSchedule
 from gesdispatch.optimizer import (
     DispatchStrategy,
@@ -23,19 +23,15 @@ from gesdispatch.reliability import (
     OVER_RESPONSE_MULT,
     UNDER_RESPONSE_MULT,
     VIOLATION_TOL,
-    RealizationBatch,
-    UnitRealization,
     average_contraction,
-    compute_lorp_erns,
     evaluate_many,
     evaluate_reliability,
     expost_row_frequencies,
-    penalty_cost,
-    realize_practical_bounds,
     realize_unit,
 )
 
-from util import bes_device, largest_task, make_scenario, make_unit, reference_evaluation, report_bits
+from util import (Realized, bes_device, kernel_workspace, largest_task, make_scenario, make_unit, realized_bounds,
+                  reference_evaluation, report_bits, score_bounds)
 
 T = 8
 
@@ -75,8 +71,7 @@ def test_degenerate_bounds_equal_anchors():
     # response: every draw must sit at the deterministic anchor
     scn = ddu_scenario(sigma_g=1e-12, sigma_h=1e-12)
     strat = strategy_with(scn)  # rest at baseline: rd = 0
-    batch = realize_practical_bounds(strat, scn, draws=64, seed=0)
-    real = batch.units["bes"]
+    real = realized_bounds(strat, scn, draws=64, seed=0)["bes"]
     from gesdispatch.optimizer import ddu_row_data
 
     rows = ddu_row_data(scn.units)
@@ -94,7 +89,7 @@ def test_lp_rows_model_the_realized_mean_bound_at_positive_discomfort():
     rd = strat.rd["bes"]
     assert np.all(rd > 0)
     draws = 20_000
-    real = realize_practical_bounds(strat, scn, draws=draws, seed=0).units["bes"]
+    real = realized_bounds(strat, scn, draws=draws, seed=0)["bes"]
     assert real.crossings == 0
     rows = ddu_row_data(scn.units)
     assert np.all(rows.slope_up < 0) and np.all(rows.slope_lo > 0)
@@ -108,12 +103,12 @@ def test_beta_doubling_contracts_bounds():
     scn1 = ddu_scenario()
     scn2 = ddu_scenario(beta_up=6.0, beta_lo=12.0)
     strat = strategy_with(scn1, p_d=np.full(T, 3.0))  # positive rd
-    b1 = realize_practical_bounds(strat, scn1, draws=500, seed=7)
-    b2 = realize_practical_bounds(strat, scn2, draws=500, seed=7)
-    up1 = b1.units["bes"].upper.mean(axis=0)
-    up2 = b2.units["bes"].upper.mean(axis=0)
-    lo1 = b1.units["bes"].lower.mean(axis=0)
-    lo2 = b2.units["bes"].lower.mean(axis=0)
+    b1 = realized_bounds(strat, scn1, draws=500, seed=7)["bes"]
+    b2 = realized_bounds(strat, scn2, draws=500, seed=7)["bes"]
+    up1 = b1.upper.mean(axis=0)
+    up2 = b2.upper.mean(axis=0)
+    lo1 = b1.lower.mean(axis=0)
+    lo2 = b2.lower.mean(axis=0)
     # doubling the aversion pulls the mean bounds comfort-ward at every step
     assert np.all(up2 <= up1 + 1e-9)
     assert np.all(lo2 >= lo1 - 1e-9)
@@ -125,36 +120,34 @@ def test_rd_zero_strategy_independence():
     soc = np.full(T + 1, 0.55)  # inside the deadband: still rd = 0
     b = strategy_with(scn, soc=soc)
     assert np.all(a.rd["bes"] == 0.0) and np.all(b.rd["bes"] == 0.0)
-    ba = realize_practical_bounds(a, scn, draws=100, seed=3)
-    bb = realize_practical_bounds(b, scn, draws=100, seed=3)
-    assert np.array_equal(ba.units["bes"].upper, bb.units["bes"].upper)
-    assert np.array_equal(ba.units["bes"].lower, bb.units["bes"].lower)
+    ba = realized_bounds(a, scn, draws=100, seed=3)["bes"]
+    bb = realized_bounds(b, scn, draws=100, seed=3)["bes"]
+    assert np.array_equal(ba.upper, bb.upper)
+    assert np.array_equal(ba.lower, bb.lower)
 
 
 # --- metrics on constructed batches ----------------------------------------
 
 
 def fixed_batch(scn, upper, lower, draws=4):
-    horizon = scn.horizon
-    units = {
-        u.unit_id: UnitRealization(
+    return {
+        u.unit_id: Realized(
             upper=np.tile(np.asarray(upper, float), (draws, 1)),
             lower=np.tile(np.asarray(lower, float), (draws, 1)),
             crossings=0,
         )
         for u in scn.units
     }
-    return RealizationBatch(units=units, draws=draws, seed=0)
 
 
 def test_inside_bounds_zero_metrics():
     scn = ddu_scenario()
     strat = strategy_with(scn)
     batch = fixed_batch(scn, np.full(T, 0.9), np.full(T, 0.1))
-    rep = compute_lorp_erns(strat, batch, scn)
+    rep = score_bounds(strat, scn, batch)
     assert rep.lorp == 0.0
     assert np.all(rep.erns == 0.0)
-    assert penalty_cost(strat, batch, scn) == 0.0
+    assert rep.cost_rt == 0.0
 
 
 def test_erns_arithmetic():
@@ -164,7 +157,7 @@ def test_erns_arithmetic():
     upper = np.full(T, 0.9)
     upper[3] = 0.45  # exceeded by exactly 0.05 in every draw
     batch = fixed_batch(scn, upper, np.full(T, 0.1))
-    rep = compute_lorp_erns(strat, batch, scn)
+    rep = score_bounds(strat, scn, batch)
     assert rep.lorp == 1.0
     assert rep.erns[3] == pytest.approx(0.5, abs=1e-12)
     assert rep.erns_total_signed == pytest.approx(0.5, abs=1e-12)
@@ -177,7 +170,7 @@ def test_penalty_under_response():
     lower = np.full(T, 0.1)
     lower[2] = 0.6  # soc 0.5 sits 0.1 below the lower bound: 1 kWh under
     batch = fixed_batch(scn, np.full(T, 0.9), lower)
-    assert penalty_cost(strat, batch, scn) == pytest.approx(1.3 * 0.9, abs=1e-9)
+    assert score_bounds(strat, scn, batch).cost_rt == pytest.approx(1.3 * 0.9, abs=1e-9)
 
 
 def test_penalty_over_response():
@@ -187,7 +180,7 @@ def test_penalty_over_response():
     upper = np.full(T, 0.9)
     upper[2] = 0.4  # soc 0.5 sits 0.1 above the upper bound: 1 kWh over
     batch = fixed_batch(scn, upper, np.full(T, 0.1))
-    assert penalty_cost(strat, batch, scn) == pytest.approx(0.3 * 1.4, abs=1e-9)
+    assert score_bounds(strat, scn, batch).cost_rt == pytest.approx(0.3 * 1.4, abs=1e-9)
 
 
 def test_erns_sign_contract():
@@ -195,17 +188,8 @@ def test_erns_sign_contract():
     up = strategy_with(scn, soc=np.full(T + 1, 0.95))
     dn = strategy_with(scn, soc=np.full(T + 1, 0.05))
     batch = fixed_batch(scn, np.full(T, 0.9), np.full(T, 0.1))
-    assert compute_lorp_erns(up, batch, scn).erns_total_signed > 0
-    assert compute_lorp_erns(dn, batch, scn).erns_total_signed < 0
-
-
-def test_dimension_mismatch():
-    scn = ddu_scenario()
-    strat = strategy_with(scn)
-    batch = fixed_batch(scn, np.full(T, 0.9), np.full(T, 0.1))
-    batch.draws = 99
-    with pytest.raises(DimensionMismatch):
-        compute_lorp_erns(strat, batch, scn)
+    assert score_bounds(up, scn, batch).erns_total_signed > 0
+    assert score_bounds(dn, scn, batch).erns_total_signed < 0
 
 
 # --- end-to-end evaluation -------------------------------------------------
@@ -241,10 +225,9 @@ def test_crossed_bounds_collapse_alike_in_every_evaluator():
     one = evaluate_reliability(strat, scn, draws=400, seed=2)
     assert one.crossings > 0
     assert_same_report(one, evaluate_many({"s": strat}, scn, draws=400, seed=2)["s"])
-    batch = realize_practical_bounds(strat, scn, draws=400, seed=2)
-    assert np.all(batch.units["bes"].lower <= batch.units["bes"].upper)
-    assert_same_report(one, compute_lorp_erns(strat, batch, scn))
-    assert penalty_cost(strat, batch, scn) == one.cost_rt
+    bounds = realized_bounds(strat, scn, draws=400, seed=2)
+    assert np.all(bounds["bes"].lower <= bounds["bes"].upper)
+    assert_same_report(one, score_bounds(strat, scn, bounds, seed=2))
 
 
 def test_units_with_different_prices_realize_as_if_alone():
@@ -255,13 +238,13 @@ def test_units_with_different_prices_realize_as_if_alone():
              make_unit(bes_device(uid="dear"), T, ddu=spec, price_c=1.2, price_d=1.4)]
     scn = make_scenario(units, T, load=15.0)
     strat = strategy_with(scn, p_d=np.full(T, 3.0))
-    both = realize_practical_bounds(strat, scn, draws=200, seed=4).units
+    both = realized_bounds(strat, scn, draws=200, seed=4)
     assert not np.array_equal(both["cheap"].upper, both["dear"].upper)
     assert not np.array_equal(both["cheap"].lower, both["dear"].lower)
     for u in units:
-        alone = realize_practical_bounds(strat, replace(scn, units=[u]), draws=200, seed=4)
-        assert np.array_equal(both[u.unit_id].upper, alone.units[u.unit_id].upper)
-        assert np.array_equal(both[u.unit_id].lower, alone.units[u.unit_id].lower)
+        alone = realized_bounds(strat, replace(scn, units=[u]), draws=200, seed=4)
+        assert np.array_equal(both[u.unit_id].upper, alone[u.unit_id].upper)
+        assert np.array_equal(both[u.unit_id].lower, alone[u.unit_id].lower)
 
 
 def test_aggregated_fleet_is_not_evaluated(smoke3):
@@ -274,15 +257,13 @@ def test_aggregated_fleet_is_not_evaluated(smoke3):
         expost_row_frequencies(strategy, agg, draws=50, seed=1)
 
 
-@pytest.mark.parametrize("entry", ["evaluate_reliability", "evaluate_many", "realize_practical_bounds",
-                                   "expost_row_frequencies"])
+@pytest.mark.parametrize("entry", ["evaluate_reliability", "evaluate_many", "expost_row_frequencies"])
 @pytest.mark.parametrize("draws", [0, -1])
 def test_a_draw_count_below_one_is_refused(entry, draws):
     scn = ddu_scenario()
     strat = strategy_with(scn)
     call = {"evaluate_reliability": lambda: evaluate_reliability(strat, scn, draws, 1),
             "evaluate_many": lambda: evaluate_many({"s": strat}, scn, draws, 1),
-            "realize_practical_bounds": lambda: realize_practical_bounds(strat, scn, draws, 1),
             "expost_row_frequencies": lambda: expost_row_frequencies(strat, scn, draws, 1)}[entry]
     with pytest.raises(InvalidSpec, match=f"draw count must be >= 1, got {draws}"):
         call()
@@ -342,7 +323,7 @@ def serial_reference(strategies, scn, draws, seed):
         freq, cost_rt, crossings = {}, 0.0, 0
         for u, unit_noise in zip(scn.units, noise):
             upper, lower, unit_crossings = realize_unit([u], reliability._schedules(strategy, [u]), unit_noise,
-                                                        draws, worlds)
+                                                        draws, worlds, kernel_workspace(1, scn.horizon, draws))
             # the kernel's time-major (1, steps, draws) blocks as draws-major arrays
             upper, lower = np.ascontiguousarray(upper[0].T), np.ascontiguousarray(lower[0].T)
             soc = strategy.schedules[u.unit_id].soc[1:][None, :]
@@ -497,13 +478,12 @@ def test_evaluator_equals_the_frozen_draws_major_reference(request, monkeypatch,
         assert set(seen) == windows
     for name, strategy in strategies.items():
         assert report_bits(reports[name]) == report_bits(ref_reports[name]), name
-        batch = realize_practical_bounds(strategy, scn, draws, seed=9)
+        bounds = realized_bounds(strategy, scn, draws, seed=9)
         for uid, (upper, lower, crossings) in ref_batches[name].items():
-            got = batch.units[uid]
-            assert got.upper.flags.c_contiguous and got.lower.flags.c_contiguous
+            got = bounds[uid]
             assert (got.upper.shape, got.upper.tobytes(), got.lower.tobytes(), got.crossings) == \
                 (upper.shape, upper.tobytes(), lower.tobytes(), crossings), (name, uid)
-        assert report_bits(compute_lorp_erns(strategy, batch, scn)) == report_bits(ref_reports[name]), name
+        assert report_bits(score_bounds(strategy, scn, bounds, seed=9)) == report_bits(ref_reports[name]), name
     if case == "negzero":
         # the pull, not the anchor: +0.0 where the anchor is -0.0
         lower = ref_batches["late"][scn.units[0].unit_id][1]
@@ -523,8 +503,8 @@ def test_realized_units_share_no_memory(request, fixture):
     else:
         scn = request.getfixturevalue(fixture)
         scn = replace(scn, units=scn.units[:8])
-    batch = realize_practical_bounds(strategy_with(scn), scn, draws=POOL_DRAWS, seed=3)
-    arrays = [(uid, getattr(real, name)) for uid, real in batch.units.items()
+    bounds = realized_bounds(strategy_with(scn), scn, draws=POOL_DRAWS, seed=3)
+    arrays = [(uid, getattr(real, name)) for uid, real in bounds.items()
               for name in ("upper", "lower")]
     shared = [(a, b) for (a, x), (b, y) in itertools.combinations(arrays, 2)
               if a != b and np.shares_memory(x, y)]

@@ -103,6 +103,11 @@ def test_reserve_spec_validation():
     assert len(issues) == 2
 
 
+def test_reserve_spec_refuses_a_negative_flat_price():
+    assert ReserveSpec(mode="S1", s1_price=0.0).validate() == []
+    assert ReserveSpec(mode="S1", s1_price=-1.0).validate() == ["reserve s1_price must be >= 0, got -1.0"]
+
+
 def test_reserve_spec_keeps_infinite_limits_and_refuses_what_the_lp_cannot_use():
     # no limit on the power or the ramps is the default, and serialize writes it
     assert ReserveSpec(p_lo=-math.inf, p_hi=math.inf, ramp_up=math.inf, ramp_dn=math.inf).validate() == []

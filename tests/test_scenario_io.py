@@ -69,6 +69,18 @@ def test_negative_sample_count_raises_invalid_spec(tmp_path):
         load_scenario(dst)
 
 
+def test_a_zero_noise_magnitude_means_no_noise(tmp_path):
+    dst = tmp_path / "quiet"
+    shutil.copytree(FIXTURES / "smoke3", dst)
+    for name, row, column in (("timeseries.csv", 3, "load_sigma"), ("units.csv", 1, "baseline_sigma"),
+                              ("units.csv", 0, "ident_sigma_frac")):
+        path = dst / name
+        path.write_text("\n".join(_cell(row, column, "0")(path.read_text().splitlines())) + "\n")
+    scn = load_scenario(dst, compute_stats=False)
+    assert scn.load_dist[3].family == "point"
+    assert scn.units[0].unit_dists == {} and scn.units[1].baseline_dist is None
+
+
 def test_price_ordering_violation(tmp_path):
     src = FIXTURES / "smoke3"
     dst = tmp_path / "broken"

@@ -23,19 +23,16 @@ from gesdispatch.ges import TCL_KINDS, DeviceDescription, map_device_to_ges
 from gesdispatch.optimizer import iterative_solve_r2, robust_solve_r1, solve_cco_diu
 from gesdispatch.pool import POOL_MIN_ELEMENTS
 from gesdispatch.reliability import (
-    RealizationBatch,
-    UnitRealization,
     _noise_states,
     _tasks,
     _unit_noise,
     _Worlds,
-    compute_lorp_erns,
     evaluate_many,
     expost_row_frequencies,
     realize_unit,
 )
 
-from util import bes_device, largest_task, make_unit, stat_threshold
+from util import Realized, bes_device, kernel_workspace, largest_task, make_unit, score_bounds, stat_threshold
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -163,10 +160,11 @@ def reference_reports(monkeypatch, strategies, scn, draws, seed):
     for name, s in strategies.items():
         units = {}
         for u in scn.units:
-            upper, lower, crossings = realize_unit([u], reliability._schedules(s, [u]), noise[u.unit_id], draws, worlds)
-            units[u.unit_id] = UnitRealization(np.ascontiguousarray(upper[0].T), np.ascontiguousarray(lower[0].T),
-                                               int(crossings[0]))
-        reports[name] = compute_lorp_erns(s, RealizationBatch(units=units, draws=draws, seed=seed), scn)
+            upper, lower, crossings = realize_unit([u], reliability._schedules(s, [u]), noise[u.unit_id], draws, worlds,
+                                                   kernel_workspace(1, scn.horizon, draws))
+            units[u.unit_id] = Realized(np.ascontiguousarray(upper[0].T), np.ascontiguousarray(lower[0].T),
+                                        int(crossings[0]))
+        reports[name] = score_bounds(s, scn, units, seed)
     return reports
 
 

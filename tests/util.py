@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -77,6 +78,55 @@ def largest_task(scn, draws):
     `scn` at `draws`: its tasks run on the pool when this reaches
     `pool.POOL_MIN_ELEMENTS`."""
     return max(t.stop - t.start for t in _tasks(scn.units, draws, scn.horizon)) * draws * scn.horizon
+
+
+class Realized(NamedTuple):
+    """One unit's realized bounds, C-contiguous draws-major (draws, horizon)
+    arrays, and its number of crossed (draw, step) pairs."""
+
+    upper: np.ndarray
+    lower: np.ndarray
+    crossings: int
+
+
+def kernel_workspace(units, horizon, draws):
+    """Fresh time-major buffers for one `reliability.realize_unit` call."""
+    return [np.empty((units, horizon, draws)) for _ in range(reliability.KERNEL_BUFFERS)]
+
+
+def realized_bounds(strategy, scn, draws, seed):
+    """{unit id: Realized} of `strategy` from the evaluator's own kernel: its
+    `_tasks`, noise sampler and `realize_unit`, each task in a workspace of
+    its own, the bounds copied out draws-major."""
+    worlds = reliability._Worlds(seed, draws, scn)
+    states = reliability._noise_states(scn.units, seed, scn.horizon)
+    scheds = reliability._schedules(strategy, scn.units)
+    out = {}
+    for task in _tasks(scn.units, draws, scn.horizon):
+        run = scn.units[task]
+        noise = reliability._unit_noise(run, scn, draws, states[task])
+        upper, lower, crossings = reliability.realize_unit(run, reliability._rows(scheds, task), noise, draws, worlds,
+                                                           kernel_workspace(len(run), scn.horizon, draws))
+        out.update((u.unit_id, Realized(np.ascontiguousarray(upper[i].T), np.ascontiguousarray(lower[i].T),
+                                        int(crossings[i])))
+                   for i, u in enumerate(run))
+    return out
+
+
+def score_bounds(strategy, scn, bounds, seed=0):
+    """The report of `strategy` against given bounds {unit id: Realized}: the
+    evaluator's scoring (`reliability._score_run`), one unit per run in
+    buffers of its own, folded in unit order."""
+    draws = len(next(iter(bounds.values())).upper)
+    score = reliability._Score(strategy, scn, draws, seed)
+    for u in scn.units:
+        real = bounds[u.unit_id]
+        upper, lower = (np.ascontiguousarray(np.asarray(b, dtype=float).T)[None] for b in (real.upper, real.lower))
+        buffers = [np.empty_like(upper) for _ in range(4)]
+        (part,) = reliability._score_run(scn, [u], reliability._schedules(strategy, [u]), upper, lower,
+                                         [real.crossings], buffers)
+        score.fold(u, part)
+    return score.report()
 
 
 def reserve_problem(scn, spec):
