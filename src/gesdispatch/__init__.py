@@ -12,32 +12,11 @@ from .cantelli import (  # noqa: F401
     cantelli_bound,
     student_t,
 )
-from .ddu import (  # noqa: F401
-    DduSpec,
-    RealizedBound,
-    ddu_bound_distribution,
-    response_discomfort_series,
-    standardized_h_quantile,
-)
-from .distributions import (  # noqa: F401
-    DistributionSpec,
-    empirical_inverse_cdf,
-    lognormal_inverse_cdf_closed_form,
-    quantile,
-    sample,
-)
+from .ddu import DduSpec, standardized_h_quantile  # noqa: F401
+from .distributions import DistributionSpec, quantile, sample  # noqa: F401
 from .diu import BoundStats, UnitBoundStats, propagate_diu  # noqa: F401
 from .errors import GesDispatchError  # noqa: F401
-from .ges import (  # noqa: F401
-    DeviceDescription,
-    GesParams,
-    UnitSchedule,
-    aggregate_fleet,
-    check_feasibility,
-    map_device_to_ges,
-    step_soc,
-    unroll_soc,
-)
+from .ges import DeviceDescription, GesParams, UnitSchedule, aggregate_fleet, map_device_to_ges  # noqa: F401
 from .lp import LpProblem, solve_lp  # noqa: F401
 from .optimizer import (  # noqa: F401
     DispatchStrategy,
@@ -48,12 +27,7 @@ from .optimizer import (  # noqa: F401
     solve_cco_diu,
     solve_deterministic_m1,
 )
-from .reliability import (  # noqa: F401
-    ReliabilityReport,
-    average_contraction,
-    evaluate_many,
-    evaluate_reliability,
-)
+from .reliability import ReliabilityReport, evaluate_many, evaluate_reliability  # noqa: F401
 from .reserve import required_reliability, reserve_price, solve_with_reserve  # noqa: F401
 from .scenario import ReserveSpec, ScenarioBundle, UnitSpec  # noqa: F401
 from .scenario_io import load_scenario, serialize  # noqa: F401

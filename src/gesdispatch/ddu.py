@@ -18,9 +18,8 @@ import numpy as np
 from scipy import special
 
 from . import distributions as dist
-from .distributions import DistributionSpec
-from .errors import InvalidSpec, NonTighteningCoefficient, OrderingViolation
-from .ges import GesParams, UnitSchedule
+from .errors import InvalidSpec, NonTighteningCoefficient
+from .ges import UnitSchedule
 
 H_FAMILIES = ("lognormal", "beta")
 DISCOMFORT_VARIANTS = ("F1", "F2", "F3")
@@ -84,12 +83,6 @@ def rating_refs(p_c_max, p_d_max) -> tuple:
     mean of each rating series over its last axis (the steps), so one per
     unit, or per unit and draw, for ratings stacked over leading axes."""
     return np.mean(p_c_max, axis=-1), np.mean(p_d_max, axis=-1)
-
-
-def response_discomfort_series(sched: UnitSchedule, params: GesParams, spec: DduSpec) -> np.ndarray:
-    """Vector of discomfort values over the whole horizon."""
-    pc_ref, pd_ref = rating_refs(params.p_c_max, params.p_d_max)
-    return discomfort(sched, pc_ref, pd_ref, params.soc_baseline_avg, params.deadband, spec)
 
 
 def discomfort(sched: UnitSchedule, pc_ref, pd_ref, avg, deadband, spec: DduSpec,
@@ -173,26 +166,6 @@ def _beta_fit(m, s: float):
     return mf, vf, mf * (1.0 - mf) / vf - 1.0
 
 
-def contraction_distribution(rd: float, side: str, spec: DduSpec) -> DistributionSpec:
-    """Distribution of the contraction factor H with mean beta_side * rd.
-
-    The standard deviation is sigma_h regardless of rd; both supported
-    families are matched to these two moments.  A mean at or below the
-    numeric floor collapses to a point mass (no contraction).
-    """
-    if rd < -1e-12:
-        raise InvalidSpec(f"response discomfort must be >= 0, got {rd}")
-    m = spec.beta_side(side) * max(rd, 0.0)
-    if m <= MEAN_FLOOR:
-        return DistributionSpec.point(m)
-    s = spec.sigma_h
-    if spec.h_family == "lognormal":
-        s2 = math.log1p((s / m) ** 2)
-        return DistributionSpec.lognormal(math.log(m) - s2 / 2.0, math.sqrt(s2))
-    mf, _, k = (float(v) for v in _beta_fit(m, s))
-    return DistributionSpec.beta(mf * k, (1.0 - mf) * k, 0.0, BETA_CAP)
-
-
 def contraction_shock(family: str, u):
     """The standard variate of the `family` contraction at uniforms `u`: the
     normal score ndtri(u) for the lognormal family, `u` itself for the beta
@@ -204,10 +177,11 @@ def contraction_quantile_vec(m: np.ndarray, spec: DduSpec, shock, out: np.ndarra
     """Vectorized inverse CDF of H over elementwise means `m` at the shocks
     ``contraction_shock(spec.h_family, u)`` of uniforms `u`.
 
-    Equivalent to quantile(contraction_distribution(...), u) evaluated
-    entry-by-entry, but without constructing per-entry spec objects; a
-    caller that applies one set of uniforms to many means (the Monte-Carlo
-    evaluator) transforms them once.  The result is written into `out` when
+    H has mean `m` and sd sigma_h: a lognormal matched to both moments, or a
+    beta on [0, BETA_CAP] (`_beta_fit`); a mean at or below MEAN_FLOOR is a
+    point mass (no contraction).  A caller that applies one set of uniforms
+    to many means (the Monte-Carlo evaluator) transforms them once.  The
+    result is written into `out` when
     it is given, which may be `m` itself.  Only the live entries (mean above
     MEAN_FLOOR) are gathered and transformed.
     """
@@ -257,49 +231,3 @@ def standardized_h_quantile(rd, side: str, spec: DduSpec, level: float):
         mean, sd = BETA_CAP * mf, BETA_CAP * np.sqrt(vf)
     z = np.where(m > MEAN_FLOOR, (q - mean) / sd, 0.0)
     return z if z.ndim else float(z)
-
-
-@dataclass
-class RealizedBound:
-    """Distribution of one realized SoC bound: anchor + (comfort - anchor) * H."""
-
-    side: str
-    anchor: float  # price-expanded bound (value at zero contraction)
-    comfort: float
-    h: DistributionSpec
-    mean: float
-    sigma: float
-
-    def quantile(self, level) -> np.ndarray | float:
-        """Inverse CDF of the realized bound (decreasing in level when upper)."""
-        return self.anchor + (self.comfort - self.anchor) * dist.quantile(self.h, level)
-
-
-def ddu_bound_distribution(
-    side: str,
-    diu_bound: float,
-    phys_bound: float,
-    comfort_bound: float,
-    price: float,
-    rd: float,
-    spec: DduSpec,
-    tol: float = 1e-9,
-) -> RealizedBound:
-    """Full distribution of a realized SoC bound at a given discomfort level."""
-    if side == "upper":
-        ordered = comfort_bound <= diu_bound + tol and diu_bound <= phys_bound + tol
-    elif side == "lower":
-        ordered = phys_bound <= diu_bound + tol and diu_bound <= comfort_bound + tol
-    else:
-        raise InvalidSpec(f"side must be 'upper' or 'lower', got {side!r}")
-    if not ordered:
-        raise OrderingViolation(
-            f"{side} bound ordering violated: comfort={comfort_bound}, "
-            f"identified={diu_bound}, physical={phys_bound}"
-        )
-    anchor = expansion_anchor(diu_bound, phys_bound, price, spec)
-    h = contraction_distribution(rd, side, spec)
-    gap = comfort_bound - anchor
-    mu = anchor + gap * dist.mean(h)
-    sigma = abs(gap) * dist.std(h)
-    return RealizedBound(side=side, anchor=anchor, comfort=comfort_bound, h=h, mean=mu, sigma=sigma)

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 from scipy import special
 
-from .errors import EmptySample, InvalidSpec
+from .errors import InvalidSpec
 
 FAMILIES = (
     "point",
@@ -418,28 +418,3 @@ def normalized_quantile(spec: DistributionSpec, level: float) -> float:
     if s <= 0.0:
         return 0.0
     return (float(quantile(spec, level)) - mean(spec)) / s
-
-
-# ---------------------------------------------------------------------------
-# Empirical quantile
-
-
-def empirical_inverse_cdf(samples, level: float) -> float:
-    """Order-statistic quantile by the nearest-rank rule ceil(level * n)."""
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise EmptySample("cannot take a quantile of an empty sample")
-    if not 0.0 < level < 1.0:
-        raise InvalidSpec(f"quantile level must lie in (0, 1), got {level}")
-    rank = int(math.ceil(level * x.size))
-    rank = min(max(rank, 1), x.size)
-    return float(np.partition(x, rank - 1)[rank - 1])
-
-
-def lognormal_inverse_cdf_closed_form(mu: float, sigma: float, level: float) -> float:
-    """Exact lognormal quantile exp(mu + sqrt(2 sigma^2) erfinv(2 level - 1))."""
-    if sigma <= 0:
-        raise InvalidSpec(f"sigma must be > 0, got {sigma}")
-    if not 0.0 < level < 1.0:
-        raise InvalidSpec(f"level must lie in (0, 1), got {level}")
-    return math.exp(mu + math.sqrt(2.0 * sigma * sigma) * special.erfinv(2.0 * level - 1.0))

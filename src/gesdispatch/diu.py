@@ -403,12 +403,6 @@ def new_workspace(n: int, horizon: int) -> np.ndarray:
     return np.empty((3, n, horizon))
 
 
-def series_stats(dists_per_t: list[DistributionSpec], n: int = DEFAULT_SAMPLES, seed: int = 0) -> BoundStats:
-    """Empirical statistics of an exogenous per-step series (load, renewables)."""
-    states = dist.spawn_states([[seed]], [len(dists_per_t)])[0]
-    return _column_stats(dist.sample_columns(dists_per_t, n, states))
-
-
 class SeriesQuantile(NamedTuple):
     """Closed-form per-step mean, sd and normalized quantile at one level."""
 

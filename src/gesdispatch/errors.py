@@ -28,20 +28,12 @@ class InvalidSpec(GesDispatchError):
     """A distribution spec violates a family invariant."""
 
 
-class EmptySample(GesDispatchError):
-    """Empirical quantile requested on an empty sample."""
-
-
 class InvalidGamma(GesDispatchError):
     """Confidence parameter outside its admissible range."""
 
 
 class InvalidProbability(GesDispatchError):
     """Probability argument outside [0, 1)."""
-
-
-class OrderingViolation(GesDispatchError):
-    """Comfort / available / physical bounds are not ordered as required."""
 
 
 class InfeasibleBounds(GesDispatchError):
@@ -82,7 +74,8 @@ class MissingOnProb(GesDispatchError):
 
 
 class DimensionMismatch(GesDispatchError):
-    """Strategy, realization batch, and fleet dimensions disagree."""
+    """A realization is asked for a draw count other than that of the shared
+    random worlds it reads."""
 
 
 class ParseError(GesDispatchError):

@@ -1,14 +1,14 @@
 """Generic-energy-storage core model.
 
 Maps device-level descriptions (battery, thermostatic load, EV) onto a common
-storage abstraction, steps the state-of-charge recursion, and checks schedules
-against the deterministic feasibility constraints.
+storage abstraction and aggregates a fleet into one virtual unit.  The
+state-of-charge recursion over these parameters is written once, as the
+LP's `dyn` rows (`optimizer._build_skeleton`).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +91,9 @@ class DeviceDescription:
                 raise InvalidDevice(f"{self.unit_id}: eps must lie in [0, 1), got {self.eps}")
         if not 0.0 <= self.soc_phys_lo < self.soc_phys_hi <= 1.0:
             raise InvalidDevice(f"{self.unit_id}: physical SoC bounds must satisfy 0 <= lo < hi <= 1")
+        if self.soc_init is not None and not self.soc_phys_lo <= self.soc_init <= self.soc_phys_hi:
+            raise InvalidDevice(f"{self.unit_id}: soc_init must lie in [soc_phys_lo, soc_phys_hi] = "
+                                f"[{self.soc_phys_lo}, {self.soc_phys_hi}], got {self.soc_init}")
 
 
 @dataclass
@@ -146,24 +149,6 @@ class UnitSchedule:
     p_c: np.ndarray
     p_d: np.ndarray
     soc: np.ndarray
-
-    def validate(self) -> None:
-        if np.any(self.p_c < 0) or np.any(self.p_d < 0):
-            raise InvalidDevice("schedule powers must be nonnegative")
-        if self.soc.shape[0] != self.p_c.shape[0] + 1:
-            raise LengthMismatch("soc must have one more point than the power series")
-
-
-@dataclass
-class Violation:
-    constraint: str
-    t: int
-    magnitude: float
-    unit_id: str = ""
-
-
-class ComplementarityWarning(UserWarning):
-    """Simultaneous charge and discharge in a schedule (relaxed constraint)."""
 
 
 # ---------------------------------------------------------------------------
@@ -256,67 +241,6 @@ def map_device_to_ges(dev: DeviceDescription, dt: float, horizon: int) -> GesPar
     )
     params.validate()
     return params
-
-
-def step_soc(soc: float, p_c: float, p_d: float, params: GesParams, t: int) -> float:
-    """One step of the SoC recursion."""
-    return (
-        (1.0 - params.eps) * soc
-        + params.eta_c * p_c * params.dt / params.S
-        - p_d * params.dt / (params.eta_d * params.S)
-        + float(params.alpha[t])
-    )
-
-
-def unroll_soc(p_c: np.ndarray, p_d: np.ndarray, params: GesParams, soc0: float | None = None) -> np.ndarray:
-    """SoC trajectory implied by a power schedule."""
-    horizon = p_c.shape[0]
-    soc = np.empty(horizon + 1)
-    soc[0] = params.soc_init if soc0 is None else soc0
-    for t in range(horizon):
-        soc[t + 1] = step_soc(soc[t], float(p_c[t]), float(p_d[t]), params, t)
-    return soc
-
-
-def check_feasibility(sched: UnitSchedule, params: GesParams, tol: float = 1e-9) -> list[Violation]:
-    """Deterministic feasibility check; one entry per violated constraint."""
-    horizon = params.horizon
-    if sched.p_c.shape[0] != horizon or sched.soc.shape[0] != horizon + 1:
-        raise LengthMismatch(
-            f"{params.unit_id}: schedule horizon {sched.p_c.shape[0]} vs params horizon {horizon}"
-        )
-    out: list[Violation] = []
-    uid = params.unit_id
-    for t in range(horizon):
-        d = sched.soc[t + 1] - sched.soc[t]
-        if d > params.soc_ramp_up + tol:
-            out.append(Violation("RampUp", t, d - params.soc_ramp_up, uid))
-        if -d > params.soc_ramp_dn + tol:
-            out.append(Violation("RampDown", t, -d - params.soc_ramp_dn, uid))
-        if sched.p_c[t] < -tol or sched.p_c[t] > params.p_c_max[t] + tol:
-            mag = max(-sched.p_c[t], sched.p_c[t] - params.p_c_max[t])
-            out.append(Violation("PowerBound", t, float(mag), uid))
-        if sched.p_d[t] < -tol or sched.p_d[t] > params.p_d_max[t] + tol:
-            mag = max(-sched.p_d[t], sched.p_d[t] - params.p_d_max[t])
-            out.append(Violation("PowerBound", t, float(mag), uid))
-        lo, hi = params.soc_lo[t], params.soc_hi[t]
-        # bound series indexed by step t constrains the post-step state soc[t+1]
-        s = sched.soc[t + 1]
-        if s < lo - tol or s > hi + tol:
-            out.append(Violation("SocBound", t, float(max(lo - s, s - hi)), uid))
-        pred = step_soc(float(sched.soc[t]), float(sched.p_c[t]), float(sched.p_d[t]), params, t)
-        if abs(sched.soc[t + 1] - pred) > tol:
-            out.append(Violation("Recursion", t, float(abs(sched.soc[t + 1] - pred)), uid))
-        if sched.p_c[t] * sched.p_d[t] > tol:
-            warnings.warn(
-                f"{uid}: simultaneous charge and discharge at t={t}",
-                ComplementarityWarning,
-                stacklevel=2,
-            )
-    gap = sched.soc[-1] - sched.soc[0]
-    if abs(gap) > tol:
-        out.append(Violation("EnergySustainability", horizon, float(abs(gap)), uid))
-    return out
 
 
 def aggregate_fleet(units: list[GesParams]) -> GesParams:

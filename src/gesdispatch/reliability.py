@@ -28,8 +28,7 @@ runs of consecutive units that share a realization template, cut to about
 `pool.TASK_ELEMENTS`), through the noise sampler (`_unit_noise`) and the
 realization kernel (`realize_unit`), and scores each run (`_score_run`).
 Every step is elementwise or reduces within a unit, so no number depends on
-the task a unit falls in.  `expost_row_frequencies` checks the exogenous
-chance rows against the same tasks and noise draws.
+the task a unit falls in.
 
 Layout: the noise sampler writes draws-major (units, draws, horizon) blocks,
 and the kernel and the scoring work on time-major (units, horizon, draws)
@@ -451,64 +450,3 @@ def evaluate_reliability(
 ) -> ReliabilityReport:
     """Evaluate one strategy: `evaluate_many` with this strategy alone."""
     return evaluate_many({"strategy": strategy}, scn, draws, seed)["strategy"]
-
-
-def average_contraction(strategy: DispatchStrategy, scn: ScenarioBundle) -> float:
-    """Mean contraction magnitude over units, steps, and sides.
-
-    The contraction factor has mean beta * rd per side; its average is a
-    schedule-level measure of how far the practical bounds are pulled toward
-    the comfort band by the scheduled response.
-    """
-    total = 0.0
-    count = 0
-    for u in scn.units:
-        rd = strategy.rd[u.unit_id]
-        total += float(np.sum(u.ddu.beta_up * rd) + np.sum(u.ddu.beta_lo * rd))
-        count += 2 * rd.size
-    return total / count if count else 0.0
-
-
-# ---------------------------------------------------------------------------
-# Per-row ex-post check of the exogenous chance constraints
-
-
-def expost_row_frequencies(
-    strategy: DispatchStrategy, scn: ScenarioBundle, draws: int, seed: int
-) -> dict[str, np.ndarray]:
-    """Violation frequency of every reformulated exogenous row.
-
-    Keys: "pc:<uid>", "pd:<uid>", "soc_lo:<uid>", "soc_hi:<uid>" (per-step
-    arrays) and "balance" (per-step array).  Under M3 the decision-dependent
-    rows replace the exogenous SoC rows, so there the "soc_lo:"/"soc_hi:"
-    frequencies describe no imposed row and must not be read against gamma.
-    """
-    _check_draws(draws)
-    out: dict[str, np.ndarray] = {}
-    states = _noise_states(scn.units, seed, scn.horizon)
-    scheds = _schedules(strategy, scn.units)
-    for task in _tasks(scn.units, draws, scn.horizon):
-        run = scn.units[task]
-        real = _unit_noise(run, scn, draws, states[task])
-        sched = _rows(scheds, task)
-        soc = sched.soc[..., 1:]
-        rows = {"pc": sched.p_c > real["p_c_max"] + VIOLATION_TOL,
-                "pd": sched.p_d > real["p_d_max"] + VIOLATION_TOL,
-                "soc_hi": soc > real["soc_hi"] + VIOLATION_TOL,
-                "soc_lo": soc < real["soc_lo"] - VIOLATION_TOL}
-        freq = {row: violated.mean(axis=1) for row, violated in rows.items()}
-        for i, u in enumerate(run):
-            out.update((f"{row}:{u.unit_id}", f[i]) for row, f in freq.items())
-
-    def exogenous(dists, tag: bytes) -> np.ndarray:
-        states = dist.spawn_states([(int(seed), zlib.crc32(tag))], [len(dists)])[0]
-        return dist.sample_columns(dists, draws, states)
-
-    load = exogenous(scn.load_dist, b"load")
-    res = exogenous(scn.res_dist, b"res")
-    net_supply = strategy.grid_import[None, :] + res
-    for u in scn.units:
-        s = strategy.schedules[u.unit_id]
-        net_supply = net_supply + (s.p_d - s.p_c)[None, :]
-    out["balance"] = (net_supply < load - VIOLATION_TOL).mean(axis=0)
-    return out

@@ -464,9 +464,7 @@ def serialize(bundle: ScenarioBundle, path) -> None:
         if u.baseline_dist is not None:
             first = u.baseline_dist[0]
             if first.family == "lognormal":
-                mean0 = math.exp(first.params["mu"] + first.params["sigma"] ** 2 / 2)
-                sd0 = mean0 * math.sqrt(math.expm1(first.params["sigma"] ** 2))
-                row["baseline_sigma"] = fmt(sd0 / mean0)
+                row["baseline_sigma"] = fmt(dist.std(first) / dist.mean(first))
         unit_rows.append(row)
 
     cols = ["unit_id", "kind", *_UNIT_NUMBERS]

@@ -15,33 +15,35 @@ import pytest
 from scipy import stats as sstats
 
 from gesdispatch.cantelli import ShapeClass, cantelli_bound
-from gesdispatch.ddu import DduSpec, ddu_bound_distribution, response_discomfort_series
-from gesdispatch.distributions import (
-    DistributionSpec,
-    empirical_inverse_cdf,
-    lognormal_inverse_cdf_closed_form,
-    sample,
-)
+from gesdispatch.ddu import DduSpec, expansion_anchor
+from gesdispatch.distributions import DistributionSpec, quantile, sample
 from gesdispatch.diu import propagate_diu
-from gesdispatch.ges import (
-    DeviceDescription,
-    GesParams,
-    UnitSchedule,
-    aggregate_fleet,
-    map_device_to_ges,
-    step_soc,
-)
+from gesdispatch.ges import DeviceDescription, GesParams, UnitSchedule, aggregate_fleet, map_device_to_ges
 from gesdispatch.optimizer import (
     iterative_solve_r2,
     robust_solve_r1,
     solve_cco_diu,
     solve_deterministic_m1,
 )
-from gesdispatch.reliability import average_contraction, evaluate_many, expost_row_frequencies
+from gesdispatch.reliability import evaluate_many
 from gesdispatch.reserve import required_reliability, reserve_price, solve_with_reserve
 from gesdispatch.scenario import ReserveSpec
 
-from util import Realized, bes_device, make_scenario, make_unit, realized_bounds, score_bounds, stat_threshold
+from util import (
+    Realized,
+    average_contraction,
+    bes_device,
+    contraction_distribution,
+    expost_row_frequencies,
+    make_scenario,
+    make_unit,
+    nearest_rank,
+    realized_bounds,
+    response_discomfort_series,
+    score_bounds,
+    stat_threshold,
+    step_soc,
+)
 
 
 def report(criterion, ok, detail):
@@ -271,8 +273,8 @@ def test_ac9_derived_example_oracles(smoke3):
     check("normal sd", float(x.std()), 1.0, 0.005)
     hn = sample(DistributionSpec.truncated_normal(0.0, 1.0, 0.0, math.inf), 10**6, seed=11)
     check("half-normal mean", float(hn.mean()), math.sqrt(2.0 / math.pi), 0.01)
-    check("nearest-rank quantile", empirical_inverse_cdf(np.arange(1.0, 101.0), 0.95), 95.0, 0.0)
-    check("empirical normal quantile", empirical_inverse_cdf(x, 0.95),
+    check("nearest-rank quantile", nearest_rank(np.arange(1.0, 101.0), 0.95), 95.0, 0.0)
+    check("empirical normal quantile", nearest_rank(x, 0.95),
           sstats.norm.ppf(0.95), 0.01)
 
     # tail catalog
@@ -303,24 +305,21 @@ def test_ac9_derived_example_oracles(smoke3):
     # realized-bound model with the reference parameter set
     paper = DduSpec(sigma_g=0.5, sigma_h=0.1, beta_up=3.0, beta_lo=6.0, lam=0.7,
                     c_bar=1.5, q_g_level=0.05)
-    anchor0 = ddu_bound_distribution("upper", 0.9, 1.0, 0.6, 0.0,
-                                     0.0, replace(paper, q_g_level=0.5)).anchor
+    anchor0 = expansion_anchor(0.9, 1.0, 0.0, replace(paper, q_g_level=0.5))
     g_med = float(sstats.truncnorm.ppf(0.5, 0.0, 2.0, loc=0.0, scale=0.5))
     check("zero-price anchor", anchor0, 0.9 + 0.1 * g_med, 1e-9)
-    up = ddu_bound_distribution("upper", 0.9, 1.0, 0.6, 0.3, 0.2, paper)
-    lo = ddu_bound_distribution("lower", 0.1, 0.0, 0.4, 0.6, 0.2, paper)
+    # upper: comfort 0.6, identified 0.9, physical 1.0; lower: comfort 0.4, identified 0.1, physical 0.0
+    up, lo = expansion_anchor(0.9, 1.0, 0.3, paper), expansion_anchor(0.1, 0.0, 0.6, paper)
     rng = np.random.default_rng(0)
-    hu = sample(up.h, 100_000, rng.spawn(1)[0])
-    hl = sample(lo.h, 100_000, rng.spawn(1)[0])
-    ordered = np.mean(
-        (lo.anchor + (lo.comfort - lo.anchor) * hl) <= (up.anchor + (up.comfort - up.anchor) * hu)
-    )
+    hu = sample(contraction_distribution(0.2, "upper", paper), 100_000, rng.spawn(1)[0])
+    hl = sample(contraction_distribution(0.2, "lower", paper), 100_000, rng.spawn(1)[0])
+    ordered = np.mean((lo + (0.4 - lo) * hl) <= (up + (0.6 - up) * hu))
     check_true(f"bounds ordered in {ordered:.3f} of draws", ordered >= 0.99)
 
     z95 = float(sstats.norm.ppf(0.95))
-    check("lognormal quantile", lognormal_inverse_cdf_closed_form(0.0, 0.1, 0.95),
+    check("lognormal quantile", quantile(DistributionSpec.lognormal(0.0, 0.1), 0.95),
           math.exp(0.1 * z95), 1e-9)
-    check("lognormal scale property", lognormal_inverse_cdf_closed_form(0.3, 0.1, 0.95),
+    check("lognormal scale property", quantile(DistributionSpec.lognormal(0.3, 0.1), 0.95),
           math.exp(0.3) * math.exp(0.1 * z95), 1e-9)
 
     # dispatch economics

@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 
 from gesdispatch import lp
-from gesdispatch.ddu import (
-    contraction_distribution,
-    expansion_anchor,
-    rating_refs,
-    response_discomfort_series,
-)
+from gesdispatch.ddu import expansion_anchor, rating_refs
 from gesdispatch.distributions import normalized_quantile
 from gesdispatch.diu import UnitBoundStats
 from gesdispatch.lp import LpSolution
@@ -38,7 +33,7 @@ from gesdispatch.optimizer import (
 from gesdispatch.reserve import _coverage_share, _unit_reserve_price
 from gesdispatch.scenario import ReserveSpec
 
-from util import reserve_problem
+from util import contraction_distribution, reserve_problem, response_discomfort_series
 
 # ---------------------------------------------------------------------------
 # Per-unit reference builders

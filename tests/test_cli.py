@@ -172,24 +172,43 @@ def test_validation_error_exit_code(tmp_path, capsys):
     assert "price_c" in err
 
 
-@pytest.mark.parametrize("name, row, column, value", [
-    ("timeseries.csv", 3, "load_sigma", "-1"), ("timeseries.csv", 5, "res_sigma", "-1"),
-    ("units.csv", 1, "baseline_sigma", "-0.1"), ("units.csv", 0, "ident_sigma_frac", "-0.05"),
-])
-def test_a_negative_noise_magnitude_exits_2(tmp_path, capsys, name, row, column, value):
-    # 0 means no noise; a negative magnitude is an input error, not "no noise"
-    dst = tmp_path / "negative"
+def smoke3_with_cell(dst, name, row, column, value):
+    """A copy of smoke3 at `dst` whose table `name` holds `value` in `column` of data row `row`."""
     shutil.copytree(SMOKE, dst)
     lines = (dst / name).read_text().splitlines()
     cells = lines[row + 1].split(",")
     cells[lines[0].split(",").index(column)] = value
     lines[row + 1] = ",".join(cells)
     (dst / name).write_text("\n".join(lines) + "\n")
+    return dst
+
+
+@pytest.mark.parametrize("name, row, column, value", [
+    ("timeseries.csv", 3, "load_sigma", "-1"), ("timeseries.csv", 5, "res_sigma", "-1"),
+    ("units.csv", 1, "baseline_sigma", "-0.1"), ("units.csv", 0, "ident_sigma_frac", "-0.05"),
+])
+def test_a_negative_noise_magnitude_exits_2(tmp_path, capsys, name, row, column, value):
+    # 0 means no noise; a negative magnitude is an input error, not "no noise"
+    dst = smoke3_with_cell(tmp_path / "negative", name, row, column, value)
     out = tmp_path / "x"
     code = main(["solve", "--scenario", str(dst), "--mode", "M3", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
     assert f"{name} row {row} {column}: must be >= 0, got {float(value)}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["M1", "M3"])
+@pytest.mark.parametrize("value", ["-0.1", "1.2"])
+def test_a_soc_init_outside_the_physical_range_exits_2(tmp_path, capsys, mode, value):
+    # bes1 starts outside its physical SoC range [0, 1]: an input error, not an infeasible LP (exit 1)
+    dst = smoke3_with_cell(tmp_path / "soc_init", "units.csv", 0, "soc_init", value)
+    out = tmp_path / "x"
+    code = main(["solve", "--scenario", str(dst), "--mode", mode, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (f"units.csv row 0 (unit bes1): bes1: soc_init must lie in [soc_phys_lo, soc_phys_hi] = [0.0, 1.0], "
+            f"got {float(value)}") in err
     assert not out.exists()
 
 

@@ -12,17 +12,17 @@ from gesdispatch.ddu import (
     MEAN_FLOOR,
     DduSpec,
     bound_ends,
-    contraction_distribution,
     contraction_quantile_vec,
     contraction_shock,
-    ddu_bound_distribution,
     expansion_anchor,
-    response_discomfort_series,
     standardized_h_quantile,
 )
-from gesdispatch.distributions import DistributionSpec, mean, normalized_quantile, quantile, sample, std
-from gesdispatch.errors import InvalidSpec, NonTighteningCoefficient, OrderingViolation
+from gesdispatch.distributions import mean, normalized_quantile, quantile, sample, std
+from gesdispatch.errors import InvalidSpec, NonTighteningCoefficient
 from gesdispatch.ges import GesParams, UnitSchedule
+from gesdispatch.optimizer import ddu_row_data
+
+from util import bes_device, contraction_distribution, make_unit, response_discomfort_series
 
 T = 10
 
@@ -217,26 +217,28 @@ def test_standardized_quantile_is_elementwise(family):
 # --- realized bound distribution -------------------------------------------
 
 
-def test_realized_bound_ordering_check():
-    with pytest.raises(OrderingViolation):
-        ddu_bound_distribution("upper", 0.5, 1.0, 0.9, 0.3, 0.1, PAPER)  # comfort above diu
-    with pytest.raises(OrderingViolation):
-        ddu_bound_distribution("lower", 0.5, 1.0, 0.9, 0.3, 0.1, PAPER)  # phys above diu
-    with pytest.raises(InvalidSpec):
-        ddu_bound_distribution("sideways", 0.5, 1.0, 0.9, 0.3, 0.1, PAPER)
+def paper_rows():
+    """The LP's realized-bound pieces (`ddu_row_data`) of a unit whose upper
+    bound has comfort 0.6 <= identified 0.9 <= physical 1.0, at charge price 0.3."""
+    unit = make_unit(bes_device(soc_lo=0.1, soc_hi=0.9, deadband=0.2), T, ddu=PAPER, price_c=0.3)
+    return ddu_row_data([unit])
 
 
 def test_realized_bound_moments():
-    rb = ddu_bound_distribution("upper", 0.9, 1.0, 0.6, 0.3, 0.1, PAPER)
-    gap = 0.6 - rb.anchor
-    assert rb.mean == pytest.approx(rb.anchor + gap * PAPER.beta_up * 0.1, rel=1e-9)
-    assert rb.sigma == pytest.approx(abs(gap) * PAPER.sigma_h, rel=1e-9)
+    # mean bound anchor + gap * beta * rd, sd |gap| * sigma_h
+    rows = paper_rows()
+    anchor = expansion_anchor(0.9, 1.0, 0.3, PAPER)
+    gap = 0.6 - anchor
+    assert np.all(rows.q_up == anchor)
+    assert rows.slope_up == pytest.approx(np.full((1, T), gap * PAPER.beta_up), rel=1e-9)
+    assert rows.sigma_up == pytest.approx(np.full((1, T), abs(gap) * PAPER.sigma_h), rel=1e-9)
 
 
 def test_realized_bound_zero_rd_equals_anchor():
-    rb = ddu_bound_distribution("upper", 0.9, 1.0, 0.6, 0.3, 0.0, PAPER)
-    assert rb.mean == pytest.approx(rb.anchor, abs=1e-9)
-    assert rb.sigma == 0.0
+    # with no discomfort the tail factor is 0, so the row's bound is the anchor
+    rows = paper_rows()
+    hi = rows.q_up - standardized_h_quantile(np.zeros((1, T)), "upper", PAPER, 0.95) * rows.sigma_up
+    assert np.array_equal(hi, rows.q_up)
 
 
 def test_paper_parameters_keep_bounds_ordered():
@@ -244,13 +246,12 @@ def test_paper_parameters_keep_bounds_ordered():
     # lower: physical 0.0 <= identified 0.1 <= comfort 0.4, discharge price 0.6
     n = 100_000
     rd = 0.2
-    up = ddu_bound_distribution("upper", 0.9, 1.0, 0.6, 0.3, rd, PAPER)
-    lo = ddu_bound_distribution("lower", 0.1, 0.0, 0.4, 0.6, rd, PAPER)
+    up_anchor, lo_anchor = expansion_anchor(0.9, 1.0, 0.3, PAPER), expansion_anchor(0.1, 0.0, 0.6, PAPER)
     rng = np.random.default_rng(0)
-    hu = sample(up.h, n, rng.spawn(1)[0])
-    hl = sample(lo.h, n, rng.spawn(1)[0])
-    upper = up.anchor + (up.comfort - up.anchor) * hu
-    lower = lo.anchor + (lo.comfort - lo.anchor) * hl
+    hu = sample(contraction_distribution(rd, "upper", PAPER), n, rng.spawn(1)[0])
+    hl = sample(contraction_distribution(rd, "lower", PAPER), n, rng.spawn(1)[0])
+    upper = up_anchor + (0.6 - up_anchor) * hu
+    lower = lo_anchor + (0.4 - lo_anchor) * hl
     assert np.mean(lower <= upper) >= 0.99
 
 

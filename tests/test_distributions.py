@@ -1,4 +1,4 @@
-"""Sampling, quantiles, and the closed-form lognormal inverse CDF."""
+"""Sampling, quantiles, moments and the nearest-rank order statistics."""
 
 import math
 import shutil
@@ -13,8 +13,6 @@ from scipy import stats
 from gesdispatch.distributions import (
     FAMILIES,
     DistributionSpec,
-    empirical_inverse_cdf,
-    lognormal_inverse_cdf_closed_form,
     mean,
     normalized_quantile,
     quantile,
@@ -25,9 +23,12 @@ from gesdispatch.distributions import (
     std,
     uniform_streams,
 )
-from gesdispatch.errors import EmptySample, InvalidSpec
+from gesdispatch.diu import _ranks
+from gesdispatch.errors import InvalidSpec
 from gesdispatch.optimizer import balance_requirements
 from gesdispatch.scenario_io import load_scenario
+
+from util import nearest_rank
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -51,20 +52,15 @@ def test_half_normal_mean():
 
 
 def test_empirical_inverse_cdf_examples():
-    assert empirical_inverse_cdf([5.0], 0.3) == 5.0
-    assert empirical_inverse_cdf(np.arange(1.0, 101.0), 0.95) == 95.0
+    assert nearest_rank([5.0], 0.3) == 5.0
+    assert nearest_rank(np.arange(1.0, 101.0), 0.95) == 95.0
     x = sample(DistributionSpec.normal(0.0, 1.0), 10**6, seed=3)
-    assert abs(empirical_inverse_cdf(x, 0.95) - 1.6448536269514722) < 0.01
+    assert abs(nearest_rank(x, 0.95) - 1.6448536269514722) < 0.01
 
 
 def test_empirical_inverse_cdf_convergence_at_1e5():
     x = sample(DistributionSpec.normal(0.0, 1.0), 10**5, seed=5)
-    assert abs(empirical_inverse_cdf(x, 0.95) - 1.6448536269514722) <= 0.02
-
-
-def test_empty_sample():
-    with pytest.raises(EmptySample):
-        empirical_inverse_cdf([], 0.5)
+    assert abs(nearest_rank(x, 0.95) - 1.6448536269514722) <= 0.02
 
 
 def test_sampling_deterministic():
@@ -143,20 +139,19 @@ def test_normal_quantile():
 
 
 def test_lognormal_closed_form_examples():
-    assert lognormal_inverse_cdf_closed_form(0.0, 0.7, 0.5) == pytest.approx(1.0, abs=1e-12)
+    def lognormal_quantile(mu, sigma, level):
+        return quantile(DistributionSpec.lognormal(mu, sigma), level)
+
+    assert lognormal_quantile(0.0, 0.7, 0.5) == pytest.approx(1.0, abs=1e-12)
     z95 = stats.norm.ppf(0.95)
-    assert lognormal_inverse_cdf_closed_form(0.0, 0.1, 0.95) == pytest.approx(
-        math.exp(0.1 * z95), abs=1e-9
-    )
-    assert lognormal_inverse_cdf_closed_form(0.3, 0.1, 0.95) == pytest.approx(
-        math.exp(0.3) * math.exp(0.1 * z95), abs=1e-9
-    )
-    assert lognormal_inverse_cdf_closed_form(0.0, 0.1, 0.95) == pytest.approx(1.1787, abs=1e-3)
+    assert lognormal_quantile(0.0, 0.1, 0.95) == pytest.approx(math.exp(0.1 * z95), abs=1e-9)
+    assert lognormal_quantile(0.3, 0.1, 0.95) == pytest.approx(math.exp(0.3) * math.exp(0.1 * z95), abs=1e-9)
+    assert lognormal_quantile(0.0, 0.1, 0.95) == pytest.approx(1.1787, abs=1e-3)
 
 
 def test_lognormal_quantile_convex_in_mu():
     mus = np.linspace(0.0, 3.0, 61)
-    vals = np.array([lognormal_inverse_cdf_closed_form(m, 0.1, 0.95) for m in mus])
+    vals = np.array([quantile(DistributionSpec.lognormal(m, 0.1), 0.95) for m in mus])
     second = np.diff(vals, 2)
     assert np.all(second >= -1e-9)
 
@@ -190,14 +185,12 @@ def test_invalid_spec():
         sample(DistributionSpec("normal", {"mu": 0.0, "sigma": -1.0}), 10, seed=0)
 
 
-@given(
-    st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=50),
-    st.floats(min_value=0.01, max_value=0.99),
-    st.floats(min_value=0.01, max_value=0.99),
-)
-def test_empirical_quantile_monotone_in_level(xs, l1, l2):
-    lo, hi = sorted((l1, l2))
-    assert empirical_inverse_cdf(xs, lo) <= empirical_inverse_cdf(xs, hi)
+@given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=50))
+def test_empirical_quantile_monotone_in_level(xs):
+    # the nearest ranks that diu tabulates rise with the level, inside the sample
+    ranks = _ranks(len(xs))
+    assert 0 <= ranks[0] and ranks[-1] < len(xs) and np.all(np.diff(ranks) >= 0)
+    assert np.all(np.diff(np.sort(xs)[ranks]) >= 0)
 
 
 @given(st.floats(min_value=0.01, max_value=0.99), st.floats(min_value=0.01, max_value=0.99))

@@ -1,25 +1,84 @@
-"""Device-to-storage mapping, SoC recursion, feasibility checks, aggregation."""
+"""Device-to-storage mapping, aggregation, and the scalar SoC recursion and
+feasibility check that hold the LP's schedules to it."""
 
 import math
-from dataclasses import replace
+import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gesdispatch.errors import EmptyFleet, InvalidDevice, LengthMismatch
-from gesdispatch.ges import (
-    DeviceDescription,
-    GesParams,
-    UnitSchedule,
-    aggregate_fleet,
-    check_feasibility,
-    map_device_to_ges,
-    step_soc,
-    unroll_soc,
-)
+from gesdispatch.ges import DeviceDescription, GesParams, UnitSchedule, aggregate_fleet, map_device_to_ges
+from gesdispatch.optimizer import solve_cco_diu
+
+from util import bes_device, make_scenario, make_unit, step_soc
 
 T = 24
+
+
+@dataclass
+class Violation:
+    constraint: str
+    t: int
+    magnitude: float
+    unit_id: str = ""
+
+
+class ComplementarityWarning(UserWarning):
+    """Simultaneous charge and discharge in a schedule (relaxed constraint)."""
+
+
+def unroll_soc(p_c: np.ndarray, p_d: np.ndarray, params: GesParams, soc0: float | None = None) -> np.ndarray:
+    """SoC trajectory implied by a power schedule."""
+    horizon = p_c.shape[0]
+    soc = np.empty(horizon + 1)
+    soc[0] = params.soc_init if soc0 is None else soc0
+    for t in range(horizon):
+        soc[t + 1] = step_soc(soc[t], float(p_c[t]), float(p_d[t]), params, t)
+    return soc
+
+
+def check_feasibility(sched: UnitSchedule, params: GesParams, tol: float = 1e-9) -> list[Violation]:
+    """Deterministic feasibility check; one entry per violated constraint."""
+    horizon = params.horizon
+    if sched.p_c.shape[0] != horizon or sched.soc.shape[0] != horizon + 1:
+        raise LengthMismatch(
+            f"{params.unit_id}: schedule horizon {sched.p_c.shape[0]} vs params horizon {horizon}"
+        )
+    out: list[Violation] = []
+    uid = params.unit_id
+    for t in range(horizon):
+        d = sched.soc[t + 1] - sched.soc[t]
+        if d > params.soc_ramp_up + tol:
+            out.append(Violation("RampUp", t, d - params.soc_ramp_up, uid))
+        if -d > params.soc_ramp_dn + tol:
+            out.append(Violation("RampDown", t, -d - params.soc_ramp_dn, uid))
+        if sched.p_c[t] < -tol or sched.p_c[t] > params.p_c_max[t] + tol:
+            mag = max(-sched.p_c[t], sched.p_c[t] - params.p_c_max[t])
+            out.append(Violation("PowerBound", t, float(mag), uid))
+        if sched.p_d[t] < -tol or sched.p_d[t] > params.p_d_max[t] + tol:
+            mag = max(-sched.p_d[t], sched.p_d[t] - params.p_d_max[t])
+            out.append(Violation("PowerBound", t, float(mag), uid))
+        lo, hi = params.soc_lo[t], params.soc_hi[t]
+        # bound series indexed by step t constrains the post-step state soc[t+1]
+        s = sched.soc[t + 1]
+        if s < lo - tol or s > hi + tol:
+            out.append(Violation("SocBound", t, float(max(lo - s, s - hi)), uid))
+        pred = step_soc(float(sched.soc[t]), float(sched.p_c[t]), float(sched.p_d[t]), params, t)
+        if abs(sched.soc[t + 1] - pred) > tol:
+            out.append(Violation("Recursion", t, float(abs(sched.soc[t + 1] - pred)), uid))
+        if sched.p_c[t] * sched.p_d[t] > tol:
+            warnings.warn(
+                f"{uid}: simultaneous charge and discharge at t={t}",
+                ComplementarityWarning,
+                stacklevel=2,
+            )
+    gap = sched.soc[-1] - sched.soc[0]
+    if abs(gap) > tol:
+        out.append(Violation("EnergySustainability", horizon, float(abs(gap)), uid))
+    return out
 
 
 def tcl_device(**kw):
@@ -228,11 +287,21 @@ def test_unroll_roundtrip_property(eps, eta, horizon):
     p_d = rng.uniform(0, 1, horizon)
     soc = unroll_soc(p_c, p_d, p)
     sched = UnitSchedule(p_c=p_c, p_d=p_d, soc=soc)
-    import warnings
-
-    from gesdispatch.ges import ComplementarityWarning
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ComplementarityWarning)
         recursion = [v for v in check_feasibility(sched, p) if v.constraint == "Recursion"]
     assert recursion == []
+
+
+def test_lp_schedules_satisfy_the_recursion():
+    # the LP's dynamics, power, SoC and sustainability rows hold the schedule
+    # the scalar check holds it to
+    units = [make_unit(bes_device(uid=f"b{k}", eps=eps, eta=eta), T) for k, (eps, eta) in
+             enumerate([(0.0, 0.95), (0.02, 0.9)])]
+    strategy = solve_cco_diu(make_scenario(units, T, tou=np.linspace(0.2, 1.4, T)))
+    for u in units:
+        sched = strategy.schedules[u.unit_id]
+        assert np.any(sched.p_c + sched.p_d > 0)  # it responds
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ComplementarityWarning)
+            assert check_feasibility(sched, u.params, tol=1e-7) == []

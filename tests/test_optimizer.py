@@ -13,7 +13,7 @@ from gesdispatch.ddu import DduSpec
 from gesdispatch.diu import LEVELS, BoundStats, UnitBoundStats, propagate_diu
 from gesdispatch.distributions import DistributionSpec
 from gesdispatch.errors import InfeasibleBounds, MaxIterationsExceeded
-from gesdispatch.ges import DeviceDescription, UnitSchedule, check_feasibility
+from gesdispatch.ges import DeviceDescription, UnitSchedule
 from gesdispatch.optimizer import (
     DispatchStrategy,
     SolveMetadata,

@@ -23,15 +23,14 @@ from gesdispatch.reliability import (
     OVER_RESPONSE_MULT,
     UNDER_RESPONSE_MULT,
     VIOLATION_TOL,
-    average_contraction,
     evaluate_many,
     evaluate_reliability,
-    expost_row_frequencies,
     realize_unit,
 )
 
-from util import (Realized, bes_device, kernel_workspace, largest_task, make_scenario, make_unit, realized_bounds,
-                  reference_evaluation, report_bits, score_bounds)
+from util import (Realized, average_contraction, bes_device, expost_row_frequencies, kernel_workspace, largest_task,
+                  make_scenario, make_unit, realized_bounds, reference_evaluation, report_bits,
+                  response_discomfort_series, score_bounds)
 
 T = 8
 
@@ -53,8 +52,6 @@ def strategy_with(scn, soc=None, p_c=None, p_d=None):
             p_d=np.zeros(horizon) if p_d is None else np.asarray(p_d, float),
             soc=s.copy(),
         )
-    from gesdispatch.ddu import response_discomfort_series
-
     return DispatchStrategy(
         schedules=schedules, grid_import=np.zeros(horizon),
         rd={u.unit_id: response_discomfort_series(schedules[u.unit_id], u.params, u.ddu)

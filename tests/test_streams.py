@@ -28,11 +28,11 @@ from gesdispatch.reliability import (
     _unit_noise,
     _Worlds,
     evaluate_many,
-    expost_row_frequencies,
     realize_unit,
 )
 
-from util import Realized, bes_device, kernel_workspace, largest_task, make_unit, score_bounds, stat_threshold
+from util import (Realized, bes_device, expost_row_frequencies, kernel_workspace, largest_task, make_unit,
+                  score_bounds, stat_threshold)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 

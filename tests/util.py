@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import math
+import zlib
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from gesdispatch import ddu, reliability, reserve
-from gesdispatch.ddu import DduSpec, bound_ends, contraction_quantile_vec, contraction_shock
+from gesdispatch import ddu, diu, reliability, reserve
+from gesdispatch import distributions as dist
+from gesdispatch.ddu import DduSpec, bound_ends, contraction_quantile_vec, contraction_shock, discomfort, rating_refs
 from gesdispatch.distributions import DistributionSpec
+from gesdispatch.errors import InvalidSpec
 from gesdispatch.ges import DeviceDescription, map_device_to_ges
 from gesdispatch.reliability import (
     OVER_RESPONSE_MULT,
@@ -142,6 +145,113 @@ def reserve_problem(scn, spec):
         with pytest.raises(StopIteration):
             reserve.solve_with_reserve(scn, spec)
     return built[0]
+
+
+# ---------------------------------------------------------------------------
+# Scalar and serial references of the package's models
+#
+# Each computes one entry, one unit or one row at a time what the package
+# computes only inside its vectorized paths, for the tests to compare.
+
+
+def response_discomfort_series(sched, params, spec):
+    """Vector of discomfort values over the whole horizon, from the rating
+    references and comfort anchors of the unit's GesParams."""
+    pc_ref, pd_ref = rating_refs(params.p_c_max, params.p_d_max)
+    return discomfort(sched, pc_ref, pd_ref, params.soc_baseline_avg, params.deadband, spec)
+
+
+def contraction_distribution(rd: float, side: str, spec: DduSpec) -> DistributionSpec:
+    """Distribution of the contraction factor H with mean beta_side * rd.
+
+    The standard deviation is sigma_h regardless of rd; both supported
+    families are matched to these two moments.  A mean at or below the
+    numeric floor collapses to a point mass (no contraction).
+    """
+    if rd < -1e-12:
+        raise InvalidSpec(f"response discomfort must be >= 0, got {rd}")
+    m = spec.beta_side(side) * max(rd, 0.0)
+    if m <= ddu.MEAN_FLOOR:
+        return DistributionSpec.point(m)
+    s = spec.sigma_h
+    if spec.h_family == "lognormal":
+        s2 = math.log1p((s / m) ** 2)
+        return DistributionSpec.lognormal(math.log(m) - s2 / 2.0, math.sqrt(s2))
+    mf, _, k = (float(v) for v in ddu._beta_fit(m, s))
+    return DistributionSpec.beta(mf * k, (1.0 - mf) * k, 0.0, ddu.BETA_CAP)
+
+
+def step_soc(soc: float, p_c: float, p_d: float, params, t: int) -> float:
+    """One step of the SoC recursion."""
+    return (
+        (1.0 - params.eps) * soc
+        + params.eta_c * p_c * params.dt / params.S
+        - p_d * params.dt / (params.eta_d * params.S)
+        + float(params.alpha[t])
+    )
+
+
+def nearest_rank(samples, level):
+    """The order statistic of `samples` that `diu` tabulates at `level`, one
+    of `diu.LEVELS`: rank ``ceil(level * n)`` of n (`diu._ranks`)."""
+    ranks = diu._ranks(len(samples))
+    return float(np.sort(samples)[ranks[list(diu.LEVELS).index(level)]])
+
+
+def average_contraction(strategy, scn) -> float:
+    """Mean contraction magnitude over units, steps, and sides.
+
+    The contraction factor has mean beta * rd per side; its average is a
+    schedule-level measure of how far the practical bounds are pulled toward
+    the comfort band by the scheduled response.
+    """
+    total = 0.0
+    count = 0
+    for u in scn.units:
+        rd = strategy.rd[u.unit_id]
+        total += float(np.sum(u.ddu.beta_up * rd) + np.sum(u.ddu.beta_lo * rd))
+        count += 2 * rd.size
+    return total / count if count else 0.0
+
+
+def expost_row_frequencies(strategy, scn, draws: int, seed: int) -> dict[str, np.ndarray]:
+    """Violation frequency of every reformulated exogenous row, over the
+    evaluator's own tasks and noise draws, serially.
+
+    Keys: "pc:<uid>", "pd:<uid>", "soc_lo:<uid>", "soc_hi:<uid>" (per-step
+    arrays) and "balance" (per-step array).  Under M3 the decision-dependent
+    rows replace the exogenous SoC rows, so there the "soc_lo:"/"soc_hi:"
+    frequencies describe no imposed row and must not be read against gamma.
+    """
+    reliability._check_draws(draws)
+    out: dict[str, np.ndarray] = {}
+    states = reliability._noise_states(scn.units, seed, scn.horizon)
+    scheds = reliability._schedules(strategy, scn.units)
+    for task in _tasks(scn.units, draws, scn.horizon):
+        run = scn.units[task]
+        real = reliability._unit_noise(run, scn, draws, states[task])
+        sched = reliability._rows(scheds, task)
+        soc = sched.soc[..., 1:]
+        rows = {"pc": sched.p_c > real["p_c_max"] + VIOLATION_TOL,
+                "pd": sched.p_d > real["p_d_max"] + VIOLATION_TOL,
+                "soc_hi": soc > real["soc_hi"] + VIOLATION_TOL,
+                "soc_lo": soc < real["soc_lo"] - VIOLATION_TOL}
+        freq = {row: violated.mean(axis=1) for row, violated in rows.items()}
+        for i, u in enumerate(run):
+            out.update((f"{row}:{u.unit_id}", f[i]) for row, f in freq.items())
+
+    def exogenous(dists, tag: bytes) -> np.ndarray:
+        states = dist.spawn_states([(int(seed), zlib.crc32(tag))], [len(dists)])[0]
+        return dist.sample_columns(dists, draws, states)
+
+    load = exogenous(scn.load_dist, b"load")
+    res = exogenous(scn.res_dist, b"res")
+    net_supply = strategy.grid_import[None, :] + res
+    for u in scn.units:
+        s = strategy.schedules[u.unit_id]
+        net_supply = net_supply + (s.p_d - s.p_c)[None, :]
+    out["balance"] = (net_supply < load - VIOLATION_TOL).mean(axis=0)
+    return out
 
 
 # ---------------------------------------------------------------------------
