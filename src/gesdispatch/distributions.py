@@ -1,8 +1,10 @@
 """Univariate distribution toolkit.
 
 Every stochastic quantity in a scenario is described by a tagged
-:class:`DistributionSpec`.  Sampling is deterministic given (spec, n, seed),
-which is the reproducibility contract the Monte-Carlo layers rely on.
+:class:`DistributionSpec`, except a unit's baseline-power noise, which is one
+:class:`LognormalSeries` (two arrays) per unit.  Sampling is deterministic
+given (spec, n, seed), which is the reproducibility contract the Monte-Carlo
+layers rely on.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -262,47 +265,61 @@ def sample_columns(specs: list[DistributionSpec], n: int, states: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
     """(n, len(specs)) draws whose column t is ``quantile(specs[t], u)`` of
     the `n` uniforms `u` of stream ``states[t]`` (`uniform_streams`),
-    written into `out` when it is given (and returned): `sample_blocks` of
-    one block."""
+    written into `out` when it is given (and returned)."""
+    _check_count(n)
     if out is None:
         out = np.empty((n, len(specs)))
-    sample_blocks([specs], n, [states], out[None])
+    for t, (spec, u) in enumerate(zip(specs, uniform_streams(states, n))):
+        out[:, t] = quantile(spec, u)
     return out
 
 
-def sample_blocks(specs: Sequence[list[DistributionSpec]], n: int, states: Sequence[np.ndarray],
+class LognormalSeries(NamedTuple):
+    """One lognormal law per step, log-scale: ``log X[t] ~ N(mu[t], sigma[t])``,
+    two float64 (T,) arrays.  A scenario's sigmas are > 0; a step of sigma 0
+    draws ``exp(mu[t])`` alone."""
+
+    mu: np.ndarray
+    sigma: np.ndarray
+
+
+def lognormal_log_params(mean: float, sd: float) -> tuple[float, float]:
+    """Log-scale (mu, sigma) of the lognormal law with this mean (> 0) and
+    standard deviation.  sigma is 0 when ``sd / mean`` is too small to move
+    ``log1p((sd / mean) ** 2)`` off 0."""
+    s2 = math.log1p((sd / mean) ** 2)
+    return math.log(mean) - s2 / 2.0, math.sqrt(s2)
+
+
+def sample_blocks(series: Sequence[LognormalSeries], n: int, states: Sequence[np.ndarray],
                   out: np.ndarray | None = None, uniforms: np.ndarray | None = None) -> np.ndarray:
-    """(len(specs), n, T) draws: block i is `sample_columns` of ``specs[i]``
-    on the streams ``states[i]``, written into `out` when it is given (and
-    returned).  Every block has the same T.
+    """(len(series), n, T) draws: column t of block i is the step-t lognormal
+    quantile of ``series[i]`` at the `n` uniforms of stream ``states[i][t]``
+    (`uniform_streams`), written into `out` when it is given (and returned).
+    Every series has the same T.
 
     Each stream's `n` uniforms go into a contiguous row of `uniforms`, a
-    C-contiguous (len(specs), T, n) scratch buffer (allocated when it is
-    None; only read once the quantile transform has run).  The transform
-    reads the rows and writes the columns of `out`.  When every spec is
-    lognormal (the baseline noise) it is one call per ufunc over all
-    blocks, the first of which, ``ndtri``, does that transpose: per element
-    it is the arithmetic of `quantile`, with far fewer short calls that each
-    release the GIL.  Every value is computed elementwise, so the layout of
-    the scratch moves no bit of the draws.
+    C-contiguous (len(series), T, n) scratch buffer (allocated when it is
+    None; only read once the quantile transform has run).  The transform is
+    one call per ufunc over all blocks, the first of which, ``ndtri``, reads
+    the rows and writes the columns of `out`: per element it is the
+    arithmetic of `quantile` of a lognormal spec, with far fewer short calls
+    that each release the GIL.  Every value is computed elementwise, so the
+    layout of the scratch moves no bit of the draws.
     """
     _check_count(n)
+    horizon = len(series[0].mu)
     if out is None:
-        out = np.empty((len(specs), n, len(specs[0])))
+        out = np.empty((len(series), n, horizon))
     if uniforms is None:
-        uniforms = np.empty((len(specs), len(specs[0]), n))
+        uniforms = np.empty((len(series), horizon, n))
     for rows, block_states in zip(uniforms, states):
         for row, state in zip(rows, block_states):
             _generator(state).random(out=row)
-    if all(spec.family == "lognormal" for row in specs for spec in row):
-        special.ndtri(uniforms.transpose(0, 2, 1), out=out)
-        out *= np.array([[spec.params["sigma"] for spec in row] for row in specs])[:, None, :]
-        out += np.array([[spec.params["mu"] for spec in row] for row in specs])[:, None, :]
-        np.exp(out, out=out)
-    else:
-        for block, rows, row_specs in zip(out, uniforms, specs):
-            for t, spec in enumerate(row_specs):
-                block[:, t] = quantile(spec, rows[t])
+    special.ndtri(uniforms.transpose(0, 2, 1), out=out)
+    out *= np.array([s.sigma for s in series])[:, None, :]
+    out += np.array([s.mu for s in series])[:, None, :]
+    np.exp(out, out=out)
     return out
 
 

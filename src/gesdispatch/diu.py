@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import distributions as dist
-from .distributions import DistributionSpec
+from .distributions import DistributionSpec, LognormalSeries
 from .errors import InvalidSpec
 from .ges import TCL_KINDS, DeviceDescription, GesParams, map_device_to_ges, thermal_ratings
 
@@ -222,27 +222,27 @@ _SAMPLED = ("p_c_max", "p_d_max", "soc_lo", "soc_hi", "alpha", "soc_baseline_avg
 _ROWS = _SAMPLED[2:]
 
 
-def unit_states(seed: int, units: Sequence[tuple[str, dict, list | None]], horizon: int,
+def unit_states(seed: int, units: Sequence[tuple[str, dict, LognormalSeries | None]], horizon: int,
                 prefix: tuple[int, ...] = ()) -> list[np.ndarray]:
     """The seed states of the streams `sample_bounds` draws, for each
-    (unit id, `unit_dists`, `baseline_dist`) of `units`, in one pass.
+    (unit id, `unit_dists`, `baseline`) of `units`, in one pass.
 
     A unit's streams are the SeedSequence children ``(*prefix, j)`` of
     ``[seed, crc32(unit id)]`` (`distributions.spawn_states`): one per entry
-    of `unit_dists`, in name order, then one per step when `baseline_dist`
+    of `unit_dists`, in name order, then one per step when `baseline`
     is given.  The blocks are read-only, so worker threads may share them.
     """
     return dist.spawn_states([(int(seed), zlib.crc32(uid.encode())) for uid, _, _ in units],
-                             [len(unit_dists) + (horizon if baseline_dist is not None else 0)
-                              for _, unit_dists, baseline_dist in units], prefix)
+                             [len(unit_dists) + (horizon if baseline is not None else 0)
+                              for _, unit_dists, baseline in units], prefix)
 
 
-def sampler_branch(dev: DeviceDescription, unit_dists: dict, baseline_dist: list | None) -> str:
+def sampler_branch(dev: DeviceDescription, unit_dists: dict, baseline: LognormalSeries | None) -> str:
     """The branch of `sample_bounds` that realizes a unit: ``"fixed"`` (no
     noise), ``"tcl"`` (a thermal unit with baseline noise only, the fast
     path) or ``"map"`` (every draw mapped through `map_device_to_ges`)."""
     if not unit_dists:
-        if baseline_dist is None:
+        if baseline is None:
             return "fixed"
         if dev.kind in TCL_KINDS:
             return "tcl"
@@ -263,7 +263,7 @@ class RunMember(NamedTuple):
     dev: DeviceDescription
     params: GesParams  # map_device_to_ges(dev, dt, horizon)
     unit_dists: dict[str, DistributionSpec]
-    baseline_dist: list[DistributionSpec] | None
+    baseline: LognormalSeries | None
 
 
 def sample_bounds(
@@ -295,7 +295,7 @@ def sample_bounds(
     discharge rating overwrites them; the other branches leave it alone.
     """
     k = len(run)
-    branch = sampler_branch(run[0].dev, run[0].unit_dists, run[0].baseline_dist)
+    branch = sampler_branch(run[0].dev, run[0].unit_dists, run[0].baseline)
     if branch == "fixed":
         out = vars(_stacked([m.params for m in run], _SAMPLED))
         for key in ("p_c_max", "p_d_max"):
@@ -304,7 +304,7 @@ def sample_bounds(
     if branch == "tcl":
         buffers = (None, None) if workspace is None else workspace[:2]
         uniforms = None if buffers[1] is None else buffers[1].reshape(k, horizon, n)
-        base = dist.sample_blocks([m.baseline_dist for m in run], n, states, out=buffers[0], uniforms=uniforms)
+        base = dist.sample_blocks([m.baseline for m in run], n, states, out=buffers[0], uniforms=uniforms)
         if sorted_base is not None:
             _sort_draws(base, sorted_base)
         # nothing reads the baseline draws after the discharge rating
@@ -316,8 +316,8 @@ def sample_bounds(
     for i, member in enumerate(run):
         names = sorted(member.unit_dists)
         draws = dist.sample_columns([member.unit_dists[name] for name in names], n, states[i][:len(names)])
-        base = (None if member.baseline_dist is None
-                else dist.sample_columns(member.baseline_dist, n, states[i][len(names):]))
+        base = (None if member.baseline is None
+                else dist.sample_blocks([member.baseline], n, [states[i][len(names):]])[0])
         for j in range(n):
             kw = dict(zip(names, draws[j].tolist()))
             if base is not None:
@@ -331,7 +331,7 @@ def sample_bounds(
 def propagate_diu(
     unit_dists: dict[str, DistributionSpec],
     dev: DeviceDescription,
-    baseline_dist: list[DistributionSpec] | None,
+    baseline: LognormalSeries | None,
     dt: float,
     horizon: int,
     n: int = DEFAULT_SAMPLES,
@@ -343,8 +343,8 @@ def propagate_diu(
     """Monte-Carlo statistics of the storage bounds under parameter noise.
 
     `unit_dists` maps DeviceDescription field names to distributions of the
-    identified parameters; `baseline_dist` optionally gives one distribution
-    per step for the baseline power draw.  The statistics do not depend on
+    identified parameters; `baseline` optionally gives the lognormal law of
+    the baseline power draw at each step.  The statistics do not depend on
     a violation level: the chance rows read quantiles from the table.
     `workspace`, from `new_workspace(n, horizon)`, is scratch that the call
     overwrites (see the module docstring for what it holds when); the
@@ -359,18 +359,18 @@ def propagate_diu(
     for name in unit_dists:
         if name not in valid_fields:
             raise InvalidSpec(f"unknown device parameter {name!r}")
-    if baseline_dist is not None and len(baseline_dist) != horizon:
-        raise InvalidSpec("baseline_dist must have one distribution per step")
+    if baseline is not None and len(baseline.mu) != horizon:
+        raise InvalidSpec("baseline must have one lognormal law per step")
 
     if states is None:
-        states = unit_states(seed, [(dev.unit_id, unit_dists, baseline_dist)], horizon)[0]
+        states = unit_states(seed, [(dev.unit_id, unit_dists, baseline)], horizon)[0]
     if params is None:
         params = map_device_to_ges(dev, dt, horizon)
     if workspace is None:
         workspace = new_workspace(n, horizon)
     scratch = workspace[2]
-    fast = sampler_branch(dev, unit_dists, baseline_dist) == "tcl"
-    samples = sample_bounds([RunMember(dev, params, unit_dists, baseline_dist)], dt, horizon, n, [states],
+    fast = sampler_branch(dev, unit_dists, baseline) == "tcl"
+    samples = sample_bounds([RunMember(dev, params, unit_dists, baseline)], dt, horizon, n, [states],
                             workspace[:2, None], sorted_base=scratch.reshape(1, horizon, n) if fast else None)
     ranked = {}
     if fast:

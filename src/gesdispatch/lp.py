@@ -44,7 +44,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 #: HiGHS primal and dual feasibility tolerance
-_TOL = 1e-9
+FEASIBILITY_TOL = 1e-9
 #: the options scipy's linprog(method="highs") passes (presolve, dual simplex,
 #: no output), and no simplex scaling.  Survey of `simplex_scale_strategy` on
 #: every LP the package solves (HiGHS 1.12.0 of scipy 1.17.1, 2-core x86_64,
@@ -66,8 +66,8 @@ _TOL = 1e-9
 #: dual-degenerate LPs end on another optimal vertex (max|dx| 1.6 for M3 and
 #: reserve, 3.8-7.0 for M1/M2).  Peak RSS of the fleet R1 solve: 474-487 MB
 #: by default, 480-482 MB unscaled.
-_OPTIONS = {"presolve": "on", "simplex_strategy": 1, "primal_feasibility_tolerance": _TOL,
-            "dual_feasibility_tolerance": _TOL, "output_flag": False, "simplex_scale_strategy": 0}
+_OPTIONS = {"presolve": "on", "simplex_strategy": 1, "primal_feasibility_tolerance": FEASIBILITY_TOL,
+            "dual_feasibility_tolerance": FEASIBILITY_TOL, "output_flag": False, "simplex_scale_strategy": 0}
 #: HiGHS model status -> (scipy linprog status code, verdict); any other status is a NumericalFailure
 _VERDICTS = {HighsModelStatus.kOptimal: (0, OPTIMAL), HighsModelStatus.kInfeasible: (2, INFEASIBLE),
              HighsModelStatus.kUnbounded: (3, UNBOUNDED)}

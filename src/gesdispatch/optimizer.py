@@ -28,7 +28,7 @@ from .distributions import DistributionSpec
 from .diu import UnitBoundStats, analytic_series_stats
 from .errors import InfeasibleBounds, MaxIterationsExceeded, NumericalFailure
 from .ges import UnitSchedule, aggregate_fleet
-from .lp import LpProblem, LpSolution, OPTIMAL, solve_lp
+from .lp import FEASIBILITY_TOL, LpProblem, LpSolution, OPTIMAL, solve_lp
 from .scenario import ScenarioBundle, UnitSpec, runs
 
 
@@ -163,10 +163,23 @@ def balance_requirements(scn: ScenarioBundle) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _raise_crossed(units: list[UnitSpec], lo: np.ndarray, hi: np.ndarray) -> None:
-    """InfeasibleBounds with the (uid, t, lo, hi) entries of empty tightened intervals, if any."""
-    crossed = np.argwhere(lo > hi + 1e-12).tolist()
-    if crossed:
-        raise InfeasibleBounds([(units[i].unit_id, t, float(lo[i, t]), float(hi[i, t])) for i, t in crossed])
+    """InfeasibleBounds with the (uid, t, lo, hi) entries of empty SoC intervals, if any.
+
+    `lo` and `hi` are the units' loosest SoC bounds, (units, T).  An interval
+    is empty where lo exceeds hi by more than 1e-12.  At the last step the
+    `sustain` row also pins the SoC to `soc_init`, so the interval there is
+    ``[max(lo, soc_init), min(hi, soc_init)]``, empty when it crosses by more
+    than HiGHS's primal feasibility tolerance; its entry carries those ends.
+    """
+    final = lo.shape[1] - 1
+    soc_init = np.array([u.params.soc_init for u in units])
+    end_lo, end_hi = np.maximum(lo[:, final], soc_init), np.minimum(hi[:, final], soc_init)
+    crossed = lo > hi + 1e-12
+    pinned = ~crossed[:, final] & (end_lo > end_hi + FEASIBILITY_TOL)
+    entries = [(i, t, lo[i, t], hi[i, t]) for i, t in np.argwhere(crossed).tolist()]
+    entries += [(i, final, end_lo[i], end_hi[i]) for i in np.flatnonzero(pinned).tolist()]
+    if entries:
+        raise InfeasibleBounds([(units[i].unit_id, t, float(a), float(b)) for i, t, a, b in sorted(entries)])
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +436,6 @@ def aggregate_scenario(scn: ScenarioBundle) -> ScenarioBundle:
     price_d = np.tensordot(w, np.stack([u.price_d for u in scn.units]), axes=1)
     unit = replace(
         scn.units[0], params=merged, price_c=price_c, price_d=price_d,
-        unit_dists={}, baseline_dist=None, stats=None,
+        unit_dists={}, baseline=None, stats=None,
     )
     return replace(scn, units=[unit])

@@ -43,9 +43,11 @@ order, as over draws-major arrays (`_score_run`).
 
 from __future__ import annotations
 
+import operator
 import zlib
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -99,14 +101,14 @@ def _noise_states(units: Sequence[UnitSpec], seed: int, horizon: int) -> list[np
         if u.dev.unit_id != u.unit_id:
             raise InvalidSpec(f"unit {u.unit_id!r} carries the device of unit {u.dev.unit_id!r}, "
                               "so its noise cannot be realized (aggregated fleets cannot be evaluated)")
-    return unit_states(seed, [(u.unit_id, u.unit_dists, u.baseline_dist) for u in units], horizon, prefix=(0,))
+    return unit_states(seed, [(u.unit_id, u.unit_dists, u.baseline) for u in units], horizon, prefix=(0,))
 
 
 def _template(u: UnitSpec) -> tuple:
     """What a run of units realizes alike: the sampler branch, the DDU spec
     and both price inputs, so that the expansion factor of `_Worlds` is
     shared by the run."""
-    return (sampler_branch(u.dev, u.unit_dists, u.baseline_dist), u.ddu,
+    return (sampler_branch(u.dev, u.unit_dists, u.baseline), u.ddu,
             _price(u, "upper").tobytes(), _price(u, "lower").tobytes())
 
 
@@ -292,17 +294,6 @@ def realize_unit(
 # Metrics
 
 
-@dataclass
-class _UnitScore:
-    """One unit's share of a strategy's metrics, before it is folded in."""
-
-    any_violation: np.ndarray  # (draws,) bool
-    erns: np.ndarray  # signed kWh per step
-    freq: np.ndarray  # violation frequency per step
-    cost_rt: float
-    crossings: int
-
-
 def _draws_major(a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """A C-contiguous (units, draws, horizon) copy of the time-major array
     `a`, written into the memory of `out` (C-contiguous, of `a`'s size)."""
@@ -312,10 +303,13 @@ def _draws_major(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _score_run(scn: ScenarioBundle, units: Sequence[UnitSpec], sched: UnitSchedule,
-               upper: np.ndarray, lower: np.ndarray, crossings: Sequence[int],
-               buffers: Sequence[np.ndarray]) -> list[_UnitScore]:
+               upper: np.ndarray, lower: np.ndarray,
+               buffers: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Score the realized time-major (units, horizon, draws) bounds of a run
-    against its schedules (`_schedules`), one `_UnitScore` per unit.
+    against its schedules (`_schedules`): per unit, whether each draw
+    violates a bound at some step (units, draws), the signed energy not
+    served and the violation frequency per step (units, horizon), and the
+    real-time cost (units,).
 
     The excess, shortfall and violations are computed time-major.  The three
     means over draws take draws-major copies of the excess and shortfall, so
@@ -344,48 +338,34 @@ def _score_run(scn: ScenarioBundle, units: Sequence[UnitSpec], sched: UnitSchedu
     rt = UNDER_RESPONSE_MULT * e_under + OVER_RESPONSE_MULT * e_over
     over -= under
     erns = over.mean(axis=1) * size
-    return [_UnitScore(any_violation=any_violation[i], erns=erns[i], freq=freq[i],
-                       cost_rt=float(np.dot(scn.tou_price, rt[i])), crossings=int(crossings[i]))
-            for i in range(len(units))]
+    return any_violation, erns, freq, np.array([np.dot(scn.tou_price, r) for r in rt])
 
 
-class _Score:
-    """Running LORP, signed ERNS, violation frequencies and real-time cost of
-    one strategy, fed one unit at a time in unit order."""
-
-    def __init__(self, strategy: DispatchStrategy, scn: ScenarioBundle, draws: int, seed: int):
-        self.strategy = strategy
-        self.draws = draws
-        self.seed = seed
-        self.any_violation = np.zeros(draws, dtype=bool)
-        self.erns = np.zeros(scn.horizon)
-        self.freq: dict[str, np.ndarray] = {}
-        self.cost_rt = 0.0
-        self.crossings = 0
-
-    def fold(self, u: UnitSpec, part: _UnitScore) -> None:
-        self.any_violation |= part.any_violation
-        self.erns += part.erns
-        self.freq[u.unit_id] = part.freq
-        self.crossings += part.crossings
-        self.cost_rt += part.cost_rt
-
-    def report(self) -> ReliabilityReport:
-        cost_da = self.strategy.objective_value
-        return ReliabilityReport(
-            lorp=float(self.any_violation.mean()),
-            erns=self.erns,
-            erns_total_signed=float(self.erns.sum()),
-            erns_total_abs=float(np.abs(self.erns).sum()),
-            cost_da=cost_da,
-            cost_rt=self.cost_rt,
-            cost_tc=cost_da + self.cost_rt,
-            violation_freq=self.freq,
-            crossings=self.crossings,
-            gamma=self.strategy.metadata.gamma,
-            draws=self.draws,
-            seed=self.seed,
-        )
+def _report(strategy: DispatchStrategy, units: Sequence[UnitSpec], draws: int, seed: int,
+            scores: Sequence[tuple]) -> ReliabilityReport:
+    """The report of `strategy` over `units` from the `_score_run` arrays of
+    consecutive runs of them, each followed by the run's crossings per unit
+    (`realize_unit`).  The units' signed energy not served and real-time
+    costs add one unit at a time, in unit order, from zero: numpy's pairwise
+    sum and Python 3.12's compensated builtin `sum` would round otherwise."""
+    any_violation, unit_erns, freq, unit_cost_rt, crossings = (np.concatenate(a) for a in zip(*scores))
+    erns = reduce(np.add, unit_erns, np.zeros(unit_erns.shape[1]))
+    cost_rt = reduce(operator.add, unit_cost_rt.tolist(), 0.0)
+    cost_da = strategy.objective_value
+    return ReliabilityReport(
+        lorp=float(any_violation.any(axis=0).mean()),
+        erns=erns,
+        erns_total_signed=float(erns.sum()),
+        erns_total_abs=float(np.abs(erns).sum()),
+        cost_da=cost_da,
+        cost_rt=cost_rt,
+        cost_tc=cost_da + cost_rt,
+        violation_freq={u.unit_id: f for u, f in zip(units, freq)},
+        crossings=int(crossings.sum()),
+        gamma=strategy.metadata.gamma,
+        draws=draws,
+        seed=seed,
+    )
 
 
 def evaluate_many(
@@ -404,23 +384,23 @@ def evaluate_many(
     `pool.map_in_workspaces`.  A task realizes its run's noise, and every
     strategy's bounds, in one workspace of `2 + KERNEL_BUFFERS` buffers of
     the largest task's size, allocated by this thread: two draws-major ones
-    for the noise sampler and the kernel's time-major ones.  It returns small
-    per-unit scores, which this thread folds in unit order, so a report
-    depends only on (strategy, scenario, draws, seed), not on the tasks or
-    the pool; `evaluate_reliability(s)` is this function with `s` alone.
-    With no strategies nothing is sampled.
+    for the noise sampler and the kernel's time-major ones.  It returns each
+    strategy's per-unit scores of its run, from which this thread builds the
+    reports in unit order (`_report`), so a report depends only on
+    (strategy, scenario, draws, seed), not on the tasks or the pool;
+    `evaluate_reliability(s)` is this function with `s` alone.  With no
+    strategies nothing is sampled.
     """
     _check_draws(draws)
     if not strategies:
         return {}
     worlds = _Worlds(seed, draws, scn)
-    scores = {name: _Score(s, scn, draws, seed) for name, s in strategies.items()}
     states = _noise_states(scn.units, seed, scn.horizon)
     tasks = _tasks(scn.units, draws, scn.horizon)
     width = max(task.stop - task.start for task in tasks)
     scheds = [_schedules(s, scn.units) for s in strategies.values()]
 
-    def score_task(task: slice, workspace: list[np.ndarray]) -> list[list[_UnitScore]]:
+    def score_task(task: slice, workspace: list[np.ndarray]) -> list[tuple]:
         run = scn.units[task]
         buffers = [w[:len(run)] for w in workspace]
         noise = _unit_noise(run, scn, draws, states[task], buffers)
@@ -430,7 +410,7 @@ def evaluate_many(
         for strategy_sched in scheds:
             sched = _rows(strategy_sched, task)
             upper, lower, crossings = realize_unit(run, sched, noise, draws, worlds, kernel)
-            parts.append(_score_run(scn, run, sched, upper, lower, crossings, (rd, h, upper, lower)))
+            parts.append((*_score_run(scn, run, sched, upper, lower, (rd, h, upper, lower)), crossings))
         return parts
 
     def new_workspace() -> list[np.ndarray]:
@@ -438,11 +418,8 @@ def evaluate_many(
                 + [np.empty((width, scn.horizon, draws)) for _ in range(KERNEL_BUFFERS)])
 
     parts = map_in_workspaces(score_task, tasks, new_workspace, width * draws * scn.horizon)
-    for task, task_parts in zip(tasks, parts):
-        for score, run_parts in zip(scores.values(), task_parts):
-            for u, part in zip(scn.units[task], run_parts):
-                score.fold(u, part)
-    return {name: score.report() for name, score in scores.items()}
+    return {name: _report(s, scn.units, draws, seed, [task_parts[k] for task_parts in parts])
+            for k, (name, s) in enumerate(strategies.items())}
 
 
 def evaluate_reliability(

@@ -19,7 +19,7 @@ import numpy as np
 from .cantelli import ShapeClass, UNIMODAL
 from .ddu import DduSpec
 from .diu import DEFAULT_SAMPLES, LEVELS, UnitBoundStats, tabulated
-from .distributions import DistributionSpec
+from .distributions import DistributionSpec, LognormalSeries
 from .errors import ValidationError
 from .ges import DeviceDescription, GesParams
 
@@ -85,7 +85,7 @@ class UnitSpec:
     price_c: np.ndarray  # incentive paid per charged kWh
     price_d: np.ndarray  # incentive paid per discharged kWh
     unit_dists: dict[str, DistributionSpec] = field(default_factory=dict)
-    baseline_dist: list[DistributionSpec] | None = None
+    baseline: LognormalSeries | None = None  # log-scale baseline-power noise
     stats: UnitBoundStats | None = None
 
     @property
@@ -135,7 +135,7 @@ class ScenarioBundle:
             if not 0.0 < g < 1.0:
                 issues.append(f"{name} must lie in (0, 1), got {g}")
         if 0.0 < self.gamma < 1.0 and not tabulated(self.gamma) and any(
-                u.unit_dists or u.baseline_dist is not None for u in self.units):
+                u.unit_dists or u.baseline is not None for u in self.units):
             issues.append(f"gamma {self.gamma} is outside [{LEVELS[0]}, {LEVELS[-1]}], the levels at which the "
                           "bound quantiles of units with identification or baseline noise are tabulated")
         if self.tou_price.shape != (self.horizon,):

@@ -22,7 +22,7 @@ from . import distributions as dist
 from .cantelli import parse_shape
 from .ddu import DduSpec
 from .diu import DEFAULT_SAMPLES, new_workspace, propagate_diu, unit_states
-from .distributions import DistributionSpec
+from .distributions import DistributionSpec, LognormalSeries
 from .errors import ParseError, ValidationError, first_few
 from .ges import DeviceDescription, map_device_to_ges
 from .pool import map_in_workspaces
@@ -202,18 +202,32 @@ def _ident_target(kind: str) -> str:
     return "thermal_resistance" if kind.startswith("TCL") else "s_capacity"
 
 
-def _dist_from_row(family: str, mean: float, sigma: float, where: str, issues):
+def _lognormal(mean: float, sd: float, where: str, column: str, issues: list[str]) -> tuple[float, float] | None:
+    """Log-scale (mu, sigma) of the lognormal law of this mean and standard
+    deviation (`distributions.lognormal_log_params`), whose spread is given
+    in `column` of the row `where` names.  A mean that is not > 0, or a spread
+    too small for a log-scale sigma > 0, is an issue, and gives None."""
+    if not mean > 0:
+        issues.append(f"{where}: lognormal mean must be > 0, got {mean}")
+        return None
+    mu, sigma = dist.lognormal_log_params(mean, sd)
+    if sigma == 0:
+        issues.append(f"{where} {column}: too small a spread for a lognormal law: its log-scale sigma is 0")
+        return None
+    return mu, sigma
+
+
+def _dist_from_row(family: str, mean: float, sigma: float, where: str, column: str, issues):
+    """The law of a `timeseries.csv` cell pair: `mean`, and the spread
+    `sigma` given in `column`, of the row `where` names."""
     family = (family or "normal").strip().lower()
     if sigma <= 0 or family == "point":
         return DistributionSpec.point(mean)
     if family == "normal":
         return DistributionSpec.normal(mean, sigma)
     if family == "lognormal":
-        if mean <= 0:
-            issues.append(f"{where}: lognormal mean must be > 0, got {mean}")
-            return DistributionSpec.point(max(mean, 0.0))
-        s2 = math.log1p((sigma / mean) ** 2)
-        return DistributionSpec.lognormal(math.log(mean) - s2 / 2.0, math.sqrt(s2))
+        law = _lognormal(mean, sigma, where, column, issues)
+        return DistributionSpec.point(max(mean, 0.0)) if law is None else DistributionSpec.lognormal(*law)
     if family == "truncated_normal":
         return DistributionSpec.truncated_normal(mean, sigma, mean - 3 * sigma, mean + 3 * sigma)
     issues.append(f"{where}: unknown distribution family {family!r}")
@@ -232,12 +246,12 @@ def _propagate_all(bundle: ScenarioBundle) -> None:
     the first failing unit in file order raises.
     """
     dt, horizon, n, seed = bundle.dt, bundle.horizon, bundle.diu_samples, bundle.diu_seed
-    noisy = [u for u in bundle.units if u.unit_dists or u.baseline_dist is not None]
-    states = unit_states(seed, [(u.dev.unit_id, u.unit_dists, u.baseline_dist) for u in noisy], horizon)
+    noisy = [u for u in bundle.units if u.unit_dists or u.baseline is not None]
+    states = unit_states(seed, [(u.dev.unit_id, u.unit_dists, u.baseline) for u in noisy], horizon)
 
     def propagate(item, workspace):
         u, unit_streams = item
-        return propagate_diu(u.unit_dists, u.dev, u.baseline_dist, dt, horizon, n=n, seed=seed,
+        return propagate_diu(u.unit_dists, u.dev, u.baseline, dt, horizon, n=n, seed=seed,
                              workspace=workspace, states=unit_streams, params=u.params)
 
     stats = map_in_workspaces(propagate, zip(noisy, states), lambda: new_workspace(n, horizon), n * horizon)
@@ -273,9 +287,9 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
         for k in steps.tolist():
             row, where = ts_rows[k], f"{ts_path} row {k}"
             load_dist.append(_dist_from_row(row.get("load_family"), row["load_mean"], row.get("load_sigma", 0.0),
-                                            where, issues))
+                                            where, "load_sigma", issues))
             res_dist.append(_dist_from_row(row.get("res_family"), row.get("res_mean", 0.0), row.get("res_sigma", 0.0),
-                                           where, issues))
+                                           where, "res_sigma", issues))
 
     unit_rows = _records(read_table(root / "units.csv", ("unit_id", "kind"), _UNIT_NUMBERS, issues,
                                     optional=_UNIT_NUMBERS, nonnegative=_NOISE_NUMBERS) or {})
@@ -326,24 +340,26 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
             unit_dists[target] = DistributionSpec.truncated_normal(
                 center, frac * center, center * (1 - 2 * frac), center * (1 + 2 * frac))
         bsig = row.get("baseline_sigma", 0.0)
-        baseline_dist = None
+        baseline = None
         if bsig > 0:
             base = kw.get("baseline_power")
             if base is None:
                 issues.append(f"{where}: baseline_sigma given without baseline_power")
             else:
-                base = np.broadcast_to(np.asarray(base, dtype=float), (horizon,))
-                baseline_dist = [
-                    _dist_from_row("lognormal", float(b), bsig * max(float(b), 1e-9), where, issues)
-                    for b in base
-                ]
+                # one law per step; an issue that several steps share is listed once
+                found: list[str] = []
+                laws = [_lognormal(b, bsig * max(b, 1e-9), where, "baseline_sigma", found)
+                        for b in np.broadcast_to(np.asarray(base, dtype=float), (horizon,)).tolist()]
+                issues += dict.fromkeys(found)
+                if not found:
+                    baseline = LognormalSeries(*(np.array(values) for values in zip(*laws)))
 
         if uid not in ddu_by_unit:
             issues.append(f"ddu.csv: no row for unit {uid}")
         units.append(UnitSpec(
             dev=dev, params=params, ddu=ddu_by_unit.get(uid) or DduSpec(),
             price_c=np.full(horizon, row.get("price_c", 0.3)), price_d=np.full(horizon, row.get("price_d", 0.6)),
-            unit_dists=unit_dists, baseline_dist=baseline_dist))
+            unit_dists=unit_dists, baseline=baseline))
 
     window = None
     if cfg.get("dispatch_window") is not None:
@@ -461,10 +477,9 @@ def serialize(bundle: ScenarioBundle, path) -> None:
         spec = u.unit_dists.get(_ident_target(dev.kind))
         if spec is not None and spec.family == "truncated_normal":
             row["ident_sigma_frac"] = fmt(spec.params["sigma"] / spec.params["mu"])
-        if u.baseline_dist is not None:
-            first = u.baseline_dist[0]
-            if first.family == "lognormal":
-                row["baseline_sigma"] = fmt(dist.std(first) / dist.mean(first))
+        if u.baseline is not None:
+            first = DistributionSpec.lognormal(u.baseline.mu[0], u.baseline.sigma[0])
+            row["baseline_sigma"] = fmt(dist.std(first) / dist.mean(first))
         unit_rows.append(row)
 
     cols = ["unit_id", "kind", *_UNIT_NUMBERS]

@@ -38,6 +38,7 @@ from util import (
     make_scenario,
     make_unit,
     nearest_rank,
+    point_baseline,
     realized_bounds,
     response_discomfort_series,
     score_bounds,
@@ -288,7 +289,7 @@ def test_ac9_derived_example_oracles(smoke3):
     a, b = (8.5 - 10.0) / 0.5, (11.5 - 10.0) / 0.5
     stats = propagate_diu(
         {"p_max": DistributionSpec.truncated_normal(10.0, 0.5, 8.5, 11.5)},
-        tcl, [DistributionSpec.point(4.0)] * T, 1.0, T, n=n, seed=1,
+        tcl, point_baseline(4.0, T), 1.0, T, n=n, seed=1,
     )
     se = float(sstats.truncnorm.std(a, b, loc=10.0, scale=0.5)) / math.sqrt(n)
     check("propagated rating mean", float(stats.p_c_max.mu[0]),

@@ -212,6 +212,36 @@ def test_a_soc_init_outside_the_physical_range_exits_2(tmp_path, capsys, mode, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name, row, column", [("units.csv", 1, "baseline_sigma"), ("timeseries.csv", 3, "load_sigma")])
+def test_a_lognormal_spread_too_small_for_its_log_scale_exits_2(tmp_path, capsys, name, row, column):
+    # its log-scale sigma underflows to 0: an input error that names the cell, not an unnamed exit 1
+    dst = smoke3_with_cell(tmp_path / "tiny", name, row, column, "1e-200")
+    if name == "timeseries.csv":
+        path = dst / name
+        path.write_text(path.read_text().replace(f"\n{row},0.5,normal,", f"\n{row},0.5,lognormal,"))
+    out = tmp_path / "x"
+    code = main(["solve", "--scenario", str(dst), "--mode", "M3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{name} row {row}" in err and f" {column}: too small a spread for a lognormal law" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, exit_code", [("M1", 0), ("M2", 2), ("M3", 2)])
+def test_a_soc_init_outside_the_final_soc_band_exits_2_with_its_cell(tmp_path, capsys, mode, exit_code):
+    # bes1's identified band is 0.1-0.9, and the sustain row pins its last SoC to soc_init;
+    # M1 bounds the SoC by the physical range alone
+    dst = smoke3_with_cell(tmp_path / "soc_init", "units.csv", 0, "soc_init", "0.95")
+    out = tmp_path / "x"
+    code = main(["solve", "--scenario", str(dst), "--mode", mode, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == exit_code
+    if exit_code:
+        assert "infeasible: empty tightened interval(s): unit=bes1 t=23 [0.95, " in err
+        (entry,) = yaml.safe_load((out / "infeasible.yaml").read_text())["empty_intervals"]
+        assert entry["unit"] == "bes1" and entry["t"] == 23
+
+
 def test_reserve_sweep_csv(tmp_path, capsys):
     out = tmp_path / "rs"
     assert main(["reserve", "--scenario", SMOKE, "--gammas", "0.05,0.30",

@@ -13,6 +13,7 @@ from scipy import stats
 from gesdispatch.distributions import (
     FAMILIES,
     DistributionSpec,
+    LognormalSeries,
     mean,
     normalized_quantile,
     quantile,
@@ -101,20 +102,25 @@ def test_sample_columns_into_a_buffer_equal_the_stacked_samples(specs):
     assert fresh.flags.c_contiguous and fresh.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("blocks", [[LOGNORMAL_STEPS, list(ONE_PER_FAMILY.values())[:5]],
-                                    [LOGNORMAL_STEPS, LOGNORMAL_STEPS[::-1]]],
-                         ids=["lognormal and mixed", "lognormal only"])
+def as_series(specs):
+    """The LognormalSeries of per-step lognormal specs."""
+    return LognormalSeries(*(np.array([spec.params[key] for spec in specs]) for key in ("mu", "sigma")))
+
+
+@pytest.mark.parametrize("blocks", [[LOGNORMAL_STEPS, LOGNORMAL_STEPS[::-1]]], ids=["lognormal only"])
 def test_sample_blocks_equal_the_quantiles_of_each_stream(blocks):
+    # each block is one series: the draws of step t are the step-t spec's quantiles of its stream
     n = 31
     states = spawn_states([3, 4], [5, 5])
     want = np.stack([np.column_stack([quantile(spec, u) for spec, u in zip(specs, uniform_streams(block_states, n))])
                      for specs, block_states in zip(blocks, states)])
+    series = [as_series(specs) for specs in blocks]
     # the scratch for the uniforms may hold anything, and is only read once the draws are out
     uniforms = np.full((2, 5, n), np.nan)
     out = np.full((2, n, 5), np.nan)
-    assert sample_blocks(blocks, n, states, out=out, uniforms=uniforms) is out
+    assert sample_blocks(series, n, states, out=out, uniforms=uniforms) is out
     assert out.tobytes() == want.tobytes()
-    assert sample_blocks(blocks, n, states).tobytes() == want.tobytes()
+    assert sample_blocks(series, n, states).tobytes() == want.tobytes()
 
 
 def test_beta_quantile_matches_scipy():

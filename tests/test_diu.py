@@ -10,7 +10,7 @@ import pytest
 from scipy import stats as sstats
 
 from gesdispatch.ddu import rating_refs
-from gesdispatch.distributions import DistributionSpec, sample_columns, spawn_states
+from gesdispatch.distributions import DistributionSpec, LognormalSeries, sample_columns, spawn_states
 from gesdispatch.diu import (
     DEFAULT_SAMPLES,
     LEVELS,
@@ -28,6 +28,8 @@ from gesdispatch.diu import (
 )
 from gesdispatch.errors import InvalidSpec
 from gesdispatch.ges import DeviceDescription, map_device_to_ges
+
+from util import lognormal_steps, point_baseline
 
 T = 24
 
@@ -52,7 +54,7 @@ def test_degenerate_inputs_give_zero_sigma():
     stats = propagate_diu(
         {"thermal_resistance": DistributionSpec.point(2.0)},
         tcl_device(),
-        [DistributionSpec.point(4.0)] * T,
+        point_baseline(4.0, T),
         1.0, T, n=200, seed=0,
     )
     for kind in ("p_c_max", "p_d_max", "soc_lo", "soc_hi", "alpha"):
@@ -72,7 +74,7 @@ def test_truncated_normal_rating_mean():
     stats = propagate_diu(
         {"p_max": DistributionSpec.truncated_normal(10.0, 0.5, 8.5, 11.5)},
         tcl_device(),
-        [DistributionSpec.point(4.0)] * T,
+        point_baseline(4.0, T),
         1.0, T, n=n, seed=1,
     )
     se = tn_sd / math.sqrt(n)
@@ -172,7 +174,7 @@ def test_deterministic_stats_helper():
 def test_propagation_reproducible():
     kw = dict(
         unit_dists={"p_max": DistributionSpec.truncated_normal(10.0, 0.5, 8.5, 11.5)},
-        dev=tcl_device(), baseline_dist=None, dt=1.0, horizon=T, n=500, seed=9,
+        dev=tcl_device(), baseline=None, dt=1.0, horizon=T, n=500, seed=9,
     )
     a = propagate_diu(**kw)
     b = propagate_diu(**kw)
@@ -212,7 +214,7 @@ def test_sampler_branches_share_keys_and_shapes():
     bes = DeviceDescription(kind="BES", unit_id="b", s_capacity=50.0, p_c_rating=10.0, p_d_rating=10.0)
     big = replace(bes, unit_id="b2", s_capacity=80.0, p_c_rating=12.0)
     ident = {"s_capacity": DistributionSpec.truncated_normal(50.0, 2.5, 45.0, 55.0)}
-    baseline = [DistributionSpec.lognormal(math.log(4.0), 0.2)] * T
+    baseline = LognormalSeries(np.full(T, math.log(4.0)), np.full(T, 0.2))
     n = 30
 
     def sample(run):
@@ -248,7 +250,7 @@ def stats_bytes(stats):
 
 
 def test_units_propagated_in_turn_through_one_workspace_equal_fresh_propagations():
-    baseline = [DistributionSpec.lognormal(math.log(3.0 + 0.2 * t), 0.3) for t in range(T)]
+    baseline = LognormalSeries(np.log(3.0 + 0.2 * np.arange(T)), np.full(T, 0.3))
     ident = {"p_max": DistributionSpec.truncated_normal(10.0, 0.5, 8.5, 11.5)}
     bes = DeviceDescription(kind="BES", unit_id="bes", s_capacity=50.0, p_c_rating=10.0, p_d_rating=10.0)
     units = [  # the thermal fast path, the per-draw mapping with and without baseline noise
@@ -261,8 +263,8 @@ def test_units_propagated_in_turn_through_one_workspace_equal_fresh_propagations
     n = 300
     workspace = new_workspace(n, T)
     propagated = []
-    for unit_dists, dev, baseline_dist in units:
-        kw = dict(unit_dists=unit_dists, dev=dev, baseline_dist=baseline_dist, dt=1.0, horizon=T,
+    for unit_dists, dev, baseline in units:
+        kw = dict(unit_dists=unit_dists, dev=dev, baseline=baseline, dt=1.0, horizon=T,
                   n=n, seed=4)
         got = propagate_diu(**kw, workspace=workspace)
         assert stats_bytes(got) == stats_bytes(propagate_diu(**kw)), dev.unit_id
@@ -309,10 +311,10 @@ def test_column_stats_equal_the_reference_bit_for_bit(scale, n):
 def test_thermal_statistics_equal_the_reference_of_the_mapped_draws(n):
     # baseline draws on both sides of p_min and of p_max: both ratings clip at zero
     dev = tcl_device(p_min=2.0, p_max=6.0)
-    baseline = [DistributionSpec.lognormal(math.log(1.5 + 0.25 * t), 0.6) for t in range(T)]
+    baseline = LognormalSeries(np.log(1.5 + 0.25 * np.arange(T)), np.full(T, 0.6))
     states = unit_states(3, [(dev.unit_id, {}, baseline)], T)[0]
     got = propagate_diu({}, dev, baseline, 1.0, T, n=n, seed=3)
-    base = sample_columns(baseline, n, states)
+    base = sample_columns(lognormal_steps(baseline), n, states)
     params = map_device_to_ges(dev, 1.0, T)
     draws = {"p_c_max": np.clip(dev.p_max - base, 0.0, None), "p_d_max": np.clip(base - dev.p_min, 0.0, None),
              "soc_lo": np.broadcast_to(params.soc_lo, (n, T)), "soc_hi": np.broadcast_to(params.soc_hi, (n, T)),

@@ -230,12 +230,13 @@ def test_feasible_schedule_roundtrip():
     soc = unroll_soc(p_c, p_d, p)
     # restore the terminal state exactly so sustainability holds
     need = soc[-1] - p.soc_init
-    if need > 0:
-        p_d[-1] = need * p.S * p.eta_d / p.dt
-        soc = unroll_soc(p_c, p_d, p)
-    sched = UnitSchedule(p_c=p_c, p_d=p_d, soc=soc)
-    if not check_feasibility(sched, p):
-        assert np.allclose(unroll_soc(p_c, p_d, p), sched.soc)
+    assert need > 0
+    p_d[-1] = need * p.S * p.eta_d / p.dt
+    sched = UnitSchedule(p_c=p_c, p_d=p_d, soc=unroll_soc(p_c, p_d, p))
+    assert check_feasibility(sched, p) == []
+    # one SoC entry off the recursion breaks the step into it and the step out of it
+    sched.soc[5] += 1e-3
+    assert [(v.constraint, v.t) for v in check_feasibility(sched, p)] == [("Recursion", 4), ("Recursion", 5)]
 
 
 # --- aggregation -----------------------------------------------------------

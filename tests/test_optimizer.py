@@ -33,6 +33,7 @@ from gesdispatch.optimizer import (
 )
 
 from gesdispatch.reliability import VIOLATION_TOL, _noise_states, _unit_noise
+from gesdispatch.reserve import solve_with_reserve
 from gesdispatch.scenario import ReserveSpec
 
 from util import PROPAGATION_SAMPLES, bes_device, make_scenario, make_unit, reserve_problem, stat_threshold
@@ -136,8 +137,8 @@ def comfort_noise_scenario():
             conversion_efficiency=2.5, t_in_baseline=23.0, p_min=0.0, p_max=6.0,
             baseline_power=3.0, **{fixed: series, noisy: center})
         unit_dists = {noisy: DistributionSpec.lognormal(math.log(center), 0.03)}
-        baseline = [DistributionSpec.lognormal(math.log(3.0), 0.3)] * T
-        u = make_unit(dev, T, unit_dists=unit_dists, baseline_dist=baseline)
+        baseline = dist.LognormalSeries(np.full(T, math.log(3.0)), np.full(T, 0.3))
+        u = make_unit(dev, T, unit_dists=unit_dists, baseline=baseline)
         u.stats = propagate_diu(unit_dists, dev, baseline, 1.0, T, n=PROPAGATION_SAMPLES, seed=5)
         units.append(u)
     return make_scenario(units, T)
@@ -324,6 +325,50 @@ def test_r2_rhs_update_raises_the_build_crossings(smoke3):
         build_cco_ddu(smoke3, crossing, update=prob)
     assert [e[:2] for e in fresh.value.entries] == [(uid, 3)]
     assert update.value.entries == fresh.value.entries
+    assert _bits(prob.arrays()) == before  # a refused update writes nothing
+
+
+def _with_soc_init(scn, soc_init):
+    """`scn` whose first unit (smoke3's bes1, band 0.1-0.9) starts at, and by
+    the sustain row ends at, `soc_init`."""
+    u = scn.units[0]
+    return replace(scn, units=[replace(u, params=replace(u.params, soc_init=soc_init)), *scn.units[1:]])
+
+
+@pytest.mark.parametrize("solve", [solve_cco_diu, robust_solve_r1, iterative_solve_r2,
+                                   lambda scn: solve_with_reserve(scn, ReserveSpec(mode="S1"))],
+                         ids=["M2", "M3-R1", "M3-R2", "reserve"])
+def test_a_soc_init_outside_the_final_soc_bounds_raises_infeasible_bounds(smoke3, solve):
+    # the LP would only report itself infeasible, without the unit or the step
+    with pytest.raises(InfeasibleBounds) as exc:
+        solve(_with_soc_init(smoke3, 0.95))
+    ((uid, t, lo, hi),) = exc.value.entries
+    assert (uid, t, lo) == ("bes1", smoke3.horizon - 1, 0.95) and hi < 0.95
+    # M1 bounds the SoC by the physical range [0, 1] alone
+    assert solve_deterministic_m1(_with_soc_init(smoke3, 0.95)).metadata.mode == "M1"
+
+
+def test_a_final_soc_bound_missed_within_the_lp_tolerance_is_not_refused(smoke3):
+    # HiGHS accepts a final SoC up to 1e-9 beyond bes1's tightened M2 ceiling
+    u = smoke3.units[0]
+    hi = min(u.params.soc_phys_hi, float(u.stats.soc_hi.quantile(smoke3.gamma)[-1]))
+    build_cco_diu(_with_soc_init(smoke3, hi + 5e-10))
+    with pytest.raises(InfeasibleBounds):
+        build_cco_diu(_with_soc_init(smoke3, hi + 2e-9))
+
+
+def test_r2_rhs_update_raises_when_the_final_soc_bounds_exclude_soc_init(smoke3):
+    f = robust_f_inv(smoke3)
+    prob = build_cco_ddu(smoke3, f)
+    before = _bits(prob.arrays())
+    rows = ddu_row_data(smoke3.units)
+    # bes1's last upper bound at 0.3: below its soc_init 0.5, still above its lower bound
+    narrow = _scaled_f_inv(f, 1.0)
+    narrow["upper"][0, -1] = (rows.q_up[0, -1] - 0.3) / rows.sigma_up[0, -1]
+    with pytest.raises(InfeasibleBounds) as exc:
+        build_cco_ddu(smoke3, narrow, update=prob)
+    ((uid, t, lo, hi),) = exc.value.entries
+    assert (uid, t, lo) == ("bes1", smoke3.horizon - 1, 0.5) and hi == pytest.approx(0.3)
     assert _bits(prob.arrays()) == before  # a refused update writes nothing
 
 

@@ -1,5 +1,6 @@
 """Scenario directory loading, validation diagnostics, and round-tripping."""
 
+import csv
 import dataclasses
 import hashlib
 import shutil
@@ -12,8 +13,10 @@ import yaml
 
 from gesdispatch import diu
 from gesdispatch.errors import InvalidSpec, ParseError, ValidationError
-from gesdispatch.scenario import ReserveSpec, ScenarioBundle
-from gesdispatch.scenario_io import load_scenario, serialize
+from gesdispatch.scenario import ReserveSpec, ScenarioBundle, UnitSpec
+from gesdispatch.scenario_io import _dist_from_row, load_scenario, serialize
+
+from util import lognormal_steps
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -38,10 +41,10 @@ def test_statistics_equal_a_serial_propagation_loop(name, fixture, request):
     for pooled, u in zip(scn.units, load_scenario(FIXTURES / name, compute_stats=False).units, strict=True):
         assert pooled.unit_id == u.unit_id
         got = pooled.stats
-        if not u.unit_dists and u.baseline_dist is None:
+        if not u.unit_dists and u.baseline is None:
             assert got is None
             continue
-        want = diu.propagate_diu(u.unit_dists, u.dev, u.baseline_dist, scn.dt, scn.horizon,
+        want = diu.propagate_diu(u.unit_dists, u.dev, u.baseline, scn.dt, scn.horizon,
                                  n=cfg["samples"], seed=cfg["seed"])
         for kind in diu.BOUND_KINDS:
             a, b = got.get(kind), want.get(kind)
@@ -78,7 +81,41 @@ def test_a_zero_noise_magnitude_means_no_noise(tmp_path):
         path.write_text("\n".join(_cell(row, column, "0")(path.read_text().splitlines())) + "\n")
     scn = load_scenario(dst, compute_stats=False)
     assert scn.load_dist[3].family == "point"
-    assert scn.units[0].unit_dists == {} and scn.units[1].baseline_dist is None
+    assert scn.units[0].unit_dists == {} and scn.units[1].baseline is None
+
+
+@pytest.mark.parametrize("name, row, column, family", [("units.csv", 1, "baseline_sigma", None),
+                                                        ("timeseries.csv", 3, "load_sigma", "load_family")])
+def test_a_lognormal_spread_too_small_for_its_log_scale_is_a_load_issue(tmp_path, name, row, column, family):
+    # (1e-200 / mean)**2 underflows, so log1p of it, the log-scale variance, is 0
+    dst = tmp_path / "tiny"
+    shutil.copytree(FIXTURES / "smoke3", dst)
+    path = dst / name
+    lines = _cell(row, column, "1e-200")(path.read_text().splitlines())
+    if family is not None:
+        lines = _cell(row, family, "lognormal")(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError) as err:
+        load_scenario(dst, compute_stats=False)
+    (issue,) = err.value.issues
+    assert f"{name} row {row}" in issue and f" {column}: too small a spread for a lognormal law" in issue
+
+
+@pytest.mark.parametrize("name", ["smoke3", "synthetic_100tcl"])
+def test_the_baseline_series_is_the_per_step_lognormal_of_its_row(name):
+    # bit for bit the (mu, sigma) that a timeseries.csv row of the same mean and spread gives
+    scn = load_scenario(FIXTURES / name, compute_stats=False)
+    with open(FIXTURES / name / "units.csv", newline="") as fh:
+        spread = {row["unit_id"]: float(row["baseline_sigma"] or 0.0) for row in csv.DictReader(fh)}
+    noisy = [u for u in scn.units if u.baseline is not None]
+    assert [u.unit_id for u in noisy] == [uid for uid, bsig in spread.items() if bsig > 0] != []
+    for u in noisy:
+        issues = []
+        specs = [_dist_from_row("lognormal", b, spread[u.unit_id] * max(b, 1e-9), "", "", issues)
+                 for b in np.broadcast_to(u.dev.baseline_power, (scn.horizon,)).tolist()]
+        assert issues == [] and {spec.family for spec in specs} == {"lognormal"}
+        for key in ("mu", "sigma"):
+            assert getattr(u.baseline, key).tobytes() == np.array([s.params[key] for s in specs]).tobytes()
 
 
 def test_price_ordering_violation(tmp_path):
@@ -232,7 +269,9 @@ _LATER_FIELDS = ("diu_samples", "diu_seed")
 def _digest(scn) -> str:
     """sha256 over every field of a loaded bundle but `_LATER_FIELDS`: arrays
     by dtype, shape and bytes, floats by their hex form, so any bit or type
-    that moves shows."""
+    that moves shows.  A unit's baseline series enters as its per-step
+    specs (`lognormal_steps`), which equal the loader's former per-step
+    specs exactly when every bit of the series does."""
     h = hashlib.sha256()
 
     def add(x):
@@ -240,6 +279,12 @@ def _digest(scn) -> str:
         if dataclasses.is_dataclass(x):
             for f in dataclasses.fields(x):
                 if isinstance(x, ScenarioBundle) and f.name in _LATER_FIELDS:
+                    continue
+                if isinstance(x, UnitSpec) and f.name == "baseline":
+                    # hashed as the list of per-step lognormal specs that it
+                    # replaced after `_DIGESTS` was frozen, under its old name
+                    add("baseline_dist")
+                    add(None if x.baseline is None else lognormal_steps(x.baseline))
                     continue
                 add(f.name)
                 add(getattr(x, f.name))

@@ -17,7 +17,7 @@ import pytest
 import yaml
 
 from gesdispatch import reliability
-from gesdispatch.distributions import DistributionSpec, sample
+from gesdispatch.distributions import DistributionSpec, LognormalSeries, sample
 from gesdispatch.diu import BOUND_KINDS, _column_stats, propagate_diu
 from gesdispatch.ges import TCL_KINDS, DeviceDescription, map_device_to_ges
 from gesdispatch.optimizer import iterative_solve_r2, robust_solve_r1, solve_cco_diu
@@ -31,8 +31,8 @@ from gesdispatch.reliability import (
     realize_unit,
 )
 
-from util import (Realized, bes_device, expost_row_frequencies, kernel_workspace, largest_task, make_unit,
-                  score_bounds, stat_threshold)
+from util import (Realized, bes_device, expost_row_frequencies, kernel_workspace, largest_task, lognormal_steps,
+                  make_unit, score_bounds, stat_threshold)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -40,21 +40,22 @@ FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 KEYS = ("p_c_max", "p_d_max", "soc_lo", "soc_hi", "alpha", "soc_baseline_avg", "deadband")
 
 
-def reference_sample_bounds(dev, unit_dists, baseline_dist, dt, horizon, n, ss):
+def reference_sample_bounds(dev, unit_dists, baseline, dt, horizon, n, ss):
     """The sampler as it was: `ss` spawns one child per identified parameter
     (in name order), then one per step, and each child seeds a generator."""
-    if not unit_dists and baseline_dist is None:
+    if not unit_dists and baseline is None:
         params = map_device_to_ges(dev, dt, horizon)
         out = {key: getattr(params, key) for key in KEYS}
         for key in ("p_c_max", "p_d_max"):
             out[key] = np.broadcast_to(out[key], (n, horizon))
         return out
     names = sorted(unit_dists)
-    children = ss.spawn(len(names) + (horizon if baseline_dist is not None else 0))
+    children = ss.spawn(len(names) + (horizon if baseline is not None else 0))
     draws = {name: sample(unit_dists[name], n, c) for name, c in zip(names, children)}
     base = None
-    if baseline_dist is not None:
-        base = np.column_stack([sample(spec, n, c) for spec, c in zip(baseline_dist, children[len(names):])])
+    if baseline is not None:
+        base = np.column_stack([sample(spec, n, c)
+                                for spec, c in zip(lognormal_steps(baseline), children[len(names):])])
         if not unit_dists and dev.kind in TCL_KINDS:
             params = map_device_to_ges(dev, dt, horizon)
             out = {key: np.asarray(getattr(params, key), dtype=float) for key in KEYS}
@@ -74,13 +75,13 @@ def reference_sample_bounds(dev, unit_dists, baseline_dist, dt, horizon, n, ss):
 
 def reference_propagate(u, dt, horizon, n, seed):
     ss = np.random.SeedSequence([seed, zlib.crc32(u.dev.unit_id.encode())])
-    samples = reference_sample_bounds(u.dev, u.unit_dists, u.baseline_dist, dt, horizon, n, ss)
+    samples = reference_sample_bounds(u.dev, u.unit_dists, u.baseline, dt, horizon, n, ss)
     return {kind: _column_stats(np.broadcast_to(samples[kind], (n, horizon))) for kind in BOUND_KINDS}
 
 
 def reference_unit_noise(u, scn, m, seed):
     ss = np.random.SeedSequence([int(seed), zlib.crc32(u.unit_id.encode())]).spawn(1)[0]
-    return reference_sample_bounds(u.dev, u.unit_dists, u.baseline_dist, scn.dt, scn.horizon, m, ss)
+    return reference_sample_bounds(u.dev, u.unit_dists, u.baseline, scn.dt, scn.horizon, m, ss)
 
 
 def reference_system_uniforms(seed, m, horizon):
@@ -98,9 +99,9 @@ def extra_units(horizon):
         baseline_power=2.0, deadband=0.2)
     two = {"thermal_resistance": DistributionSpec.truncated_normal(2.0, 0.1, 1.8, 2.2),
            "p_max": DistributionSpec.truncated_normal(5.0, 0.25, 4.5, 5.5)}
-    baseline = [DistributionSpec.lognormal(math.log(2.0), 0.1)] * horizon
+    baseline = LognormalSeries(np.full(horizon, math.log(2.0)), np.full(horizon, 0.1))
     return [make_unit(bes_device(uid="quiet"), horizon),
-            make_unit(tcl, horizon, unit_dists=two, baseline_dist=baseline)]
+            make_unit(tcl, horizon, unit_dists=two, baseline=baseline)]
 
 
 def stats_equal(got, want):
@@ -120,7 +121,7 @@ def test_loaded_statistics_equal_the_spawn_based_sampler(request, name, fixture)
 def test_identified_parameters_draw_their_streams_in_name_order():
     horizon = 24
     for u in extra_units(horizon)[1:]:
-        got = propagate_diu(u.unit_dists, u.dev, u.baseline_dist, 1.0, horizon, n=300, seed=2**32 + 1)
+        got = propagate_diu(u.unit_dists, u.dev, u.baseline, 1.0, horizon, n=300, seed=2**32 + 1)
         assert stats_equal(got, reference_propagate(u, 1.0, horizon, 300, 2**32 + 1)), u.unit_id
 
 

@@ -45,7 +45,7 @@ def bes_device(uid="bes", S=50.0, rating=10.0, soc_lo=0.1, soc_hi=0.9,
 
 
 def make_unit(dev, horizon, dt=1.0, ddu=None, price_c=0.3, price_d=0.6,
-              unit_dists=None, baseline_dist=None, stats=None):
+              unit_dists=None, baseline=None, stats=None):
     params = map_device_to_ges(dev, dt, horizon)
     if ddu is None:
         ddu = DduSpec()
@@ -53,7 +53,7 @@ def make_unit(dev, horizon, dt=1.0, ddu=None, price_c=0.3, price_d=0.6,
         dev=dev, params=params, ddu=ddu,
         price_c=np.full(horizon, float(price_c)),
         price_d=np.full(horizon, float(price_d)),
-        unit_dists=unit_dists or {}, baseline_dist=baseline_dist, stats=stats,
+        unit_dists=unit_dists or {}, baseline=baseline, stats=stats,
     )
 
 
@@ -119,17 +119,16 @@ def realized_bounds(strategy, scn, draws, seed):
 def score_bounds(strategy, scn, bounds, seed=0):
     """The report of `strategy` against given bounds {unit id: Realized}: the
     evaluator's scoring (`reliability._score_run`), one unit per run in
-    buffers of its own, folded in unit order."""
+    buffers of its own, and its report builder (`reliability._report`)."""
     draws = len(next(iter(bounds.values())).upper)
-    score = reliability._Score(strategy, scn, draws, seed)
+    scores = []
     for u in scn.units:
         real = bounds[u.unit_id]
         upper, lower = (np.ascontiguousarray(np.asarray(b, dtype=float).T)[None] for b in (real.upper, real.lower))
         buffers = [np.empty_like(upper) for _ in range(4)]
-        (part,) = reliability._score_run(scn, [u], reliability._schedules(strategy, [u]), upper, lower,
-                                         [real.crossings], buffers)
-        score.fold(u, part)
-    return score.report()
+        scores.append((*reliability._score_run(scn, [u], reliability._schedules(strategy, [u]), upper, lower, buffers),
+                       [real.crossings]))
+    return reliability._report(strategy, scn.units, draws, seed, scores)
 
 
 def reserve_problem(scn, spec):
@@ -179,6 +178,17 @@ def contraction_distribution(rd: float, side: str, spec: DduSpec) -> Distributio
         return DistributionSpec.lognormal(math.log(m) - s2 / 2.0, math.sqrt(s2))
     mf, _, k = (float(v) for v in ddu._beta_fit(m, s))
     return DistributionSpec.beta(mf * k, (1.0 - mf) * k, 0.0, ddu.BETA_CAP)
+
+
+def point_baseline(value, horizon):
+    """Baseline noise with no spread: every draw of every step is
+    ``exp(log(value))``, which is `value` for 4.0."""
+    return dist.LognormalSeries(np.full(horizon, math.log(value)), np.zeros(horizon))
+
+
+def lognormal_steps(series) -> list[DistributionSpec]:
+    """The per-step lognormal specs of a `distributions.LognormalSeries`."""
+    return [DistributionSpec.lognormal(mu, sigma) for mu, sigma in zip(series.mu.tolist(), series.sigma.tolist())]
 
 
 def step_soc(soc: float, p_c: float, p_d: float, params, t: int) -> float:
