@@ -13,7 +13,7 @@ from .cantelli import (  # noqa: F401
     student_t,
 )
 from .ddu import DduSpec, standardized_h_quantile  # noqa: F401
-from .distributions import DistributionSpec, quantile, sample  # noqa: F401
+from .distributions import DistributionSpec, quantile  # noqa: F401
 from .diu import BoundStats, UnitBoundStats, propagate_diu  # noqa: F401
 from .errors import GesDispatchError  # noqa: F401
 from .ges import DeviceDescription, GesParams, UnitSchedule, aggregate_fleet, map_device_to_ges  # noqa: F401

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from scipy import special
 
-from . import distributions as dist
 from .errors import InvalidGamma, InvalidSpec
 
 
@@ -72,8 +71,12 @@ def cantelli_bound(shape: ShapeClass, gamma: float) -> float:
             return math.sqrt(3.0) * (1.0 - 2.0 * gamma)
         return 0.0
     if k == "student_t":
-        # unit-variance rescaling of the standard t quantile
-        t = dist.quantile(dist.DistributionSpec.student_t(shape.nu), 1.0 - gamma)
+        # unit-variance rescaling of the standard t quantile.  stdtrit is what
+        # scipy.stats.t.ppf computes, except at level 0 (gamma 1), where it
+        # gives +inf instead of the lower end of the support; 0.0 + t turns a
+        # -0.0 into 0.0
+        level = 1.0 - gamma
+        t = 0.0 + (-math.inf if level == 0.0 else float(special.stdtrit(shape.nu, level)))
         return t * math.sqrt((shape.nu - 2.0) / shape.nu)
     if k == "normal":
         return float(special.ndtri(1.0 - gamma))

@@ -307,7 +307,7 @@ def _sampling_issues(args) -> list[str]:
 def cmd_evaluate(args) -> int:
     if issues := _sampling_issues(args):
         raise ValidationError(issues)
-    # the evaluator reads no DIU statistics, and its own draws refuse an invalid device
+    # the evaluator reads no DIU statistics; the load still refuses an identification range with an invalid device
     scn = load_scenario(args.scenario, compute_stats=False)
     strategy = read_strategy(Path(args.strategy), scn)
     report = evaluate_reliability(strategy, scn, args.draws, args.seed)

@@ -1,10 +1,11 @@
 """Univariate distribution toolkit.
 
 Every stochastic quantity in a scenario is described by a tagged
-:class:`DistributionSpec`, except a unit's baseline-power noise, which is one
-:class:`LognormalSeries` (two arrays) per unit.  Sampling is deterministic
-given (spec, n, seed), which is the reproducibility contract the Monte-Carlo
-layers rely on.
+:class:`DistributionSpec` of one of the four FAMILIES a scenario can state,
+except a unit's baseline-power noise, which is one :class:`LognormalSeries`
+(two arrays) per unit.  Every draw is the quantile of the uniforms of one
+stream of `spawn_states`, so the draws are deterministic given the seed
+states, which is the reproducibility contract the Monte-Carlo layers rely on.
 """
 
 from __future__ import annotations
@@ -20,16 +21,7 @@ from scipy import special
 
 from .errors import InvalidSpec
 
-FAMILIES = (
-    "point",
-    "normal",
-    "truncated_normal",
-    "lognormal",
-    "beta",
-    "student_t",
-    "bernoulli",
-    "uniform",
-)
+FAMILIES = ("point", "normal", "truncated_normal", "lognormal")
 
 
 @dataclass
@@ -62,25 +54,6 @@ class DistributionSpec:
         """Log-scale parameterization: log X ~ N(mu, sigma)."""
         return cls("lognormal", {"mu": float(mu), "sigma": float(sigma)})
 
-    @classmethod
-    def beta(cls, alpha, beta, low=0.0, high=1.0) -> "DistributionSpec":
-        return cls(
-            "beta",
-            {"alpha": float(alpha), "beta": float(beta), "low": float(low), "high": float(high)},
-        )
-
-    @classmethod
-    def student_t(cls, nu, loc=0.0, scale=1.0) -> "DistributionSpec":
-        return cls("student_t", {"nu": float(nu), "loc": float(loc), "scale": float(scale)})
-
-    @classmethod
-    def bernoulli(cls, p: float) -> "DistributionSpec":
-        return cls("bernoulli", {"p": float(p)})
-
-    @classmethod
-    def uniform(cls, low: float, high: float) -> "DistributionSpec":
-        return cls("uniform", {"low": float(low), "high": float(high)})
-
 
 def validate_spec(spec: DistributionSpec) -> None:
     fam, p = spec.family, spec.params
@@ -100,22 +73,6 @@ def validate_spec(spec: DistributionSpec) -> None:
         elif fam == "lognormal":
             if not p["sigma"] > 0:
                 raise InvalidSpec(f"lognormal sigma must be > 0, got {p['sigma']}")
-        elif fam == "beta":
-            if not (p["alpha"] > 0 and p["beta"] > 0):
-                raise InvalidSpec("beta shapes must be > 0")
-            if not p["low"] < p["high"]:
-                raise InvalidSpec("beta support requires low < high")
-        elif fam == "student_t":
-            if not p["nu"] > 0:
-                raise InvalidSpec(f"student t nu must be > 0, got {p['nu']}")
-            if not p["scale"] > 0:
-                raise InvalidSpec("student t scale must be > 0")
-        elif fam == "bernoulli":
-            if not 0.0 <= p["p"] <= 1.0:
-                raise InvalidSpec(f"bernoulli p must lie in [0, 1], got {p['p']}")
-        elif fam == "uniform":
-            if not p["low"] < p["high"]:
-                raise InvalidSpec("uniform requires low < high")
     except KeyError as exc:
         raise InvalidSpec(f"family {fam!r} missing parameter {exc}") from exc
 
@@ -127,12 +84,6 @@ def _require_finite(x):
 
 # ---------------------------------------------------------------------------
 # Sampling
-
-
-def sample(spec: DistributionSpec, n: int, seed) -> np.ndarray:
-    """n i.i.d. draws; bit-identical for identical (spec, n, seed)."""
-    _check_count(n)
-    return quantile(spec, np.random.default_rng(seed).random(n))
 
 
 def _check_count(n: int) -> None:
@@ -261,14 +212,11 @@ def uniform_streams(states: np.ndarray, size) -> Iterator[np.ndarray]:
         yield _generator(row).random(size)
 
 
-def sample_columns(specs: list[DistributionSpec], n: int, states: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def sample_columns(specs: list[DistributionSpec], n: int, states: np.ndarray) -> np.ndarray:
     """(n, len(specs)) draws whose column t is ``quantile(specs[t], u)`` of
-    the `n` uniforms `u` of stream ``states[t]`` (`uniform_streams`),
-    written into `out` when it is given (and returned)."""
+    the `n` uniforms `u` of stream ``states[t]`` (`uniform_streams`)."""
     _check_count(n)
-    if out is None:
-        out = np.empty((n, len(specs)))
+    out = np.empty((n, len(specs)))
     for t, (spec, u) in enumerate(zip(specs, uniform_streams(states, n))):
         out[:, t] = quantile(spec, u)
     return out
@@ -335,17 +283,6 @@ def quantile(spec: DistributionSpec, level) -> np.ndarray | float:
         out = truncnorm_quantile(p["mu"], p["sigma"], p["a"], p["b"], level)
     elif fam == "lognormal":
         out = np.exp(p["mu"] + p["sigma"] * special.ndtri(level))
-    elif fam == "beta":
-        out = p["low"] + (p["high"] - p["low"]) * special.betaincinv(p["alpha"], p["beta"], level)
-    elif fam == "student_t":
-        # stdtrit is what scipy.stats.t.ppf computes, except at level 0,
-        # where it gives +inf instead of the lower end of the support
-        t = np.where(level == 0.0, -np.inf, special.stdtrit(p["nu"], level))
-        out = p["loc"] + p["scale"] * t
-    elif fam == "bernoulli":
-        out = (level > 1.0 - p["p"]).astype(float)
-    elif fam == "uniform":
-        out = p["low"] + (p["high"] - p["low"]) * level
     else:  # pragma: no cover
         raise InvalidSpec(fam)
     return out if out.ndim else float(out)
@@ -372,17 +309,6 @@ def mean(spec: DistributionSpec) -> float:
         return _truncnorm_moments(p)[0]
     if fam == "lognormal":
         return math.exp(p["mu"] + p["sigma"] ** 2 / 2.0)
-    if fam == "beta":
-        a, b = p["alpha"], p["beta"]
-        return p["low"] + (p["high"] - p["low"]) * a / (a + b)
-    if fam == "student_t":
-        if p["nu"] <= 1:
-            raise InvalidSpec("student t mean undefined for nu <= 1")
-        return p["loc"]
-    if fam == "bernoulli":
-        return p["p"]
-    if fam == "uniform":
-        return 0.5 * (p["low"] + p["high"])
     raise InvalidSpec(fam)  # pragma: no cover
 
 
@@ -397,17 +323,6 @@ def std(spec: DistributionSpec) -> float:
     if fam == "lognormal":
         s2 = p["sigma"] ** 2
         return math.exp(p["mu"] + s2 / 2.0) * math.sqrt(math.expm1(s2))
-    if fam == "beta":
-        a, b = p["alpha"], p["beta"]
-        return (p["high"] - p["low"]) * math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
-    if fam == "student_t":
-        if p["nu"] <= 2:
-            raise InvalidSpec("student t variance undefined for nu <= 2")
-        return p["scale"] * math.sqrt(p["nu"] / (p["nu"] - 2.0))
-    if fam == "bernoulli":
-        return math.sqrt(p["p"] * (1.0 - p["p"]))
-    if fam == "uniform":
-        return (p["high"] - p["low"]) / math.sqrt(12.0)
     raise InvalidSpec(fam)  # pragma: no cover
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .cantelli import parse_shape
 from .ddu import DduSpec
 from .diu import DEFAULT_SAMPLES, new_workspace, propagate_diu, unit_states
 from .distributions import DistributionSpec, LognormalSeries
-from .errors import ParseError, ValidationError, first_few
+from .errors import GesDispatchError, InvalidSpec, ParseError, ValidationError, first_few
 from .ges import DeviceDescription, map_device_to_ges
 from .pool import map_in_workspaces
 from .scenario import ReserveSpec, ScenarioBundle, UnitSpec
@@ -217,6 +217,18 @@ def _lognormal(mean: float, sd: float, where: str, column: str, issues: list[str
     return mu, sigma
 
 
+def _truncated_normal(mu: float, sigma: float, a: float, b: float, where: str, column: str,
+                      issues: list[str]) -> DistributionSpec | None:
+    """The normal law (mu, sigma) truncated to [a, b], whose spread is given
+    in `column` of the row `where` names.  A law the spec refuses, such as
+    an interval that rounds to one point, is an issue, and gives None."""
+    try:
+        return DistributionSpec.truncated_normal(mu, sigma, a, b)
+    except InvalidSpec as exc:
+        issues.append(f"{where} {column}: too small a spread for a truncated normal law: {exc}")
+        return None
+
+
 def _dist_from_row(family: str, mean: float, sigma: float, where: str, column: str, issues):
     """The law of a `timeseries.csv` cell pair: `mean`, and the spread
     `sigma` given in `column`, of the row `where` names."""
@@ -229,7 +241,8 @@ def _dist_from_row(family: str, mean: float, sigma: float, where: str, column: s
         law = _lognormal(mean, sigma, where, column, issues)
         return DistributionSpec.point(max(mean, 0.0)) if law is None else DistributionSpec.lognormal(*law)
     if family == "truncated_normal":
-        return DistributionSpec.truncated_normal(mean, sigma, mean - 3 * sigma, mean + 3 * sigma)
+        law = _truncated_normal(mean, sigma, mean - 3 * sigma, mean + 3 * sigma, where, column, issues)
+        return DistributionSpec.point(mean) if law is None else law
     issues.append(f"{where}: unknown distribution family {family!r}")
     return DistributionSpec.point(mean)
 
@@ -337,8 +350,19 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
         if frac > 0:
             target = _ident_target(dev.kind)
             center = getattr(dev, target)
-            unit_dists[target] = DistributionSpec.truncated_normal(
-                center, frac * center, center * (1 - 2 * frac), center * (1 + 2 * frac))
+            ends = center * (1 - 2 * frac), center * (1 + 2 * frac)
+            law = _truncated_normal(center, frac * center, *ends, where, "ident_sigma_frac", issues)
+            if law is not None:
+                unit_dists[target] = law
+            # the mapping is monotone in the identified field, so the two ends
+            # of its interval stand for every draw
+            for end in ends:
+                try:
+                    map_device_to_ges(replace(dev, **{target: end}), dt, horizon)
+                except GesDispatchError as exc:
+                    issues.append(f"{where} ident_sigma_frac: the identified {target} reaches {end:.6g}, "
+                                  f"an invalid device: {exc}")
+                    break
         bsig = row.get("baseline_sigma", 0.0)
         baseline = None
         if bsig > 0:

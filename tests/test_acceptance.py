@@ -16,7 +16,7 @@ from scipy import stats as sstats
 
 from gesdispatch.cantelli import ShapeClass, cantelli_bound
 from gesdispatch.ddu import DduSpec, expansion_anchor
-from gesdispatch.distributions import DistributionSpec, quantile, sample
+from gesdispatch.distributions import DistributionSpec, quantile
 from gesdispatch.diu import propagate_diu
 from gesdispatch.ges import DeviceDescription, GesParams, UnitSchedule, aggregate_fleet, map_device_to_ges
 from gesdispatch.optimizer import (
@@ -41,6 +41,7 @@ from util import (
     point_baseline,
     realized_bounds,
     response_discomfort_series,
+    sample,
     score_bounds,
     stat_threshold,
     step_soc,

@@ -16,7 +16,6 @@ import pytest
 
 from gesdispatch import lp
 from gesdispatch.ddu import expansion_anchor, rating_refs
-from gesdispatch.distributions import normalized_quantile
 from gesdispatch.diu import UnitBoundStats
 from gesdispatch.lp import LpSolution
 from gesdispatch.optimizer import (
@@ -33,7 +32,7 @@ from gesdispatch.optimizer import (
 from gesdispatch.reserve import _coverage_share, _unit_reserve_price
 from gesdispatch.scenario import ReserveSpec
 
-from util import contraction_distribution, reserve_problem, response_discomfort_series
+from util import contraction_distribution, contraction_normalized_quantile, reserve_problem, response_discomfort_series
 
 # ---------------------------------------------------------------------------
 # Per-unit reference builders
@@ -258,7 +257,8 @@ def test_tail_factor_update_equals_the_per_unit_update(scenario):
     rd = {u.unit_id: np.where(rng.random(scn.horizon) < 0.2, 0.0, 0.3 * rng.random(scn.horizon)) for u in units}
     got = _update_f_inv(scn, SimpleNamespace(rd=rd))
     for side in ("upper", "lower"):
-        want = [[normalized_quantile(contraction_distribution(r, side, u.ddu), 1.0 - scn.gamma) for r in rd[u.unit_id]]
+        want = [[contraction_normalized_quantile(contraction_distribution(r, side, u.ddu), 1.0 - scn.gamma)
+                 for r in rd[u.unit_id]]
                 for u in units]
         assert got[side].shape == (len(units), scn.horizon)
         assert np.max(np.abs(got[side] - want)) <= 1e-12, side

@@ -131,7 +131,7 @@ def test_evaluate_loads_without_the_diu_statistics(tmp_path, capsys, monkeypatch
     assert read_tree(tmp_path / "r") == read_tree(want)
 
 
-def test_evaluate_refuses_an_invalid_device_only_in_its_own_draws(tmp_path, capsys, smoke3_m2):
+def test_evaluate_refuses_an_invalid_device_at_load_whatever_its_draw_count(tmp_path, capsys, smoke3_m2):
     # identification noise of 51 % reaches below zero capacity: about 1 draw in 400 of bes1 and ev1
     scn = tmp_path / "scn"
     shutil.copytree(FIXTURES / "smoke3", scn)
@@ -144,15 +144,17 @@ def test_evaluate_refuses_an_invalid_device_only_in_its_own_draws(tmp_path, caps
         writer.writeheader()
         writer.writerows(rows)
     cli.write_strategy(tmp_path / "s", smoke3_m2)
-    # solve refuses it at load, where 4,000 DIU draws per unit are mapped
-    assert main(["solve", "--scenario", str(scn), "--mode", "M2", "--out", str(tmp_path / "m2")]) == 1
-    assert "s_capacity must be > 0" in capsys.readouterr().err
-    # evaluate maps only its own draws: 20 hold no invalid device, 2,000 do
+    # the lower end of the identification range, 50 (1 - 2 x 0.51) for bes1, is no device: solve and
+    # evaluate refuse the scenario at load, before any draw, whether or not their own draws would reach it
     evaluate = ["evaluate", "--scenario", str(scn), "--strategy", str(tmp_path / "s"), "--seed", "0"]
-    assert main(evaluate + ["--draws", "20", "--out", str(tmp_path / "r20")]) == 0
-    capsys.readouterr()
-    assert main(evaluate + ["--draws", "2000", "--out", str(tmp_path / "r2000")]) == 1
-    assert "s_capacity must be > 0" in capsys.readouterr().err
+    for argv in (["solve", "--scenario", str(scn), "--mode", "M2", "--out", str(tmp_path / "m2")],
+                 evaluate + ["--draws", "20", "--out", str(tmp_path / "r20")],
+                 evaluate + ["--draws", "2000", "--out", str(tmp_path / "r2000")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        for row, uid in ((0, "bes1"), (2, "ev1")):
+            assert f"units.csv row {row} (unit {uid}) ident_sigma_frac: the identified s_capacity reaches " in err
+        assert "s_capacity must be > 0" in err
 
 
 def test_validation_error_exit_code(tmp_path, capsys):
@@ -225,6 +227,39 @@ def test_a_lognormal_spread_too_small_for_its_log_scale_exits_2(tmp_path, capsys
     assert code == 2
     assert f"{name} row {row}" in err and f" {column}: too small a spread for a lognormal law" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, row, column", [("timeseries.csv", 3, "load_sigma"),
+                                               ("units.csv", 0, "ident_sigma_frac")])
+def test_a_truncated_normal_spread_too_small_for_its_interval_exits_2(tmp_path, capsys, name, row, column):
+    # its truncation interval rounds to one point: an input error that names the cell, not an unnamed exit 1
+    dst = smoke3_with_cell(tmp_path / "tiny", name, row, column, "1e-200")
+    if name == "timeseries.csv":
+        path = dst / name
+        path.write_text(path.read_text().replace(f"\n{row},0.5,normal,", f"\n{row},0.5,truncated_normal,"))
+    out = tmp_path / "x"
+    code = main(["solve", "--scenario", str(dst), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{name} row {row}" in err and f" {column}: too small a spread for a truncated normal law" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, row, frac, unit", [
+    ("solve", 0, "0.6", "bes1"), ("evaluate", 0, "0.6", "bes1"), ("solve", 1, "0.5", "tcl1")])
+def test_an_identification_range_that_reaches_an_invalid_device_exits_2(tmp_path, capsys, command, row, frac, unit):
+    # the lower end of [c (1 - 2 frac), c (1 + 2 frac)] is not a device: an input error at load,
+    # not an exit 1 from the first draw that maps it
+    dst = smoke3_with_cell(tmp_path / "wide", "units.csv", row, "ident_sigma_frac", frac)
+    argv = [command, "--scenario", str(dst), "--out", str(tmp_path / "x")]
+    if command == "evaluate":
+        assert main(["solve", "--scenario", SMOKE, "--mode", "M1", "--out", str(tmp_path / "s")]) == 0
+        argv += ["--strategy", str(tmp_path / "s"), "--draws", "20"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"units.csv row {row} (unit {unit}) ident_sigma_frac: the identified " in err and "an invalid device" in err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("mode, exit_code", [("M1", 0), ("M2", 2), ("M3", 2)])
@@ -426,6 +461,24 @@ def test_bounds_table_at_gamma_one_keeps_the_lower_end_of_the_t_support(capsys):
         "symmetric_unimodal,2.1081851067789197,0\n"
         "student_t(5),1.5608497583442291,-inf\n"
         "normal,1.6448536269514722,-inf\n"
+    )
+
+
+@pytest.mark.parametrize("nu, t_row", [
+    ("2.5", "student_t(2.5),1.1440701445026513,0.35106879168765032,0.06207985146975821,0,-inf"),
+    ("5", "student_t(5),1.5608497583442291,0.5628892087894134,0.10238245049087449,0,-inf"),
+    ("30", "student_t(30),1.6397097962803024,0.65960466516830862,0.12243243791971443,0,-inf")])
+def test_bounds_table_keeps_its_bytes_across_the_gamma_range(capsys, nu, t_row):
+    # the student_t factor at gamma 0.5 prints as 0 (a -0.0 would print as -0), and at gamma 1 as -inf
+    assert main(["bounds", "--gammas", "0.05,0.25,0.45,0.5,1", "--nu", nu]) == 0
+    assert capsys.readouterr().out == (
+        "shape,0.050000000000000003,0.25,0.45000000000000001,0.5,1\n"
+        "no_assumption,4.3588989435406731,1.7320508075688772,1.1055415967851334,1,0\n"
+        "symmetric,3.1622776601683795,1.4142135623730951,1.0540925533894598,0,0\n"
+        "unimodal,2.8087165910587859,1.1338934190276817,0.83793058159639211,0.7745966692414834,0\n"
+        "symmetric_unimodal,2.1081851067789197,0.8660254037844386,0.17320508075688767,0,0\n"
+        f"{t_row}\n"
+        "normal,1.6448536269514722,0.67448975019608171,0.12566134685507416,0,-inf\n"
     )
 
 

@@ -101,6 +101,64 @@ def test_a_lognormal_spread_too_small_for_its_log_scale_is_a_load_issue(tmp_path
     assert f"{name} row {row}" in issue and f" {column}: too small a spread for a lognormal law" in issue
 
 
+@pytest.mark.parametrize("name, row, column, family, interval", [
+    ("timeseries.csv", 3, "load_sigma", "load_family", "[30.0, 30.0]"),
+    ("units.csv", 0, "ident_sigma_frac", None, "[50.0, 50.0]")])
+def test_a_truncated_normal_spread_too_small_for_its_interval_is_a_load_issue(tmp_path, name, row, column, family,
+                                                                             interval):
+    # mean -/+ 3 sigma (a load) or center * (1 -/+ 2 frac) (an identified field) rounds to one point
+    dst = tmp_path / "tiny"
+    shutil.copytree(FIXTURES / "smoke3", dst)
+    path = dst / name
+    lines = _cell(row, column, "1e-200")(path.read_text().splitlines())
+    if family is not None:
+        lines = _cell(row, family, "truncated_normal")(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValidationError) as err:
+        load_scenario(dst, compute_stats=False)
+    (issue,) = err.value.issues
+    assert issue.startswith(f"{path if family else name} row {row}")
+    assert issue.endswith(f" {column}: too small a spread for a truncated normal law: "
+                          f"truncation requires a < b, got {interval}")
+
+
+@pytest.mark.parametrize("row, frac, message", [
+    (0, "0.6", "the identified s_capacity reaches -10, an invalid device: "
+               "bes1: s_capacity must be > 0"),
+    (2, "0.5", "the identified s_capacity reaches 0, an invalid device: ev1: s_capacity must be > 0"),
+    (1, "0.5", "the identified thermal_resistance reaches 0, an invalid device: "
+               "tcl1: thermal_resistance must be > 0, got 0.0"),
+    (1, "10", "the identified thermal_resistance reaches -38, an invalid device: "
+              "tcl1: thermal_resistance must be > 0, got -38.0"),
+    (1, "0.499999", "the identified thermal_resistance reaches 4e-06, an invalid device: "
+                    "tcl1: degenerate TCL mapping (eps=1.0, S=")], ids=["bes", "ev", "tcl", "tcl-far", "tcl-eps"])
+def test_an_identification_range_that_reaches_an_invalid_device_is_a_load_issue(tmp_path, row, frac, message):
+    # the mapping is monotone in the identified field: the ends of [c (1 - 2 frac), c (1 + 2 frac)]
+    # stand for every draw, and a failing end is refused at load, not by the first draw that maps it
+    dst = tmp_path / "wide"
+    shutil.copytree(FIXTURES / "smoke3", dst)
+    path = dst / "units.csv"
+    path.write_text("\n".join(_cell(row, "ident_sigma_frac", frac)(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValidationError) as err:
+        load_scenario(dst, compute_stats=False)
+    (issue,) = err.value.issues
+    uid = ("bes1", "tcl1", "ev1")[row]
+    assert issue.startswith(f"units.csv row {row} (unit {uid}) ident_sigma_frac: {message}")
+
+
+def test_an_identification_range_of_valid_devices_loads(tmp_path):
+    # the widest ranges short of an invalid end: every draw maps
+    dst = tmp_path / "wide"
+    shutil.copytree(FIXTURES / "smoke3", dst)
+    path = dst / "units.csv"
+    lines = path.read_text().splitlines()
+    for row, frac in ((0, "0.49"), (1, "0.45"), (2, "0.49")):
+        lines = _cell(row, "ident_sigma_frac", frac)(lines)
+    path.write_text("\n".join(lines) + "\n")
+    scn = load_scenario(dst)
+    assert [sorted(u.unit_dists) for u in scn.units] == [["s_capacity"], ["thermal_resistance"], ["s_capacity"]]
+
+
 @pytest.mark.parametrize("name", ["smoke3", "synthetic_100tcl"])
 def test_the_baseline_series_is_the_per_step_lognormal_of_its_row(name):
     # bit for bit the (mu, sigma) that a timeseries.csv row of the same mean and spread gives

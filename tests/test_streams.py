@@ -17,7 +17,7 @@ import pytest
 import yaml
 
 from gesdispatch import reliability
-from gesdispatch.distributions import DistributionSpec, LognormalSeries, sample
+from gesdispatch.distributions import DistributionSpec, LognormalSeries
 from gesdispatch.diu import BOUND_KINDS, _column_stats, propagate_diu
 from gesdispatch.ges import TCL_KINDS, DeviceDescription, map_device_to_ges
 from gesdispatch.optimizer import iterative_solve_r2, robust_solve_r1, solve_cco_diu
@@ -32,7 +32,7 @@ from gesdispatch.reliability import (
 )
 
 from util import (Realized, bes_device, expost_row_frequencies, kernel_workspace, largest_task, lognormal_steps,
-                  make_unit, score_bounds, stat_threshold)
+                  make_unit, sample, score_bounds, stat_threshold)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 

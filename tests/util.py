@@ -8,6 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from scipy import stats as sstats
 
 from gesdispatch import ddu, diu, reliability, reserve
 from gesdispatch import distributions as dist
@@ -160,12 +161,19 @@ def response_discomfort_series(sched, params, spec):
     return discomfort(sched, pc_ref, pd_ref, params.soc_baseline_avg, params.deadband, spec)
 
 
-def contraction_distribution(rd: float, side: str, spec: DduSpec) -> DistributionSpec:
+def sample(spec: DistributionSpec, n: int, seed) -> np.ndarray:
+    """`n` draws of `spec`: its quantiles of ``np.random.default_rng(seed).random(n)``."""
+    return dist.quantile(spec, np.random.default_rng(seed).random(n))
+
+
+def contraction_distribution(rd: float, side: str, spec: DduSpec):
     """Distribution of the contraction factor H with mean beta_side * rd.
 
     The standard deviation is sigma_h regardless of rd; both supported
-    families are matched to these two moments.  A mean at or below the
-    numeric floor collapses to a point mass (no contraction).
+    families are matched to these two moments: a lognormal
+    `DistributionSpec`, or a frozen ``scipy.stats.beta`` on [0, BETA_CAP].
+    A mean at or below the numeric floor collapses to a point mass (no
+    contraction).
     """
     if rd < -1e-12:
         raise InvalidSpec(f"response discomfort must be >= 0, got {rd}")
@@ -177,7 +185,15 @@ def contraction_distribution(rd: float, side: str, spec: DduSpec) -> Distributio
         s2 = math.log1p((s / m) ** 2)
         return DistributionSpec.lognormal(math.log(m) - s2 / 2.0, math.sqrt(s2))
     mf, _, k = (float(v) for v in ddu._beta_fit(m, s))
-    return DistributionSpec.beta(mf * k, (1.0 - mf) * k, 0.0, ddu.BETA_CAP)
+    return sstats.beta(mf * k, (1.0 - mf) * k, scale=ddu.BETA_CAP)
+
+
+def contraction_normalized_quantile(h, level: float) -> float:
+    """Quantile of (H - mean) / std at `level` of a `contraction_distribution`
+    law; 0 for a point mass."""
+    if isinstance(h, DistributionSpec):
+        return dist.normalized_quantile(h, level)
+    return (float(h.ppf(level)) - h.mean()) / h.std()
 
 
 def point_baseline(value, horizon):
