@@ -30,4 +30,4 @@ from .optimizer import (  # noqa: F401
 from .reliability import ReliabilityReport, evaluate_many, evaluate_reliability  # noqa: F401
 from .reserve import required_reliability, reserve_price, solve_with_reserve  # noqa: F401
 from .scenario import ReserveSpec, ScenarioBundle, UnitSpec  # noqa: F401
-from .scenario_io import load_scenario, serialize  # noqa: F401
+from .scenario_io import load_scenario  # noqa: F401

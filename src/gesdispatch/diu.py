@@ -116,11 +116,6 @@ class UnitBoundStats:
     soc_hi: BoundStats
     alpha: BoundStats
 
-    def get(self, kind: str) -> BoundStats:
-        if kind not in BOUND_KINDS:
-            raise InvalidSpec(f"unknown bound kind {kind!r}")
-        return getattr(self, kind)
-
     @classmethod
     def deterministic(cls, params: GesParams) -> "UnitBoundStats":
         return cls(

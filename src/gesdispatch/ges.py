@@ -94,6 +94,14 @@ class DeviceDescription:
         if self.soc_init is not None and not self.soc_phys_lo <= self.soc_init <= self.soc_phys_hi:
             raise InvalidDevice(f"{self.unit_id}: soc_init must lie in [soc_phys_lo, soc_phys_hi] = "
                                 f"[{self.soc_phys_lo}, {self.soc_phys_hi}], got {self.soc_init}")
+        # a storage unit's band is given as is; a TCL's comes from its comfort
+        # temperatures, and the mapping clips it to the physical range
+        if self.kind not in TCL_KINDS and (np.asarray(self.soc_lo, dtype=float).min() < self.soc_phys_lo - 1e-12
+                                           or np.asarray(self.soc_hi, dtype=float).max() > self.soc_phys_hi + 1e-12):
+            raise InvalidDevice(f"{self.unit_id}: available SoC bounds must lie inside physical bounds")
+        deadband = np.asarray(self.deadband, dtype=float).min()
+        if deadband < 0:
+            raise InvalidDevice(f"{self.unit_id}: deadband must be >= 0, got {deadband}")
 
 
 @dataclass
@@ -132,8 +140,6 @@ class GesParams:
             raise InvalidDevice(f"{self.unit_id}: power ratings must be >= 0")
         if not (0.0 <= self.soc_phys_lo and self.soc_phys_hi <= 1.0):
             raise InvalidDevice(f"{self.unit_id}: physical SoC bounds must lie in [0, 1]")
-        if np.any(self.soc_lo < self.soc_phys_lo - 1e-12) or np.any(self.soc_hi > self.soc_phys_hi + 1e-12):
-            raise InvalidDevice(f"{self.unit_id}: available SoC bounds must lie inside physical bounds")
         if np.any(self.soc_lo > self.soc_hi):
             raise InvalidDevice(f"{self.unit_id}: soc_lo must not exceed soc_hi")
         if self.soc_ramp_up < 0 or self.soc_ramp_dn < 0:

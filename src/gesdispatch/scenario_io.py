@@ -1,18 +1,19 @@
-"""Scenario directory loading and serialization.
+"""Scenario directory loading, and the CSV reader and writer.
 
 A scenario directory holds ``scenario.yaml`` (configuration) and the tables
 ``units.csv`` and ``ddu.csv`` (one row per unit), ``timeseries.csv`` (one
 row per step) and, optionally, ``unit_series.csv`` (per-unit trajectories);
-README.md lists their columns.  `read_table` reads every table by columns
-and `write_table` writes it, floats with 17 significant digits so that a
-load/serialize round trip is bit-exact.
+README.md lists their columns.  `read_table` reads every table by columns.
+`write_table` writes the command line's CSV artifacts, floats through `fmt`
+with 17 significant digits, so that `cli.read_strategy` reloads a strategy
+bit-exact.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .ddu import DduSpec
 from .diu import DEFAULT_SAMPLES, new_workspace, propagate_diu, unit_states
 from .distributions import DistributionSpec, LognormalSeries
 from .errors import GesDispatchError, InvalidSpec, ParseError, ValidationError, first_few
-from .ges import DeviceDescription, map_device_to_ges
+from .ges import TCL_KINDS, DeviceDescription, map_device_to_ges
 from .pool import map_in_workspaces
 from .scenario import ReserveSpec, ScenarioBundle, UnitSpec
 
@@ -197,11 +198,6 @@ def _mapping(cfg: dict, name: str, issues: list[str]) -> dict:
     return {}
 
 
-def _ident_target(kind: str) -> str:
-    """The device field that identification noise perturbs."""
-    return "thermal_resistance" if kind.startswith("TCL") else "s_capacity"
-
-
 def _lognormal(mean: float, sd: float, where: str, column: str, issues: list[str]) -> tuple[float, float] | None:
     """Log-scale (mu, sigma) of the lognormal law of this mean and standard
     deviation (`distributions.lognormal_log_params`), whose spread is given
@@ -285,6 +281,8 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
     diu_cfg = _mapping(cfg, "diu", issues)
     n_samples = _number(diu_cfg.get("samples", DEFAULT_SAMPLES), "diu.samples", DEFAULT_SAMPLES, issues, integer=True)
     diu_seed = _number(diu_cfg.get("seed", 0), "diu.seed", 0, issues, integer=True)
+    if diu_seed < 0:
+        issues.append(f"scenario.yaml diu.seed: must be >= 0, got {diu_seed}")
 
     ts_path = root / "timeseries.csv"
     ts = read_table(ts_path, ("t", "load_family", "res_family"), _TS_NUMBERS, issues, optional=_TS_OPTIONAL,
@@ -317,7 +315,8 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
     ddu_path = root / "ddu.csv"
     ddu_rows = _records(read_table(ddu_path, ("unit_id", *_DDU_TEXTS), _DDU_NUMBERS, issues,
                                    optional=_DDU_FIELDS) or {})
-    ddu_by_unit: dict[str, DduSpec] = {}
+    # a unit's spec, or None where its row has a problem
+    ddu_by_unit: dict[str, DduSpec | None] = {}
     for k, row in enumerate(ddu_rows):
         uid = row.pop("unit_id", "")
         if uid in ddu_by_unit:
@@ -327,6 +326,7 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
         try:
             ddu_by_unit[uid] = DduSpec(**{f: v.strip() if f in _DDU_TEXTS else v for f, v in row.items()})
         except Exception as exc:
+            ddu_by_unit[uid] = None
             issues.append(f"ddu.csv row {k} (unit {uid}): {exc}")
 
     units: list[UnitSpec] = []
@@ -348,7 +348,8 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
         unit_dists: dict[str, DistributionSpec] = {}
         frac = row.get("ident_sigma_frac", 0.0)
         if frac > 0:
-            target = _ident_target(dev.kind)
+            # identification noise perturbs a TCL's thermal resistance, a storage unit's capacity
+            target = "thermal_resistance" if dev.kind in TCL_KINDS else "s_capacity"
             center = getattr(dev, target)
             ends = center * (1 - 2 * frac), center * (1 + 2 * frac)
             law = _truncated_normal(center, frac * center, *ends, where, "ident_sigma_frac", issues)
@@ -448,68 +449,3 @@ def load_scenario(path, compute_stats: bool = True) -> ScenarioBundle:
     if compute_stats:
         _propagate_all(bundle)
     return bundle
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-
-
-def serialize(bundle: ScenarioBundle, path) -> None:
-    """Write a scenario directory that load_scenario reads back equal."""
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    cfg = {
-        "horizon": int(bundle.horizon),
-        "dt": float(bundle.dt),
-        "gamma": float(bundle.gamma),
-        "gamma_balance": float(bundle.gamma_balance),
-        "grid_cap": float(bundle.grid_cap),
-        "shape_class": bundle.shape_class.kind,
-        "diu": {"samples": int(bundle.diu_samples), "seed": int(bundle.diu_seed)},
-    }
-    if bundle.shape_class.nu is not None:
-        cfg["shape_nu"] = float(bundle.shape_class.nu)
-    if bundle.dispatch_window is not None:
-        cfg["dispatch_window"] = [int(t) for t in np.flatnonzero(bundle.dispatch_window)]
-    if bundle.reserve is not None:
-        cfg["reserve"] = asdict(bundle.reserve)
-    (root / "scenario.yaml").write_text(yaml.safe_dump(cfg, sort_keys=True))
-
-    write_table(root / "timeseries.csv", ["t", "tou_price", "load_family", "load_mean", "load_sigma",
-                                          "res_family", "res_mean", "res_sigma"], (
-        [t, fmt(tou), ld.family, fmt(dist.mean(ld)), fmt(dist.std(ld)),
-         rd_.family, fmt(dist.mean(rd_)), fmt(dist.std(rd_))]
-        for t, (tou, ld, rd_) in enumerate(zip(bundle.tou_price, bundle.load_dist, bundle.res_dist))))
-
-    unit_rows = []
-    series_rows = []
-    for u in bundle.units:
-        dev = u.dev
-        row = {"unit_id": dev.unit_id, "kind": dev.kind,
-               "price_c": fmt(u.price_c[0]), "price_d": fmt(u.price_d[0])}
-        for f in (*_DEV_FIELDS, *(f for f in _SERIES_FIELDS if f not in _DEV_FIELDS)):
-            v = getattr(dev, f, None)
-            if v is None:
-                continue
-            arr = np.atleast_1d(np.asarray(v, dtype=float))
-            if arr.size == 1 and f in _DEV_FIELDS:
-                if math.isfinite(arr[0]):
-                    row[f] = fmt(arr[0])
-            else:
-                arr = np.broadcast_to(arr, (bundle.horizon,))
-                series_rows += ([dev.unit_id, f, t, fmt(x)] for t, x in enumerate(arr))
-        spec = u.unit_dists.get(_ident_target(dev.kind))
-        if spec is not None and spec.family == "truncated_normal":
-            row["ident_sigma_frac"] = fmt(spec.params["sigma"] / spec.params["mu"])
-        if u.baseline is not None:
-            first = DistributionSpec.lognormal(u.baseline.mu[0], u.baseline.sigma[0])
-            row["baseline_sigma"] = fmt(dist.std(first) / dist.mean(first))
-        unit_rows.append(row)
-
-    cols = ["unit_id", "kind", *_UNIT_NUMBERS]
-    write_table(root / "units.csv", cols, ([row.get(c, "") for c in cols] for row in unit_rows))
-    write_table(root / "ddu.csv", ["unit_id", *_DDU_FIELDS], ([u.unit_id] + [
-        getattr(u.ddu, f) if f in _DDU_TEXTS else fmt(getattr(u.ddu, f)) for f in _DDU_FIELDS]
-        for u in bundle.units))
-    if series_rows:
-        write_table(root / "unit_series.csv", ["unit_id", "field", "t", "value"], series_rows)

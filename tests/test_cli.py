@@ -214,6 +214,36 @@ def test_a_soc_init_outside_the_physical_range_exits_2(tmp_path, capsys, mode, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["solve", "--mode", "M1"], ["solve", "--mode", "M2"], ["solve"], ["evaluate"]],
+                         ids=["M1", "M2", "M3", "evaluate"])
+@pytest.mark.parametrize("cell, message", [
+    ((0, "soc_hi", "1.5"), "units.csv row 0 (unit bes1): bes1: available SoC bounds must lie inside physical bounds"),
+    ((2, "soc_lo", "-0.1"), "units.csv row 2 (unit ev1): ev1: available SoC bounds must lie inside physical bounds"),
+    ((1, "deadband", "-0.5"), "units.csv row 1 (unit tcl1): tcl1: deadband must be >= 0, got -0.5"),
+    (None, "scenario.yaml diu.seed: must be >= 0, got -1"),
+], ids=["bes1-soc_hi", "ev1-soc_lo", "tcl1-deadband", "diu-seed"])
+def test_a_value_outside_its_domain_exits_2_from_every_command(tmp_path, capsys, smoke3_m2, argv, cell, message):
+    # each used to pass M1 and M2 and end M3 with an unnamed exit 1: a band outside the physical range was
+    # clipped in silence while its midpoint stayed the default baseline SoC, a negative deadband crosses the
+    # comfort edges, and a negative seed raised a traceback from the DIU stream hash
+    if cell is None:
+        dst = tmp_path / "scn"
+        shutil.copytree(SMOKE, dst)
+        path = dst / "scenario.yaml"
+        path.write_text(path.read_text().replace("seed: 11", "seed: -1"))
+    else:
+        dst = smoke3_with_cell(tmp_path / "scn", "units.csv", *cell)
+    if argv[0] == "evaluate":
+        cli.write_strategy(tmp_path / "s", smoke3_m2)
+        argv = [*argv, "--strategy", str(tmp_path / "s"), "--draws", "20"]
+    out = tmp_path / "x"
+    code = main([*argv, "--scenario", str(dst), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, row, column", [("units.csv", 1, "baseline_sigma"), ("timeseries.csv", 3, "load_sigma")])
 def test_a_lognormal_spread_too_small_for_its_log_scale_exits_2(tmp_path, capsys, name, row, column):
     # its log-scale sigma underflows to 0: an input error that names the cell, not an unnamed exit 1

@@ -58,7 +58,7 @@ def test_degenerate_inputs_give_zero_sigma():
         1.0, T, n=200, seed=0,
     )
     for kind in ("p_c_max", "p_d_max", "soc_lo", "soc_hi", "alpha"):
-        b = stats.get(kind)
+        b = getattr(stats, kind)
         assert np.all(b.sigma == 0.0)
     # mean equals the deterministic mapping value: rating = p_max - baseline
     assert np.allclose(stats.p_c_max.mu, 6.0)
@@ -245,7 +245,7 @@ def test_sampler_branches_share_keys_and_shapes():
 
 
 def stats_bytes(stats):
-    return [getattr(stats.get(kind), f).tobytes()
+    return [getattr(getattr(stats, kind), f).tobytes()
             for kind in ("p_c_max", "p_d_max", "soc_lo", "soc_hi", "alpha") for f in ("mu", "sigma", "table")]
 
 
@@ -323,13 +323,13 @@ def test_thermal_statistics_equal_the_reference_of_the_mapped_draws(n):
         assert (draws["p_c_max"] == 0).any() and (draws["p_d_max"] == 0).any()
         assert (draws["p_c_max"] > 0).any() and (draws["p_d_max"] > 0).any()
     for kind, samples in draws.items():
-        stats = got.get(kind)
+        stats = getattr(got, kind)
         for a, b in zip((stats.mu, stats.sigma, stats.table), reference_column_stats(samples)):
             assert a.tobytes() == b.tobytes(), kind
 
 
 def test_draw_invariant_rows_share_one_read_only_zero_table(tcl100):
-    tables = [u.stats.get(kind).table for u in tcl100.units for kind in ("soc_lo", "soc_hi", "alpha")]
+    tables = [getattr(u.stats, kind).table for u in tcl100.units for kind in ("soc_lo", "soc_hi", "alpha")]
     shared = tables[0]
     assert all(t is shared for t in tables)
     assert shared.shape == (LEVELS.size, tcl100.horizon) and not shared.any()

@@ -158,6 +158,15 @@ def test_invalid_device():
         map_device_to_ges(DeviceDescription(kind="BES", s_capacity=-5.0), 1.0, T)
 
 
+def test_a_tcl_soc_band_is_clipped_to_the_physical_range():
+    # the band comes from the comfort temperatures, so a narrower physical range may cut it
+    wide, narrow = (map_device_to_ges(tcl_device(soc_phys_lo=lo, soc_phys_hi=hi), 1.0, T) for lo, hi in
+                    ((0.0, 1.0), (0.2, 0.8)))
+    assert wide.soc_lo.min() < 0.2 and wide.soc_hi.max() > 0.8
+    assert np.array_equal(narrow.soc_lo, np.maximum(wide.soc_lo, 0.2))
+    assert np.array_equal(narrow.soc_hi, np.minimum(wide.soc_hi, 0.8))
+
+
 # --- recursion -------------------------------------------------------------
 
 

@@ -109,7 +109,7 @@ def test_reserve_spec_refuses_a_negative_flat_price():
 
 
 def test_reserve_spec_keeps_infinite_limits_and_refuses_what_the_lp_cannot_use():
-    # no limit on the power or the ramps is the default, and serialize writes it
+    # no limit on the power or the ramps is the default; scenario.yaml states it as -.inf and .inf
     assert ReserveSpec(p_lo=-math.inf, p_hi=math.inf, ramp_up=math.inf, ramp_dn=math.inf).validate() == []
     for field, value in [("p_lo", math.inf), ("p_hi", -math.inf), ("ramp_up", math.nan), ("ramp_dn", math.nan),
                          ("p_lo", math.nan), ("a", math.inf), ("b", math.nan), ("s1_price", math.inf)]:

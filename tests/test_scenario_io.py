@@ -4,7 +4,6 @@ import csv
 import dataclasses
 import hashlib
 import shutil
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,7 @@ import yaml
 from gesdispatch import diu
 from gesdispatch.errors import InvalidSpec, ParseError, ValidationError
 from gesdispatch.scenario import ReserveSpec, ScenarioBundle, UnitSpec
-from gesdispatch.scenario_io import _dist_from_row, load_scenario, serialize
+from gesdispatch.scenario_io import _dist_from_row, load_scenario
 
 from util import lognormal_steps
 
@@ -47,7 +46,7 @@ def test_statistics_equal_a_serial_propagation_loop(name, fixture, request):
         want = diu.propagate_diu(u.unit_dists, u.dev, u.baseline, scn.dt, scn.horizon,
                                  n=cfg["samples"], seed=cfg["seed"])
         for kind in diu.BOUND_KINDS:
-            a, b = got.get(kind), want.get(kind)
+            a, b = getattr(got, kind), getattr(want, kind)
             for field in ("mu", "sigma", "table"):
                 assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), (u.unit_id, kind, field)
 
@@ -212,34 +211,6 @@ def test_missing_directory():
         load_scenario(FIXTURES / "does_not_exist")
 
 
-def test_round_trip(smoke3, tmp_path):
-    out1 = tmp_path / "rt1"
-    out2 = tmp_path / "rt2"
-    serialize(smoke3, out1)
-    again = load_scenario(out1)
-    assert again.horizon == smoke3.horizon
-    assert again.gamma == smoke3.gamma
-    assert [u.unit_id for u in again.units] == [u.unit_id for u in smoke3.units]
-    for a, b in zip(again.units, smoke3.units):
-        assert np.allclose(a.params.p_c_max, b.params.p_c_max)
-        assert np.allclose(a.params.soc_lo, b.params.soc_lo)
-        assert np.allclose(a.price_c, b.price_c)
-        assert a.ddu == b.ddu
-    assert np.allclose(again.tou_price, smoke3.tou_price)
-    # serialize writes the scenario's own diu.samples and diu.seed, so every DIU statistic reloads bit for bit
-    for a, b in zip(again.units, smoke3.units):
-        assert b.stats is not None and a.stats is not None, b.unit_id
-        for kind in diu.BOUND_KINDS:
-            x, y = a.stats.get(kind), b.stats.get(kind)
-            for name in ("mu", "sigma", "table"):
-                assert getattr(x, name).tobytes() == getattr(y, name).tobytes(), (b.unit_id, kind, name)
-    assert (again.diu_samples, again.diu_seed) == (smoke3.diu_samples, smoke3.diu_seed) == (4000, 11)
-    # a second serialize of the reloaded bundle is byte-identical
-    serialize(again, out2)
-    for f in sorted(p.name for p in out1.iterdir()):
-        assert (out1 / f).read_bytes() == (out2 / f).read_bytes(), f
-
-
 def _cell(row, column, value):
     """An edit of a CSV file's lines: `column` of data row `row` set to `value`."""
     def edit(lines):
@@ -281,6 +252,8 @@ def _student_t(lines):
     ("units.csv", _cell(0, "s_capacity", "abc"), "units.csv row 0 s_capacity: not a finite number: 'abc'"),
     ("ddu.csv", lambda lines: [*lines, lines[1].replace(",3,", ",0.5,")], "ddu.csv: unit bes1 has more than one row"),
     ("ddu.csv", lambda lines: [*lines, lines[1].replace("bes1", "bes9")], "ddu.csv: unit bes9 is not in units.csv"),
+    ("unit_series.csv", lambda lines: [*lines, *(f"bes1,deadband,{t},{-0.5 if t == 7 else 0.2}" for t in range(24))],
+     "units.csv row 0 (unit bes1): bes1: deadband must be >= 0, got -0.5"),
     ("scenario.yaml", lambda lines: [line.replace("horizon: 24", "horizon: abc") for line in lines],
      "scenario.yaml horizon: not an integer: 'abc'"),
     ("scenario.yaml", lambda lines: [line.replace("horizon: 24", "horizon: 0") for line in lines],
@@ -306,8 +279,8 @@ def _student_t(lines):
 ], ids=["t-not-a-number", "fractional-step", "repeated-row", "missing-step", "off-horizon", "infinite",
         "unknown-unit", "unknown-field", "no-column", "timeseries-missing-step", "timeseries-repeated-step",
         "timeseries-nan-tou-price", "units-nan-p_c_rating", "units-infinite-price_d", "units-not-a-number",
-        "ddu-repeated-unit", "ddu-unknown-unit", "yaml-horizon-not-a-number", "yaml-zero-horizon",
-        "yaml-samples-not-a-number", "yaml-gamma-not-a-number", "yaml-fractional-window-step",
+        "ddu-repeated-unit", "ddu-unknown-unit", "series-negative-deadband", "yaml-horizon-not-a-number",
+        "yaml-zero-horizon", "yaml-samples-not-a-number", "yaml-gamma-not-a-number", "yaml-fractional-window-step",
         "yaml-diu-not-a-mapping", "yaml-window-not-a-list", "yaml-reserve-not-a-number", "yaml-reserve-bad-mode",
         "yaml-student-t-nu-2", "yaml-student-t-nu-nan"])
 def test_bad_unit_series_lists_the_problem(tmp_path, name, edit, message):
@@ -400,8 +373,23 @@ def test_loaded_bundle_keeps_its_digest(tmp_path, name, edit):
     assert (bundle.diu_samples, bundle.diu_seed) == (cfg["samples"], cfg["seed"])
 
 
-def test_round_trip_keeps_reserve_limits(smoke3, tmp_path):
+def test_a_refused_ddu_row_is_not_also_reported_missing(tmp_path):
+    dst = tmp_path / "sigma-g"
+    shutil.copytree(FIXTURES / "smoke3", dst)
+    path = dst / "ddu.csv"
+    path.write_text("\n".join(_cell(0, "sigma_g", "0")(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValidationError) as err:
+        load_scenario(dst, compute_stats=False)
+    assert [issue for issue in err.value.issues if "bes1" in issue] == [
+        "ddu.csv row 0 (unit bes1): sigma_g and sigma_h must be > 0"]
+
+
+def test_the_reserve_block_loads_as_written(tmp_path):
     reserve = ReserveSpec(mode="S1", p_lo=-3.0, p_hi=4.0, ramp_up=1.0, ramp_dn=2.0, a=1.5, b=0.5, s1_price=0.7)
-    for spec in (reserve, ReserveSpec()):  # the default's limits are infinite
-        serialize(replace(smoke3, reserve=spec), tmp_path / spec.mode)
-        assert load_scenario(tmp_path / spec.mode, compute_stats=False).reserve == spec
+    for spec in (reserve, ReserveSpec()):  # the default's limits are infinite, which YAML writes as -.inf and .inf
+        dst = tmp_path / spec.mode
+        shutil.copytree(FIXTURES / "smoke3", dst)
+        cfg = yaml.safe_load((dst / "scenario.yaml").read_text())
+        cfg["reserve"] = dataclasses.asdict(spec)
+        (dst / "scenario.yaml").write_text(yaml.safe_dump(cfg))
+        assert load_scenario(dst, compute_stats=False).reserve == spec

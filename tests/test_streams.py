@@ -105,7 +105,7 @@ def extra_units(horizon):
 
 
 def stats_equal(got, want):
-    return all(getattr(got.get(kind), f).tobytes() == getattr(want[kind], f).tobytes()
+    return all(getattr(getattr(got, kind), f).tobytes() == getattr(want[kind], f).tobytes()
                for kind in BOUND_KINDS for f in ("mu", "sigma", "table"))
 
 
